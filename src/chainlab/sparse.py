@@ -1,11 +1,14 @@
 """Sparse spike trains, l1-regularized inversion, and recovery certificates.
 
 The observation model is a Toeplitz operator whose columns are shifted
-Gaussian kernel evaluations plus additive noise. Inversion is the standard
-l1-penalized least squares solved by proximal gradient (soft thresholding)
-with step 1/||G'G||_2 from power iteration; the residual-constrained variant
-is solved by a penalty-path sweep over the regularization weight, returning
-the smallest-l1-norm feasible iterate.
+Gaussian kernel evaluations plus additive noise. Inversion comes in two
+modes. The penalized mode is l1-penalized least squares, solved by proximal
+gradient (soft thresholding) with step 1/||G'G||_2 from power iteration. The
+constrained mode, min ||x||_1 s.t. ||y - Gx||_1 <= delta, is a linear program
+and is solved exactly by a small dense dual simplex, so its answer is the
+constrained minimizer that the recovery certificates bound. With delta == 0
+the feasible set of the square, nonsingular G is the single point G^{-1} y,
+which is solved for directly.
 
 Certificates evaluate the closed-form recovery error bounds for admissible
 kernels; the kernel's positivity/curvature constants (beta, eps) are inputs
@@ -150,7 +153,7 @@ class SolveResult:
     iterations: int
     objective: tuple
     mode: str
-    lam: float
+    lam: Optional[float]  # penalty weight; None in constrained mode
 
     @property
     def objective_final(self) -> float:
@@ -190,6 +193,62 @@ def _ista(
     return x, converged, it, trace
 
 
+# Relative tolerance of the simplex: pivots, primal and dual feasibility.
+_LP_RTOL = 1e-9
+# Times the tableau is rebuilt from the original data before giving up.
+_LP_REBUILDS = 3
+
+
+def _dual_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, max_pivots: int) -> tuple:
+    """min c'z s.t. a z <= b, z >= 0, for c >= 0; returns (z, pivots, optimal).
+
+    Dense-tableau dual simplex from the all-slack basis, which is dual
+    feasible because c >= 0. Each pivot leaves on the most negative basic
+    value and enters by the min-ratio test. The final basis is re-solved from
+    (a, b, c); ``optimal`` holds only if it is primal and dual feasible to
+    tolerances scaled to |b| and |c|. Otherwise the tableau is rebuilt from
+    that basis and pivoting resumes, at most _LP_REBUILDS times.
+    """
+    m, k = a.shape
+    full = np.hstack([a, np.eye(m)])
+    cost = np.concatenate([c, np.zeros(m)])
+    basis = np.arange(k, k + m)
+    tol_p = _LP_RTOL * float(np.max(np.abs(b)))
+    tol_d = _LP_RTOL * float(np.max(np.abs(c)))
+    tab = np.column_stack([full, b])
+    pivots = 0
+    for _ in range(_LP_REBUILDS + 1):
+        d = cost - cost[basis] @ tab[:, :-1]
+        while pivots < max_pivots:
+            r = int(np.argmin(tab[:, -1]))
+            if tab[r, -1] >= -tol_p:
+                break
+            row = tab[r, :-1]
+            enter = row < -_LP_RTOL * float(np.max(np.abs(row)))
+            if not enter.any():
+                break  # primal infeasible, or lost to round-off
+            ratio = np.full(len(row), np.inf)
+            ratio[enter] = np.maximum(d[enter], 0.0) / -row[enter]
+            j = int(np.argmin(ratio))
+            tab[r] /= tab[r, j]
+            col = tab[:, j].copy()
+            col[r] = 0.0
+            tab -= np.outer(col, tab[r])
+            d -= d[j] * tab[r, :-1]
+            basis[r] = j
+            pivots += 1
+        bm = full[:, basis]
+        z_b = np.linalg.solve(bm, b)
+        reduced = cost - full.T @ np.linalg.solve(bm.T, cost[basis])
+        optimal = z_b.min() >= -tol_p and reduced.min() >= -tol_d
+        if optimal or pivots >= max_pivots:
+            break
+        tab = np.linalg.solve(bm, np.column_stack([full, b]))
+    z = np.zeros(k + m)
+    z[basis] = z_b
+    return z[:k], pivots, bool(optimal)
+
+
 def l1_map_solve(
     y: np.ndarray,
     operator: KernelOperator,
@@ -200,27 +259,31 @@ def l1_map_solve(
     tol: float = 1e-9,
     max_iter: int = 100_000,
     feasibility_slack: float = 1e-6,
-    path_ratio: float = 0.5,
-    path_max_stages: int = 80,
 ) -> SolveResult:
     """Sparse inversion of y through the kernel operator.
 
     penalized: minimize 0.5 ||y - Gx||^2 / sigma_z^2 + lam ||x||_1 by
-    soft-threshold iteration to parameter stationarity. Columns of a matrix y
-    are solved in parallel.
+    soft-threshold iteration until no coordinate moves by more than tol, or
+    max_iter iterations. Columns of a matrix y are solved in parallel.
 
-    constrained: sweep lam downward (geometric path, warm starts) until the
-    l1 data-fidelity residual meets the budget delta within the slack; the
-    first feasible stage is the smallest-l1-norm feasible iterate on the path.
+    constrained: minimize ||x||_1 s.t. ||y - Gx||_1 <= delta, solved exactly
+    as the linear program min 1'(u + v) s.t. -t <= y - G(u - v) <= t,
+    1't <= delta, u, v, t >= 0, x = u - v, by a dense dual simplex
+    (``iterations`` counts its pivots, at most max_iter; tol is unused).
+    For delta == 0 the feasible set of a nonsingular square G is the single
+    point G^{-1} y, which is solved for directly (0 iterations). If x = 0 is
+    feasible within the slack it is returned (0 iterations). ``converged``
+    certifies that the simplex ended on a basis that is primal and dual
+    feasible when re-solved from the data, and that ||y - Gx||_1 <= delta +
+    feasibility_slack. ``objective`` is (||x||_1,) and ``lam`` is None.
     """
     y = np.asarray(y, dtype=np.float64)
     g = operator.matrix
-    step_den = operator_norm_sq(g)
     if mode == "penalized":
         if lam is None or sigma_z is None or not (lam > 0 and sigma_z > 0):
             raise ContractViolation("penalized mode needs lam > 0 and sigma_z > 0")
         # Lipschitz constant of the smooth part is ||G'G|| / sigma_z^2.
-        step = sigma_z**2 / step_den
+        step = sigma_z**2 / operator_norm_sq(g)
         x, converged, it, trace = _ista(y, g, lam, sigma_z, None, step, tol, max_iter)
         return SolveResult(x, converged, it, tuple(trace), "penalized", lam)
     if mode != "constrained":
@@ -229,22 +292,21 @@ def l1_map_solve(
         raise ContractViolation("constrained mode needs delta >= 0")
     if y.ndim != 1:
         raise ContractViolation("constrained mode solves a single measurement")
-    lam_max = float(np.max(np.abs(g.T @ y)))
-    if lam_max == 0.0 or float(np.sum(np.abs(y))) <= delta + feasibility_slack:
-        zero = np.zeros(g.shape[1])
-        return SolveResult(zero, True, 0, (float(np.sum(np.abs(y))),), "constrained", lam_max)
-    x = None
-    lam_k = lam_max
-    total_iters = 0
-    trace: list = []
-    for _ in range(path_max_stages):
-        x, conv, it, tr = _ista(y, g, lam_k, 1.0, x, 1.0 / step_den, tol, max_iter)
-        total_iters += it
-        trace.extend(tr)
-        if float(np.sum(np.abs(y - g @ x))) <= delta + feasibility_slack:
-            return SolveResult(x, conv, total_iters, tuple(trace), "constrained", lam_k)
-        lam_k *= path_ratio
-    return SolveResult(x, False, total_iters, tuple(trace), "constrained", lam_k)
+    m, n = g.shape
+    pivots, optimal = 0, True
+    if float(np.sum(np.abs(y))) <= delta + feasibility_slack:
+        x = np.zeros(n)
+    elif delta == 0:
+        x = np.linalg.solve(g, y)
+    else:
+        eye = np.eye(m)
+        a = np.block([[-g, g, -eye], [g, -g, -eye], [np.zeros((1, 2 * n)), np.ones((1, m))]])
+        b = np.concatenate([-y, y, [delta]])
+        c = np.concatenate([np.ones(2 * n), np.zeros(m)])
+        z, pivots, optimal = _dual_simplex(a, b, c, max_iter)
+        x = z[:n] - z[n:2 * n]
+    converged = optimal and float(np.sum(np.abs(y - g @ x))) <= delta + feasibility_slack
+    return SolveResult(x, converged, pivots, (float(np.sum(np.abs(x))),), "constrained", None)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,22 @@
-"""Sparse spike recovery: operator construction, the soft-threshold solver
-in both modes, certificates, and the rate-estimation pipeline.
+"""Sparse spike recovery: operator construction, the solver in both modes
+(soft thresholding, the dual simplex), certificates, and the rate-estimation
+pipeline.
 
 The solver is cross-checked on a tiny instance against exhaustive search
 over supports with least-squares refits, the strongest oracle available at
-that size.
+that size, and its constrained mode against the HiGHS linear-program solver.
 """
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chainlab
 from chainlab.errors import ContractViolation, MissingAdmissibilityConstants
 from chainlab.rng import stream_rng
 from chainlab.sparse import (
@@ -120,6 +125,66 @@ class TestSolver:
         assert np.max(np.abs(sol.x_hat - x)) <= 1e-6
         assert sol.converged
 
+    def test_zero_budget_is_the_linear_solve(self):
+        """With delta = 0 the only feasible point of the nonsingular G is
+        G^{-1} y, so that is the solution, with no simplex pivots."""
+        op = build_kernel_operator(1.0, 64, 2.0)
+        y = stream_rng(72, 7).standard_normal(64)
+        sol = l1_map_solve(y, op, mode="constrained", delta=0.0)
+        np.testing.assert_array_equal(sol.x_hat, np.linalg.solve(op.matrix, y))
+        assert sol.converged
+        assert sol.iterations == 0
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("delta", [1e-3, 0.1, 1.0])
+    def test_constrained_matches_highs_linear_program(self, n, delta):
+        from scipy.optimize import linprog
+
+        op = build_kernel_operator(1.0, n, 2.0)
+        g = op.matrix
+        rng = stream_rng(72, 8 + n)
+        signal = random_spike_signal(rng, n, max(1, n // 24), min_spike_separation(1.0, 2.0))
+        w = rng.standard_normal(n)
+        w *= delta * rng.uniform(0.5, 1.0) / np.sum(np.abs(w))
+        y = op.apply(signal.to_vector()) + w
+        sol = l1_map_solve(y, op, mode="constrained", delta=delta)
+        # min 1'(u + v) s.t. -t <= y - G(u - v) <= t, 1't <= delta, u, v, t >= 0
+        eye = np.eye(n)
+        a_ub = np.block([[-g, g, -eye], [g, -g, -eye],
+                         [np.zeros((1, 2 * n)), np.ones((1, n))]])
+        b_ub = np.concatenate([-y, y, [delta]])
+        c = np.concatenate([np.ones(2 * n), np.zeros(n)])
+        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert sol.converged
+        assert np.sum(np.abs(sol.x_hat)) == pytest.approx(ref.fun, rel=1e-7)
+        assert np.sum(np.abs(y - g @ sol.x_hat)) <= delta + 1e-6
+
+    def test_constrained_solve_does_not_import_scipy_optimize(self, tmp_path):
+        # scipy.optimize costs about 0.25 s of start-up and 20 MB of peak RSS
+        # per run; the benchmark counts both, so the LP stays in numpy.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(chainlab.__file__)))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("[experiment]\nid = sparse_certificate_sweep\nseed = 0\n\n"
+                       "[params]\ndraws = 3\n")
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from chainlab.cli import main\n"
+            "from chainlab.sparse import build_kernel_operator, l1_map_solve\n"
+            "op = build_kernel_operator(1.0, 32, 2.0)\n"
+            "sol = l1_map_solve(op.apply(np.eye(32)[10]) + 1e-3, op, mode='constrained',"
+            " delta=0.05)\n"
+            "assert sol.converged and sol.iterations > 0\n"
+            f"assert main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_zero_measurement_zero_solution(self):
         op = build_kernel_operator(1.0, 32, 2.0)
         sol = l1_map_solve(np.zeros(32), op, mode="constrained", delta=0.0)
@@ -155,7 +220,8 @@ class TestSolver:
 
     def test_homogeneity_of_constrained_solution(self):
         """Scaling the data and the budget by a power of two scales the
-        solution exactly (the path and prox are scale equivariant)."""
+        solution exactly (every simplex pivot is scale equivariant), and the
+        solution is the constrained minimizer, which spends the whole budget."""
         op = build_kernel_operator(1.0, 32, 2.0)
         rng = stream_rng(72, 3)
         signal = random_spike_signal(rng, 32, 2, min_spike_separation(1.0, 2.0))
@@ -169,6 +235,9 @@ class TestSolver:
         sol2 = l1_map_solve(c * y, op, mode="constrained", delta=c * delta,
                             feasibility_slack=c * 1e-6, tol=c * 1e-9)
         np.testing.assert_array_equal(sol2.x_hat, c * sol1.x_hat)
+        assert sol1.converged
+        assert np.sum(np.abs(sol1.x_hat)) == pytest.approx(2.99277, abs=1e-5)
+        assert np.sum(np.abs(y - op.apply(sol1.x_hat))) == pytest.approx(delta, abs=1e-9)
 
     def test_penalty_path_norm_monotone(self):
         op = build_kernel_operator(1.0, 48, 2.0)

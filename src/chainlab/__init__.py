@@ -70,6 +70,7 @@ from .domain_shift import (
     DomainSpec,
     LinearRestorer,
     double_meaning_minimizer,
+    fit_linear_restorer,
     mixed_vs_targeted_report,
     resolution_shift_prediction,
     train_mixed_restorer,

@@ -11,9 +11,11 @@ experiment snapshots are diffable and can live in the repo:
     sigma_x = 1.0
     m = 10
 
-Commands: ``run <config>`` (flags --seed, --out, --set key=value, --jobs),
+Commands: ``run <config>`` (flags --seed, --out, --set key=value),
 ``list``, ``validate <config>``. Exit codes: 0 all verdicts pass, 1 a verdict
-failed, 2 config error. Outputs per run: report.json, tables/*.csv,
+failed, 2 config error, 3 the experiment crashed (an unexpected exception,
+reported on one ``error:`` line). ``validate`` accepts exactly the configs
+that ``run`` accepts. Outputs per run: report.json, tables/*.csv,
 plotdata/*.csv under <out>/<experiment id>/; the CHAINLAB_OUT environment
 variable sets the default output root. Reports are byte-identical across
 runs with the same (id, seed, overrides).
@@ -31,7 +33,7 @@ import tempfile
 from pathlib import Path
 
 from .errors import ChainlabError, InvalidOverride
-from .experiments import CATALOG, list_experiments, run_experiment
+from .experiments import CATALOG, list_experiments, resolve_params, run_experiment
 
 DEFAULT_OUT = "chainlab-runs"
 
@@ -62,6 +64,16 @@ class ConfigReport:
     @property
     def ok(self) -> bool:
         return not self.errors
+
+
+def _set_seed(rep: ConfigReport, raw, where: str) -> None:
+    try:
+        seed = int(raw)
+        if not (0 <= seed < 2**64):
+            raise ValueError
+        rep.seed = seed
+    except ValueError:
+        rep.errors.append(f"{where}: must be an unsigned 64-bit integer, got {raw!r}")
 
 
 def load_config(path: str) -> ConfigReport:
@@ -95,13 +107,7 @@ def load_config(path: str) -> ConfigReport:
         rep.errors.append(f"[experiment] id: unknown experiment {rep.exp_id!r}")
         return rep
     if "seed" in exp:
-        try:
-            seed = int(exp["seed"])
-            if not (0 <= seed < 2**64):
-                raise ValueError
-            rep.seed = seed
-        except ValueError:
-            rep.errors.append(f"[experiment] seed: must be an unsigned 64-bit integer, got {exp['seed']!r}")
+        _set_seed(rep, exp["seed"], "[experiment] seed")
     else:
         rep.warnings.append("[experiment] seed: missing, defaulted to 0")
     if parser.has_section("params"):
@@ -110,15 +116,10 @@ def load_config(path: str) -> ConfigReport:
 
 
 def _validate_overrides(rep: ConfigReport) -> None:
-    if rep.exp_id is None or rep.exp_id not in CATALOG:
-        return
-    schema = CATALOG[rep.exp_id].schema
-    for key, raw in sorted(rep.overrides.items()):
-        if key not in schema:
-            rep.errors.append(f"[params] {key}: unknown key for experiment {rep.exp_id!r}")
-            continue
+    # resolve_params is what run_experiment calls: validate checks exactly that.
+    if rep.exp_id in CATALOG:
         try:
-            schema[key].coerce(key, raw)
+            resolve_params(rep.exp_id, rep.overrides)
         except InvalidOverride as exc:
             rep.errors.append(f"[params] {exc}")
 
@@ -142,9 +143,11 @@ def cmd_validate(path: str) -> int:
     return 2
 
 
-def cmd_run(path: str, seed: int | None, out: str | None, sets: list, jobs: int) -> int:
+def cmd_run(path: str, seed: int | None, out: str | None, sets: list) -> int:
     rep = load_config(path)
     if rep.ok:
+        if seed is not None:
+            _set_seed(rep, seed, "--seed")
         for item in sets:
             if "=" not in item:
                 rep.errors.append(f"--set {item!r}: expected key=value")
@@ -158,15 +161,16 @@ def cmd_run(path: str, seed: int | None, out: str | None, sets: list, jobs: int)
         for e in rep.errors:
             print(f"error: {e}", file=sys.stderr)
         return 2
-    if seed is not None:
-        rep.seed = seed
     out_root = Path(out or os.environ.get("CHAINLAB_OUT") or DEFAULT_OUT)
     target = out_root / rep.exp_id
     try:
-        report, tables, plotdata = run_experiment(rep.exp_id, rep.seed, rep.overrides, jobs=jobs)
+        report, tables, plotdata = run_experiment(rep.exp_id, rep.seed, rep.overrides)
     except ChainlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, not a failed verdict: keep exit 1 for verdicts
+        print(f"error: {rep.exp_id} crashed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     out_root.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{rep.exp_id}-", dir=out_root))
     try:
@@ -205,14 +209,12 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default=None, help="output root (default $CHAINLAB_OUT or ./chainlab-runs)")
     p_run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a parameter (repeatable)")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for independent replicates (same results for any value)")
     args = parser.parse_args(argv)
     if args.command == "list":
         return cmd_list()
     if args.command == "validate":
         return cmd_validate(args.config)
-    return cmd_run(args.config, args.seed, args.out, args.set, max(1, args.jobs))
+    return cmd_run(args.config, args.seed, args.out, args.set)
 
 
 if __name__ == "__main__":

@@ -3,21 +3,19 @@
 When several domains explain the same observed input, the loss-minimizing
 output is the per-loss centroid of the domains' valid reconstructions: the
 weighted mean under squared error, the coordinatewise weighted median under
-absolute error. This module provides the closed-form minimizer, a small
-full-batch gradient-descent linear restorer that exhibits the collapse, the
-resolution-shift closed form built from blur operators, and a mixed-versus-
-targeted error report.
+absolute error. This module provides the closed-form minimizer, affine
+restorers fitted across domains, the resolution-shift closed form built from
+blur operators, and a mixed-versus-targeted error report.
 
-The trained model is deliberately a linear map: the statement is about the
-loss-minimizing output, which a linear map already exhibits on linear-domain
-instances. Training is full-batch gradient descent with a declared schedule
-(lr halves on plateau) so runs reproduce bit for bit under a fixed seed.
+An affine map already exhibits the loss-minimizing output on linear-domain
+instances. ``fit_linear_restorer`` solves for the squared-error minimizer
+exactly (weighted least squares); the mixed-versus-targeted report uses it.
+``train_mixed_restorer`` runs full-batch gradient descent with a declared
+schedule (lr halves on plateau) for the claims about training itself.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -168,7 +166,7 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class LinearRestorer:
-    """Affine map trained to invert observations; keeps its loss history."""
+    """Affine map fitted to invert observations; ``loss_log`` is empty for an exact fit."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -182,10 +180,7 @@ class LinearRestorer:
         self.bias.setflags(write=False)
 
     def predict(self, y: np.ndarray) -> np.ndarray:
-        arr = np.asarray(y, dtype=np.float64)
-        if arr.ndim == 1:
-            return arr @ self.weights.T + self.bias
-        return arr @ self.weights.T + self.bias
+        return np.asarray(y, dtype=np.float64) @ self.weights.T + self.bias
 
     def check_training(self, slack: float = 1e-9) -> bool:
         """Loss log non-increasing up to slack relative to its starting value."""
@@ -194,18 +189,6 @@ class LinearRestorer:
             return True
         tol = slack * max(1.0, float(log[0]))
         return bool(np.all(np.diff(log) <= tol))
-
-    def loss_log_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epoch", "loss"])
-            for i, v in enumerate(self.loss_log):
-                writer.writerow([i, format(v, ".17g")])
-
-    def weights_json(self) -> str:
-        return json.dumps(
-            {"weights": self.weights.tolist(), "bias": self.bias.tolist()}
-        )
 
 
 def _training_blocks(domains: DomainSpec, rng: np.random.Generator, batch: int):
@@ -300,6 +283,23 @@ def train_mixed_restorer(
     )
 
 
+def fit_linear_restorer(domains: DomainSpec, seed: int = 0, batch: int = 512) -> LinearRestorer:
+    """Exact minimizer of the objective ``train_mixed_restorer`` descends under mse.
+
+    Same draw; rows of domain i scaled by sqrt(w_i / b_i), so the squared
+    residual is sum_i w_i * mean_rows ||W y + b - x||^2.
+    """
+    blocks = _training_blocks(domains, stream_rng(seed, 0), batch)
+    _check_domains_distinct(domains, blocks)
+    design, target = [], []
+    for y, x, wgt in blocks:
+        scale = math.sqrt(wgt / y.shape[0])
+        design.append(scale * np.hstack([y, np.ones((y.shape[0], 1))]))
+        target.append(scale * x)
+    sol = np.linalg.lstsq(np.vstack(design), np.vstack(target), rcond=None)[0]
+    return LinearRestorer(weights=sol[:-1].T.copy(), bias=sol[-1].copy(), loss_log=())
+
+
 def _check_domains_distinct(domains: DomainSpec, blocks) -> None:
     if domains.n_domains < 2:
         return
@@ -309,6 +309,16 @@ def _check_domains_distinct(domains: DomainSpec, blocks) -> None:
         raise DomainsCoincide("all domain inverses agree on every probed input")
 
 
+def residual_sigma(sigma1: float, sigma2: float) -> float:
+    """Std sqrt(sigma2^2 - sigma1^2) of the blur taking a sigma1 blur to sigma2;
+    rejects pairs whose difference of squares is not positive as a float."""
+    if sigma2 > sigma1 > 0:
+        sigma_res = math.sqrt(sigma2**2 - sigma1**2)
+        if sigma_res > 0:
+            return sigma_res
+    raise ContractViolation("need sigma2 > sigma1 > 0")
+
+
 def resolution_shift_prediction(x2: np.ndarray, sigma1: float, sigma2: float) -> np.ndarray:
     """Averaged reconstruction when two blur levels explain one observation.
 
@@ -316,11 +326,8 @@ def resolution_shift_prediction(x2: np.ndarray, sigma1: float, sigma2: float) ->
     residual kernel) and the coarser-domain target (the signal itself):
     0.5 * (I + H_residual) x2 with residual std sqrt(sigma2^2 - sigma1^2).
     """
-    if not (sigma2 > sigma1 > 0):
-        raise ContractViolation("need sigma2 > sigma1 > 0")
     x2 = np.asarray(x2, dtype=np.float64)
-    sigma_res = math.sqrt(sigma2**2 - sigma1**2)
-    h = blur_matrix(len(x2), sigma_res)
+    h = blur_matrix(len(x2), residual_sigma(sigma1, sigma2))
     return 0.5 * (x2 + h.apply(x2))
 
 
@@ -335,39 +342,26 @@ class MixedVsTargetedReport:
     def gaps(self) -> tuple:
         return tuple(m - t for m, t in zip(self.mixed_errors, self.targeted_errors))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mixed": list(self.mixed_errors),
-                "targeted": list(self.targeted_errors),
-                "gaps": list(self.gaps),
-            }
-        )
-
 
 def mixed_vs_targeted_report(
     domains: DomainSpec,
-    loss: str = "mse",
-    epochs: int = 10_000,
-    lr: float = 1e-2,
     seed: int = 0,
     batch: int = 512,
     eval_batch: int = 1024,
 ) -> MixedVsTargetedReport:
-    """Train one restorer over all domains and one per domain, then compare.
+    """Fit (``fit_linear_restorer``) one restorer over all domains and one per
+    domain, then compare.
 
     The per-domain metric is mean squared error on fresh draws from that
     domain. A shared restorer can only match the targeted ones when nothing
     forces averaging (single domain, or domains distinguishable from the
     input); overlapping distinct domains open a strict gap.
     """
-    mixed = train_mixed_restorer(domains, loss=loss, epochs=epochs, lr=lr, seed=seed, batch=batch)
+    mixed = fit_linear_restorer(domains, seed=seed, batch=batch)
     mixed_errors = []
     targeted_errors = []
     for i in range(domains.n_domains):
-        solo = train_mixed_restorer(
-            domains.restricted_to(i), loss=loss, epochs=epochs, lr=lr, seed=seed, batch=batch
-        )
+        solo = fit_linear_restorer(domains.restricted_to(i), seed=seed, batch=batch)
         rng = stream_rng(seed, 1000 + i)
         u = domains.latent_samplers[i](rng, eval_batch)
         y = domains.observation(u)
@@ -405,10 +399,7 @@ def two_blur_domains(
     derived for the noiseless observation; the noisy variant exists to show
     the collapse survives measurement noise.
     """
-    if not (sigma2 > sigma1 > 0):
-        raise ContractViolation("need sigma2 > sigma1 > 0")
-    sigma_res = math.sqrt(sigma2**2 - sigma1**2)
-    h_res = blur_matrix(n, sigma_res)
+    h_res = blur_matrix(n, residual_sigma(sigma1, sigma2))
     h2 = blur_matrix(n, sigma2)
     smooth = blur_matrix(n, smoothing if smoothing is not None else sigma2)
 

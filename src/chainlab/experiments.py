@@ -10,7 +10,6 @@ time- or path-dependent enters the report.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -23,12 +22,13 @@ from .domain_shift import (
     double_meaning_minimizer,
     mixed_vs_targeted_report,
     offset_indicator_domains,
+    residual_sigma,
     resolution_shift_prediction,
     scaling_domains,
     train_mixed_restorer,
     two_blur_domains,
 )
-from .errors import InvalidOverride, UnknownExperiment
+from .errors import ContractViolation, InvalidOverride, UnknownExperiment
 from .probability import ConditionalTable, assemble_joint, condition, marginal
 from .restorers import (
     ParamEstimator,
@@ -82,34 +82,21 @@ class ParamSpec:
     default: Any
     minimum: Optional[float] = None
     exclusive: bool = True
-    choices: Optional[tuple] = None
-    invariant: str = ""
 
     def coerce(self, name: str, raw: Any):
         try:
-            if self.kind is bool and isinstance(raw, str):
-                if raw.lower() in ("true", "1", "yes"):
-                    value = True
-                elif raw.lower() in ("false", "0", "no"):
-                    value = False
-                else:
-                    raise ValueError(raw)
-            else:
-                value = self.kind(raw)
+            value = self.kind(raw)
         except (TypeError, ValueError):
             raise InvalidOverride(
                 f"parameter {name!r}: cannot read {raw!r} as {self.kind.__name__}"
             ) from None
+        if self.kind is float and not math.isfinite(value):
+            raise InvalidOverride(f"parameter {name!r}: {raw!r} is not a finite number")
         if self.minimum is not None:
             bad = value <= self.minimum if self.exclusive else value < self.minimum
             if bad:
                 cmp = ">" if self.exclusive else ">="
-                hint = f" ({self.invariant})" if self.invariant else ""
-                raise InvalidOverride(
-                    f"parameter {name!r}: {value!r} violates {name} {cmp} {self.minimum}{hint}"
-                )
-        if self.choices is not None and value not in self.choices:
-            raise InvalidOverride(f"parameter {name!r}: {value!r} not in {self.choices}")
+                raise InvalidOverride(f"parameter {name!r}: {value!r} violates {name} {cmp} {self.minimum}")
         return value
 
 
@@ -120,13 +107,7 @@ class ExperimentDef:
     operation: str  # dotted path of the library operation this exercises
     schema: dict
     runner: Callable
-
-
-def _map_jobs(fn: Callable, items, jobs: int):
-    if jobs <= 1:
-        return [fn(i) for i in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    check: Optional[Callable] = None  # cross-parameter invariants; raises ContractViolation
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +115,7 @@ def _map_jobs(fn: Callable, items, jobs: int):
 # ---------------------------------------------------------------------------
 
 
-def _run_naive_tree(params: dict, seed: int, jobs: int = 1):
+def _run_naive_tree(params: dict, seed: int):
     chain = instances.naive_tree_chain()
     joint = assemble_joint(chain)
     p_x1 = joint.prob_of(x=1, y=1.5)
@@ -173,7 +154,7 @@ def _run_naive_tree(params: dict, seed: int, jobs: int = 1):
     return results, verdicts, tables, plotdata
 
 
-def _run_dpi_random_chains(params: dict, seed: int, jobs: int = 1):
+def _run_dpi_random_chains(params: dict, seed: int):
     n = int(params["n_chains"])
 
     def one(i: int):
@@ -193,7 +174,7 @@ def _run_dpi_random_chains(params: dict, seed: int, jobs: int = 1):
             audit.monotone,
         )
 
-    rows = _map_jobs(one, range(n), jobs)
+    rows = [one(i) for i in range(n)]
     margins_xy = [r[0] - r[1] for r in rows]
     margins_yz = [r[1] - r[2] for r in rows]
     results = {
@@ -218,7 +199,7 @@ def _run_dpi_random_chains(params: dict, seed: int, jobs: int = 1):
     return results, verdicts, tables, plotdata
 
 
-def _run_crb_gaussian_mean(params: dict, seed: int, jobs: int = 1):
+def _run_crb_gaussian_mean(params: dict, seed: int):
     sigma_x = float(params["sigma_x"])
     m = int(params["m"])
     theta = float(params["theta"])
@@ -251,7 +232,7 @@ def _run_crb_gaussian_mean(params: dict, seed: int, jobs: int = 1):
     }
 
 
-def _run_crb_laplace_rate(params: dict, seed: int, jobs: int = 1):
+def _run_crb_laplace_rate(params: dict, seed: int):
     rate = float(params["rate"])
     m = int(params["m"])
     family = information.LaplaceRateFamily()
@@ -276,7 +257,7 @@ def _run_crb_laplace_rate(params: dict, seed: int, jobs: int = 1):
     return results, verdicts, {}, {}
 
 
-def _run_bayes_ordering_audit(params: dict, seed: int, jobs: int = 1):
+def _run_bayes_ordering_audit(params: dict, seed: int):
     n = int(params["n_chains"])
     n_cond = int(params["n_conditional"])
 
@@ -292,7 +273,7 @@ def _run_bayes_ordering_audit(params: dict, seed: int, jobs: int = 1):
         audit = classification.theorem_ordering_audit(chain)
         return audit.values() + (audit.ordered,)
 
-    rows = _map_jobs(one, range(n), jobs)
+    rows = [one(i) for i in range(n)]
 
     def one_cond(i: int):
         rng = stream_rng(seed, 10_000 + i)
@@ -307,7 +288,7 @@ def _run_bayes_ordering_audit(params: dict, seed: int, jobs: int = 1):
         audit = classification.theorem_ordering_audit(chain, mode="conditional_perception")
         return abs(audit.pe_xhat - audit.pe_x)
 
-    cond_gaps = _map_jobs(one_cond, range(n_cond), jobs)
+    cond_gaps = [one_cond(i) for i in range(n_cond)]
     results = {
         "n_chains": result(n),
         "n_conditional_chains": result(n_cond),
@@ -326,7 +307,7 @@ def _run_bayes_ordering_audit(params: dict, seed: int, jobs: int = 1):
     )
 
 
-def _run_pe_separability_identity(params: dict, seed: int, jobs: int = 1):
+def _run_pe_separability_identity(params: dict, seed: int):
     n = int(params["n_chains"])
 
     def one(i: int):
@@ -344,13 +325,13 @@ def _run_pe_separability_identity(params: dict, seed: int, jobs: int = 1):
             gaps.append(abs(pe - 0.5 * (1.0 - j1)))
         return max(gaps)
 
-    gaps = _map_jobs(one, range(n), jobs)
+    gaps = [one(i) for i in range(n)]
     results = {"n_chains": result(n), "max_identity_gap": result(max(gaps))}
     verdicts = {"error_equals_half_one_minus_separability": max(gaps) <= 1e-10}
     return results, verdicts, {}, {}
 
 
-def _run_double_meaning_mse(params: dict, seed: int, jobs: int = 1):
+def _run_double_meaning_mse(params: dict, seed: int):
     dim = int(params["dim"])
     stack = np.stack([np.zeros(3), np.array([0.0, 0.0, 9.0])])
     closed_pair = double_meaning_minimizer(list(stack), loss="mse")
@@ -389,7 +370,7 @@ def _run_double_meaning_mse(params: dict, seed: int, jobs: int = 1):
     )
 
 
-def _run_double_meaning_l1(params: dict, seed: int, jobs: int = 1):
+def _run_double_meaning_l1(params: dict, seed: int):
     med = double_meaning_minimizer(
         [np.array([0.0]), np.array([0.0]), np.array([9.0])], loss="l1"
     )
@@ -416,11 +397,11 @@ def _run_double_meaning_l1(params: dict, seed: int, jobs: int = 1):
     return results, verdicts, {}, {}
 
 
-def _run_resolution_shift(params: dict, seed: int, jobs: int = 1):
+def _run_resolution_shift(params: dict, seed: int):
     sigma1 = float(params["sigma1"])
     sigma2 = float(params["sigma2"])
     n = int(params["n"])
-    sigma_res = math.sqrt(sigma2**2 - sigma1**2)
+    sigma_res = residual_sigma(sigma1, sigma2)
     hw = int(math.ceil(4 * sigma2)) + 2
     h1 = gaussian_kernel(sigma1, hw)
     h12 = gaussian_kernel(sigma_res, hw)
@@ -437,11 +418,11 @@ def _run_resolution_shift(params: dict, seed: int, jobs: int = 1):
     interior = slice(3 * hw, n - 3 * hw)
     pred_err = float(np.max(np.abs(pred[interior] - direct_avg[interior])))
 
-    m1 = blur_matrix(n, sigma1)
-    m2 = blur_matrix(n, sigma2)
-    viability = float(
-        np.max(np.abs((m1.matrix @ (h_res.matrix @ x2) - m2.matrix @ x2))[interior])
-    )
+    # Cut at the default 3-sigma support, the blurs miss the variance-addition
+    # identity by up to 1.3e-3; cut at hw, as in the composition check, by
+    # about 3e-7.
+    m1, m2, m_res = (blur_matrix(n, s, halfwidth=hw).matrix for s in (sigma1, sigma2, sigma_res))
+    viability = float(np.max(np.abs((m1 @ (m_res @ x2) - m2 @ x2))[interior]))
     near = resolution_shift_prediction(x2, sigma1, sigma1 * (1 + 1e-9))
     limit_err = float(np.max(np.abs(near - x2)))
     results = {
@@ -461,31 +442,18 @@ def _run_resolution_shift(params: dict, seed: int, jobs: int = 1):
     return results, verdicts, {}, {"unit_spike_prediction": (["x", "y"], prof)}
 
 
-def _run_mixed_vs_targeted(params: dict, seed: int, jobs: int = 1):
+def _run_mixed_vs_targeted(params: dict, seed: int):
     n = int(params["n"])
-    blur = two_blur_domains(n, float(params["sigma1"]), float(params["sigma2"]))
-    rep_blur = mixed_vs_targeted_report(
-        blur, epochs=int(params["epochs"]), lr=float(params["lr"]), seed=seed,
-        batch=int(params["batch"]),
-    )
     dim = int(params["offset_dim"])
-    overlapping = offset_indicator_domains(dim, 1.0, -1.0, disjoint=False)
-    rep_overlap = mixed_vs_targeted_report(
-        overlapping, epochs=int(params["epochs"]), lr=0.05, seed=seed, batch=int(params["batch"])
-    )
-    disjoint = offset_indicator_domains(dim, 1.0, -1.0, disjoint=True)
-    rep_disjoint = mixed_vs_targeted_report(
-        disjoint, epochs=int(params["epochs"]), lr=0.05, seed=seed, batch=int(params["batch"])
-    )
-    single = scaling_domains(dim, scales=(1.5,))
-    rep_single = mixed_vs_targeted_report(
-        single, epochs=2000, lr=0.05, seed=seed, batch=int(params["batch"])
-    )
-    rates = decimation_domains(int(params["n"]))
-    rep_rates = mixed_vs_targeted_report(
-        rates, epochs=int(params["epochs"]), lr=float(params["lr"]), seed=seed,
-        batch=int(params["batch"]),
-    )
+
+    def report(domains):
+        return mixed_vs_targeted_report(domains, seed=seed, batch=int(params["batch"]))
+
+    rep_blur = report(two_blur_domains(n, float(params["sigma1"]), float(params["sigma2"])))
+    rep_overlap = report(offset_indicator_domains(dim, 1.0, -1.0, disjoint=False))
+    rep_disjoint = report(offset_indicator_domains(dim, 1.0, -1.0, disjoint=True))
+    rep_single = report(scaling_domains(dim, scales=(1.5,)))
+    rep_rates = report(decimation_domains(n))
     results = {
         "blur_mixed_errors": result(list(rep_blur.mixed_errors)),
         "blur_targeted_errors": result(list(rep_blur.targeted_errors)),
@@ -506,7 +474,7 @@ def _run_mixed_vs_targeted(params: dict, seed: int, jobs: int = 1):
     return results, verdicts, {}, {}
 
 
-def _run_sparse_noiseless(params: dict, seed: int, jobs: int = 1):
+def _run_sparse_noiseless(params: dict, seed: int):
     n = int(params["n"])
     op = build_kernel_operator(float(params["sigma"]), n, float(params["fs"]))
     rng = stream_rng(seed, 0)
@@ -547,7 +515,7 @@ def _run_sparse_noiseless(params: dict, seed: int, jobs: int = 1):
     )
 
 
-def _run_sparse_certificates(params: dict, seed: int, jobs: int = 1):
+def _run_sparse_certificates(params: dict, seed: int):
     n = int(params["n"])
     draws = int(params["draws"])
     op = build_kernel_operator(float(params["sigma"]), n, float(params["fs"]))
@@ -565,7 +533,7 @@ def _run_sparse_certificates(params: dict, seed: int, jobs: int = 1):
         cert = recovery_certificate(x, sol.x_hat, op, delta, norm="l1")
         return cert.holds, cert.achieved, cert.bound, sol.converged
 
-    rows = _map_jobs(one, range(draws), jobs)
+    rows = [one(i) for i in range(draws)]
     unconverged = sum(not conv for *_, conv in rows)
     lam_grid = np.geomspace(float(params["lam_max"]), 1e-4, 20)
     rng = stream_rng(seed, 10_000)
@@ -597,7 +565,7 @@ def _run_sparse_certificates(params: dict, seed: int, jobs: int = 1):
     )
 
 
-def _run_lambda_pipeline(params: dict, seed: int, jobs: int = 1):
+def _run_lambda_pipeline(params: dict, seed: int):
     rep = lambda_pipeline_experiment(
         lambda_true=float(params["rate"]),
         m=int(params["m"]),
@@ -631,7 +599,7 @@ def _run_lambda_pipeline(params: dict, seed: int, jobs: int = 1):
     return results, verdicts, {}, {}
 
 
-def _run_pr_gap(params: dict, seed: int, jobs: int = 1):
+def _run_pr_gap(params: dict, seed: int):
     chain = instances.naive_tree_chain()
     joint = assemble_joint(chain)
     partition = instances.naive_tree_partition()
@@ -654,7 +622,7 @@ def _run_pr_gap(params: dict, seed: int, jobs: int = 1):
     return results, verdicts, {}, {}
 
 
-def _run_rao_blackwell(params: dict, seed: int, jobs: int = 1):
+def _run_rao_blackwell(params: dict, seed: int):
     family = instances.two_toss_coin_family()
     improved = information.rao_blackwellize(
         family, instances.first_toss_estimator, instances.head_count_statistic
@@ -687,7 +655,7 @@ def _run_rao_blackwell(params: dict, seed: int, jobs: int = 1):
     return results, verdicts, {"variance_by_theta": (["theta", "var_raw", "var_conditioned"], rows)}, {}
 
 
-def _run_entropy_error_bound(params: dict, seed: int, jobs: int = 1):
+def _run_entropy_error_bound(params: dict, seed: int):
     sigma = float(params["sigma"])
     bound1 = information.entropy_error_bound_gaussian(sigma)
     bound4 = information.entropy_error_bound_gaussian(2.0 * sigma)
@@ -716,7 +684,7 @@ def _run_entropy_error_bound(params: dict, seed: int, jobs: int = 1):
     return results, verdicts, {}, {}
 
 
-def _run_crb_attainment(params: dict, seed: int, jobs: int = 1):
+def _run_crb_attainment(params: dict, seed: int):
     sigma_x = float(params["sigma_x"])
     m = int(params["m"])
     replicates = int(params["replicates"])
@@ -746,33 +714,52 @@ def _run_crb_attainment(params: dict, seed: int, jobs: int = 1):
 # catalog
 # ---------------------------------------------------------------------------
 
-def _f(default, minimum=None, exclusive=True, invariant=""):
-    return ParamSpec(float, default, minimum, exclusive, None, invariant)
+def _f(default, minimum=None):
+    return ParamSpec(float, default, minimum)
 
 
-def _i(default, minimum=None, invariant=""):
-    return ParamSpec(int, default, minimum, False, None, invariant)
+def _i(default, minimum=None):
+    return ParamSpec(int, default, minimum, False)
 
 
 CATALOG: dict = {}
 
 
-def _register(exp_id, description, operation, schema, runner):
-    CATALOG[exp_id] = ExperimentDef(exp_id, description, operation, schema, runner)
+def _register(exp_id, description, operation, schema, runner, check=None):
+    CATALOG[exp_id] = ExperimentDef(exp_id, description, operation, schema, runner, check)
+
+
+def _need(ok: bool, invariant: str) -> None:
+    if not ok:
+        raise ContractViolation(f"need {invariant}")
+
+
+def _check_resolution_shift(p: dict) -> None:
+    # A non-empty interior slice(3 hw, n - 3 hw), hw = ceil(4 sigma2) + 2; checked
+    # first, it also bounds sigma2 so that sigma2**2 cannot overflow.
+    _need(4.0 * p["sigma2"] <= (p["n"] - 1) // 6 - 2, "n > 6 * (ceil(4 sigma2) + 2)")
+    residual_sigma(p["sigma1"], p["sigma2"])
+    residual_sigma(p["sigma1"], p["sigma1"] * (1 + 1e-9))  # the equal-blur limit
+
+
+def _check_mixed_vs_targeted(p: dict) -> None:
+    _need(3.0 * p["sigma2"] <= (p["n"] - 1) // 2, "n >= 2 * ceil(3 sigma2) + 1")
+    residual_sigma(p["sigma1"], p["sigma2"])
+    _need(p["n"] % 2 == 0, "an even n for the half-rate domain")
 
 
 _register(
     "naive_tree",
     "Two-class toy chain where likelihood and posterior disagree at the shared measurement",
     "classification.theorem_ordering_audit",
-    {"value_tol": _f(5e-4, 0.0, True, "value_tol > 0")},
+    {"value_tol": _f(5e-4, 0.0)},
     _run_naive_tree,
 )
 _register(
     "dpi_random_chains",
     "Mutual information with the class label never grows along random chains",
     "information.dpi_audit",
-    {"n_chains": _i(1000, 1, "n_chains >= 1")},
+    {"n_chains": _i(1000, 1)},
     _run_dpi_random_chains,
 )
 _register(
@@ -780,10 +767,10 @@ _register(
     "Gaussian location information 1/sigma^2 and bound sigma^2/m, analytic vs finite difference",
     "information.fisher_information",
     {
-        "sigma_x": _f(1.0, 0.0, True, "sigma_x > 0"),
-        "m": _i(10, 1, "m >= 1"),
+        "sigma_x": _f(1.0, 0.0),
+        "m": _i(10, 1),
         "theta": ParamSpec(float, 0.0),
-        "grid_points": _i(2001, 51, "grid_points >= 51"),
+        "grid_points": _i(2001, 51),
     },
     _run_crb_gaussian_mean,
 )
@@ -792,9 +779,9 @@ _register(
     "Sparsity-rate information m/rate^2, analytic vs finite difference on a grid",
     "information.fisher_information",
     {
-        "rate": _f(2.0, 0.0, True, "rate > 0"),
-        "m": _i(50, 1, "m >= 1"),
-        "grid_points": _i(2001, 51, "grid_points >= 51"),
+        "rate": _f(2.0, 0.0),
+        "m": _i(50, 1),
+        "grid_points": _i(2001, 51),
     },
     _run_crb_laplace_rate,
 )
@@ -819,7 +806,7 @@ _register(
     {
         "dim": _i(8, 1),
         "epochs": _i(4000, 10),
-        "lr": _f(0.05, 0.0, True, "lr > 0"),
+        "lr": _f(0.05, 0.0),
         "batch": _i(512, 8),
     },
     _run_double_meaning_mse,
@@ -831,9 +818,9 @@ _register(
     {
         "dim": _i(4, 1),
         "epochs": _i(6000, 10),
-        "lr": _f(0.02, 0.0, True, "lr > 0"),
+        "lr": _f(0.02, 0.0),
         "batch": _i(512, 8),
-        "train_tol": _f(0.05, 0.0, True, "train_tol > 0"),
+        "train_tol": _f(0.05, 0.0),
     },
     _run_double_meaning_l1,
 )
@@ -842,11 +829,12 @@ _register(
     "Two blur levels explain one observation; the averaged prediction and kernel identity",
     "domain_shift.resolution_shift_prediction",
     {
-        "sigma1": _f(1.0, 0.0, True, "sigma1 > 0"),
-        "sigma2": _f(2.0, 0.0, True, "sigma2 > sigma1 > 0"),
+        "sigma1": _f(1.0, 0.0),
+        "sigma2": _f(2.0, 0.0),
         "n": _i(96, 48),
     },
     _run_resolution_shift,
+    _check_resolution_shift,
 )
 _register(
     "mixed_vs_targeted",
@@ -854,15 +842,14 @@ _register(
     "domain_shift.mixed_vs_targeted_report",
     {
         "n": _i(48, 16),
-        "sigma1": _f(1.0, 0.0, True, "sigma1 > 0"),
-        "sigma2": _f(2.0, 0.0, True, "sigma2 > sigma1 > 0"),
+        "sigma1": _f(1.0, 0.0),
+        "sigma2": _f(2.0, 0.0),
         "offset_dim": _i(6, 1),
-        "epochs": _i(6000, 10),
-        "lr": _f(0.2, 0.0, True, "lr > 0"),
         "batch": _i(256, 8),
-        "gap_margin": _f(5e-4, 0.0, True, "gap_margin > 0"),
+        "gap_margin": _f(5e-4, 0.0),
     },
     _run_mixed_vs_targeted,
+    _check_mixed_vs_targeted,
 )
 _register(
     "sparse_noiseless_recovery",
@@ -871,8 +858,8 @@ _register(
     {
         "n": _i(256, 16),
         "n_spikes": _i(5, 1),
-        "sigma": _f(1.0, 0.0, True, "sigma > 0"),
-        "fs": _f(2.0, 0.0, True, "fs > 0"),
+        "sigma": _f(1.0, 0.0),
+        "fs": _f(2.0, 0.0),
     },
     _run_sparse_noiseless,
 )
@@ -884,10 +871,10 @@ _register(
         "n": _i(64, 16),
         "draws": _i(100, 1),
         "n_spikes": _i(3, 1),
-        "sigma": _f(1.0, 0.0, True, "sigma > 0"),
-        "fs": _f(2.0, 0.0, True, "fs > 0"),
-        "delta": _f(0.1, 0.0, True, "delta > 0"),
-        "lam_max": _f(1.0, 0.0, True, "lam_max > 0"),
+        "sigma": _f(1.0, 0.0),
+        "fs": _f(2.0, 0.0),
+        "delta": _f(0.1, 0.0),
+        "lam_max": _f(1.0, 0.0),
     },
     _run_sparse_certificates,
 )
@@ -896,10 +883,10 @@ _register(
     "Estimating the sparsity rate after reconstruction never beats the clean-signal estimate",
     "sparse.lambda_pipeline_experiment",
     {
-        "rate": _f(1.0, 0.0, True, "rate > 0"),
+        "rate": _f(1.0, 0.0),
         "m": _i(25, 1),
         "replicates": _i(1000, 2),
-        "sigma_n": ParamSpec(float, 0.1, 0.0, False, None, "sigma_n >= 0"),
+        "sigma_n": ParamSpec(float, 0.1, 0.0, False),
         "n": _i(24, 16),
     },
     _run_lambda_pipeline,
@@ -923,7 +910,7 @@ _register(
     "Exponentiated-entropy lower bound on squared estimation error, with Gaussian equality",
     "information.entropy_error_bound_gaussian",
     {
-        "sigma": _f(1.0, 0.0, True, "sigma > 0"),
+        "sigma": _f(1.0, 0.0),
         "grid_points": _i(4001, 101),
         "uniform_bins": _i(1000, 10),
     },
@@ -934,8 +921,8 @@ _register(
     "Averaging construction where measurement- and restoration-side estimators coincide",
     "restorers.estimator_variance_mc",
     {
-        "sigma_x": _f(1.0, 0.0, True, "sigma_x > 0"),
-        "m": _i(10, 2, "m >= 2"),
+        "sigma_x": _f(1.0, 0.0),
+        "m": _i(10, 2),
         "theta": ParamSpec(float, 0.0),
         "replicates": _i(10000, 100),
     },
@@ -970,13 +957,18 @@ def resolve_params(exp_id: str, overrides: Optional[dict] = None) -> dict:
     for name, spec in schema.items():
         raw = overrides.get(name, spec.default)
         params[name] = spec.coerce(name, raw)
+    if CATALOG[exp_id].check is not None:
+        try:
+            CATALOG[exp_id].check(params)
+        except ContractViolation as exc:
+            raise InvalidOverride(f"parameters of {exp_id}: {exc}") from None
     return params
 
 
-def run_experiment(exp_id: str, seed: int = 0, overrides: Optional[dict] = None, jobs: int = 1):
+def run_experiment(exp_id: str, seed: int = 0, overrides: Optional[dict] = None):
     """Execute one experiment; returns (report_dict, tables, plotdata)."""
     params = resolve_params(exp_id, overrides)
-    results, verdicts, tables, plotdata = CATALOG[exp_id].runner(params, int(seed), jobs)
+    results, verdicts, tables, plotdata = CATALOG[exp_id].runner(params, int(seed))
     report = {
         "experiment": exp_id,
         "seed": int(seed),

@@ -243,9 +243,9 @@ def test_criterion_07_double_meaning():
     trained_gap = float(np.max(np.abs(restorer.predict(u) - 1.5 * u)))
 
     blur = two_blur_domains(48, 1.0, 2.0)
-    rep_blur = mixed_vs_targeted_report(blur, epochs=6000, lr=0.2, seed=0, batch=256)
+    rep_blur = mixed_vs_targeted_report(blur, seed=0, batch=256)
     disjoint = offset_indicator_domains(6, 1.0, -1.0, disjoint=True)
-    rep_disjoint = mixed_vs_targeted_report(disjoint, epochs=6000, lr=0.05, seed=0, batch=256)
+    rep_disjoint = mixed_vs_targeted_report(disjoint, seed=0, batch=256)
     ok = (
         exact
         and trained_gap <= 1e-3

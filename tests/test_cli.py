@@ -1,13 +1,18 @@
 """Experiment runner: catalog, config validation, outputs, determinism."""
 
+import dataclasses
 import json
-import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlab.cli import main
 from chainlab.errors import InvalidOverride, UnknownExperiment
 from chainlab.experiments import (
+    CATALOG,
     list_experiments,
     resolve_operation,
     resolve_params,
@@ -57,6 +62,11 @@ class TestCatalog:
     def test_out_of_range_override_cites_invariant(self):
         with pytest.raises(InvalidOverride, match="sigma_x > 0"):
             resolve_params("crb_gaussian_mean", {"sigma_x": "-2"})
+
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_float_rejected(self, raw):
+        with pytest.raises(InvalidOverride, match="finite"):
+            resolve_params("crb_gaussian_mean", {"sigma_x": raw})
 
 
 class TestRunExperiment:
@@ -177,11 +187,86 @@ class TestCliCommands:
         assert main(["run", cfg]) == 0
         assert (tmp_path / "envroot" / "naive_tree" / "report.json").exists()
 
-    def test_jobs_flag_gives_identical_report(self, tmp_path):
-        cfg = write_config(tmp_path / "dpi.cfg", "dpi_random_chains", seed=5,
-                           params={"n_chains": 64})
-        out1, out4 = tmp_path / "j1", tmp_path / "j4"
-        assert main(["run", cfg, "--out", str(out1), "--jobs", "1"]) == 0
-        assert main(["run", cfg, "--out", str(out4), "--jobs", "4"]) == 0
-        assert (out1 / "dpi_random_chains" / "report.json").read_bytes() == \
-            (out4 / "dpi_random_chains" / "report.json").read_bytes()
+    def test_crash_exits_three_with_one_error_line(self, tmp_path, monkeypatch, capsys):
+        """An exception that is not a package error is a defect, reported
+        apart from a failed verdict (exit 1) and a config error (exit 2)."""
+        def boom(params, seed):
+            raise RuntimeError("kaput")
+
+        monkeypatch.setitem(CATALOG, "naive_tree",
+                            dataclasses.replace(CATALOG["naive_tree"], runner=boom))
+        cfg = write_config(tmp_path / "tree.cfg", "naive_tree", seed=0)
+        assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "kaput" in err[0]
+        assert not (tmp_path / "runs" / "naive_tree").exists()
+
+    def test_seed_flag_checked_like_config_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "tree.cfg", "naive_tree", seed=0)
+        assert main(["run", cfg, "--out", str(tmp_path / "runs"), "--seed", "-5"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert main(["run", cfg, "--out", str(tmp_path / "runs"),
+                     "--seed", str(2**64)]) == 2
+
+
+class TestParameterContract:
+    """``validate`` must reject exactly the configs ``run`` rejects."""
+
+    @pytest.mark.parametrize("exp_id,params", [
+        ("resolution_shift", {"sigma2": 0.5}),
+        ("resolution_shift", {"sigma1": "inf"}),
+        ("resolution_shift", {"n": 48, "sigma2": 3.0}),
+        ("resolution_shift", {"sigma1": "1e-200"}),
+        ("mixed_vs_targeted", {"sigma1": "nan"}),
+        ("mixed_vs_targeted", {"sigma1": 2.0, "sigma2": 2.0}),
+        ("mixed_vs_targeted", {"n": 17}),
+    ])
+    def test_cross_parameter_and_non_finite_rejected(self, tmp_path, exp_id, params):
+        cfg = write_config(tmp_path / "bad.cfg", exp_id, seed=0, params=params)
+        assert main(["validate", cfg]) == 2
+        assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 2
+        assert not (tmp_path / "runs").exists()
+
+    @staticmethod
+    def _values(spec):
+        wild = st.sampled_from(["inf", "-inf", "nan", "1e400", "-1", "0", "x", "2.5"])
+        if spec.kind is int:
+            plausible = st.integers(spec.default // 2, spec.default * 2).map(str)
+        else:
+            plausible = st.floats(spec.default / 4, spec.default * 4).map(repr)
+            wild = st.one_of(wild, st.floats().map(repr))
+        return st.integers(0, 3).flatmap(lambda k: wild if k == 0 else plausible)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), exp_id=st.sampled_from(["resolution_shift", "mixed_vs_targeted"]))
+    def test_validate_accepts_what_run_runs(self, data, exp_id):
+        schema = CATALOG[exp_id].schema
+        keys = data.draw(st.sets(st.sampled_from(sorted(schema)), max_size=3))
+        overrides = {k: data.draw(self._values(schema[k]), label=k) for k in sorted(keys)}
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp) / "fuzz.cfg", exp_id, seed=0, params=overrides)
+            valid = main(["validate", cfg]) == 0
+            ran = main(["run", cfg, "--out", str(Path(tmp) / "runs")]) in (0, 1)
+        assert valid == ran, overrides
+
+
+class TestDomainExperiments:
+    def test_mixed_vs_targeted_verdicts_pass_at_seeds_0_to_9(self):
+        for seed in range(10):
+            report, _, _ = run_experiment("mixed_vs_targeted", seed=seed)
+            assert report["all_passed"], (seed, report["verdicts"])
+
+    def test_mixed_vs_targeted_report_is_byte_identical(self, tmp_path):
+        cfg = write_config(tmp_path / "mvt.cfg", "mixed_vs_targeted", seed=3)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", cfg, "--out", str(out_a)]) == 0
+        assert main(["run", cfg, "--out", str(out_b)]) == 0
+        assert (out_a / "mixed_vs_targeted" / "report.json").read_bytes() == \
+            (out_b / "mixed_vs_targeted" / "report.json").read_bytes()
+
+    def test_resolution_shift_viability_at_former_failing_seeds(self):
+        """Blurs cut at 3 sigma broke the variance-addition identity by just
+        over the 1e-3 bound at these seeds."""
+        for seed in (1, 2, 12, 23):
+            report, _, _ = run_experiment("resolution_shift", seed=seed)
+            assert report["all_passed"], (seed, report["results"]["two_domain_viability_sup"])

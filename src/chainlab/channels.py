@@ -10,8 +10,6 @@ renormalized, which keeps the variance-addition composition identity below
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -43,16 +41,6 @@ class DeterministicMap:
     def is_injective(self) -> bool:
         vals = list(self.mapping.values())
         return len(set(vals)) == len(vals)
-
-    def as_table(self, output_support=None) -> ConditionalTable:
-        inputs = tuple(self.mapping.keys())
-        if output_support is None:
-            seen: list = []
-            for v in self.mapping.values():
-                if v not in seen:
-                    seen.append(v)
-            output_support = tuple(seen)
-        return ConditionalTable.deterministic(inputs, tuple(output_support), self.mapping)
 
 
 def gaussian_kernel(sigma: float, halfwidth: int) -> np.ndarray:
@@ -103,16 +91,6 @@ class BlurOperator:
 
     def taps(self) -> np.ndarray:
         return gaussian_kernel(self.sigma, self.support_halfwidth)
-
-    def taps_json(self) -> str:
-        return json.dumps([float(t) for t in self.taps()])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([f"c{j}" for j in range(self.n)])
-            for row in self.matrix:
-                writer.writerow([format(v, ".17g") for v in row])
 
 
 def blur_matrix(

@@ -9,7 +9,6 @@ means an implementation bug, not noise, and raises.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,17 +74,6 @@ class ClassificationReport:
     p_e: Optional[float]
     j1: Optional[float]
     ties: tuple
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "stage": self.stage,
-                "P_e": self.p_e,
-                "J1": self.j1,
-                "risk": self.risk,
-                "regions": {str(k): str(v) for k, v in self.regions.items()},
-            }
-        )
 
 
 def _check_supports(priors: FiniteDistribution, conditionals: ConditionalTable) -> None:

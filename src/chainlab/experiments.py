@@ -45,6 +45,7 @@ from .sparse import (
     l1_map_solve,
     lambda_pipeline_experiment,
     min_spike_separation,
+    problem_doc,
     random_spike_signal,
     recovery_certificate,
 )
@@ -154,27 +155,23 @@ def _run_naive_tree(params: dict, seed: int):
     return results, verdicts, tables, plotdata
 
 
+def _random_chain(seed: int, stream: int, theta=(2, 4), x=(3, 6), y=(3, 6), xhat=(3, 6),
+                  invertible: bool = False):
+    """Random chain drawn from stream ``(seed, stream)``.
+
+    Each alphabet size is a fixed int, a ``(low, high)`` range drawn with
+    ``rng.integers`` in the order theta, x, y, xhat, or None (no restorer).
+    """
+    rng = stream_rng(seed, stream)
+    sizes = [s if s is None or isinstance(s, int) else int(rng.integers(*s))
+             for s in (theta, x, y, xhat)]
+    return instances.random_chain(rng, *sizes, invertible_channel=invertible)
+
+
 def _run_dpi_random_chains(params: dict, seed: int):
     n = int(params["n_chains"])
-
-    def one(i: int):
-        rng = stream_rng(seed, i)
-        chain = instances.random_chain(
-            rng,
-            n_theta=int(rng.integers(2, 4)),
-            n_x=int(rng.integers(3, 6)),
-            n_y=int(rng.integers(3, 6)),
-            n_xhat=int(rng.integers(3, 6)),
-        )
-        audit = information.dpi_audit(chain)
-        return (
-            audit.i_theta_x,
-            audit.i_theta_y,
-            audit.i_theta_xhat,
-            audit.monotone,
-        )
-
-    rows = [one(i) for i in range(n)]
+    audits = [information.dpi_audit(_random_chain(seed, i)) for i in range(n)]
+    rows = [(a.i_theta_x, a.i_theta_y, a.i_theta_xhat, a.monotone) for a in audits]
     margins_xy = [r[0] - r[1] for r in rows]
     margins_yz = [r[1] - r[2] for r in rows]
     results = {
@@ -260,35 +257,16 @@ def _run_crb_laplace_rate(params: dict, seed: int):
 def _run_bayes_ordering_audit(params: dict, seed: int):
     n = int(params["n_chains"])
     n_cond = int(params["n_conditional"])
-
-    def one(i: int):
-        rng = stream_rng(seed, i)
-        chain = instances.random_chain(
-            rng,
-            n_theta=int(rng.integers(2, 4)),
-            n_x=int(rng.integers(3, 6)),
-            n_y=int(rng.integers(3, 6)),
-            n_xhat=int(rng.integers(3, 6)),
+    audits = [classification.theorem_ordering_audit(_random_chain(seed, i)) for i in range(n)]
+    rows = [a.values() + (a.ordered,) for a in audits]
+    cond_audits = [
+        classification.theorem_ordering_audit(
+            _random_chain(seed, 10_000 + i, y=(4, 7), xhat=None, invertible=True),
+            mode="conditional_perception",
         )
-        audit = classification.theorem_ordering_audit(chain)
-        return audit.values() + (audit.ordered,)
-
-    rows = [one(i) for i in range(n)]
-
-    def one_cond(i: int):
-        rng = stream_rng(seed, 10_000 + i)
-        chain = instances.random_chain(
-            rng,
-            n_theta=int(rng.integers(2, 4)),
-            n_x=int(rng.integers(3, 6)),
-            n_y=int(rng.integers(4, 7)),
-            n_xhat=None,
-            invertible_channel=True,
-        )
-        audit = classification.theorem_ordering_audit(chain, mode="conditional_perception")
-        return abs(audit.pe_xhat - audit.pe_x)
-
-    cond_gaps = [one_cond(i) for i in range(n_cond)]
+        for i in range(n_cond)
+    ]
+    cond_gaps = [abs(a.pe_xhat - a.pe_x) for a in cond_audits]
     results = {
         "n_chains": result(n),
         "n_conditional_chains": result(n_cond),
@@ -311,9 +289,7 @@ def _run_pe_separability_identity(params: dict, seed: int):
     n = int(params["n_chains"])
 
     def one(i: int):
-        rng = stream_rng(seed, i)
-        chain = instances.random_chain(rng, n_theta=2, n_x=int(rng.integers(2, 6)),
-                                       n_y=int(rng.integers(2, 6)), n_xhat=None)
+        chain = _random_chain(seed, i, theta=2, x=(2, 6), y=(2, 6), xhat=None)
         joint = assemble_joint(chain)
         gaps = []
         for stage in ("x", "y"):
@@ -484,23 +460,17 @@ def _run_sparse_noiseless(params: dict, seed: int):
     y = op.apply(x)
     sol = l1_map_solve(y, op, mode="constrained", delta=0.0)
     err = float(np.max(np.abs(sol.x_hat - x)))
-    import json as _json
-
-    from .sparse import problem_to_json
-
     # certify against the solution's own residual budget
     delta_eff = float(np.sum(np.abs(y - op.apply(sol.x_hat))))
-    problem_doc = _json.loads(
-        problem_to_json(signal, op, y, sol.x_hat,
-                        recovery_certificate(x, sol.x_hat, op, delta_eff))
-    )
+    problem = problem_doc(signal, op, y, sol.x_hat,
+                          recovery_certificate(x, sol.x_hat, op, delta_eff))
     results = {
         "sup_recovery_error": result(err),
         "solver_iterations": result(sol.iterations),
         "zero_input_returns_zero": result(
             float(np.max(np.abs(l1_map_solve(np.zeros(n), op, mode="constrained", delta=0.0).x_hat)))
         ),
-        "problem": result(problem_doc),
+        "problem": result(problem),
     }
     verdicts = {
         "noiseless_recovery_is_exact": err <= 1e-6,
@@ -734,6 +704,25 @@ def _need(ok: bool, invariant: str) -> None:
         raise ContractViolation(f"need {invariant}")
 
 
+def _need_scale(p: dict, name: str) -> None:
+    # The runners square this scale and divide by the square.
+    _need(1e-150 <= p[name] <= 1e150, f"1e-150 <= {name} <= 1e150 ({name}**2 is a normal float)")
+
+
+def _check_crb_gaussian_mean(p: dict) -> None:
+    _need_scale(p, "sigma_x")
+    _need(abs(p["theta"]) <= 1e10 * p["sigma_x"],
+          "|theta| <= 1e10 sigma_x (the finite-difference step 1e-4 sigma_x resolved at theta)")
+
+
+def _check_sparse_noiseless(p: dict) -> None:
+    _need_scale(p, "sigma")
+    # the runner's constructors: n >= 8 sigma fs, and room for the separated spikes
+    build_kernel_operator(p["sigma"], p["n"], p["fs"])
+    random_spike_signal(stream_rng(0, 0), p["n"], p["n_spikes"],
+                        min_spike_separation(p["sigma"], p["fs"]))
+
+
 def _check_resolution_shift(p: dict) -> None:
     # A non-empty interior slice(3 hw, n - 3 hw), hw = ceil(4 sigma2) + 2; checked
     # first, it also bounds sigma2 so that sigma2**2 cannot overflow.
@@ -773,6 +762,7 @@ _register(
         "grid_points": _i(2001, 51),
     },
     _run_crb_gaussian_mean,
+    _check_crb_gaussian_mean,
 )
 _register(
     "crb_laplace_rate",
@@ -784,6 +774,7 @@ _register(
         "grid_points": _i(2001, 51),
     },
     _run_crb_laplace_rate,
+    lambda p: _need_scale(p, "rate"),
 )
 _register(
     "bayes_ordering_audit",
@@ -862,6 +853,7 @@ _register(
         "fs": _f(2.0, 0.0),
     },
     _run_sparse_noiseless,
+    _check_sparse_noiseless,
 )
 _register(
     "sparse_certificate_sweep",
@@ -915,6 +907,7 @@ _register(
         "uniform_bins": _i(1000, 10),
     },
     _run_entropy_error_bound,
+    lambda p: _need_scale(p, "sigma"),
 )
 _register(
     "crb_attainment",

@@ -12,7 +12,6 @@ gridded density is H_binned + log(binwidth).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -26,7 +25,7 @@ from .errors import (
     SuperEfficient,
     ZeroDensity,
 )
-from .probability import PipelineChain, assemble_joint, mutual_information
+from .probability import PipelineChain, assemble_joint, mutual_information, pair_information
 
 DEFAULT_FD_STEP_SCALE = 1e-4
 MI_EQUALITY_TOL = 1e-9
@@ -226,19 +225,6 @@ class InfoReport:
     def degenerate(self) -> bool:
         return self.J == 0.0
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "theta": self.theta,
-                "J": self.J,
-                "J_m": self.J_m,
-                "crb": None if math.isinf(self.crb) else self.crb,
-                "method": self.method,
-                "m": self.m,
-                "tolerance": self.tolerance,
-            }
-        )
-
 
 def fisher_information(
     family: ScalarParamFamily, theta: float, m: int = 1, step: Optional[float] = None
@@ -372,14 +358,6 @@ def _family_joint(family: TableFamily, prior: np.ndarray) -> np.ndarray:
     return prior[:, None] * rows
 
 
-def _mi_of_matrix(j: np.ndarray) -> float:
-    pa = j.sum(axis=1)
-    pb = j.sum(axis=0)
-    nz = j > 0
-    outer = np.outer(pa, pb)
-    return float(np.sum(j[nz] * (np.log(j[nz]) - np.log(outer[nz]))))
-
-
 def sufficiency_check(
     family: TableFamily,
     statistic,
@@ -399,7 +377,7 @@ def sufficiency_check(
     grouped = np.zeros((joint.shape[0], len(t_support)))
     for col, v in enumerate(values):
         grouped[:, t_support.index(v)] += joint[:, col]
-    return abs(_mi_of_matrix(joint) - _mi_of_matrix(grouped)) <= tol
+    return abs(pair_information(joint) - pair_information(grouped)) <= tol
 
 
 def rao_blackwellize(

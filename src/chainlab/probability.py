@@ -15,7 +15,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -37,11 +36,6 @@ JOINT_SUM_TOL = 1e-10
 
 THETA, X, Y, XHAT = "theta", "x", "y", "xhat"
 CHAIN_AXES = (THETA, X, Y, XHAT)
-
-
-def _fmt17(v: float) -> str:
-    """Decimal serialization with 17 significant digits (bit-exact round trip)."""
-    return format(float(v), ".17g")
 
 
 def _as_labels(support: Sequence) -> tuple:
@@ -75,16 +69,6 @@ class FiniteDistribution:
 
     def prob_of(self, label) -> float:
         return float(self.probs[self.support.index(label)])
-
-    def to_json(self) -> str:
-        sup = json.dumps(list(self.support))
-        probs = "[" + ", ".join(_fmt17(v) for v in self.probs) + "]"
-        return '{"support": %s, "probs": %s}' % (sup, probs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FiniteDistribution":
-        doc = json.loads(text)
-        return cls(tuple(doc["support"]), np.array(doc["probs"], dtype=np.float64))
 
 
 def normalize(weights: Sequence[float], support: Optional[Sequence] = None) -> FiniteDistribution:
@@ -155,25 +139,6 @@ class ConditionalTable:
             rows[i, out.index(mapping[lab])] = 1.0
         return cls(tuple(input_support), out, rows)
 
-    def to_json(self) -> str:
-        body = ", ".join(
-            "[" + ", ".join(_fmt17(v) for v in row) + "]" for row in self.rows
-        )
-        return '{"input_support": %s, "output_support": %s, "rows": [%s]}' % (
-            json.dumps(list(self.input_support)),
-            json.dumps(list(self.output_support)),
-            body,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConditionalTable":
-        doc = json.loads(text)
-        return cls(
-            tuple(doc["input_support"]),
-            tuple(doc["output_support"]),
-            np.array(doc["rows"], dtype=np.float64),
-        )
-
 
 @dataclass(frozen=True)
 class JointDistribution:
@@ -219,23 +184,6 @@ class JointDistribution:
             idx[k] = self.supports[k].index(value)
         sub = t[tuple(idx)]
         return float(sub if np.ndim(sub) == 0 else sub.sum())
-
-    def to_json(self) -> str:
-        flat = self.tensor.reshape(-1)  # row-major
-        body = "[" + ", ".join(_fmt17(v) for v in flat) + "]"
-        return '{"axes": %s, "supports": %s, "tensor": %s}' % (
-            json.dumps(list(self.axes)),
-            json.dumps([list(s) for s in self.supports]),
-            body,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "JointDistribution":
-        doc = json.loads(text)
-        supports = tuple(tuple(s) for s in doc["supports"])
-        shape = tuple(len(s) for s in supports)
-        tensor = np.array(doc["tensor"], dtype=np.float64).reshape(shape)
-        return cls(tuple(doc["axes"]), supports, tensor)
 
 
 @dataclass(frozen=True)
@@ -356,7 +304,11 @@ def mutual_information(
     """I(A;B) from the enumerated pair marginal; never negative."""
     if axis_a == axis_b:
         raise UnknownAxis("mutual information needs two distinct axes")
-    pair = marginal(joint, [axis_a, axis_b]).tensor
+    return pair_information(marginal(joint, [axis_a, axis_b]).tensor, base)
+
+
+def pair_information(pair: np.ndarray, base: float = math.e) -> float:
+    """I(A;B) of a two-axis joint table (rows A, columns B); never negative."""
     pa = pair.sum(axis=1)
     pb = pair.sum(axis=0)
     outer = np.outer(pa, pb)

@@ -16,7 +16,6 @@ measures their squared error against an information bound.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -71,11 +70,6 @@ class Restorer:
         rng = stream_rng(seed, self.table.input_support.index(y), stream)
         idx = rng.choice(len(row.support), size=n, p=row.probs)
         return [row.support[i] for i in idx]
-
-    def to_json(self) -> str:
-        import json
-
-        return '{"kind": %s, "table": %s}' % (json.dumps(self.kind), self.table.to_json())
 
 
 def _posterior_rows(joint: JointDistribution, given: str = "y", target: str = "x") -> np.ndarray:
@@ -307,20 +301,6 @@ class McVarianceReport:
     flagged: bool
     bias_flagged: bool
     estimates: np.ndarray
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["replicate", "theta_true", "theta_hat", "squared_error"])
-            for i, est in enumerate(self.estimates):
-                writer.writerow(
-                    [
-                        i,
-                        format(self.theta_true, ".17g"),
-                        format(est, ".17g"),
-                        format((est - self.theta_true) ** 2, ".17g"),
-                    ]
-                )
 
 
 def estimator_variance_mc(

@@ -19,9 +19,8 @@ for g(t) = exp(-t^2 / 2 sigma^2), g'' <= -exp(-1/4)/(2 sigma^2) on
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -154,10 +153,6 @@ class SolveResult:
     objective: tuple
     mode: str
     lam: Optional[float]  # penalty weight; None in constrained mode
-
-    @property
-    def objective_final(self) -> float:
-        return self.objective[-1]
 
 
 def _ista(
@@ -320,18 +315,6 @@ class RecoveryCertificate:
     achieved: float
     holds: bool
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "norm": self.norm,
-                "noise_budget": self.noise_budget,
-                "rho": self.rho,
-                "bound": self.bound,
-                "achieved": self.achieved,
-                "holds": self.holds,
-            }
-        )
-
 
 def recovery_certificate(
     x_true: np.ndarray,
@@ -396,14 +379,14 @@ def random_spike_signal(
     return SpikeSignal(n, tuple(int(k) for k in support), tuple(float(a) for a in amps))
 
 
-def problem_to_json(
+def problem_doc(
     signal: SpikeSignal,
     operator: KernelOperator,
     y: np.ndarray,
     x_hat: np.ndarray,
     certificate: Optional[RecoveryCertificate] = None,
-) -> str:
-    doc = {
+) -> dict:
+    return {
         "n": signal.length,
         "Fs": operator.fs,
         "sigma": operator.sigma,
@@ -411,14 +394,18 @@ def problem_to_json(
         "amplitudes": list(signal.amplitudes),
         "y": [float(v) for v in y],
         "x_hat": [float(v) for v in x_hat],
-        "certificate": json.loads(certificate.to_json()) if certificate else None,
+        "certificate": asdict(certificate) if certificate else None,
     }
-    return json.dumps(doc)
 
 
 # ---------------------------------------------------------------------------
 # rate-estimation pipeline
 # ---------------------------------------------------------------------------
+
+# Iteration cap of the penalized solve over all noisy replicates.
+_PIPELINE_SOLVER_ITERS = 800
+# Standard errors of slack the two pipeline verdicts allow.
+_PIPELINE_FLAG_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
@@ -437,35 +424,15 @@ class LambdaPipelineReport:
     restored_not_better: bool
     clean_meets_crb: bool
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lambda_true": self.lambda_true,
-                "m": self.m,
-                "replicates": self.replicates,
-                "mse_clean": self.mse_clean,
-                "mse_restored": self.mse_restored,
-                "stderr_clean": self.stderr_clean,
-                "stderr_restored": self.stderr_restored,
-                "crb": self.crb,
-                "restored_not_better": self.restored_not_better,
-                "clean_meets_crb": self.clean_meets_crb,
-            }
-        )
-
 
 def lambda_pipeline_experiment(
     lambda_true: float,
     m: int,
     replicates: int,
     seed: int,
-    operator: Optional[KernelOperator] = None,
     sigma_n: float = 0.1,
     restorer: str = "map_l1",
-    lam_reg: Optional[float] = None,
     n: int = 24,
-    solver_iters: int = 800,
-    flag_sigmas: float = 4.0,
 ) -> LambdaPipelineReport:
     """Estimate the sparsity rate before and after reconstruction.
 
@@ -478,9 +445,7 @@ def lambda_pipeline_experiment(
     """
     if m < 1 or replicates < 2:
         raise ContractViolation("need m >= 1 and replicates >= 2")
-    if operator is None:
-        operator = build_kernel_operator(sigma=1.0, n=n, fs=2.0)
-    n = operator.n
+    operator = build_kernel_operator(sigma=1.0, n=n, fs=2.0)
     sep = min_spike_separation(operator.sigma, operator.fs)
     total = replicates * m
     x_cols = np.zeros((n, total))
@@ -504,10 +469,9 @@ def lambda_pipeline_experiment(
         xhat_cols[0, :] = np.abs(x_cols).sum(axis=0)
     elif restorer == "map_l1":
         if sigma_n > 0:
-            lam = lambda_true if lam_reg is None else lam_reg
             result = l1_map_solve(
-                y_cols, operator, mode="penalized", lam=lam, sigma_z=sigma_n,
-                tol=1e-8, max_iter=solver_iters,
+                y_cols, operator, mode="penalized", lam=lambda_true, sigma_z=sigma_n,
+                tol=1e-8, max_iter=_PIPELINE_SOLVER_ITERS,
             )
             xhat_cols = result.x_hat
         else:
@@ -545,6 +509,6 @@ def lambda_pipeline_experiment(
         stderr_restored=se_rest,
         stderr_paired_diff=se_diff,
         crb=crb,
-        restored_not_better=bool(mse_rest >= mse_clean - flag_sigmas * se_diff),
-        clean_meets_crb=bool(mse_clean >= crb - flag_sigmas * se_clean),
+        restored_not_better=bool(mse_rest >= mse_clean - _PIPELINE_FLAG_SIGMAS * se_diff),
+        clean_meets_crb=bool(mse_clean >= crb - _PIPELINE_FLAG_SIGMAS * se_clean),
     )

@@ -173,24 +173,6 @@ class TestQuantizeAwgn:
             quantize_awgn(AwgnChannel(2.0), [0.0], np.linspace(-1, 1, 11))
 
 
-class TestExports:
-    def test_matrix_csv_round_trip(self, tmp_path):
-        h = blur_matrix(12, 1.0)
-        path = tmp_path / "blur.csv"
-        h.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("c0,")
-        back = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-        np.testing.assert_array_equal(back, h.matrix)
-
-    def test_taps_json(self):
-        import json
-
-        h = blur_matrix(12, 1.0)
-        taps = json.loads(h.taps_json())
-        np.testing.assert_allclose(taps, h.taps())
-
-
 class TestIsInvertible:
     def test_injective_map(self):
         assert is_invertible(DeterministicMap({0: "a", 1: "b", 2: "c"}))

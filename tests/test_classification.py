@@ -192,16 +192,6 @@ class TestSeparability:
             pe = bayes_risk(priors, cond)
             assert 0.0 <= pe <= (m - 1) / m + 1e-12
 
-    def test_report_serializes(self):
-        import json
-
-        chain = naive_tree_chain()
-        rep = bayes_classify(chain.prior, y_conditionals(chain), stage="y")
-        doc = json.loads(rep.to_json())
-        assert doc["stage"] == "y"
-        assert doc["P_e"] == pytest.approx(0.2 / 3)
-        assert doc["regions"]["1.5"] == "class1"
-
     def test_identity_on_random_binary_chains(self):
         """P_e = (1 - J1)/2 at both source and measurement stages."""
         for i in range(200):

@@ -1,5 +1,6 @@
 """Experiment runner: catalog, config validation, outputs, determinism."""
 
+import ast
 import dataclasses
 import json
 import tempfile
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainlab
 from chainlab.cli import main
 from chainlab.errors import InvalidOverride, UnknownExperiment
 from chainlab.experiments import (
@@ -220,6 +222,13 @@ class TestParameterContract:
         ("mixed_vs_targeted", {"sigma1": "nan"}),
         ("mixed_vs_targeted", {"sigma1": 2.0, "sigma2": 2.0}),
         ("mixed_vs_targeted", {"n": 17}),
+        ("crb_gaussian_mean", {"sigma_x": "5e-324"}),
+        ("crb_gaussian_mean", {"theta": "1e300"}),
+        ("crb_laplace_rate", {"rate": "1e300"}),
+        ("crb_laplace_rate", {"rate": "1e-300"}),
+        ("entropy_error_bound", {"sigma": "1e-300"}),
+        ("sparse_noiseless_recovery", {"fs": "1e300"}),
+        ("sparse_noiseless_recovery", {"sigma": "5e-324"}),
     ])
     def test_cross_parameter_and_non_finite_rejected(self, tmp_path, exp_id, params):
         cfg = write_config(tmp_path / "bad.cfg", exp_id, seed=0, params=params)
@@ -237,9 +246,14 @@ class TestParameterContract:
             wild = st.one_of(wild, st.floats().map(repr))
         return st.integers(0, 3).flatmap(lambda k: wild if k == 0 else plausible)
 
+    def test_validate_accepts_what_run_runs(self):
+        for exp_id in ("resolution_shift", "mixed_vs_targeted", "crb_gaussian_mean",
+                       "crb_laplace_rate", "entropy_error_bound", "sparse_noiseless_recovery"):
+            self._fuzz(exp_id)
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), exp_id=st.sampled_from(["resolution_shift", "mixed_vs_targeted"]))
-    def test_validate_accepts_what_run_runs(self, data, exp_id):
+    @given(data=st.data())
+    def _fuzz(self, exp_id, data):
         schema = CATALOG[exp_id].schema
         keys = data.draw(st.sets(st.sampled_from(sorted(schema)), max_size=3))
         overrides = {k: data.draw(self._values(schema[k]), label=k) for k in sorted(keys)}
@@ -270,3 +284,20 @@ class TestDomainExperiments:
         for seed in (1, 2, 12, 23):
             report, _, _ = run_experiment("resolution_shift", seed=seed)
             assert report["all_passed"], (seed, report["results"]["two_domain_viability_sup"])
+
+
+class TestOneWriter:
+    def test_only_cli_imports_json_or_csv(self):
+        """Report I/O is decided in one module: every number leaves through cli."""
+        importers = set()
+        for path in sorted(Path(chainlab.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                if any(m.split(".")[0] in ("json", "csv") for m in modules):
+                    importers.add(path.name)
+        assert importers == {"cli.py"}

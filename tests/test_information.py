@@ -154,13 +154,6 @@ class TestFisherInformation:
         jp = fisher_information(prod, 0.9).J
         assert abs(jp - (j1 + j2)) < 1e-8 * (j1 + j2) + 1e-8
 
-    def test_report_serializes(self):
-        import json
-
-        rep = fisher_information(GaussianMeanFamily(1.0), 0.0, 10)
-        doc = json.loads(rep.to_json())
-        assert doc["J_m"] == 10.0 and doc["method"] == "analytic"
-
 
 class TestCrbCompare:
     def test_relabeling_preserves_bound(self):

@@ -318,22 +318,3 @@ class TestChainRuleProperties:
             assert i_x >= i_y - 1e-9
             assert i_y >= i_z - 1e-9
 
-
-class TestSerialization:
-    def test_distribution_round_trip_bit_exact(self):
-        rng = stream_rng(17, 0)
-        d = normalize(rng.random(7))
-        back = FiniteDistribution.from_json(d.to_json())
-        assert back.support == d.support
-        assert back.probs.tobytes() == d.probs.tobytes()
-
-    def test_joint_round_trip_bit_exact(self):
-        joint = assemble_joint(random_chain(stream_rng(17, 1), 2, 3, 4, 3))
-        back = JointDistribution.from_json(joint.to_json())
-        assert back.axes == joint.axes
-        assert back.tensor.tobytes() == joint.tensor.tobytes()
-
-    def test_table_round_trip_bit_exact(self):
-        chain = naive_tree_chain()
-        back = ConditionalTable.from_json(chain.channel.to_json())
-        assert back.rows.tobytes() == chain.channel.rows.tobytes()

@@ -343,16 +343,6 @@ class TestEstimatorVarianceMc:
         assert rep.mse >= crb - 4 * rep.mse_stderr
         assert not rep.flagged
 
-    def test_csv_export(self, tmp_path):
-        sampler = awgn_mean_sampler(1.0, 0.0)
-        rep = estimator_variance_mc(
-            sampler, ParamEstimator(kind="sample_mean", stage="x"), 0.0, 5, 10, seed=8)
-        path = tmp_path / "mc.csv"
-        rep.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "replicate,theta_true,theta_hat,squared_error"
-        assert len(lines) == 11
-
 
 class TestPluginBayes:
     def test_posterior_mean_tracks_evidence(self):

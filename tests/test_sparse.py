@@ -28,7 +28,7 @@ from chainlab.sparse import (
     lambda_pipeline_experiment,
     min_spike_separation,
     operator_norm_sq,
-    problem_to_json,
+    problem_doc,
     random_spike_signal,
     recovery_certificate,
     soft_threshold,
@@ -318,15 +318,13 @@ class TestCertificate:
             assert recovery_certificate(x, sol.x_hat, op, delta, norm="l1").holds
 
     def test_problem_serialization(self):
-        import json
-
         op = build_kernel_operator(1.0, 32, 2.0)
         signal = random_spike_signal(stream_rng(73, 99), 32, 2,
                                      min_spike_separation(1.0, 2.0))
         x = signal.to_vector()
         y = op.apply(x)
         cert = recovery_certificate(x, x, op, 0.0)
-        doc = json.loads(problem_to_json(signal, op, y, x, cert))
+        doc = problem_doc(signal, op, y, x, cert)
         assert doc["n"] == 32 and doc["Fs"] == 2.0
         assert doc["certificate"]["holds"] is True
 
@@ -341,8 +339,7 @@ class TestLambdaPipeline:
         """With no noise the reconstruction is essentially exact, so the two
         rate estimates agree replicate by replicate."""
         rep_solver = lambda_pipeline_experiment(1.0, 4, 40, seed=2, sigma_n=0.0,
-                                                restorer="map_l1", lam_reg=1.0,
-                                                solver_iters=3000)
+                                                restorer="map_l1")
         rep_clean = lambda_pipeline_experiment(1.0, 4, 40, seed=2, sigma_n=0.0,
                                                restorer="identity")
         assert abs(rep_solver.mse_restored - rep_clean.mse_clean) <= 1e-3 * max(

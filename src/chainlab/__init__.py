@@ -13,10 +13,7 @@ from .probability import (
     JointDistribution,
     PipelineChain,
     assemble_joint,
-    axis_distribution,
     condition,
-    entropy,
-    kl_divergence,
     marginal,
     mutual_information,
     normalize,
@@ -26,41 +23,24 @@ from .information import (
     InfoReport,
     LaplaceRateFamily,
     TableFamily,
-    crb_compare,
     dpi_audit,
-    efficiency,
     entropy_error_bound_gaussian,
     entropy_error_bound_grid,
     fisher_information,
     rao_blackwellize,
-    score,
     sufficiency_check,
 )
-from .channels import (
-    AwgnChannel,
-    BlurOperator,
-    DeterministicMap,
-    blur_matrix,
-    compose_blurs,
-    gaussian_kernel,
-    is_invertible,
-    quantize_awgn,
-)
+from .channels import BlurOperator, blur_matrix, gaussian_kernel
 from .restorers import (
     ParamEstimator,
     Restorer,
     estimate_parameter,
     estimator_variance_mc,
-    map_restorer,
     mmse_restorer,
-    perfect_perception_restorer,
     posterior_sampler,
     with_restorer,
 )
 from .classification import (
-    ClassificationReport,
-    CostMatrix,
-    bayes_classify,
     bayes_risk,
     pr_gap,
     separability,

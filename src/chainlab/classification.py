@@ -1,6 +1,6 @@
 """Bayes classification over finite alphabets and exact error-ordering audits.
 
-Minimum-risk decisions, the error/separability identity for two classes,
+Bayes error under 0-1 cost, the error/separability identity for two classes,
 the stagewise ordering of Bayes error along a degradation/restoration chain,
 and proportional-representation gaps of restorers. Everything is computed by
 enumeration, so the ordering results hold to numerical precision; a violation
@@ -39,120 +39,32 @@ from .restorers import (
 ORDERING_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CostMatrix:
-    """c[i, j]: loss of deciding class i when the truth is class j."""
-
-    costs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.costs, dtype=np.float64)
-        object.__setattr__(self, "costs", c)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ContractViolation(f"cost matrix must be square, got {c.shape}")
-        if np.any(c < 0):
-            raise ContractViolation("costs must be nonnegative")
-        c.setflags(write=False)
-
-    @classmethod
-    def zero_one(cls, m: int) -> "CostMatrix":
-        return cls(np.ones((m, m)) - np.eye(m))
-
-    @property
-    def is_zero_one(self) -> bool:
-        c = self.costs
-        return bool(np.all(np.diag(c) == 0) and np.all(c[~np.eye(len(c), dtype=bool)] == 1))
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Decision regions with risk; error probability under 0-1 cost."""
-
-    stage: str
-    regions: dict  # outcome -> class label
-    risk: float
-    p_e: Optional[float]
-    j1: Optional[float]
-    ties: tuple
-
-
 def _check_supports(priors: FiniteDistribution, conditionals: ConditionalTable) -> None:
     if priors.support != conditionals.input_support:
         raise SupportMismatch("priors and class conditionals disagree on classes")
 
 
-def bayes_classify(
-    priors: FiniteDistribution,
-    conditionals: ConditionalTable,
-    cost: Optional[CostMatrix] = None,
-    stage: str = "x",
-) -> ClassificationReport:
-    """Assign every outcome the class of minimum expected cost.
-
-    With 0-1 cost this is the maximum-posterior rule. Exact ties go to the
-    lowest class index and are recorded in the report.
-    """
+def bayes_risk(priors: FiniteDistribution, conditionals: ConditionalTable) -> float:
+    """Minimum 0-1 risk over all decision rules (sum of per-outcome minima)."""
     _check_supports(priors, conditionals)
     m = len(priors)
-    cost = cost or CostMatrix.zero_one(m)
-    if cost.costs.shape[0] != m:
-        raise SupportMismatch("cost matrix size != number of classes")
-    weighted = priors.probs[:, None] * conditionals.rows  # (class j, outcome)
-    expected = cost.costs @ weighted  # (decision i, outcome)
-    decision = expected.argmin(axis=0)
-    ties = []
-    for o, col in enumerate(expected.T):
-        winners = np.flatnonzero(col == col.min())
-        if len(winners) > 1:
-            ties.append((conditionals.output_support[o], [priors.support[i] for i in winners]))
-    risk = float(expected[decision, np.arange(expected.shape[1])].sum())
-    regions = {
-        conditionals.output_support[o]: priors.support[decision[o]]
-        for o in range(len(conditionals.output_support))
-    }
-    p_e = risk if cost.is_zero_one else None
-    j1 = separability(priors, conditionals, 1.0) if m == 2 else None
-    return ClassificationReport(
-        stage=stage, regions=regions, risk=risk, p_e=p_e, j1=j1, ties=tuple(ties)
-    )
-
-
-def bayes_risk(
-    priors: FiniteDistribution,
-    conditionals: ConditionalTable,
-    cost: Optional[CostMatrix] = None,
-) -> float:
-    """Minimum expected cost over all decision rules (sum of per-outcome minima)."""
-    _check_supports(priors, conditionals)
-    cost = cost or CostMatrix.zero_one(len(priors))
     weighted = priors.probs[:, None] * conditionals.rows
-    expected = cost.costs @ weighted
+    expected = (np.ones((m, m)) - np.eye(m)) @ weighted  # (decision, outcome)
     return float(expected.min(axis=0).sum())
 
 
-def separability(
-    priors: FiniteDistribution, conditionals: ConditionalTable, alpha: float = 1.0
-) -> float:
-    """Expected |q1 - q2|^alpha of the two class posteriors.
+def separability(priors: FiniteDistribution, conditionals: ConditionalTable) -> float:
+    """Expected |q1 - q2| of the two class posteriors.
 
-    At alpha = 1 this equals the prior-weighted conditional difference
-    summed over outcomes, and determines the error probability exactly:
+    This equals the prior-weighted conditional difference summed over
+    outcomes, and determines the error probability exactly:
     P_e = (1 - J_1) / 2.
     """
     _check_supports(priors, conditionals)
     if len(priors) != 2:
         raise NotBinary("separability is defined here for exactly two classes")
-    if not alpha > 0:
-        raise ContractViolation(f"alpha must be > 0, got {alpha}")
-    weighted = priors.probs[:, None] * conditionals.rows  # (2, outcomes)
-    mix = weighted.sum(axis=0)
-    diff = np.abs(weighted[0] - weighted[1])
-    if alpha == 1.0:
-        return float(diff.sum())
-    nz = mix > 0
-    q_diff = np.zeros_like(mix)
-    q_diff[nz] = diff[nz] / mix[nz]
-    return float(np.sum(mix[nz] * q_diff[nz] ** alpha))
+    w = priors.probs[:, None] * conditionals.rows  # (2, outcomes)
+    return float(np.abs(w[0] - w[1]).sum())
 
 
 def _pe_from_pair(pair: np.ndarray) -> float:

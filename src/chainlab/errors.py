@@ -40,23 +40,7 @@ class ZeroEvidence(ChainlabError):
     """Conditioning on an outcome of probability zero."""
 
 
-class AbsoluteContinuityViolated(ChainlabError):
-    """KL divergence with p(u) > 0 where q(u) = 0."""
-
-
 # --- information metrics --------------------------------------------------
-
-
-class ZeroDensity(ChainlabError):
-    """Score requested at an outcome with zero likelihood."""
-
-
-class DpiViolation(ChainlabError):
-    """Numerics claim a processed stage is MORE informative; modeling bug."""
-
-
-class SuperEfficient(ChainlabError):
-    """Estimator variance below the information bound; biased or wrong J."""
 
 
 class NotSufficient(ChainlabError):
@@ -70,10 +54,6 @@ class SupportTooSmall(ChainlabError):
     """Kernel half-width truncates more mass than tolerated."""
 
 
-class GridTooNarrow(ChainlabError):
-    """Quantization grid loses more than the allowed tail mass."""
-
-
 # --- restorers / estimators -------------------------------------------------
 
 
@@ -81,16 +61,8 @@ class NonNumericSupport(ChainlabError):
     """Operation needs numeric outcome labels (e.g. conditional means)."""
 
 
-class MissingOracle(ChainlabError):
-    """Class-conditional restorer requested without the class oracle."""
-
-
 class EmptySample(ChainlabError):
     """Parameter estimate requested from zero samples."""
-
-
-class ZeroL1Norm(ChainlabError):
-    """Rate estimate undefined: all samples have zero l1 mass."""
 
 
 # --- classification ---------------------------------------------------------
@@ -128,6 +100,10 @@ class Diverged(ChainlabError):
 
 class MissingAdmissibilityConstants(ChainlabError):
     """Certificate requested without the kernel's (beta, eps) constants."""
+
+
+class ZeroL1Norm(ChainlabError):
+    """Rate estimate undefined: all samples have zero l1 mass."""
 
 
 # --- experiment harness -----------------------------------------------------

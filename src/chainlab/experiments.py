@@ -69,6 +69,11 @@ def _py(value: Any) -> Any:
     return value
 
 
+def _close(value: float, expected: float, tol: float) -> bool:
+    """|value - expected| <= tol, relative to |expected| once it exceeds 1."""
+    return abs(value - expected) <= tol * max(1.0, abs(expected))
+
+
 def result(value, provenance: str = EXACT, n: Optional[int] = None, stderr: Optional[float] = None) -> dict:
     doc = {"value": _py(value), "provenance": provenance}
     if provenance == MONTE_CARLO:
@@ -91,7 +96,11 @@ class ParamSpec:
             raise InvalidOverride(
                 f"parameter {name!r}: cannot read {raw!r} as {self.kind.__name__}"
             ) from None
-        if self.kind is float and not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise InvalidOverride(f"parameter {name!r}: {raw!r} is not a finite number")
         if self.minimum is not None:
             bad = value <= self.minimum if self.exclusive else value < self.minimum
@@ -217,7 +226,7 @@ def _run_crb_gaussian_mean(params: dict, seed: int):
     }
     verdicts = {
         "finite_difference_matches_analytic_1pct": rel <= 0.01,
-        "crb_is_sigma2_over_m": abs(analytic.crb - sigma_x**2 / m) <= 1e-15,
+        "crb_is_sigma2_over_m": _close(analytic.crb, sigma_x**2 / m, 1e-15),
     }
     thetas = np.linspace(theta - 0.5 * sigma_x, theta + 0.5 * sigma_x, 11)
     rows = [
@@ -297,7 +306,7 @@ def _run_pe_separability_identity(params: dict, seed: int):
             rows = pair.tensor / pair.tensor.sum(axis=1, keepdims=True)
             cond_table = ConditionalTable(chain.prior.support, pair.supports[1], rows)
             pe = classification.bayes_risk(chain.prior, cond_table)
-            j1 = classification.separability(chain.prior, cond_table, 1.0)
+            j1 = classification.separability(chain.prior, cond_table)
             gaps.append(abs(pe - 0.5 * (1.0 - j1)))
         return max(gaps)
 
@@ -646,8 +655,8 @@ def _run_entropy_error_bound(params: dict, seed: int):
         "uniform_true_mmse_variance": result(uniform_mmse_var),
     }
     verdicts = {
-        "gaussian_bound_equals_variance": abs(bound1 - sigma**2) <= 1e-12
-        and abs(bound4 - 4.0 * sigma**2) <= 1e-12,
+        "gaussian_bound_equals_variance": _close(bound1, sigma**2, 1e-12)
+        and _close(bound4, 4.0 * sigma**2, 1e-12),
         "gridded_bound_within_1pct": abs(bound_grid - sigma**2) <= 0.01 * sigma**2,
         "uniform_bound_below_true_error": uniform_bound <= uniform_mmse_var,
     }
@@ -659,7 +668,7 @@ def _run_crb_attainment(params: dict, seed: int):
     m = int(params["m"])
     replicates = int(params["replicates"])
     sigma_n = math.sqrt((m - 1)) * sigma_x
-    sampler = awgn_mean_sampler(sigma_x, sigma_n, average_restorer=True)
+    sampler = awgn_mean_sampler(sigma_x, sigma_n)
     est_y = ParamEstimator(kind="sample_mean", stage="y")
     est_xhat = ParamEstimator(kind="sample_mean", stage="xhat")
     rep_y = estimator_variance_mc(sampler, est_y, float(params["theta"]), m, replicates, seed,

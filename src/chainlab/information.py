@@ -1,9 +1,9 @@
 """Fisher information, information-bound reports, and chain audits.
 
 Named continuous families (Gaussian location, Laplace rate) carry analytic
-scores and information; finite table families fall back to a central
-finite-difference score with step h = 1e-4 * max(|theta|, 1), which balances
-truncation against cancellation at 64-bit precision. The step is overridable.
+information; finite table families fall back to a central finite-difference
+score with step h = 1e-4 * max(|theta|, 1), which balances truncation
+against cancellation at 64-bit precision. The step is overridable.
 
 Continuous statements are bridged to finite arithmetic explicitly: densities
 are quantized to grids by CDF bin masses, and differential entropy of a
@@ -18,13 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ContractViolation,
-    DpiViolation,
-    NotSufficient,
-    SuperEfficient,
-    ZeroDensity,
-)
+from .errors import ContractViolation, NotSufficient
 from .probability import PipelineChain, assemble_joint, mutual_information, pair_information
 
 DEFAULT_FD_STEP_SCALE = 1e-4
@@ -46,9 +40,6 @@ class GaussianMeanFamily:
         if not self.sigma_x > 0:
             raise ContractViolation(f"sigma_x must be > 0, got {self.sigma_x}")
 
-    def score(self, x: float, theta: float) -> float:
-        return (float(x) - theta) / self.sigma_x**2
-
     def fisher(self, theta: float) -> float:
         return 1.0 / self.sigma_x**2
 
@@ -58,14 +49,8 @@ class LaplaceRateFamily:
     """log-likelihood log(lambda) - lambda * |x|_1; theta is the rate lambda > 0.
 
     The l1 mass of a draw is exponential with this rate, which is all the
-    score and information depend on.
+    information depends on.
     """
-
-    def score(self, x, theta: float) -> float:
-        if not theta > 0:
-            raise ContractViolation(f"rate must be > 0, got {theta}")
-        l1 = float(np.abs(np.asarray(x, dtype=np.float64)).sum())
-        return 1.0 / theta - l1
 
     def fisher(self, theta: float) -> float:
         if not theta > 0:
@@ -170,31 +155,12 @@ def quantized_laplace_rate_family(grid: Sequence[float], theta_domain: tuple) ->
 
 
 # ---------------------------------------------------------------------------
-# score and information
+# Fisher information
 # ---------------------------------------------------------------------------
 
 
 def fd_step(theta: float, scale: float = DEFAULT_FD_STEP_SCALE) -> float:
     return scale * max(abs(theta), 1.0)
-
-
-def score(family: ScalarParamFamily, x, theta: float, step: Optional[float] = None) -> float:
-    """d/dtheta of the log likelihood at (x, theta).
-
-    Analytic for the named families; central finite difference for tables.
-    """
-    if isinstance(family, (GaussianMeanFamily, LaplaceRateFamily)):
-        return family.score(x, theta)
-    h = fd_step(theta) if step is None else step
-    i = family.support.index(x)
-    p0 = family.pmf(theta)[i]
-    if p0 <= 0.0:
-        raise ZeroDensity(f"p_theta({x!r}) = 0 at theta={theta}")
-    pp = family.pmf(theta + h)[i]
-    pm = family.pmf(theta - h)[i]
-    if pp <= 0.0 or pm <= 0.0:
-        raise ZeroDensity(f"likelihood vanished at theta +- {h} for x={x!r}")
-    return (math.log(pp) - math.log(pm)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -204,8 +170,6 @@ class InfoReport:
     theta: float
     J: float
     m: int
-    method: str  # "analytic" | "finite-difference"
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.J < 0:
@@ -221,10 +185,6 @@ class InfoReport:
     def crb(self) -> float:
         return math.inf if self.J == 0.0 else 1.0 / self.J_m
 
-    @property
-    def degenerate(self) -> bool:
-        return self.J == 0.0
-
 
 def fisher_information(
     family: ScalarParamFamily, theta: float, m: int = 1, step: Optional[float] = None
@@ -236,7 +196,7 @@ def fisher_information(
     that is a flag, not an error.
     """
     if isinstance(family, (GaussianMeanFamily, LaplaceRateFamily)):
-        return InfoReport(theta=theta, J=family.fisher(theta), m=m, method="analytic")
+        return InfoReport(theta=theta, J=family.fisher(theta), m=m)
     h = fd_step(theta) if step is None else step
     p0 = family.pmf(theta)
     pp = family.pmf(theta + h)
@@ -245,48 +205,7 @@ def fisher_information(
     s = np.zeros_like(p0)
     s[ok] = (np.log(pp[ok]) - np.log(pm[ok])) / (2.0 * h)
     j = float(np.sum(p0[ok] * s[ok] ** 2))
-    return InfoReport(theta=theta, J=j, m=m, method="finite-difference")
-
-
-@dataclass(frozen=True)
-class CrbComparison:
-    verdict: str  # "equal" | "y_tighter"
-    delta_y: float
-    delta_xhat: float
-
-
-def crb_compare(report_y: InfoReport, report_xhat: InfoReport, tol: float = 1e-9) -> CrbComparison:
-    """Order the variance bounds of the measurement and its processed version.
-
-    The processed bound can never be tighter; if numerics say otherwise the
-    model (not the theorem) is broken, and we fail loudly.
-    """
-    if report_y.theta != report_xhat.theta or report_y.m != report_xhat.m:
-        raise ContractViolation("reports must share theta and sample count")
-    dy, dx = report_y.crb, report_xhat.crb
-    if math.isinf(dy) and math.isinf(dx):
-        return CrbComparison("equal", dy, dx)
-    if dx < dy - tol:
-        raise DpiViolation(f"processed bound {dx} tighter than measurement bound {dy}")
-    if math.isinf(dx) or dx - dy > tol:
-        return CrbComparison("y_tighter", dy, dx)
-    return CrbComparison("equal", dy, dx)
-
-
-def efficiency(estimator_variance: float, report: InfoReport, tol: float = 1e-9) -> float:
-    """Ratio of the variance bound to an unbiased estimator's variance.
-
-    Caller asserts unbiasedness. A ratio above 1 + tol means the estimator is
-    biased or J is wrong, and is rejected.
-    """
-    if not estimator_variance > 0:
-        raise ContractViolation(f"variance must be > 0, got {estimator_variance}")
-    if report.degenerate:
-        raise ContractViolation("efficiency undefined for a zero-information family")
-    v = report.crb / estimator_variance
-    if v > 1.0 + tol:
-        raise SuperEfficient(f"efficiency {v} exceeds 1: biased estimator or wrong J")
-    return v
+    return InfoReport(theta=theta, J=j, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +233,6 @@ class DpiAudit:
     def first_equal(self) -> bool:
         """Measurement keeps all class information (sufficient representation)."""
         return abs(self.i_theta_x - self.i_theta_y) <= self.tol
-
-    @property
-    def second_equal(self) -> bool:
-        """Restoration keeps all class information left in the measurement."""
-        if self.i_theta_xhat is None:
-            return False
-        return abs(self.i_theta_y - self.i_theta_xhat) <= self.tol
-
-    def values(self) -> tuple:
-        return (self.i_theta_x, self.i_theta_y, self.i_theta_xhat)
 
 
 def dpi_audit(chain: PipelineChain, tol: float = MI_EQUALITY_TOL) -> DpiAudit:

@@ -99,14 +99,6 @@ def random_chain(
     return PipelineChain(prior, family, channel, restorer)
 
 
-def random_table_family(
-    rng: np.random.Generator, n_theta: int = 3, n_x: int = 5
-) -> TableFamily:
-    """Grid-backed family with Dirichlet(1) rows on an integer theta grid."""
-    rows = random_stochastic_rows(rng, n_theta, n_x)
-    return TableFamily.from_rows(np.arange(n_theta, dtype=np.float64), rows)
-
-
 def sufficient_statistic_instance(
     rng: np.random.Generator,
     n_theta: int = 3,

@@ -1,14 +1,14 @@
 """Exact finite-alphabet probability engine.
 
 Distributions, conditional tables, dense joints, and chain composition,
-with entropy / divergence / mutual information computed by enumeration.
+with mutual information computed by enumeration.
 Everything stays in linear space with 64-bit floats; alphabets are meant
 to be small enough (~1e4 joint cells) that no sampling is ever needed, so
 inequality audits hold to numerical precision instead of Monte Carlo noise.
 
 Conventions:
 - 0 * log 0 = 0 everywhere.
-- Entropy and mutual information default to nats; pass ``base=2`` for bits.
+- Mutual information defaults to nats; pass ``base=2`` for bits.
 - Canonical chain axis order is ("theta", "x", "y", "xhat"); results are
   always addressed by axis name, never position.
 """
@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    AbsoluteContinuityViolated,
     AllZeroWeights,
     InvalidDistribution,
     NegativeWeight,
@@ -239,11 +238,6 @@ def marginal(joint: JointDistribution, keep_axes: Sequence[str]) -> JointDistrib
     return JointDistribution(tuple(keep), supports, t)
 
 
-def axis_distribution(joint: JointDistribution, axis: str) -> FiniteDistribution:
-    m = marginal(joint, [axis])
-    return FiniteDistribution(m.supports[0], m.tensor)
-
-
 def condition(joint: JointDistribution, axis: str, value) -> JointDistribution:
     """Bayes-normalized slice of the joint at axis=value."""
     k = joint.axis_index(axis)
@@ -260,42 +254,6 @@ def condition(joint: JointDistribution, axis: str, value) -> JointDistribution:
     axes = tuple(a for a in joint.axes if a != axis)
     supports = tuple(s for i, s in enumerate(joint.supports) if i != k)
     return JointDistribution(axes, supports, sub / mass)
-
-
-def _xlogx(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    nz = p > 0
-    out[nz] = p[nz] * np.log(p[nz])
-    return out
-
-
-def entropy(dist: FiniteDistribution | np.ndarray, base: float = math.e) -> float:
-    """Shannon entropy -sum p log p, with 0 log 0 = 0."""
-    p = dist.probs if isinstance(dist, FiniteDistribution) else np.asarray(dist, dtype=np.float64)
-    h = -float(_xlogx(p).sum())
-    return h / math.log(base)
-
-
-def joint_entropy(joint: JointDistribution, base: float = math.e) -> float:
-    return entropy_of_array(joint.tensor, base)
-
-
-def entropy_of_array(p: np.ndarray, base: float = math.e) -> float:
-    return -float(_xlogx(np.asarray(p, dtype=np.float64)).sum()) / math.log(base)
-
-
-def kl_divergence(p: FiniteDistribution, q: FiniteDistribution, base: float = math.e) -> float:
-    """D(p || q); raises if p puts mass where q has none."""
-    if p.support != q.support:
-        raise SupportMismatch("KL divergence requires a common support")
-    pv, qv = p.probs, q.probs
-    bad = (pv > 0) & (qv == 0)
-    if np.any(bad):
-        lab = p.support[int(np.argmax(bad))]
-        raise AbsoluteContinuityViolated(f"p({lab!r}) > 0 but q({lab!r}) = 0")
-    nz = pv > 0
-    d = float(np.sum(pv[nz] * (np.log(pv[nz]) - np.log(qv[nz]))))
-    return max(d, 0.0) / math.log(base)
 
 
 def mutual_information(

@@ -1,24 +1,21 @@
-"""Bayes decisions, the error/separability identity, stagewise error
+"""Bayes risk, the error/separability identity, stagewise error
 ordering, and restorer class-mass drift.
 
 The binary identity P_e = (1 - J1)/2 and the stage orderings are exact
-statements under enumeration; they are asserted at 1e-10 / 1e-9. Decision
-oracles use brute-force expected-cost loops.
+statements under enumeration; they are asserted at 1e-10 / 1e-9.
 """
 
 import numpy as np
 import pytest
 
 from chainlab.classification import (
-    CostMatrix,
-    bayes_classify,
     bayes_risk,
     pr_gap,
     separability,
     stage_error,
     theorem_ordering_audit,
 )
-from chainlab.errors import NotBinary, PartitionIncomplete, SupportMismatch
+from chainlab.errors import NotBinary, PartitionIncomplete
 from chainlab.instances import (
     naive_tree_chain,
     naive_tree_partition,
@@ -40,74 +37,10 @@ from chainlab.restorers import (
 from chainlab.rng import stream_rng
 
 
-def brute_force_decision(priors, conditionals, cost):
-    """Per-outcome expected-cost minimization by explicit loops."""
-    decisions = {}
-    risk = 0.0
-    for o, outcome in enumerate(conditionals.output_support):
-        best, best_cost = None, np.inf
-        for i in range(len(priors)):
-            c = sum(
-                cost.costs[i, j] * priors.probs[j] * conditionals.rows[j, o]
-                for j in range(len(priors))
-            )
-            if c < best_cost - 0.0:
-                best, best_cost = i, c
-        decisions[outcome] = priors.support[best]
-        risk += best_cost
-    return decisions, risk
-
-
 def y_conditionals(chain):
     pair = marginal(assemble_joint(chain), ["theta", "y"])
     rows = pair.tensor / pair.tensor.sum(axis=1, keepdims=True)
     return ConditionalTable(chain.prior.support, pair.supports[1], rows)
-
-
-class TestBayesClassify:
-    def test_disjoint_supports_zero_error(self):
-        priors = normalize([0.5, 0.5], support=("a", "b"))
-        cond = ConditionalTable(("a", "b"), (0, 1, 2, 3),
-                                np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]]))
-        rep = bayes_classify(priors, cond)
-        assert rep.p_e == 0.0
-        assert rep.regions[0] == "a" and rep.regions[3] == "b"
-
-    def test_naive_tree_ambiguous_measurement_goes_to_class1(self):
-        chain = naive_tree_chain()
-        rep = bayes_classify(chain.prior, y_conditionals(chain), stage="y")
-        assert rep.regions[1.5] == "class1"
-
-    def test_asymmetric_cost_moves_the_boundary(self):
-        """A 10x penalty for missing class 2 flips borderline outcomes,
-        matching the brute-force expected-cost oracle."""
-        priors = normalize([0.7, 0.3], support=("c1", "c2"))
-        cond = ConditionalTable(("c1", "c2"), (0, 1),
-                                np.array([[0.6, 0.4], [0.3, 0.7]]))
-        zero_one = CostMatrix.zero_one(2)
-        skewed = CostMatrix(np.array([[0.0, 10.0], [1.0, 0.0]]))
-        rep_01 = bayes_classify(priors, cond, zero_one)
-        rep_sk = bayes_classify(priors, cond, skewed)
-        for cost, rep in ((zero_one, rep_01), (skewed, rep_sk)):
-            decisions, risk = brute_force_decision(priors, cond, cost)
-            assert rep.regions == decisions
-            assert rep.risk == pytest.approx(risk)
-        assert rep_01.regions[1] == "c1"  # 0.7*0.4 > 0.3*0.7
-        assert rep_sk.regions[1] == "c2"  # tenfold miss penalty flips it
-
-    def test_cost_scaling_leaves_decisions_unchanged(self):
-        priors = normalize([0.6, 0.4], support=(0, 1))
-        cond = ConditionalTable((0, 1), (0, 1, 2),
-                                np.array([[0.5, 0.3, 0.2], [0.1, 0.4, 0.5]]))
-        base = bayes_classify(priors, cond, CostMatrix.zero_one(2))
-        scaled = bayes_classify(priors, cond, CostMatrix(7.5 * CostMatrix.zero_one(2).costs))
-        assert base.regions == scaled.regions
-
-    def test_support_mismatch(self):
-        priors = normalize([1.0], support=("only",))
-        cond = ConditionalTable(("other",), (0,), np.array([[1.0]]))
-        with pytest.raises(SupportMismatch):
-            bayes_classify(priors, cond)
 
 
 class TestBayesRisk:
@@ -158,29 +91,6 @@ class TestSeparability:
         cond = ConditionalTable((0, 1, 2), (0, 1), np.full((3, 2), 0.5))
         with pytest.raises(NotBinary):
             separability(priors, cond)
-
-    def test_alpha_forms_agree_at_one(self):
-        """The posterior-difference expectation equals the prior-weighted
-        conditional difference at alpha = 1."""
-        for i in range(20):
-            chain = random_chain(stream_rng(51, i), 2, 4, 4, None)
-            cond = y_conditionals(chain)
-            j_direct = separability(chain.prior, cond, 1.0)
-            weighted = chain.prior.probs[:, None] * cond.rows
-            mix = weighted.sum(axis=0)
-            nz = mix > 0
-            q_diff = np.abs(weighted[0, nz] - weighted[1, nz]) / mix[nz]
-            j_posterior = float(np.sum(mix[nz] * q_diff))
-            assert abs(j_direct - j_posterior) <= 1e-10
-
-    def test_higher_alpha_never_exceeds_alpha_one(self):
-        """|q1 - q2|^a <= |q1 - q2| for a >= 1, so the reported values order."""
-        for i in range(20):
-            chain = random_chain(stream_rng(57, i), 2, 4, 4, None)
-            cond = y_conditionals(chain)
-            j1 = separability(chain.prior, cond, 1.0)
-            j2 = separability(chain.prior, cond, 2.0)
-            assert 0.0 <= j2 <= j1 + 1e-12 <= 1.0 + 1e-12
 
     def test_equiprobable_error_within_range(self):
         for i in range(20):

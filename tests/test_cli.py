@@ -3,6 +3,9 @@
 import ast
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -229,6 +232,7 @@ class TestParameterContract:
         ("entropy_error_bound", {"sigma": "1e-300"}),
         ("sparse_noiseless_recovery", {"fs": "1e300"}),
         ("sparse_noiseless_recovery", {"sigma": "5e-324"}),
+        ("crb_gaussian_mean", {"m": str(10**400)}),
     ])
     def test_cross_parameter_and_non_finite_rejected(self, tmp_path, exp_id, params):
         cfg = write_config(tmp_path / "bad.cfg", exp_id, seed=0, params=params)
@@ -236,9 +240,20 @@ class TestParameterContract:
         assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 2
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("exp_id,params", [
+        ("crb_gaussian_mean", {"sigma_x": 1000}),
+        ("entropy_error_bound", {"sigma": 1000}),
+    ])
+    def test_exact_verdicts_hold_at_large_scale(self, tmp_path, exp_id, params):
+        """Closed-form checks compare relative to the expected value, so a
+        correct run at a large scale passes."""
+        cfg = write_config(tmp_path / "big.cfg", exp_id, seed=0, params=params)
+        assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 0
+
     @staticmethod
     def _values(spec):
-        wild = st.sampled_from(["inf", "-inf", "nan", "1e400", "-1", "0", "x", "2.5"])
+        wild = st.sampled_from(["inf", "-inf", "nan", "1e400", "-1", "0", "x", "2.5",
+                                str(10**400)])
         if spec.kind is int:
             plausible = st.integers(spec.default // 2, spec.default * 2).map(str)
         else:
@@ -301,3 +316,23 @@ class TestOneWriter:
                 if any(m.split(".")[0] in ("json", "csv") for m in modules):
                     importers.add(path.name)
         assert importers == {"cli.py"}
+
+
+class TestStartup:
+    def test_cli_and_catalog_do_not_import_scipy(self, tmp_path):
+        # scipy costs about 0.25 s of start-up and 25 MB of RSS per run; only
+        # the runners that need a normal CDF import it, when they run.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(chainlab.__file__)))
+        cfg = write_config(tmp_path / "mvt.cfg", "mixed_vs_targeted", seed=0)
+        code = (
+            "import sys\n"
+            "import chainlab, chainlab.cli\n"
+            "from chainlab.experiments import CATALOG\n"
+            f"assert chainlab.cli.main(['run', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

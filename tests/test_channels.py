@@ -32,6 +32,11 @@ class TestGaussianKernel:
         with pytest.raises(SupportTooSmall):
             gaussian_kernel(2.0, 5)  # needs >= 6
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_scale_must_be_positive(self, sigma):
+        with pytest.raises(SupportTooSmall):
+            gaussian_kernel(sigma, 4)
+
 
 class TestComposeBlurs:
     def test_discrete_convolution_oracle(self):
@@ -47,6 +52,29 @@ class TestBlurMatrix:
     def test_tiny_sigma_is_identity(self):
         h = blur_matrix(16, 1e-4)
         np.testing.assert_allclose(h.matrix, np.eye(16), atol=1e-12)
+
+    def test_signal_shorter_than_kernel_rejected(self):
+        with pytest.raises(SupportTooSmall):
+            blur_matrix(8, 1.5)  # halfwidth 5 needs n >= 11
+
+    def test_edge_rows_fold_taps_by_half_sample_reflection(self):
+        """Offsets -1, -2 land on samples 0, 1 and offsets n, n+1 on n-1, n-2."""
+        n, sigma, hw = 12, 1.0, 3
+        h = blur_matrix(n, sigma, halfwidth=hw)
+        taps = gaussian_kernel(sigma, hw)  # taps[hw + off] weighs x[i + off]
+        assert h.support_halfwidth == hw and h.n == n
+        first = np.zeros(n)
+        for off in range(-hw, hw + 1):
+            j = off if off >= 0 else -off - 1
+            first[j] += taps[hw + off]
+        np.testing.assert_allclose(h.matrix[0], first, atol=1e-15)
+        np.testing.assert_allclose(h.matrix[n - 1], first[::-1], atol=1e-15)
+        np.testing.assert_allclose(h.matrix.sum(axis=1), np.ones(n), atol=1e-15)
+
+    def test_matrix_is_read_only(self):
+        h = blur_matrix(16, 1.0)
+        with pytest.raises(ValueError):
+            h.matrix[0, 0] = 2.0
 
     def test_reflect_preserves_constants(self):
         h = blur_matrix(24, 1.7)

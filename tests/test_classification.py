@@ -5,17 +5,26 @@ The binary identity P_e = (1 - J1)/2 and the stage orderings are exact
 statements under enumeration; they are asserted at 1e-10 / 1e-9.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from chainlab.classification import (
+    ErrorOrderingAudit,
+    PrGapReport,
     bayes_risk,
     pr_gap,
     separability,
     stage_error,
     theorem_ordering_audit,
 )
-from chainlab.errors import NotBinary, PartitionIncomplete
+from chainlab.errors import (
+    ContractViolation,
+    NotBinary,
+    PartitionIncomplete,
+    SupportMismatch,
+)
 from chainlab.instances import (
     naive_tree_chain,
     naive_tree_partition,
@@ -68,6 +77,34 @@ class TestBayesRisk:
             assert bayes_risk(priors, cond) == 0.0
 
 
+    def test_matches_exhaustive_decision_rules(self):
+        """The minimum over every deterministic rule outcome -> class of its
+        0-1 risk, enumerated for three classes and four outcomes."""
+        for i in range(10):
+            rng = stream_rng(50, i)
+            priors = normalize(rng.dirichlet(np.ones(3)), support=("a", "b", "c"))
+            cond = ConditionalTable(priors.support, tuple(range(4)),
+                                    rng.dirichlet(np.ones(4), size=3))
+            best = min(
+                sum(priors.probs[j] * cond.rows[j, o]
+                    for o, decided in enumerate(rule) for j in range(3) if j != decided)
+                for rule in itertools.product(range(3), repeat=4)
+            )
+            assert abs(bayes_risk(priors, cond) - best) <= 1e-12
+
+    def test_agrees_with_stage_error_of_the_joint(self):
+        for i in range(20):
+            chain = random_chain(stream_rng(50, 100 + i), 3, 4, 5, None)
+            pe = bayes_risk(chain.prior, y_conditionals(chain))
+            assert abs(pe - stage_error(assemble_joint(chain), "y")) <= 1e-12
+
+    def test_support_mismatch(self):
+        priors = normalize([0.5, 0.5], support=("a", "b"))
+        cond = ConditionalTable(("a", "c"), (0, 1), np.eye(2))
+        with pytest.raises(SupportMismatch):
+            bayes_risk(priors, cond)
+
+
 class TestSeparability:
     def test_identical_conditionals(self):
         priors = normalize([0.5, 0.5], support=(0, 1))
@@ -90,6 +127,12 @@ class TestSeparability:
         priors = normalize([1, 1, 1], support=(0, 1, 2))
         cond = ConditionalTable((0, 1, 2), (0, 1), np.full((3, 2), 0.5))
         with pytest.raises(NotBinary):
+            separability(priors, cond)
+
+    def test_support_mismatch(self):
+        priors = normalize([0.5, 0.5], support=("a", "b"))
+        cond = ConditionalTable(("b", "a"), (0, 1), np.eye(2))
+        with pytest.raises(SupportMismatch):
             separability(priors, cond)
 
     def test_equiprobable_error_within_range(self):
@@ -170,6 +213,30 @@ class TestOrderingAudit:
             assert stage_error(joint, "xhat") >= stage_error(joint, "y") - 1e-12
 
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ContractViolation, match="mode"):
+            theorem_ordering_audit(random_chain(stream_rng(57, 0)), mode="oracle")
+
+    def test_class_agnostic_mode_needs_a_restorer(self):
+        chain = random_chain(stream_rng(57, 1), 2, 3, 3, None)
+        with pytest.raises(ContractViolation):
+            theorem_ordering_audit(chain)
+
+    def test_audit_verdicts_follow_the_tolerance(self):
+        """An error that shrinks downstream by more than tol breaks the
+        ordering; within tol it does not."""
+        broken = ErrorOrderingAudit(pe_x=0.2, pe_y=0.1, pe_xhat=0.3,
+                                    mode="class_agnostic", tol=1e-9)
+        assert not broken.ordered
+        assert broken.values() == (0.2, 0.1, 0.3)
+        jitter = ErrorOrderingAudit(pe_x=0.2, pe_y=0.2 - 1e-12, pe_xhat=0.2 + 5e-10,
+                                    mode="conditional_perception", tol=1e-9)
+        assert jitter.ordered and jitter.recovery_matches_source
+        no_restore = ErrorOrderingAudit(pe_x=0.1, pe_y=0.1, pe_xhat=None,
+                                        mode="class_agnostic", tol=1e-9)
+        assert no_restore.ordered and not no_restore.recovery_matches_source
+
+
 class TestPrGap:
     def test_posterior_sampler_preserves_class_mass(self):
         chain = naive_tree_chain()
@@ -199,3 +266,27 @@ class TestPrGap:
         rest = posterior_sampler(assemble_joint(chain), seed=0)
         with pytest.raises(PartitionIncomplete):
             pr_gap(chain, rest, {"class1": {0, 1, 2}})
+
+    def test_partition_is_required(self):
+        chain = naive_tree_chain()
+        rest = posterior_sampler(assemble_joint(chain), seed=0)
+        with pytest.raises(ContractViolation, match="partition"):
+            pr_gap(chain, rest)
+
+    def test_restorer_is_required(self):
+        with pytest.raises(ContractViolation, match="restorer"):
+            pr_gap(naive_tree_chain(), None, naive_tree_partition())
+
+    def test_chain_restorer_used_when_none_given(self):
+        """A chain that already carries its restorer is measured as is."""
+        chain = naive_tree_chain()
+        rest = constant_restorer(chain.channel.output_support,
+                                 chain.family.output_support, 4)
+        rep = pr_gap(with_restorer(chain, rest), partition=naive_tree_partition())
+        assert rep.source_mass == pytest.approx({"class1": 0.8, "class2": 0.2})
+        assert rep.restored_mass == {"class1": 0.0, "class2": 1.0}
+        assert rep.max_gap == pytest.approx(0.8)
+
+    def test_empty_report_has_zero_gap(self):
+        assert PrGapReport(gaps={}, source_mass={}, restored_mass={},
+                           out_of_partition=0.0).max_gap == 0.0

@@ -206,6 +206,32 @@ class TestCliCommands:
         assert len(err) == 1 and err[0].startswith("error:") and "kaput" in err[0]
         assert not (tmp_path / "runs" / "naive_tree").exists()
 
+    @pytest.mark.parametrize("text,message", [
+        ("[experiment]\nid = naive_tree\n[extra]\nk = 1\n", "[extra]: unknown section"),
+        ("[params]\nvalue_tol = 0.1\n", "[experiment]: section missing"),
+        ("[experiment]\nseed = 1\n", "[experiment] id: required"),
+        ("[experiment]\nid = naive_tree\nseed = -3\n", "unsigned 64-bit"),
+        ("id = naive_tree\n", "no section headers"),
+    ], ids=["unknown_section", "no_experiment_section", "no_id", "negative_seed",
+            "not_ini"])
+    def test_malformed_config_exits_two(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["validate", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["run", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+        assert not (tmp_path / "runs").exists()
+
+    def test_missing_config_file_exits_two(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path / "absent.cfg")]) == 2
+        assert "absent.cfg" in capsys.readouterr().err
+
+    def test_set_without_equals_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "tree.cfg", "naive_tree", seed=0)
+        assert main(["run", cfg, "--out", str(tmp_path / "runs"), "--set", "value_tol"]) == 2
+        assert "expected key=value" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_seed_flag_checked_like_config_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "tree.cfg", "naive_tree", seed=0)
         assert main(["run", cfg, "--out", str(tmp_path / "runs"), "--seed", "-5"]) == 2

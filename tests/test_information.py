@@ -10,11 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from chainlab.errors import NotSufficient
+from chainlab.errors import ContractViolation, NotSufficient
 from chainlab.information import (
     GaussianMeanFamily,
+    InfoReport,
     LaplaceRateFamily,
     TableFamily,
+    binned_pmf,
     dpi_audit,
     entropy_error_bound_gaussian,
     entropy_error_bound_grid,
@@ -45,6 +47,89 @@ class TestScore:
         pdf = np.exp(-((xs - theta) ** 2) / (2 * 1.3**2)) / (1.3 * math.sqrt(2 * math.pi))
         s = (xs - theta) / 1.3**2
         assert abs(np.trapezoid(pdf * s, xs)) < 1e-8
+
+
+class TestFamilies:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan")])
+    def test_gaussian_scale_must_be_positive(self, sigma):
+        with pytest.raises(ContractViolation):
+            GaussianMeanFamily(sigma)
+
+    def test_laplace_rate_must_be_positive(self):
+        with pytest.raises(ContractViolation):
+            LaplaceRateFamily().fisher(0.0)
+
+    def test_table_family_needs_a_nonempty_domain(self):
+        with pytest.raises(ContractViolation):
+            TableFamily(support=(0, 1), pmf_fn=lambda t: np.array([0.5, 0.5]),
+                        theta_domain=(1.0, 1.0))
+
+    def test_pmf_outside_domain_rejected(self):
+        fam = TableFamily.from_rows([0.0, 1.0], [[0.5, 0.5], [0.2, 0.8]])
+        with pytest.raises(ContractViolation, match="outside"):
+            fam.pmf(1.5)
+
+    def test_pmf_length_checked(self):
+        fam = TableFamily(support=(0, 1, 2), pmf_fn=lambda t: np.array([0.5, 0.5]),
+                          theta_domain=(0.0, 1.0))
+        with pytest.raises(ContractViolation, match="wrong-length"):
+            fam.pmf(0.5)
+
+    @pytest.mark.parametrize("grid,rows", [
+        ([0.0, 0.0], [[0.5, 0.5], [0.2, 0.8]]),
+        ([0.0, 1.0, 2.0], [[0.5, 0.5], [0.2, 0.8]]),
+        ([0.0, 1.0], [[0.5, 0.6], [0.2, 0.8]]),
+    ], ids=["grid_not_increasing", "row_count", "row_not_a_distribution"])
+    def test_from_rows_rejects_malformed_tables(self, grid, rows):
+        with pytest.raises(ContractViolation):
+            TableFamily.from_rows(grid, rows)
+
+    def test_from_rows_interpolates_linearly_between_nodes(self):
+        rows = np.array([[0.6, 0.3, 0.1], [0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
+        fam = TableFamily.from_rows([0.0, 1.0, 3.0], rows)
+        for k, theta in enumerate((0.0, 1.0, 3.0)):
+            np.testing.assert_allclose(fam.pmf(theta), rows[k], atol=1e-15)
+        np.testing.assert_allclose(fam.pmf(0.5), 0.5 * (rows[0] + rows[1]), atol=1e-15)
+        np.testing.assert_allclose(fam.pmf(1.5), 0.75 * rows[1] + 0.25 * rows[2], atol=1e-15)
+        assert fam.theta_domain == (0.0, 3.0) and fam.theta_grid == (0.0, 1.0, 3.0)
+
+    def test_binned_pmf_of_a_symmetric_law(self):
+        """Bin masses of the standard logistic law sum to one, mirror around
+        the centre of a symmetric grid, and match the CDF differences."""
+        def cdf(e):
+            return 1.0 / (1.0 + np.exp(-e))
+
+        grid = np.linspace(-20, 20, 81)
+        mass = binned_pmf(cdf, grid)
+        assert mass.sum() == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(mass, mass[::-1], atol=1e-15)
+        assert mass[40] == pytest.approx(cdf(0.25) - cdf(-0.25), rel=1e-8)
+
+
+class TestInfoReport:
+    def test_negative_information_rejected(self):
+        with pytest.raises(ContractViolation):
+            InfoReport(theta=0.0, J=-1e-3, m=1)
+
+    def test_sample_count_must_be_positive(self):
+        with pytest.raises(ContractViolation):
+            InfoReport(theta=0.0, J=1.0, m=0)
+
+    def test_bound_is_inverse_total_information(self):
+        rep = InfoReport(theta=0.0, J=0.25, m=8)
+        assert rep.J_m == 2.0 and rep.crb == 0.5
+
+    def test_table_family_step_is_second_order(self):
+        """On a family linear in theta, J = sum p'^2 / p exactly; the central
+        log-difference score misses it by O(step^2), so a tenfold smaller
+        overriding step cuts the error a hundredfold, and the default step
+        1e-4 lands within 1e-8."""
+        fam = TableFamily.from_rows([0.0, 1.0], [[0.7, 0.3], [0.2, 0.8]])
+        p, dp = fam.pmf(0.4), np.array([-0.5, 0.5])
+        exact = float(np.sum(dp**2 / p))
+        err = {h: fisher_information(fam, 0.4, step=h).J - exact for h in (1e-2, 1e-3)}
+        assert err[1e-2] / err[1e-3] == pytest.approx(100.0, rel=0.01)
+        assert abs(fisher_information(fam, 0.4).J - exact) <= 1e-8
 
 
 class TestFisherInformation:
@@ -131,6 +216,12 @@ class TestDpiAudit:
             assert dpi_audit(chain).monotone
 
 
+    def test_chain_without_restorer_audits_two_stages(self):
+        audit = dpi_audit(random_chain(stream_rng(34, 500), 2, 4, 4, None))
+        assert audit.i_theta_xhat is None
+        assert audit.monotone == (audit.i_theta_x >= audit.i_theta_y - audit.tol)
+
+
 class TestSufficiency:
     def test_identity_statistic(self):
         rows = stream_rng(35, 0).dirichlet(np.ones(5), size=3)
@@ -152,6 +243,25 @@ class TestSufficiency:
             family, statistic, chain = sufficient_statistic_instance(stream_rng(36, i))
             assert sufficiency_check(family, statistic)
             assert dpi_audit(chain).first_equal
+
+
+    def test_family_without_grid_rejected(self):
+        fam = TableFamily(support=(0, 1), pmf_fn=lambda t: np.array([t, 1 - t]),
+                          theta_domain=(0.0, 1.0))
+        with pytest.raises(ContractViolation, match="grid"):
+            sufficiency_check(fam, lambda x: x)
+
+    @pytest.mark.parametrize("prior", [[0.5, 0.5], [0.2, 0.2, 0.2, 0.2, 0.3],
+                                       [1.2, -0.2, 0.0, 0.0, 0.0]])
+    def test_prior_must_be_a_distribution_over_the_grid(self, prior):
+        with pytest.raises(ContractViolation, match="prior"):
+            sufficiency_check(two_toss_coin_family(), head_count_statistic, prior=prior)
+
+    def test_mapping_statistic_matches_callable(self):
+        fam = two_toss_coin_family()
+        mapping = {x: head_count_statistic(x) for x in fam.support}
+        assert sufficiency_check(fam, mapping)
+        assert not sufficiency_check(fam, {"tt": 0, "th": 0, "ht": 1, "hh": 1})
 
 
 class TestRaoBlackwell:
@@ -193,6 +303,13 @@ class TestRaoBlackwell:
             rao_blackwellize(fam, lambda x: float(x), lambda x: 0)
 
 
+    def test_mapping_estimator_matches_callable(self):
+        fam = two_toss_coin_family()
+        table = {x: first_toss_estimator(x) for x in fam.support}
+        assert rao_blackwellize(fam, table, head_count_statistic) == \
+            rao_blackwellize(fam, first_toss_estimator, head_count_statistic)
+
+
 class TestEntropyErrorBound:
     def test_unit_gaussian(self):
         assert entropy_error_bound_gaussian(1.0) == pytest.approx(1.0)
@@ -214,10 +331,27 @@ class TestEntropyErrorBound:
     def test_gridded_gaussian_matches_analytic_within_1pct(self):
         from scipy.special import ndtr
 
-        from chainlab.information import binned_pmf
-
         sigma = 1.0
         grid = np.linspace(-8, 8, 4001)
         masses = binned_pmf(lambda e: ndtr(e / sigma), grid)
         bound = entropy_error_bound_grid(masses, grid[1] - grid[0])
         assert abs(bound - sigma**2) <= 0.01 * sigma**2
+
+    @pytest.mark.parametrize("sigma", [0.0, -2.0])
+    def test_gaussian_scale_must_be_positive(self, sigma):
+        with pytest.raises(ContractViolation):
+            entropy_error_bound_gaussian(sigma)
+
+    @pytest.mark.parametrize("probs,binwidth", [
+        ([0.5, 0.5], 0.0),
+        ([0.5, 0.6], 0.1),
+        ([1.5, -0.5], 0.1),
+    ], ids=["zero_binwidth", "masses_not_normalized", "negative_mass"])
+    def test_grid_input_checked(self, probs, binwidth):
+        with pytest.raises(ContractViolation):
+            entropy_error_bound_grid(probs, binwidth)
+
+    def test_point_mass_bound_is_the_bin_entropy_floor(self):
+        """All mass in one bin: zero bin entropy leaves log(binwidth)."""
+        bound = entropy_error_bound_grid([0.0, 1.0, 0.0], 0.5)
+        assert bound == pytest.approx(0.25 / (2 * math.pi * math.e), rel=1e-14)

@@ -116,6 +116,95 @@ class TestDistributionInvariants:
         with pytest.raises(InvalidDistribution):
             ConditionalTable((0,), (0, 1), np.array([[0.5, 0.4]]))
 
+    def test_probs_length_must_match_support(self):
+        with pytest.raises(InvalidDistribution):
+            FiniteDistribution((0, 1, 2), np.array([0.5, 0.5]))
+
+    def test_negative_probability_rejected_even_when_sum_is_one(self):
+        with pytest.raises(NegativeWeight):
+            FiniteDistribution((0, 1), np.array([1.25, -0.25]))
+
+    def test_probs_are_read_only(self):
+        d = FiniteDistribution(("a", "b"), np.array([0.25, 0.75]))
+        with pytest.raises(ValueError):
+            d.probs[0] = 0.5
+        assert len(d) == 2 and d.prob_of("b") == 0.75
+
+    def test_table_shape_must_match_supports(self):
+        with pytest.raises(InvalidDistribution):
+            ConditionalTable((0, 1), (0, 1), np.array([[0.5, 0.5]]))
+
+    def test_table_negative_entry_rejected(self):
+        with pytest.raises(NegativeWeight):
+            ConditionalTable((0,), (0, 1), np.array([[1.5, -0.5]]))
+
+    def test_from_rows_fills_implied_zeros(self):
+        table = ConditionalTable.from_rows((0, 1), ("u", "v", "w"),
+                                           {0: {"w": 1.0}, 1: {"u": 0.25, "v": 0.75}})
+        np.testing.assert_array_equal(table.rows, [[0.0, 0.0, 1.0], [0.25, 0.75, 0.0]])
+
+    def test_deterministic_rows_are_point_masses(self):
+        table = ConditionalTable.deterministic((0, 1, 2), ("u", "v"), {0: "v", 1: "u", 2: "v"})
+        np.testing.assert_array_equal(table.rows, [[0, 1], [1, 0], [0, 1]])
+        row = table.row(1)
+        assert row.support == ("u", "v") and row.prob_of("u") == 1.0
+
+
+class TestJointDistribution:
+    def test_duplicate_axes_rejected(self):
+        with pytest.raises(UnknownAxis):
+            JointDistribution(("a", "a"), ((0,), (0,)), np.ones((1, 1)))
+
+    def test_tensor_shape_must_match_supports(self):
+        with pytest.raises(InvalidDistribution):
+            JointDistribution(("a", "b"), ((0, 1), (0,)), np.full((2, 2), 0.25))
+
+    def test_tensor_must_sum_to_one(self):
+        with pytest.raises(InvalidDistribution):
+            JointDistribution(("a", "b"), ((0, 1), (0, 1)), np.full((2, 2), 0.3))
+
+    def test_negative_cell_rejected(self):
+        t = np.array([[0.75, 0.5], [-0.25, 0.0]])
+        with pytest.raises(NegativeWeight):
+            JointDistribution(("a", "b"), ((0, 1), (0, 1)), t)
+
+    def test_partial_assignment_sums_out_the_rest(self):
+        joint = assemble_joint(random_chain(stream_rng(16, 0), 2, 3, 4, 3))
+        for x in joint.support_of("x"):
+            for y in joint.support_of("y"):
+                by_hand = sum(joint.prob_of(theta=t, x=x, y=y, xhat=z)
+                              for t in joint.support_of("theta")
+                              for z in joint.support_of("xhat"))
+                assert abs(joint.prob_of(x=x, y=y) - by_hand) < 1e-15
+
+    def test_support_of_unknown_axis(self):
+        joint = assemble_joint(naive_tree_chain())
+        with pytest.raises(UnknownAxis):
+            joint.support_of("xhat")
+
+
+class TestPipelineChain:
+    def test_axes_follow_restorer_presence(self):
+        chain = random_chain(stream_rng(17, 0), 2, 3, 3, None)
+        assert chain.axes == ("theta", "x", "y")
+        assert assemble_joint(chain).tensor.shape == (2, 3, 3)
+        full = random_chain(stream_rng(17, 1), 2, 3, 3, 5)
+        assert full.axes == ("theta", "x", "y", "xhat")
+        assert assemble_joint(full).tensor.shape == (2, 3, 3, 5)
+
+    def test_prior_must_match_family_classes(self):
+        prior = normalize([1, 1], support=("a", "b"))
+        family = ConditionalTable.deterministic(("a", "c"), (0, 1), {"a": 0, "c": 1})
+        channel = ConditionalTable.deterministic((0, 1), (0, 1), {0: 0, 1: 1})
+        with pytest.raises(SupportMismatch):
+            PipelineChain(prior, family, channel)
+
+    def test_restorer_must_read_the_measurement_alphabet(self):
+        chain = naive_tree_chain()
+        restorer = ConditionalTable.deterministic((0.5, 1.5), (0,), {0.5: 0, 1.5: 0})
+        with pytest.raises(SupportMismatch):
+            PipelineChain(chain.prior, chain.family, chain.channel, restorer)
+
 
 class TestAssembleJoint:
     def test_naive_tree_known_cells(self):
@@ -245,6 +334,22 @@ class TestInformationFunctionals:
         np.testing.assert_allclose(i_y, mi_by_enumeration(marginal(joint, ["theta", "y"]).tensor))
         assert i_x >= i_y
 
+    def test_same_axis_twice_rejected(self):
+        joint = assemble_joint(naive_tree_chain())
+        with pytest.raises(UnknownAxis):
+            mutual_information(joint, "x", "x")
+
+    def test_base_two_is_nats_over_log_two(self):
+        joint = assemble_joint(random_chain(stream_rng(18, 0), 3, 4, 4, None))
+        nats = mutual_information(joint, "theta", "y")
+        assert mutual_information(joint, "theta", "y", base=2) == pytest.approx(nats / math.log(2))
+
+    def test_symmetric_in_its_axes(self):
+        for i in range(20):
+            joint = assemble_joint(random_chain(stream_rng(18, 1 + i), 3, 4, 5, 3))
+            for a, b in (("theta", "y"), ("x", "xhat"), ("y", "xhat")):
+                assert abs(mutual_information(joint, a, b) - mutual_information(joint, b, a)) < 1e-12
+
 
 class TestChainRuleProperties:
     def test_mi_entropy_identity(self):
@@ -255,6 +360,14 @@ class TestChainRuleProperties:
             joint = JointDistribution(("a", "b"), (tuple(range(3)), tuple(range(4))), t)
             h_a, h_b, h_ab = (entropy_nats(p) for p in (t.sum(axis=1), t.sum(axis=0), t))
             assert abs(mutual_information(joint, "a", "b") - (h_a + h_b - h_ab)) < 1e-9
+
+    def test_mi_bounded_by_each_marginal_entropy(self):
+        """0 <= I(A;B) <= min(H(A), H(B))."""
+        for i in range(30):
+            t = stream_rng(19, i).dirichlet(np.full(15, 0.3)).reshape(3, 5)
+            joint = JointDistribution(("a", "b"), (tuple(range(3)), tuple(range(5))), t)
+            i_ab = mutual_information(joint, "a", "b")
+            assert 0.0 <= i_ab <= min(entropy_nats(t.sum(axis=1)), entropy_nats(t.sum(axis=0))) + 1e-12
 
     def test_dpi_on_random_chains(self):
         """Class information is monotone along every assembled chain."""

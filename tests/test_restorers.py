@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from chainlab.errors import EmptySample, NonNumericSupport
+from chainlab.errors import (
+    ContractViolation,
+    EmptySample,
+    NonNumericSupport,
+    SupportMismatch,
+)
 from chainlab.information import dpi_audit, fisher_information
 from chainlab.instances import naive_tree_chain, random_chain
 from chainlab.probability import (
@@ -22,6 +27,7 @@ from chainlab.restorers import (
     assemble_joint_with_class_restorer,
     awgn_mean_sampler,
     class_conditional_restorer_tables,
+    constant_restorer,
     estimate_parameter,
     estimator_variance_mc,
     mmse_restorer,
@@ -125,6 +131,79 @@ class TestMmseRestorer:
                 assert worse >= base - 1e-12
 
 
+class TestPosteriorSampler:
+    def test_unreachable_measurement_row_is_uniform(self):
+        """A measurement no source reaches carries no joint mass; its row is
+        uniform and every reachable row is the exact posterior."""
+        prior = normalize([0.5, 0.5], support=("a", "b"))
+        family = ConditionalTable(("a", "b"), (0, 1, 2),
+                                  np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]))
+        channel = ConditionalTable.deterministic((0, 1, 2), ("u", "v", "never"),
+                                                 {0: "u", 1: "u", 2: "v"})
+        rest = posterior_sampler(assemble_joint(PipelineChain(prior, family, channel)), seed=5)
+        np.testing.assert_allclose(rest.table.row("never").probs, np.full(3, 1.0 / 3.0))
+        np.testing.assert_allclose(rest.table.row("u").probs, [1 / 3, 2 / 3, 0.0], atol=1e-15)
+        np.testing.assert_allclose(rest.table.row("v").probs, [0.0, 0.0, 1.0])
+        assert rest.kind == "posterior_sampler" and rest.meta == {"seed": 5}
+
+    def test_class_tables_mix_to_the_unconditional_posterior(self):
+        """sum_theta p(theta | y) p(x | y, theta) = p(x | y) on reachable rows."""
+        for i in range(10):
+            chain = random_chain(stream_rng(48, i), 3, 4, 4, None)
+            joint = assemble_joint(chain)
+            tables = class_conditional_restorer_tables(joint)
+            post = posterior_sampler(joint).table
+            for y in joint.support_of("y"):
+                p_theta = marginal(condition(joint, "y", y), ["theta"]).tensor
+                mixed = sum(p_theta[k] * tables[t].row(y).probs
+                            for k, t in enumerate(joint.support_of("theta")))
+                np.testing.assert_allclose(mixed, post.row(y).probs, atol=1e-12)
+
+
+class TestConstantRestorer:
+    def test_every_row_is_the_constant(self):
+        rest = constant_restorer((0.5, 1.5, 2.5), (0, 1, 2), 2)
+        assert rest.kind == "constant"
+        np.testing.assert_array_equal(rest.table.rows, np.tile([0.0, 0.0, 1.0], (3, 1)))
+
+    def test_erases_all_class_information(self):
+        chain = naive_tree_chain()
+        rest = constant_restorer(chain.channel.output_support, chain.family.output_support, 0)
+        audit = dpi_audit(with_restorer(chain, rest))
+        assert audit.i_theta_y > 0.0
+        assert audit.i_theta_xhat == 0.0
+
+
+class TestClassRestorerJoint:
+    def test_marginal_without_restored_stage_is_the_chain(self):
+        chain = random_chain(stream_rng(49, 0), 2, 3, 4, None)
+        base = assemble_joint(chain)
+        full = assemble_joint_with_class_restorer(
+            chain, class_conditional_restorer_tables(base))
+        np.testing.assert_allclose(marginal(full, ["theta", "x", "y"]).tensor,
+                                   base.tensor, atol=1e-15)
+
+    def test_chain_with_restorer_rejected(self):
+        chain = random_chain(stream_rng(49, 1), 2, 3, 3, 3)
+        tables = class_conditional_restorer_tables(assemble_joint(chain))
+        with pytest.raises(ContractViolation):
+            assemble_joint_with_class_restorer(chain, tables)
+
+    def test_tables_must_read_the_measurement_alphabet(self):
+        chain = random_chain(stream_rng(49, 2), 2, 3, 3, None)
+        wrong = ConditionalTable((7, 8, 9), (0, 1, 2), np.eye(3))
+        with pytest.raises(SupportMismatch):
+            assemble_joint_with_class_restorer(chain, {0: wrong, 1: wrong})
+
+    def test_tables_must_share_an_output_alphabet(self):
+        chain = random_chain(stream_rng(49, 3), 2, 3, 3, None)
+        y = chain.channel.output_support
+        a = ConditionalTable(y, (0, 1, 2), np.eye(3))
+        b = ConditionalTable(y, (2, 1, 0), np.eye(3))
+        with pytest.raises(SupportMismatch):
+            assemble_joint_with_class_restorer(chain, {0: a, 1: b})
+
+
 class TestPerfectPerception:
     def test_output_marginal_equals_source_marginal(self):
         for i in range(20):
@@ -215,6 +294,20 @@ class TestEstimateParameter:
         with pytest.raises(EmptySample):
             estimate_parameter(ParamEstimator(kind="sample_mean"), np.array([]))
 
+    def test_scalar_sample_rejected(self):
+        with pytest.raises(EmptySample):
+            estimate_parameter(ParamEstimator(kind="sample_mean"), 2.0)
+
+    @pytest.mark.parametrize("kind", ["ml_gaussian_mean", "ml_laplace_rate", "plugin_bayes"])
+    def test_only_the_sample_mean_is_known(self, kind):
+        with pytest.raises(ContractViolation, match=kind):
+            ParamEstimator(kind=kind)
+
+    def test_unknown_stage_rejected(self):
+        with pytest.raises(ContractViolation, match="stage"):
+            ParamEstimator(kind="sample_mean", stage="theta")
+
+
 class TestEstimatorVarianceMc:
     def test_noiseless_chain_identical_estimates(self):
         sampler = awgn_mean_sampler(1.0, 0.0)
@@ -239,6 +332,54 @@ class TestEstimatorVarianceMc:
         assert abs(rep_y.mse - sigma_x**2) <= 4 * rep_y.mse_stderr
         np.testing.assert_array_equal(rep_y.estimates, rep_xhat.estimates)
         assert not rep_y.flagged
+
+    def test_single_replicate_rejected(self):
+        with pytest.raises(ContractViolation):
+            estimator_variance_mc(awgn_mean_sampler(1.0, 0.0),
+                                  ParamEstimator(kind="sample_mean"), 0.0, 5, 1, seed=0)
+
+    def test_replicate_streams_reproduce_under_a_seed(self):
+        est = ParamEstimator(kind="sample_mean", stage="y")
+        sampler = awgn_mean_sampler(1.0, 0.5)
+        a = estimator_variance_mc(sampler, est, 0.0, 6, 50, seed=8)
+        b = estimator_variance_mc(sampler, est, 0.0, 6, 50, seed=8)
+        c = estimator_variance_mc(sampler, est, 0.0, 6, 50, seed=9)
+        np.testing.assert_array_equal(a.estimates, b.estimates)
+        assert not np.array_equal(a.estimates, c.estimates)
+        replicate_3 = sampler(stream_rng(8, 3), 0.0, 6)["y"].mean()
+        assert a.estimates[3] == replicate_3
+
+    def test_error_far_below_a_claimed_bound_is_flagged(self):
+        """The sample mean of 10 unit normals has error variance 0.1; a
+        claimed bound of 1 is undercut by many standard errors."""
+        rep = estimator_variance_mc(awgn_mean_sampler(1.0, 0.0),
+                                    ParamEstimator(kind="sample_mean"), 0.0, 10, 500,
+                                    seed=10, crb=1.0)
+        assert rep.mse < 0.2
+        assert rep.flagged
+
+    def test_report_fields(self):
+        rep = estimator_variance_mc(awgn_mean_sampler(1.0, 0.0),
+                                    ParamEstimator(kind="sample_mean"), 1.5, 4, 30, seed=11)
+        assert (rep.theta_true, rep.m, rep.replicates, rep.crb) == (1.5, 4, 30, None)
+        assert rep.estimates.shape == (30,)
+        assert rep.mse == pytest.approx(float(np.mean((rep.estimates - 1.5) ** 2)))
+        assert not rep.flagged
+
+
+class TestAwgnMeanSampler:
+    def test_restored_stage_is_the_mean_of_the_measurements(self):
+        stages = awgn_mean_sampler(1.0, 2.0)(stream_rng(12, 0), 0.5, 7)
+        assert stages["x"].shape == stages["y"].shape == (7,)
+        assert stages["xhat"].shape == (1,)
+        assert stages["xhat"][0] == stages["y"].mean()
+        assert not np.array_equal(stages["x"], stages["y"])
+
+    def test_noise_variance_adds(self):
+        """Per-sample measurement variance is sigma_x^2 + sigma_n^2."""
+        y = awgn_mean_sampler(1.0, 2.0)(stream_rng(12, 1), 0.0, 200_000)["y"]
+        assert y.var() == pytest.approx(5.0, rel=0.02)
+
 
 class TestMatchedLawInformationAudit:
     def test_unconditional_restorer_cannot_gain_information(self):

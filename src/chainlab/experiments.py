@@ -494,6 +494,10 @@ def _run_sparse_noiseless(params: dict, seed: int):
     )
 
 
+# Random stream of the sweep's penalty-path signal; draw i uses stream i.
+_PATH_STREAM = 10_000
+
+
 def _run_sparse_certificates(params: dict, seed: int):
     n = int(params["n"])
     draws = int(params["draws"])
@@ -515,24 +519,27 @@ def _run_sparse_certificates(params: dict, seed: int):
     rows = [one(i) for i in range(draws)]
     unconverged = sum(not conv for *_, conv in rows)
     lam_grid = np.geomspace(float(params["lam_max"]), 1e-4, 20)
-    rng = stream_rng(seed, 10_000)
+    rng = stream_rng(seed, _PATH_STREAM)
     signal = random_spike_signal(rng, n, int(params["n_spikes"]), sep)
     y = op.apply(signal.to_vector()) + 0.01 * rng.standard_normal(n)
-    norms = []
-    for lam in lam_grid:
-        sol = l1_map_solve(y, op, mode="penalized", lam=float(lam), sigma_z=1.0, max_iter=20_000)
-        norms.append(float(np.sum(np.abs(sol.x_hat))))
+    path = [l1_map_solve(y, op, mode="penalized", lam=float(lam), sigma_z=1.0, max_iter=20_000)
+            for lam in lam_grid]
+    norms = [float(np.sum(np.abs(sol.x_hat))) for sol in path]
+    uncertified = sum(sol.unconverged for sol in path)
     path_monotone = all(norms[i] <= norms[i + 1] + 1e-9 for i in range(len(norms) - 1))
     results = {
         "n_draws": result(draws),
         "worst_bound_slack": result(min(b - a for _, a, b, _ in rows)),
         "constrained_unconverged": result(unconverged),
         "l1_norm_path": result(norms),
+        "penalized_uncertified": result(uncertified),
+        "penalized_iterations": result([sol.iterations for sol in path]),
     }
     verdicts = {
         # A bound checked on an inexact solve certifies nothing.
         "error_bound_never_violated": unconverged == 0 and all(h for h, *_ in rows),
-        "penalty_path_l1_monotone": path_monotone,
+        # The exact lasso solution's l1 norm is non-increasing in lam.
+        "penalty_path_l1_monotone": uncertified == 0 and path_monotone,
     }
     path_rows = [[float(l), v] for l, v in zip(lam_grid, norms)]
     return (
@@ -542,6 +549,10 @@ def _run_sparse_certificates(params: dict, seed: int):
                           [[i, int(h), a, b] for i, (h, a, b, _) in enumerate(rows)])},
         {"penalty_path": (["x", "y"], path_rows)},
     )
+
+
+# Entries of one n x (replicates * m) array of the rate pipeline: 32 MiB of floats.
+_MAX_PIPELINE_ENTRIES = 2**22
 
 
 def _run_lambda_pipeline(params: dict, seed: int):
@@ -569,9 +580,12 @@ def _run_lambda_pipeline(params: dict, seed: int):
         "mse_from_restored": result(rep.mse_restored, MONTE_CARLO, r, rep.stderr_restored),
         "crb": result(rep.crb),
         "oracle_gap": result(abs(oracle.mse_restored - oracle.mse_clean)),
+        "penalized_uncertified": result(rep.solver_unconverged),
+        "penalized_iterations": result(rep.solver_iterations),
     }
     verdicts = {
-        "restoration_does_not_help": rep.restored_not_better,
+        # An MSE measured on unconverged reconstructions says nothing of the minimizer's.
+        "restoration_does_not_help": rep.solver_unconverged == 0 and rep.restored_not_better,
         "clean_estimate_respects_bound": rep.clean_meets_crb,
         "norm_preserving_oracle_closes_gap": oracle.mse_restored == oracle.mse_clean,
     }
@@ -732,6 +746,23 @@ def _check_sparse_noiseless(p: dict) -> None:
                         min_spike_separation(p["sigma"], p["fs"]))
 
 
+def _check_sparse_certificate_sweep(p: dict) -> None:
+    _check_sparse_noiseless(p)
+    _need(p["n"] <= 512, "n <= 512 (the simplex tableau of a draw is (2n + 1) x (5n + 2) floats)")
+    # Draw i uses stream i; stream _PATH_STREAM belongs to the penalty path.
+    _need(p["draws"] <= _PATH_STREAM,
+          f"draws <= {_PATH_STREAM} (draw streams apart from the path's)")
+
+
+def _check_lambda_pipeline(p: dict) -> None:
+    _need_scale(p, "rate")
+    _need(p["sigma_n"] == 0 or 1e-150 <= p["sigma_n"] <= 1e150,
+          "sigma_n == 0 or 1e-150 <= sigma_n <= 1e150 (sigma_n**2 is a normal float)")
+    # The runner holds a few n x (replicates * m) float arrays at once.
+    _need(p["n"] * p["replicates"] * p["m"] <= _MAX_PIPELINE_ENTRIES,
+          f"n * replicates * m <= {_MAX_PIPELINE_ENTRIES} (32 MiB per signal array)")
+
+
 def _check_resolution_shift(p: dict) -> None:
     # A non-empty interior slice(3 hw, n - 3 hw), hw = ceil(4 sigma2) + 2; checked
     # first, it also bounds sigma2 so that sigma2**2 cannot overflow.
@@ -878,6 +909,7 @@ _register(
         "lam_max": _f(1.0, 0.0),
     },
     _run_sparse_certificates,
+    _check_sparse_certificate_sweep,
 )
 _register(
     "lambda_pipeline",
@@ -891,6 +923,7 @@ _register(
         "n": _i(24, 16),
     },
     _run_lambda_pipeline,
+    _check_lambda_pipeline,
 )
 _register(
     "pr_gap",

@@ -259,6 +259,12 @@ class TestParameterContract:
         ("sparse_noiseless_recovery", {"fs": "1e300"}),
         ("sparse_noiseless_recovery", {"sigma": "5e-324"}),
         ("crb_gaussian_mean", {"m": str(10**400)}),
+        ("lambda_pipeline", {"replicates": 10**6}),
+        ("lambda_pipeline", {"rate": "1e-300"}),
+        ("lambda_pipeline", {"sigma_n": "1e-300"}),
+        ("sparse_certificate_sweep", {"n": 16}),
+        ("sparse_certificate_sweep", {"n": 1024}),
+        ("sparse_certificate_sweep", {"draws": 10_001}),
     ])
     def test_cross_parameter_and_non_finite_rejected(self, tmp_path, exp_id, params):
         cfg = write_config(tmp_path / "bad.cfg", exp_id, seed=0, params=params)
@@ -277,27 +283,32 @@ class TestParameterContract:
         assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 0
 
     @staticmethod
-    def _values(spec):
+    def _values(spec, center):
         wild = st.sampled_from(["inf", "-inf", "nan", "1e400", "-1", "0", "x", "2.5",
                                 str(10**400)])
         if spec.kind is int:
-            plausible = st.integers(spec.default // 2, spec.default * 2).map(str)
+            plausible = st.integers(center // 2, center * 2).map(str)
         else:
-            plausible = st.floats(spec.default / 4, spec.default * 4).map(repr)
+            plausible = st.floats(center / 4, center * 4).map(repr)
             wild = st.one_of(wild, st.floats().map(repr))
         return st.integers(0, 3).flatmap(lambda k: wild if k == 0 else plausible)
 
     def test_validate_accepts_what_run_runs(self):
         for exp_id in ("resolution_shift", "mixed_vs_targeted", "crb_gaussian_mean",
                        "crb_laplace_rate", "entropy_error_bound", "sparse_noiseless_recovery"):
-            self._fuzz(exp_id)
+            self._fuzz(exp_id, {})
+        # Around smaller sizes than the defaults, whose runs take about a second.
+        self._fuzz("lambda_pipeline", {"m": 4, "replicates": 10})
+        self._fuzz("sparse_certificate_sweep", {"draws": 2, "n": 32})
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
-    def _fuzz(self, exp_id, data):
+    def _fuzz(self, exp_id, base, data):
         schema = CATALOG[exp_id].schema
         keys = data.draw(st.sets(st.sampled_from(sorted(schema)), max_size=3))
-        overrides = {k: data.draw(self._values(schema[k]), label=k) for k in sorted(keys)}
+        overrides = dict(base)
+        overrides.update({k: data.draw(self._values(schema[k], base.get(k, schema[k].default)),
+                                       label=k) for k in sorted(keys)})
         with tempfile.TemporaryDirectory() as tmp:
             cfg = write_config(Path(tmp) / "fuzz.cfg", exp_id, seed=0, params=overrides)
             valid = main(["validate", cfg]) == 0

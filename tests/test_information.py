@@ -39,14 +39,19 @@ from chainlab.rng import stream_rng
 
 
 class TestScore:
-    def test_score_zero_mean_gaussian_quadrature(self):
-        """E[score] = 0, checked by fine-grid quadrature."""
-        fam = GaussianMeanFamily(1.3)
-        theta = 0.4
-        xs = np.linspace(theta - 10, theta + 10, 20001)
-        pdf = np.exp(-((xs - theta) ** 2) / (2 * 1.3**2)) / (1.3 * math.sqrt(2 * math.pi))
-        s = (xs - theta) / 1.3**2
-        assert abs(np.trapezoid(pdf * s, xs)) < 1e-8
+    def test_quantized_gaussian_score_has_zero_mean(self):
+        """The finite-difference score whose second moment fisher_information
+        reports has mean zero under the quantized Gaussian family, and its
+        second moment approaches the continuous 1/sigma^2."""
+        sigma, theta, h = 1.3, 0.4, 1e-4
+        fam = quantized_gaussian_mean_family(sigma, np.linspace(theta - 10, theta + 10, 4001),
+                                             (theta - 1, theta + 1))
+        p0 = fam.pmf(theta)
+        score = (np.log(fam.pmf(theta + h)) - np.log(fam.pmf(theta - h))) / (2 * h)
+        assert abs(np.sum(p0 * score)) < 1e-8
+        j = fisher_information(fam, theta, step=h).J
+        assert j == pytest.approx(float(np.sum(p0 * score**2)), rel=1e-12)
+        assert j == pytest.approx(GaussianMeanFamily(sigma).fisher(theta), rel=1e-4)
 
 
 class TestFamilies:

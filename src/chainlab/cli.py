@@ -13,12 +13,12 @@ experiment snapshots are diffable and can live in the repo:
 
 Commands: ``run <config>`` (flags --seed, --out, --set key=value),
 ``list``, ``validate <config>``. Exit codes: 0 all verdicts pass, 1 a verdict
-failed, 2 config error, 3 the experiment crashed (an unexpected exception,
-reported on one ``error:`` line). ``validate`` accepts exactly the configs
-that ``run`` accepts. Outputs per run: report.json, tables/*.csv,
-plotdata/*.csv under <out>/<experiment id>/; the CHAINLAB_OUT environment
-variable sets the default output root. Reports are byte-identical across
-runs with the same (id, seed, overrides).
+failed, 2 config error, 3 the experiment or its parameter check crashed (an
+unexpected exception, reported on one ``error:`` line). ``validate`` accepts
+exactly the configs that ``run`` accepts. Outputs per run: report.json,
+tables/*.csv, plotdata/*.csv under <out>/<experiment id>/; the CHAINLAB_OUT
+environment variable sets the default output root. Reports are
+byte-identical across runs with the same (id, seed, overrides).
 """
 
 from __future__ import annotations
@@ -124,6 +124,11 @@ def _validate_overrides(rep: ConfigReport) -> None:
             rep.errors.append(f"[params] {exc}")
 
 
+def _crashed(exp_id: str, exc: Exception) -> int:
+    print(f"error: {exp_id} crashed: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 3
+
+
 def cmd_list() -> int:
     for exp_id, description, operation in list_experiments():
         print(f"{exp_id:28s} {description} [{operation}]")
@@ -132,7 +137,10 @@ def cmd_list() -> int:
 
 def cmd_validate(path: str) -> int:
     rep = load_config(path)
-    _validate_overrides(rep)
+    try:
+        _validate_overrides(rep)
+    except Exception as exc:  # a defect in a parameter check, not a config error
+        return _crashed(rep.exp_id, exc)
     for w in rep.warnings:
         print(f"warning: {w}")
     for e in rep.errors:
@@ -154,7 +162,10 @@ def cmd_run(path: str, seed: int | None, out: str | None, sets: list) -> int:
                 continue
             key, _, value = item.partition("=")
             rep.overrides[key.strip()] = value.strip()
-        _validate_overrides(rep)
+        try:
+            _validate_overrides(rep)
+        except Exception as exc:  # a defect in a parameter check, not a config error
+            return _crashed(rep.exp_id, exc)
     for w in rep.warnings:
         print(f"warning: {w}")
     if not rep.ok:
@@ -169,8 +180,7 @@ def cmd_run(path: str, seed: int | None, out: str | None, sets: list) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a defect, not a failed verdict: keep exit 1 for verdicts
-        print(f"error: {rep.exp_id} crashed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _crashed(rep.exp_id, exc)
     out_root.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{rep.exp_id}-", dir=out_root))
     try:

@@ -105,10 +105,10 @@ class DomainSpec:
     (identity when the observed input is the latent itself). In overlapping
     mode every drawn input is valid in all domains at once; in disjoint mode
     each domain draws its own inputs and only contributes its own target.
+    Every domain weighs 1 / n_domains in a fit.
     """
 
     inverses: tuple
-    weights: tuple
     latent_samplers: tuple
     observation: Callable
     mode: str
@@ -122,13 +122,10 @@ class DomainSpec:
         cls,
         inverses: Sequence[Callable],
         latent_sampler: Callable,
-        weights: Optional[Sequence[float]] = None,
         observation: Optional[Callable] = None,
     ) -> "DomainSpec":
-        w = _resolve_weights(weights, len(inverses))
         return cls(
             inverses=tuple(inverses),
-            weights=tuple(float(v) for v in w),
             latent_samplers=(latent_sampler,) * len(inverses),
             observation=observation or (lambda u: u),
             mode=OVERLAPPING,
@@ -136,20 +133,15 @@ class DomainSpec:
 
     @classmethod
     def disjoint(
-        cls,
-        inverses: Sequence[Callable],
-        latent_samplers: Sequence[Callable],
-        weights: Optional[Sequence[float]] = None,
-        observation: Optional[Callable] = None,
+        cls, inverses: Sequence[Callable], latent_samplers: Sequence[Callable]
     ) -> "DomainSpec":
+        """Each domain observes its own latent draws as they are."""
         if len(latent_samplers) != len(inverses):
             raise DimensionMismatch("one latent sampler per domain required")
-        w = _resolve_weights(weights, len(inverses))
         return cls(
             inverses=tuple(inverses),
-            weights=tuple(float(v) for v in w),
             latent_samplers=tuple(latent_samplers),
-            observation=observation or (lambda u: u),
+            observation=lambda u: u,
             mode=DISJOINT,
         )
 
@@ -157,7 +149,6 @@ class DomainSpec:
         """Single-domain spec for targeted training."""
         return DomainSpec(
             inverses=(self.inverses[i],),
-            weights=(1.0,),
             latent_samplers=(self.latent_samplers[i],),
             observation=self.observation,
             mode=self.mode,
@@ -182,28 +173,39 @@ class LinearRestorer:
     def predict(self, y: np.ndarray) -> np.ndarray:
         return np.asarray(y, dtype=np.float64) @ self.weights.T + self.bias
 
-    def check_training(self, slack: float = 1e-9) -> bool:
-        """Loss log non-increasing up to slack relative to its starting value."""
+    def check_training(self) -> bool:
+        """Loss log non-increasing up to _TRAINING_SLACK relative to its starting value."""
         log = np.asarray(self.loss_log)
         if len(log) < 2:
             return True
-        tol = slack * max(1.0, float(log[0]))
+        tol = _TRAINING_SLACK * max(1.0, float(log[0]))
         return bool(np.all(np.diff(log) <= tol))
 
 
 def _training_blocks(domains: DomainSpec, rng: np.random.Generator, batch: int):
     """Per-domain (inputs, target, weight) blocks; overlapping mode shares draws."""
     blocks = []
+    w = 1.0 / domains.n_domains
     if domains.mode == OVERLAPPING:
         u = domains.latent_samplers[0](rng, batch)
         y = domains.observation(u)
-        for g, w in zip(domains.inverses, domains.weights):
+        for g in domains.inverses:
             blocks.append((y, g(u), w))
     else:
-        for g, sampler, w in zip(domains.inverses, domains.latent_samplers, domains.weights):
+        for g, sampler in zip(domains.inverses, domains.latent_samplers):
             u = sampler(rng, batch)
             blocks.append((domains.observation(u), g(u), w))
     return blocks
+
+
+# Loss increase, relative to the first logged loss, that check_training forgives.
+_TRAINING_SLACK = 1e-9
+# Epochs without improvement after which the learning rate halves.
+_PLATEAU_PATIENCE = 50
+# Consecutive loss increases that abort training as divergence.
+_DIVERGENCE_PATIENCE = 10
+# Training stops once no parameter step exceeds this.
+_PARAM_TOL = 1e-14
 
 
 def train_mixed_restorer(
@@ -213,15 +215,13 @@ def train_mixed_restorer(
     lr: float = 1e-2,
     seed: int = 0,
     batch: int = 512,
-    plateau_patience: int = 50,
-    divergence_patience: int = 10,
-    param_tol: float = 1e-14,
 ) -> LinearRestorer:
     """Fit one affine restorer against every domain's targets at once.
 
     Full-batch gradient descent on the weighted multi-domain loss; the
-    learning rate halves after ``plateau_patience`` epochs without
-    improvement, and ten consecutive loss increases abort as divergence.
+    learning rate halves after _PLATEAU_PATIENCE epochs without
+    improvement, and _DIVERGENCE_PATIENCE consecutive loss increases abort
+    as divergence.
     """
     if loss not in ("mse", "l1"):
         raise ContractViolation(f"unknown loss {loss!r}")
@@ -256,8 +256,8 @@ def train_mixed_restorer(
         log.append(total)
         if total > prev:
             rising += 1
-            if rising >= divergence_patience:
-                raise Diverged(f"loss increased {divergence_patience} consecutive epochs")
+            if rising >= _DIVERGENCE_PATIENCE:
+                raise Diverged(f"loss increased {_DIVERGENCE_PATIENCE} consecutive epochs")
         else:
             rising = 0
         if total < best - 1e-15 * max(1.0, best if math.isfinite(best) else 1.0):
@@ -265,7 +265,7 @@ def train_mixed_restorer(
             stale = 0
         else:
             stale += 1
-            if stale >= plateau_patience:
+            if stale >= _PLATEAU_PATIENCE:
                 lr *= 0.5
                 stale = 0
         prev = total
@@ -273,7 +273,7 @@ def train_mixed_restorer(
         step_b = lr * grad_b
         w_mat = w_mat - step_w
         bias = bias - step_b
-        if max(np.abs(step_w).max(), np.abs(step_b).max(initial=0.0)) <= param_tol:
+        if max(np.abs(step_w).max(), np.abs(step_b).max(initial=0.0)) <= _PARAM_TOL:
             break
     return LinearRestorer(
         weights=w_mat,
@@ -343,19 +343,20 @@ class MixedVsTargetedReport:
         return tuple(m - t for m, t in zip(self.mixed_errors, self.targeted_errors))
 
 
+# Fresh draws per domain on which mixed_vs_targeted_report measures error.
+_EVAL_BATCH = 1024
+
+
 def mixed_vs_targeted_report(
-    domains: DomainSpec,
-    seed: int = 0,
-    batch: int = 512,
-    eval_batch: int = 1024,
+    domains: DomainSpec, seed: int = 0, batch: int = 512
 ) -> MixedVsTargetedReport:
     """Fit (``fit_linear_restorer``) one restorer over all domains and one per
     domain, then compare.
 
-    The per-domain metric is mean squared error on fresh draws from that
-    domain. A shared restorer can only match the targeted ones when nothing
-    forces averaging (single domain, or domains distinguishable from the
-    input); overlapping distinct domains open a strict gap.
+    The per-domain metric is mean squared error on _EVAL_BATCH fresh draws
+    from that domain. A shared restorer can only match the targeted ones
+    when nothing forces averaging (single domain, or domains distinguishable
+    from the input); overlapping distinct domains open a strict gap.
     """
     mixed = fit_linear_restorer(domains, seed=seed, batch=batch)
     mixed_errors = []
@@ -363,7 +364,7 @@ def mixed_vs_targeted_report(
     for i in range(domains.n_domains):
         solo = fit_linear_restorer(domains.restricted_to(i), seed=seed, batch=batch)
         rng = stream_rng(seed, 1000 + i)
-        u = domains.latent_samplers[i](rng, eval_batch)
+        u = domains.latent_samplers[i](rng, _EVAL_BATCH)
         y = domains.observation(u)
         x = domains.inverses[i](u)
         mixed_errors.append(float(np.mean((mixed.predict(y) - x) ** 2)))
@@ -383,49 +384,32 @@ def scaling_domains(dim: int, scales: Sequence[float] = (1.0, 2.0)) -> DomainSpe
     return DomainSpec.overlapping(inverses, latent_sampler=gaussian_latents(dim))
 
 
-def two_blur_domains(
-    n: int,
-    sigma1: float,
-    sigma2: float,
-    smoothing: Optional[float] = None,
-    noise_sigma: float = 0.0,
-) -> DomainSpec:
+def two_blur_domains(n: int, sigma1: float, sigma2: float) -> DomainSpec:
     """Two blur levels explaining one observation.
 
-    The latent is the coarse-domain source (smoothed noise); the observation
-    is its strong blur, optionally with measurement noise. The fine domain's
-    valid reconstruction is the latent re-blurred by the residual kernel, the
-    coarse domain's is the latent itself. The averaged-output prediction is
-    derived for the noiseless observation; the noisy variant exists to show
-    the collapse survives measurement noise.
+    The latent is the coarse-domain source (noise smoothed by the sigma2
+    blur); the observation is its strong blur. The fine domain's valid
+    reconstruction is the latent re-blurred by the residual kernel, the
+    coarse domain's is the latent itself.
     """
     h_res = blur_matrix(n, residual_sigma(sigma1, sigma2))
     h2 = blur_matrix(n, sigma2)
-    smooth = blur_matrix(n, smoothing if smoothing is not None else sigma2)
 
     def latents(rng: np.random.Generator, b: int) -> np.ndarray:
-        u = rng.standard_normal((b, n)) @ smooth.matrix.T
-        if noise_sigma > 0:
-            # carry the noise draw alongside the clean latent
-            return np.hstack([u, noise_sigma * rng.standard_normal((b, n))])
-        return u
-
-    def observe(u: np.ndarray) -> np.ndarray:
-        if noise_sigma > 0:
-            return u[:, :n] @ h2.matrix.T + u[:, n:]
-        return u @ h2.matrix.T
-
-    def clean(u: np.ndarray) -> np.ndarray:
-        return u[:, :n] if noise_sigma > 0 else u
+        return rng.standard_normal((b, n)) @ h2.matrix.T
 
     return DomainSpec.overlapping(
-        inverses=[lambda u: clean(u) @ h_res.matrix.T, clean],
+        inverses=[linear_map(h_res.matrix), lambda u: u],
         latent_sampler=latents,
-        observation=observe,
+        observation=linear_map(h2.matrix),
     )
 
 
-def decimation_domains(n: int, smoothing: float = 2.0) -> DomainSpec:
+# Std of the blur that smooths the latent noise of decimation_domains.
+_DECIMATION_SMOOTHING = 2.0
+
+
+def decimation_domains(n: int) -> DomainSpec:
     """Full-rate and half-rate readings of the same observation.
 
     The half-rate domain's valid reconstruction renders every other sample
@@ -435,7 +419,7 @@ def decimation_domains(n: int, smoothing: float = 2.0) -> DomainSpec:
     """
     if n % 2:
         raise ContractViolation("need an even signal length")
-    smooth = blur_matrix(n, smoothing)
+    smooth = blur_matrix(n, _DECIMATION_SMOOTHING)
     hold = np.zeros((n, n))
     hold[np.arange(n), (np.arange(n) // 2) * 2] = 1.0
 

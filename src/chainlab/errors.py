@@ -98,10 +98,6 @@ class Diverged(ChainlabError):
 # --- sparse recovery --------------------------------------------------------
 
 
-class MissingAdmissibilityConstants(ChainlabError):
-    """Certificate requested without the kernel's (beta, eps) constants."""
-
-
 class ZeroL1Norm(ChainlabError):
     """Rate estimate undefined: all samples have zero l1 mass."""
 

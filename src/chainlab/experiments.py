@@ -551,10 +551,6 @@ def _run_sparse_certificates(params: dict, seed: int):
     )
 
 
-# Entries of one n x (replicates * m) array of the rate pipeline: 32 MiB of floats.
-_MAX_PIPELINE_ENTRIES = 2**22
-
-
 def _run_lambda_pipeline(params: dict, seed: int):
     rep = lambda_pipeline_experiment(
         lambda_true=float(params["rate"]),
@@ -738,8 +734,15 @@ def _check_crb_gaussian_mean(p: dict) -> None:
           "|theta| <= 1e10 sigma_x (the finite-difference step 1e-4 sigma_x resolved at theta)")
 
 
+# Entries of one float array a runner holds: 32 MiB.
+_MAX_ARRAY_ENTRIES = 2**22
+
+
 def _check_sparse_noiseless(p: dict) -> None:
     _need_scale(p, "sigma")
+    # Checked before the constructors below, which build the n x n kernel.
+    _need(p["n"] * p["n"] <= _MAX_ARRAY_ENTRIES,
+          f"n * n <= {_MAX_ARRAY_ENTRIES} (32 MiB for the n x n kernel)")
     # the runner's constructors: n >= 8 sigma fs, and room for the separated spikes
     build_kernel_operator(p["sigma"], p["n"], p["fs"])
     random_spike_signal(stream_rng(0, 0), p["n"], p["n_spikes"],
@@ -747,11 +750,11 @@ def _check_sparse_noiseless(p: dict) -> None:
 
 
 def _check_sparse_certificate_sweep(p: dict) -> None:
-    _check_sparse_noiseless(p)
     _need(p["n"] <= 512, "n <= 512 (the simplex tableau of a draw is (2n + 1) x (5n + 2) floats)")
     # Draw i uses stream i; stream _PATH_STREAM belongs to the penalty path.
     _need(p["draws"] <= _PATH_STREAM,
           f"draws <= {_PATH_STREAM} (draw streams apart from the path's)")
+    _check_sparse_noiseless(p)
 
 
 def _check_lambda_pipeline(p: dict) -> None:
@@ -759,8 +762,8 @@ def _check_lambda_pipeline(p: dict) -> None:
     _need(p["sigma_n"] == 0 or 1e-150 <= p["sigma_n"] <= 1e150,
           "sigma_n == 0 or 1e-150 <= sigma_n <= 1e150 (sigma_n**2 is a normal float)")
     # The runner holds a few n x (replicates * m) float arrays at once.
-    _need(p["n"] * p["replicates"] * p["m"] <= _MAX_PIPELINE_ENTRIES,
-          f"n * replicates * m <= {_MAX_PIPELINE_ENTRIES} (32 MiB per signal array)")
+    _need(p["n"] * p["replicates"] * p["m"] <= _MAX_ARRAY_ENTRIES,
+          f"n * replicates * m <= {_MAX_ARRAY_ENTRIES} (32 MiB per signal array)")
 
 
 def _check_resolution_shift(p: dict) -> None:

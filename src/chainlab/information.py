@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractViolation, NotSufficient
 from .probability import PipelineChain, assemble_joint, mutual_information, pair_information
 
-DEFAULT_FD_STEP_SCALE = 1e-4
+FD_STEP_SCALE = 1e-4
 MI_EQUALITY_TOL = 1e-9
 
 
@@ -159,8 +159,8 @@ def quantized_laplace_rate_family(grid: Sequence[float], theta_domain: tuple) ->
 # ---------------------------------------------------------------------------
 
 
-def fd_step(theta: float, scale: float = DEFAULT_FD_STEP_SCALE) -> float:
-    return scale * max(abs(theta), 1.0)
+def fd_step(theta: float) -> float:
+    return FD_STEP_SCALE * max(abs(theta), 1.0)
 
 
 @dataclass(frozen=True)
@@ -235,13 +235,14 @@ class DpiAudit:
         return abs(self.i_theta_x - self.i_theta_y) <= self.tol
 
 
-def dpi_audit(chain: PipelineChain, tol: float = MI_EQUALITY_TOL) -> DpiAudit:
-    """Exact-enumeration check that class information never grows downstream."""
+def dpi_audit(chain: PipelineChain) -> DpiAudit:
+    """Exact-enumeration check that class information never grows downstream,
+    up to MI_EQUALITY_TOL."""
     joint = assemble_joint(chain)
     i_x = mutual_information(joint, "theta", "x")
     i_y = mutual_information(joint, "theta", "y")
     i_xhat = mutual_information(joint, "theta", "xhat") if chain.restorer is not None else None
-    return DpiAudit(i_theta_x=i_x, i_theta_y=i_y, i_theta_xhat=i_xhat, tol=tol)
+    return DpiAudit(i_theta_x=i_x, i_theta_y=i_y, i_theta_xhat=i_xhat, tol=MI_EQUALITY_TOL)
 
 
 def _resolve_statistic(support: tuple, statistic) -> list:
@@ -250,51 +251,31 @@ def _resolve_statistic(support: tuple, statistic) -> list:
     return [statistic[x] for x in support]
 
 
-def _grid_prior(family: TableFamily, prior: Optional[Sequence[float]]) -> np.ndarray:
+def _family_joint(family: TableFamily) -> np.ndarray:
+    """Joint table of (theta, X) under the uniform prior over the theta grid."""
     if family.theta_grid is None:
         raise ContractViolation("operation needs a grid-backed table family")
-    k = len(family.theta_grid)
-    if prior is None:
-        return np.full(k, 1.0 / k)
-    p = np.asarray(prior, dtype=np.float64)
-    if p.shape != (k,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
-        raise ContractViolation("prior must be a distribution over the theta grid")
-    return p
-
-
-def _family_joint(family: TableFamily, prior: np.ndarray) -> np.ndarray:
     rows = np.stack([family.pmf(t) for t in family.theta_grid])
-    return prior[:, None] * rows
+    return (1.0 / len(family.theta_grid)) * rows
 
 
-def sufficiency_check(
-    family: TableFamily,
-    statistic,
-    prior: Optional[Sequence[float]] = None,
-    tol: float = MI_EQUALITY_TOL,
-) -> bool:
+def sufficiency_check(family: TableFamily, statistic) -> bool:
     """True iff mapping outcomes through the statistic loses no class information.
 
     The statistic may be a callable or a mapping, total on the support. The
-    comparison is I(theta; X) vs I(theta; T(X)) under the declared prior
-    (uniform over the theta grid by default), both by exact enumeration.
+    comparison is I(theta; X) vs I(theta; T(X)) to MI_EQUALITY_TOL under the
+    uniform prior over the theta grid, both by exact enumeration.
     """
-    p = _grid_prior(family, prior)
-    joint = _family_joint(family, p)
+    joint = _family_joint(family)
     values = _resolve_statistic(family.support, statistic)
     t_support = list(dict.fromkeys(values))
     grouped = np.zeros((joint.shape[0], len(t_support)))
     for col, v in enumerate(values):
         grouped[:, t_support.index(v)] += joint[:, col]
-    return abs(pair_information(joint) - pair_information(grouped)) <= tol
+    return abs(pair_information(joint) - pair_information(grouped)) <= MI_EQUALITY_TOL
 
 
-def rao_blackwellize(
-    family: TableFamily,
-    estimator: dict | Callable,
-    statistic,
-    prior: Optional[Sequence[float]] = None,
-) -> dict:
+def rao_blackwellize(family: TableFamily, estimator: dict | Callable, statistic) -> dict:
     """Condition a raw estimator on a sufficient statistic.
 
     Returns {t: E[f(X) | T(X) = t]}. Sufficiency is verified first (the
@@ -302,10 +283,9 @@ def rao_blackwellize(
     the conditioning itself would need theta). The result has the same mean
     and never larger variance at every theta on the grid.
     """
-    if not sufficiency_check(family, statistic, prior):
+    if not sufficiency_check(family, statistic):
         raise NotSufficient("statistic is not sufficient for this family")
-    p = _grid_prior(family, prior)
-    mix = _family_joint(family, p).sum(axis=0)
+    mix = _family_joint(family).sum(axis=0)
     f_vals = np.array(
         [estimator(x) if callable(estimator) else estimator[x] for x in family.support],
         dtype=np.float64,

@@ -26,7 +26,7 @@ from .probability import (
 NAIVE_TREE_Y_AMBIGUOUS = 1.5
 
 
-def naive_tree_chain(restorer: Optional[ConditionalTable] = None) -> PipelineChain:
+def naive_tree_chain() -> PipelineChain:
     prior = FiniteDistribution(("class1", "class2"), np.array([0.8, 0.2]))
     x_support = (0, 1, 2, 3, 4, 5)
     third = 1.0 / 3.0
@@ -53,7 +53,7 @@ def naive_tree_chain(restorer: Optional[ConditionalTable] = None) -> PipelineCha
             5: {4.5: 1.0},
         },
     )
-    return PipelineChain(prior, family, channel, restorer)
+    return PipelineChain(prior, family, channel)
 
 
 def naive_tree_partition() -> dict:
@@ -99,12 +99,7 @@ def random_chain(
     return PipelineChain(prior, family, channel, restorer)
 
 
-def sufficient_statistic_instance(
-    rng: np.random.Generator,
-    n_theta: int = 3,
-    n_t: int = 3,
-    max_split: int = 3,
-) -> tuple:
+def sufficient_statistic_instance(rng: np.random.Generator) -> tuple:
     """Family plus a statistic that is sufficient by construction.
 
     Outcomes are generated by splitting each value of a base family through
@@ -112,6 +107,8 @@ def sufficient_statistic_instance(
     preserves all class information. Returns (family, statistic_map, chain)
     where the chain's degradation applies the statistic deterministically.
     """
+    # classes, statistic values, and the most outcomes one value splits into
+    n_theta, n_t, max_split = 3, 3, 3
     base = random_stochastic_rows(rng, n_theta, n_t)  # p(t | theta)
     splits = [int(rng.integers(1, max_split + 1)) for _ in range(n_t)]
     x_rows = []
@@ -135,13 +132,17 @@ def sufficient_statistic_instance(
     return family, statistic, chain
 
 
-def two_toss_coin_family(grid=(0.2, 0.35, 0.5, 0.65, 0.8)) -> TableFamily:
+# Heads probabilities of two_toss_coin_family.
+_COIN_GRID = (0.2, 0.35, 0.5, 0.65, 0.8)
+
+
+def two_toss_coin_family() -> TableFamily:
     """Two independent tosses of a coin with unknown heads probability.
 
     Outcomes are 'tt', 'th', 'ht', 'hh'; the head count is the classic
     sufficient statistic.
     """
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = np.asarray(_COIN_GRID, dtype=np.float64)
     rows = np.stack(
         [
             np.array([(1 - p) ** 2, (1 - p) * p, p * (1 - p), p**2])

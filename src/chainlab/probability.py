@@ -8,14 +8,13 @@ inequality audits hold to numerical precision instead of Monte Carlo noise.
 
 Conventions:
 - 0 * log 0 = 0 everywhere.
-- Mutual information defaults to nats; pass ``base=2`` for bits.
+- Mutual information is in nats.
 - Canonical chain axis order is ("theta", "x", "y", "xhat"); results are
   always addressed by axis name, never position.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -256,20 +255,18 @@ def condition(joint: JointDistribution, axis: str, value) -> JointDistribution:
     return JointDistribution(axes, supports, sub / mass)
 
 
-def mutual_information(
-    joint: JointDistribution, axis_a: str, axis_b: str, base: float = math.e
-) -> float:
-    """I(A;B) from the enumerated pair marginal; never negative."""
+def mutual_information(joint: JointDistribution, axis_a: str, axis_b: str) -> float:
+    """I(A;B) in nats from the enumerated pair marginal; never negative."""
     if axis_a == axis_b:
         raise UnknownAxis("mutual information needs two distinct axes")
-    return pair_information(marginal(joint, [axis_a, axis_b]).tensor, base)
+    return pair_information(marginal(joint, [axis_a, axis_b]).tensor)
 
 
-def pair_information(pair: np.ndarray, base: float = math.e) -> float:
-    """I(A;B) of a two-axis joint table (rows A, columns B); never negative."""
+def pair_information(pair: np.ndarray) -> float:
+    """I(A;B) in nats of a two-axis joint table (rows A, columns B); never negative."""
     pa = pair.sum(axis=1)
     pb = pair.sum(axis=0)
     outer = np.outer(pa, pb)
     nz = pair > 0
     i = float(np.sum(pair[nz] * (np.log(pair[nz]) - np.log(outer[nz]))))
-    return max(i, 0.0) / math.log(base)
+    return max(i, 0.0)

@@ -167,6 +167,10 @@ def estimate_parameter(estimator: ParamEstimator, samples) -> float:
     return float(arr.mean())
 
 
+# Standard errors by which a Monte Carlo error may undercut its bound unflagged.
+_FLAG_SIGMAS = 4.0
+
+
 @dataclass(frozen=True)
 class McVarianceReport:
     """Monte Carlo squared-error report for one estimator on one stage."""
@@ -189,7 +193,6 @@ def estimator_variance_mc(
     replicates: int,
     seed: int,
     crb: Optional[float] = None,
-    flag_sigmas: float = 4.0,
 ) -> McVarianceReport:
     """Monte Carlo E(theta - theta_hat)^2 with a bound comparison.
 
@@ -197,7 +200,7 @@ def estimator_variance_mc(
     "xhat". Each replicate draws from its own (seed, replicate) stream.
 
     The report is flagged when the measured error undercuts the bound by
-    more than flag_sigmas standard errors (a modeling bug, not luck).
+    more than _FLAG_SIGMAS standard errors (a modeling bug, not luck).
     """
     if replicates < 2:
         raise ContractViolation("need at least 2 replicates")
@@ -208,7 +211,7 @@ def estimator_variance_mc(
     sq = (ests - theta_true) ** 2
     mse = float(sq.mean())
     stderr = float(sq.std(ddof=1) / np.sqrt(replicates))
-    flagged = crb is not None and mse < crb - flag_sigmas * stderr
+    flagged = crb is not None and mse < crb - _FLAG_SIGMAS * stderr
     return McVarianceReport(
         theta_true=theta_true,
         m=m,

@@ -13,10 +13,10 @@ the feasible set of the square, nonsingular G is the single point G^{-1} y,
 which is solved for directly.
 
 Certificates evaluate the closed-form recovery error bounds for admissible
-kernels; the kernel's positivity/curvature constants (beta, eps) are inputs
-with documented Gaussian defaults (concavity of the kernel near its peak:
-for g(t) = exp(-t^2 / 2 sigma^2), g'' <= -exp(-1/4)/(2 sigma^2) on
-|t| <= sigma/sqrt(2), giving eps = sigma/sqrt(2) and beta = |g''| there).
+kernels; the Gaussian kernel's positivity/curvature constants (beta, eps)
+follow from the concavity of the kernel near its peak: for
+g(t) = exp(-t^2 / 2 sigma^2), g'' <= -exp(-1/4)/(2 sigma^2) on
+|t| <= sigma/sqrt(2), giving eps = sigma/sqrt(2) and beta = |g''| there.
 """
 
 from __future__ import annotations
@@ -27,11 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ContractViolation,
-    MissingAdmissibilityConstants,
-    ZeroL1Norm,
-)
+from .errors import ContractViolation, ZeroL1Norm
 from .rng import stream_rng
 
 
@@ -62,10 +58,15 @@ class SpikeSignal:
 
 
 def gaussian_admissibility(sigma: float) -> tuple:
-    """(beta, eps) defaults for the Gaussian kernel, from peak concavity."""
+    """(beta, eps) of the Gaussian kernel, from peak concavity."""
     eps = sigma / math.sqrt(2.0)
     beta = math.exp(-0.25) / (2.0 * sigma**2)
     return beta, eps
+
+
+# The kernel's peak value and its curvature scale; both 1 for the unit-peak,
+# shift-invariant Gaussian kernel.
+ALPHA0 = GAMMA0 = 1.0
 
 
 @dataclass(frozen=True)
@@ -75,14 +76,10 @@ class KernelOperator:
     matrix: np.ndarray
     sigma: float
     fs: float
-    beta: Optional[float]
-    eps: Optional[float]
-    alpha0: float
-    gamma0: float
+    beta: float
+    eps: float
 
     def __post_init__(self):
-        if not self.alpha0 >= self.gamma0 > 0:
-            raise ContractViolation("need alpha0 >= gamma0 > 0")
         self.matrix.setflags(write=False)
 
     @property
@@ -93,36 +90,25 @@ class KernelOperator:
         return self.matrix @ np.asarray(x, dtype=np.float64)
 
     def rho(self) -> float:
-        if self.eps is None:
-            raise MissingAdmissibilityConstants("eps not set on this operator")
-        return max(self.gamma0 / self.eps**2, (self.fs * self.sigma) ** 2 * self.alpha0)
+        return max(GAMMA0 / self.eps**2, (self.fs * self.sigma) ** 2 * ALPHA0)
 
 
-def build_kernel_operator(
-    sigma: float,
-    n: int,
-    fs: float = 1.0,
-    beta: Optional[float] = None,
-    eps: Optional[float] = None,
-) -> KernelOperator:
+def build_kernel_operator(sigma: float, n: int, fs: float = 1.0) -> KernelOperator:
     """Gaussian-kernel operator on length-n signals sampled at rate fs.
 
     Column m holds g((k - m)/fs) with g(t) = exp(-t^2 / (2 sigma^2)); the
-    kernel peak value is 1, so alpha0 = gamma0 = 1 for this shift-invariant
-    case. Admissibility constants default to the documented Gaussian values.
+    kernel peak value is 1, so ALPHA0 = GAMMA0 = 1 for this shift-invariant
+    case. (beta, eps) are the Gaussian values of ``gaussian_admissibility``.
     """
     if not sigma > 0:
         raise ContractViolation(f"sigma must be > 0, got {sigma}")
     if n < 8 * sigma * fs:
         raise ContractViolation(f"n={n} too short for sigma*fs={sigma * fs}")
-    if beta is None and eps is None:
-        beta, eps = gaussian_admissibility(sigma)
+    beta, eps = gaussian_admissibility(sigma)
     k = np.arange(n, dtype=np.float64)
     t = (k[:, None] - k[None, :]) / fs
     g = np.exp(-(t**2) / (2.0 * sigma**2))
-    return KernelOperator(
-        matrix=g, sigma=sigma, fs=fs, beta=beta, eps=eps, alpha0=1.0, gamma0=1.0
-    )
+    return KernelOperator(matrix=g, sigma=sigma, fs=fs, beta=beta, eps=eps)
 
 
 @dataclass(frozen=True)
@@ -380,13 +366,11 @@ def recovery_certificate(
     """
     if norm != "l1":
         raise ContractViolation(f"unknown norm {norm!r}")
-    if operator.beta is None or operator.eps is None:
-        raise MissingAdmissibilityConstants("operator lacks (beta, eps)")
     if noise_budget < 0:
         raise ContractViolation("noise budget must be >= 0")
     diff = np.asarray(x_hat, dtype=np.float64) - np.asarray(x_true, dtype=np.float64)
     rho = operator.rho()
-    bound = 4.0 * rho * noise_budget / (operator.beta * operator.gamma0)
+    bound = 4.0 * rho * noise_budget / (operator.beta * GAMMA0)
     achieved = float(np.sum(np.abs(diff)))
     return RecoveryCertificate(
         norm=norm,
@@ -403,23 +387,21 @@ def min_spike_separation(sigma: float, fs: float) -> int:
     return 2 * math.ceil(sigma * fs) + 1
 
 
+# Spike magnitudes are uniform on [_AMP_LOW, _AMP_HIGH), with a random sign.
+_AMP_LOW, _AMP_HIGH = 0.5, 2.0
+
+
 def random_spike_signal(
-    rng: np.random.Generator,
-    n: int,
-    n_spikes: int,
-    separation: int,
-    amp_low: float = 0.5,
-    amp_high: float = 2.0,
-    margin: Optional[int] = None,
+    rng: np.random.Generator, n: int, n_spikes: int, separation: int
 ) -> SpikeSignal:
-    """Spikes at least ``separation`` samples apart with uniform amplitudes."""
-    margin = separation if margin is None else margin
-    placeable = n - 2 * margin - (n_spikes - 1) * separation
+    """Spikes at least ``separation`` samples apart, and from both ends, with
+    uniform magnitudes and random signs."""
+    placeable = n - (n_spikes + 1) * separation
     if placeable < n_spikes:
         raise ContractViolation("signal too short for requested spikes/separation")
     slots = np.sort(rng.choice(placeable, size=n_spikes, replace=False))
-    support = margin + slots + separation * np.arange(n_spikes)
-    amps = rng.uniform(amp_low, amp_high, size=n_spikes) * rng.choice([-1.0, 1.0], size=n_spikes)
+    support = separation + slots + separation * np.arange(n_spikes)
+    amps = rng.uniform(_AMP_LOW, _AMP_HIGH, size=n_spikes) * rng.choice([-1.0, 1.0], size=n_spikes)
     return SpikeSignal(n, tuple(int(k) for k in support), tuple(float(a) for a in amps))
 
 

@@ -258,6 +258,7 @@ class TestParameterContract:
         ("entropy_error_bound", {"sigma": "1e-300"}),
         ("sparse_noiseless_recovery", {"fs": "1e300"}),
         ("sparse_noiseless_recovery", {"sigma": "5e-324"}),
+        ("sparse_noiseless_recovery", {"n": 10**6}),
         ("crb_gaussian_mean", {"m": str(10**400)}),
         ("lambda_pipeline", {"replicates": 10**6}),
         ("lambda_pipeline", {"rate": "1e-300"}),
@@ -265,11 +266,36 @@ class TestParameterContract:
         ("sparse_certificate_sweep", {"n": 16}),
         ("sparse_certificate_sweep", {"n": 1024}),
         ("sparse_certificate_sweep", {"draws": 10_001}),
+        ("sparse_certificate_sweep", {"n": 10**6}),
     ])
     def test_cross_parameter_and_non_finite_rejected(self, tmp_path, exp_id, params):
         cfg = write_config(tmp_path / "bad.cfg", exp_id, seed=0, params=params)
         assert main(["validate", cfg]) == 2
         assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 2
+        assert not (tmp_path / "runs").exists()
+
+    @staticmethod
+    def _kernel_spy(monkeypatch):
+        def spy(*args, **kwargs):
+            raise MemoryError("build_kernel_operator called")
+        monkeypatch.setattr("chainlab.experiments.build_kernel_operator", spy)
+
+    @pytest.mark.parametrize("exp_id", ["sparse_noiseless_recovery", "sparse_certificate_sweep"])
+    def test_size_checked_before_the_kernel_is_built(self, tmp_path, monkeypatch, exp_id):
+        """An n x n kernel at n = 10**6 would be 8 TB: the bound on n must
+        reject it before any constructor allocates."""
+        self._kernel_spy(monkeypatch)
+        cfg = write_config(tmp_path / "big.cfg", exp_id, seed=0, params={"n": 10**6})
+        assert main(["validate", cfg]) == 2
+        assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 2
+
+    def test_crash_in_a_parameter_check_exits_three(self, tmp_path, monkeypatch, capsys):
+        self._kernel_spy(monkeypatch)
+        cfg = write_config(tmp_path / "sparse.cfg", "sparse_noiseless_recovery", seed=0)
+        assert main(["validate", cfg]) == 3
+        assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("error:") and "MemoryError" in e for e in err)
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("exp_id,params", [
@@ -353,6 +379,54 @@ class TestOneWriter:
                 if any(m.split(".")[0] in ("json", "csv") for m in modules):
                     importers.add(path.name)
         assert importers == {"cli.py"}
+
+
+class TestNoUnusedOptions:
+    @staticmethod
+    def _optional_params(fn, method):
+        """(name, position or None for keyword-only) of each parameter with a default."""
+        pos = fn.args.posonlyargs + fn.args.args
+        if method:
+            pos = pos[1:]
+        first = len(pos) - len(fn.args.defaults)
+        out = [(a.arg, i) for i, a in enumerate(pos) if i >= first]
+        return out + [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                      if d is not None]
+
+    def test_every_optional_parameter_is_set_somewhere(self):
+        """A parameter no call sets is an option with one value in use: it
+        belongs in a constant. Calls are matched by function name."""
+        package = Path(chainlab.__file__).parent
+        public = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    public.append((f"{path.stem}.{node.name}", node, False))
+                elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                    for fn in node.body:
+                        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                         for d in fn.decorator_list)
+                            public.append((f"{path.stem}.{node.name}.{fn.name}", fn, not static))
+        calls = {}
+        roots = (package.parent, Path(__file__).parent)
+        for path in sorted(p for root in roots for p in root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+
+        def sets(call, name, position):
+            if any(k.arg in (name, None) for k in call.keywords):  # None: **kwargs
+                return True
+            return position is not None and (
+                len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+        unused = [f"{qualname}({name}=)"
+                  for qualname, fn, method in public
+                  for name, position in self._optional_params(fn, method)
+                  if not any(sets(c, name, position) for c in calls.get(fn.name, []))]
+        assert unused == []
 
 
 class TestStartup:

@@ -156,7 +156,9 @@ class TestTrainedRestorer:
     def test_loss_log_non_increasing_for_mse(self):
         dom = scaling_domains(4, (1.0, 3.0))
         restorer = train_mixed_restorer(dom, epochs=2000, lr=0.05, seed=1, batch=128)
-        assert restorer.check_training(slack=1e-12)
+        log = np.asarray(restorer.loss_log)
+        assert len(log) > 1 and np.all(np.diff(log) <= 1e-12 * max(1.0, log[0]))
+        assert restorer.check_training()
 
     def test_coinciding_domains_rejected(self):
         dom = DomainSpec.overlapping(
@@ -179,7 +181,7 @@ class TestExactFit:
     @pytest.mark.parametrize("make", [
         lambda: scaling_domains(5, (1.0, 3.0)),
         lambda: offset_indicator_domains(4, 1.0, -1.0, disjoint=True),
-        lambda: two_blur_domains(32, 1.0, 2.0, noise_sigma=0.05),
+        lambda: two_blur_domains(32, 1.0, 2.0),
     ])
     def test_weighted_mse_gradient_vanishes(self, make):
         """The gradient of the objective gradient descent minimizes, written
@@ -202,16 +204,15 @@ class TestExactFit:
 
     def test_overlapping_fit_is_fit_to_weighted_mean_target(self):
         """Shared inputs: the mixed minimizer is the least-squares fit to
-        the weighted mean of the domains' targets."""
+        the mean of the domains' targets, each domain weighing 1/3."""
         dom = DomainSpec.overlapping(
             [linear_map(np.diag([1.0, 2.0, 3.0])), linear_map(-np.eye(3)),
              lambda u: u**2],
-            latent_sampler=gaussian_latents(3), weights=[0.5, 0.3, 0.2],
+            latent_sampler=gaussian_latents(3),
         )
         fit = fit_linear_restorer(dom, seed=4, batch=200)
         u = stream_rng(4, 0).standard_normal((200, 3))
-        mean_target = double_meaning_minimizer(
-            [u @ np.diag([1.0, 2.0, 3.0]), -u, u**2], weights=[0.5, 0.3, 0.2])
+        mean_target = double_meaning_minimizer([u @ np.diag([1.0, 2.0, 3.0]), -u, u**2])
         design = np.hstack([u, np.ones((200, 1))])
         sol = np.linalg.lstsq(design, mean_target, rcond=None)[0]
         np.testing.assert_allclose(fit.weights, sol[:-1].T, atol=1e-12)
@@ -303,9 +304,3 @@ class TestMixedVsTargeted:
         rep = mixed_vs_targeted_report(dom, seed=0, batch=256)
         for mixed, targeted in zip(rep.mixed_errors, rep.targeted_errors):
             assert mixed > targeted + 5e-4
-
-    def test_noisy_observation_variant_keeps_the_gap(self):
-        dom = two_blur_domains(48, 1.0, 2.0, noise_sigma=0.05)
-        rep = mixed_vs_targeted_report(dom, seed=0, batch=256)
-        for mixed, targeted in zip(rep.mixed_errors, rep.targeted_errors):
-            assert mixed > targeted + 2e-4

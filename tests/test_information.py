@@ -256,12 +256,6 @@ class TestSufficiency:
         with pytest.raises(ContractViolation, match="grid"):
             sufficiency_check(fam, lambda x: x)
 
-    @pytest.mark.parametrize("prior", [[0.5, 0.5], [0.2, 0.2, 0.2, 0.2, 0.3],
-                                       [1.2, -0.2, 0.0, 0.0, 0.0]])
-    def test_prior_must_be_a_distribution_over_the_grid(self, prior):
-        with pytest.raises(ContractViolation, match="prior"):
-            sufficiency_check(two_toss_coin_family(), head_count_statistic, prior=prior)
-
     def test_mapping_statistic_matches_callable(self):
         fam = two_toss_coin_family()
         mapping = {x: head_count_statistic(x) for x in fam.support}

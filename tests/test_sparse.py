@@ -20,11 +20,10 @@ import pytest
 
 import chainlab
 from chainlab import sparse
-from chainlab.errors import ContractViolation, MissingAdmissibilityConstants
+from chainlab.errors import ContractViolation
 from chainlab.experiments import run_experiment
 from chainlab.rng import stream_rng
 from chainlab.sparse import (
-    KernelOperator,
     SpikeSignal,
     build_kernel_operator,
     gaussian_admissibility,
@@ -312,13 +311,6 @@ class TestCertificate:
         op = build_kernel_operator(1.0, 32, 2.0)
         with pytest.raises(ContractViolation):
             recovery_certificate(np.zeros(32), np.zeros(32), op, 0.3, norm="l2")
-
-    def test_missing_constants(self):
-        op = build_kernel_operator(1.0, 32, 2.0)
-        bare = KernelOperator(matrix=op.matrix, sigma=op.sigma, fs=op.fs,
-                              beta=None, eps=None, alpha0=1.0, gamma0=1.0)
-        with pytest.raises(MissingAdmissibilityConstants):
-            recovery_certificate(np.zeros(32), np.zeros(32), bare, 0.1)
 
     def test_holds_on_seeded_noisy_draws(self):
         op = build_kernel_operator(1.0, 48, 2.0)

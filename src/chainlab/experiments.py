@@ -42,6 +42,7 @@ from .restorers import (
 from .rng import stream_rng
 from .sparse import (
     build_kernel_operator,
+    check_kernel_size,
     l1_map_solve,
     lambda_pipeline_experiment,
     min_spike_separation,
@@ -514,39 +515,40 @@ def _run_sparse_certificates(params: dict, seed: int):
         y = op.apply(x) + w
         sol = l1_map_solve(y, op, mode="constrained", delta=delta)
         cert = recovery_certificate(x, sol.x_hat, op, delta, norm="l1")
-        return cert.holds, cert.achieved, cert.bound, sol.converged
+        return cert.holds, cert.achieved, cert.bound, sol.converged, sol.iterations
 
     rows = [one(i) for i in range(draws)]
-    unconverged = sum(not conv for *_, conv in rows)
+    unconverged = sum(not conv for *_, conv, _ in rows)
     lam_grid = np.geomspace(float(params["lam_max"]), 1e-4, 20)
     rng = stream_rng(seed, _PATH_STREAM)
     signal = random_spike_signal(rng, n, int(params["n_spikes"]), sep)
     y = op.apply(signal.to_vector()) + 0.01 * rng.standard_normal(n)
-    path = [l1_map_solve(y, op, mode="penalized", lam=float(lam), sigma_z=1.0, max_iter=20_000)
-            for lam in lam_grid]
-    norms = [float(np.sum(np.abs(sol.x_hat))) for sol in path]
-    uncertified = sum(sol.unconverged for sol in path)
+    # The whole path is one solve, one column of y per penalty.
+    path = l1_map_solve(np.repeat(y[:, None], len(lam_grid), axis=1), op, mode="penalized",
+                        lam=lam_grid, sigma_z=1.0, max_iter=20_000)
+    norms = [float(np.sum(np.abs(x))) for x in path.x_hat.T]
     path_monotone = all(norms[i] <= norms[i + 1] + 1e-9 for i in range(len(norms) - 1))
     results = {
         "n_draws": result(draws),
-        "worst_bound_slack": result(min(b - a for _, a, b, _ in rows)),
+        "worst_bound_slack": result(min(b - a for _, a, b, *_ in rows)),
         "constrained_unconverged": result(unconverged),
+        "constrained_pivots": result(sum(pivots for *_, pivots in rows)),
         "l1_norm_path": result(norms),
-        "penalized_uncertified": result(uncertified),
-        "penalized_iterations": result([sol.iterations for sol in path]),
+        "penalized_uncertified": result(path.unconverged),
+        "penalized_iterations": result(list(path.column_iterations)),
     }
     verdicts = {
         # A bound checked on an inexact solve certifies nothing.
         "error_bound_never_violated": unconverged == 0 and all(h for h, *_ in rows),
         # The exact lasso solution's l1 norm is non-increasing in lam.
-        "penalty_path_l1_monotone": uncertified == 0 and path_monotone,
+        "penalty_path_l1_monotone": path.unconverged == 0 and path_monotone,
     }
     path_rows = [[float(l), v] for l, v in zip(lam_grid, norms)]
     return (
         results,
         verdicts,
         {"certificates": (["draw", "holds", "achieved", "bound"],
-                          [[i, int(h), a, b] for i, (h, a, b, _) in enumerate(rows)])},
+                          [[i, int(h), a, b] for i, (h, a, b, *_) in enumerate(rows)])},
         {"penalty_path": (["x", "y"], path_rows)},
     )
 
@@ -740,17 +742,17 @@ _MAX_ARRAY_ENTRIES = 2**22
 
 def _check_sparse_noiseless(p: dict) -> None:
     _need_scale(p, "sigma")
-    # Checked before the constructors below, which build the n x n kernel.
     _need(p["n"] * p["n"] <= _MAX_ARRAY_ENTRIES,
           f"n * n <= {_MAX_ARRAY_ENTRIES} (32 MiB for the n x n kernel)")
-    # the runner's constructors: n >= 8 sigma fs, and room for the separated spikes
-    build_kernel_operator(p["sigma"], p["n"], p["fs"])
+    # the runner's constructors: n >= 8 sigma fs, checked without building the
+    # kernel, and room for the separated spikes
+    check_kernel_size(p["sigma"], p["n"], p["fs"])
     random_spike_signal(stream_rng(0, 0), p["n"], p["n_spikes"],
                         min_spike_separation(p["sigma"], p["fs"]))
 
 
 def _check_sparse_certificate_sweep(p: dict) -> None:
-    _need(p["n"] <= 512, "n <= 512 (the simplex tableau of a draw is (2n + 1) x (5n + 2) floats)")
+    _need(p["n"] <= 512, "n <= 512 (the simplex tableau of a draw is (n + 1) x (4n + 2) floats)")
     # Draw i uses stream i; stream _PATH_STREAM belongs to the penalty path.
     _need(p["draws"] <= _PATH_STREAM,
           f"draws <= {_PATH_STREAM} (draw streams apart from the path's)")

@@ -5,11 +5,22 @@ Gaussian kernel evaluations plus additive noise. Inversion comes in two
 modes. The penalized mode is l1-penalized least squares (the lasso), solved
 column by column to a certified exact minimizer: batched ADMM finds the sign
 pattern, an exact solve on that pattern polishes it, and the lasso KKT
-conditions accept or reject each column. The constrained mode,
+conditions accept or reject each column; a penalty path is one batched
+solve with one penalty per column. The constrained mode,
 min ||x||_1 s.t. ||y - Gx||_1 <= delta, is a linear program and is solved
 exactly by a small dense dual simplex, so its answer is the constrained
-minimizer that the recovery certificates bound. With delta == 0
-the feasible set of the square, nonsingular G is the single point G^{-1} y,
+minimizer that the recovery certificates bound. The LP is taken in equality
+form, x = u - v and y - Gx = p - q, with m + 1 rows for m measurements:
+
+    min 1'(u + v)  s.t.  G(u - v) + p - q = y,  1'(p + q) + s = delta,
+                         u, v, p, q, s >= 0.
+
+The simplex starts from the basis of p_i where y_i >= 0 (q_i elsewhere) and
+the budget slack s. Its matrix is triangular (signs on the diagonal, ones in
+the budget row), and every basic cost is zero, so all reduced costs equal
+the costs, 1 or 0: the basis is dual feasible, and only the budget row
+starts primal infeasible (s = delta - ||y||_1 < 0). With delta == 0 the
+feasible set of the square, nonsingular G is the single point G^{-1} y,
 which is solved for directly.
 
 Certificates evaluate the closed-form recovery error bounds for admissible
@@ -23,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -93,6 +104,15 @@ class KernelOperator:
         return max(GAMMA0 / self.eps**2, (self.fs * self.sigma) ** 2 * ALPHA0)
 
 
+def check_kernel_size(sigma: float, n: int, fs: float) -> None:
+    """The size contract of ``build_kernel_operator``, checked without building
+    anything: sigma > 0 and n >= 8 sigma fs."""
+    if not sigma > 0:
+        raise ContractViolation(f"sigma must be > 0, got {sigma}")
+    if n < 8 * sigma * fs:
+        raise ContractViolation(f"n={n} too short for sigma*fs={sigma * fs}")
+
+
 def build_kernel_operator(sigma: float, n: int, fs: float = 1.0) -> KernelOperator:
     """Gaussian-kernel operator on length-n signals sampled at rate fs.
 
@@ -100,10 +120,7 @@ def build_kernel_operator(sigma: float, n: int, fs: float = 1.0) -> KernelOperat
     kernel peak value is 1, so ALPHA0 = GAMMA0 = 1 for this shift-invariant
     case. (beta, eps) are the Gaussian values of ``gaussian_admissibility``.
     """
-    if not sigma > 0:
-        raise ContractViolation(f"sigma must be > 0, got {sigma}")
-    if n < 8 * sigma * fs:
-        raise ContractViolation(f"n={n} too short for sigma*fs={sigma * fs}")
+    check_kernel_size(sigma, n, fs)
     beta, eps = gaussian_admissibility(sigma)
     k = np.arange(n, dtype=np.float64)
     t = (k[:, None] - k[None, :]) / fs
@@ -118,8 +135,9 @@ class SolveResult:
     iterations: int
     objective: tuple
     mode: str
-    lam: Optional[float]  # penalty weight; None in constrained mode
+    lam: Union[None, float, tuple]  # penalty weight, or one per column; None in constrained mode
     unconverged: int  # columns of y whose solve is not converged or certified
+    column_iterations: tuple  # iterations (or pivots) of each column; their max is ``iterations``
 
 
 # ADMM penalty rho, as a fraction of the mean eigenvalue tr(A)/n of A = G'G / sigma_z^2.
@@ -135,7 +153,7 @@ _KKT_ROUNDOFF = 1e-12
 _KKT_DUAL_RTOL = 1e-9
 
 
-def _polish(a: np.ndarray, b: np.ndarray, lam: float, z: np.ndarray) -> tuple:
+def _polish(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray], z: np.ndarray) -> tuple:
     """Exact solve on the support and signs of z, and its KKT certificate.
 
     For each column, with S the support of z and s its signs there, solves
@@ -143,7 +161,8 @@ def _polish(a: np.ndarray, b: np.ndarray, lam: float, z: np.ndarray) -> tuple:
     size. The column is certified when x keeps the signs s, stationarity
     (Ax - b)_S + lam s_S = 0 holds to round-off, and |(Ax - b)_j| <= lam off
     S: these are the KKT conditions of min 0.5 x'Ax - b'x + lam ||x||_1, so a
-    certified x is its exact minimizer. Returns (x, certified).
+    certified x is its exact minimizer. lam is a float or one value per
+    column of b. Returns (x, certified).
     """
     s = np.sign(z)
     on = s != 0
@@ -154,9 +173,10 @@ def _polish(a: np.ndarray, b: np.ndarray, lam: float, z: np.ndarray) -> tuple:
         cols = np.flatnonzero(sizes == k)
         rows = np.nonzero(on[:, cols].T)[1].reshape(len(cols), k)
         at = (rows, cols[:, None])
+        lam_at = lam[cols, None] if np.ndim(lam) else lam
         try:
             x[at] = np.linalg.solve(a[rows[:, :, None], rows[:, None, :]],
-                                    (b[at] - lam * s[at])[..., None])[..., 0]
+                                    (b[at] - lam_at * s[at])[..., None])[..., 0]
         except np.linalg.LinAlgError:  # an exactly singular A_SS in the group
             solved[cols] = False
     grad = a @ x - b
@@ -166,31 +186,35 @@ def _polish(a: np.ndarray, b: np.ndarray, lam: float, z: np.ndarray) -> tuple:
     return x, solved & kkt.all(axis=0)
 
 
-def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: float, max_iter: int) -> tuple:
+def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray],
+                     max_iter: int) -> tuple:
     """min 0.5 x'Ax - b'x + lam ||x||_1 for each column of b, certified per column.
 
     ADMM for the lasso (Boyd et al. 2011, sec. 6.4), with (A + rho I)^{-1}
     formed once, iterates a block of at most _ADMM_BLOCK live columns. Every
     _POLISH_EVERY iterations each live column is polished on its ADMM
     support (_polish). Certified columns, and columns that reached max_iter,
-    leave the block, and columns not yet started take their places. Returns
-    (x, certified, iterations), iterations being the largest count over the
-    columns; an uncertified column returns its last ADMM iterate.
+    leave the block, and columns not yet started take their places. lam is a
+    float, or one value per column; a float stays a scalar threshold in the
+    iteration, which clips faster than a per-column bound. Columns do not
+    interact, so each runs as it would alone. Returns (x, certified,
+    iterations), iterations holding each column's count; an uncertified
+    column returns its last ADMM iterate.
     """
     n, c = b.shape
     rho = _ADMM_RHO * float(np.trace(a)) / n
     inv = np.linalg.inv(a + rho * np.eye(n))
     step = rho * inv
-    tau = lam / rho
     x_out = np.zeros((n, c))
     certified = np.zeros(c, dtype=bool)
+    iterations = np.zeros(c, dtype=np.intp)
     # Live columns: index, iterations run, x of z = u = 0, and the ADMM state.
     # With v = x + u, the z-update soft-thresholds v at tau, and the scaled
     # dual update leaves u = v - z = clip(v, -tau, tau); w = z - u.
     live = np.zeros(0, dtype=np.intp)
     runs = np.zeros(0, dtype=np.intp)
     x0, u, w = (np.zeros((n, 0)) for _ in range(3))
-    started = iterations = 0
+    started = 0
     while max_iter > 0 and (started < c or live.size):
         new = np.arange(started, min(started + _ADMM_BLOCK - live.size, c))
         started += new.size
@@ -198,6 +222,8 @@ def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: float, max_iter: int) ->
         live = np.concatenate([live, new])
         runs = np.concatenate([runs, np.zeros(new.size, dtype=np.intp)])
         x0, u, w = np.hstack([x0, inv @ b[:, new]]), np.hstack([u, zeros]), np.hstack([w, zeros])
+        lam_live = lam[live] if np.ndim(lam) else lam
+        tau = lam_live / rho
         v = np.empty_like(u)
         steps = min(_POLISH_EVERY, max_iter - int(runs.max()))
         for _ in range(steps):
@@ -208,9 +234,9 @@ def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: float, max_iter: int) ->
             np.subtract(v, u, out=w)
             w -= u
         runs += steps
-        iterations = max(iterations, int(runs.max()))
+        iterations[live] = runs
         z = w + u
-        x, ok = _polish(a, b[:, live], lam, z)
+        x, ok = _polish(a, b[:, live], lam_live, z)
         x_out[:, live] = np.where(ok, x, z)
         certified[live] = ok
         keep = ~ok & (runs < max_iter)
@@ -224,26 +250,26 @@ _LP_RTOL = 1e-9
 _LP_REBUILDS = 3
 
 
-def _dual_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, max_pivots: int) -> tuple:
-    """min c'z s.t. a z <= b, z >= 0, for c >= 0; returns (z, pivots, optimal).
+def _dual_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
+                  tab: np.ndarray, max_pivots: int) -> tuple:
+    """min c'z s.t. a z = b, z >= 0, from a dual-feasible basis; returns
+    (z, pivots, optimal).
 
-    Dense-tableau dual simplex from the all-slack basis, which is dual
-    feasible because c >= 0. Each pivot leaves on the most negative basic
-    value and enters by the min-ratio test. The final basis is re-solved from
+    ``basis`` holds one column of a per row, ``tab`` is its tableau
+    (a_B)^{-1} [a | b] (both are updated in place), and its reduced costs
+    c - a'(a_B')^{-1} c_B must be >= 0, as they are for the zero-cost,
+    triangular starting basis of the constrained l1 problem. Dense-tableau
+    dual simplex: each pivot leaves on the most negative basic value and
+    enters by the min-ratio test. The final basis is re-solved from
     (a, b, c); ``optimal`` holds only if it is primal and dual feasible to
     tolerances scaled to |b| and |c|. Otherwise the tableau is rebuilt from
     that basis and pivoting resumes, at most _LP_REBUILDS times.
     """
-    m, k = a.shape
-    full = np.hstack([a, np.eye(m)])
-    cost = np.concatenate([c, np.zeros(m)])
-    basis = np.arange(k, k + m)
     tol_p = _LP_RTOL * float(np.max(np.abs(b)))
     tol_d = _LP_RTOL * float(np.max(np.abs(c)))
-    tab = np.column_stack([full, b])
     pivots = 0
     for _ in range(_LP_REBUILDS + 1):
-        d = cost - cost[basis] @ tab[:, :-1]
+        d = c - c[basis] @ tab[:, :-1]
         while pivots < max_pivots:
             r = int(np.argmin(tab[:, -1]))
             if tab[r, -1] >= -tol_p:
@@ -262,23 +288,23 @@ def _dual_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, max_pivots: int) 
             d -= d[j] * tab[r, :-1]
             basis[r] = j
             pivots += 1
-        bm = full[:, basis]
+        bm = a[:, basis]
         z_b = np.linalg.solve(bm, b)
-        reduced = cost - full.T @ np.linalg.solve(bm.T, cost[basis])
+        reduced = c - a.T @ np.linalg.solve(bm.T, c[basis])
         optimal = z_b.min() >= -tol_p and reduced.min() >= -tol_d
         if optimal or pivots >= max_pivots:
             break
-        tab = np.linalg.solve(bm, np.column_stack([full, b]))
-    z = np.zeros(k + m)
+        tab = np.linalg.solve(bm, np.column_stack([a, b]))
+    z = np.zeros(a.shape[1])
     z[basis] = z_b
-    return z[:k], pivots, bool(optimal)
+    return z, pivots, bool(optimal)
 
 
 def l1_map_solve(
     y: np.ndarray,
     operator: KernelOperator,
     mode: str = "penalized",
-    lam: Optional[float] = None,
+    lam: Union[None, float, Sequence[float]] = None,
     sigma_z: Optional[float] = None,
     delta: Optional[float] = None,
     max_iter: int = 100_000,
@@ -289,14 +315,23 @@ def l1_map_solve(
     penalized: minimize 0.5 ||y - Gx||^2 / sigma_z^2 + lam ||x||_1 for each
     column of y by blocked ADMM, polished exactly on its sign pattern and
     accepted per column only on a KKT certificate (_certified_lasso), within
-    max_iter ADMM iterations. ``converged`` means every column is certified,
-    ``unconverged`` counts the columns that are not, and ``objective`` is
-    (final objective summed over columns,).
+    max_iter ADMM iterations. lam is one float for every column, or a
+    sequence of one value per column of y: a penalty path is one call whose
+    columns repeat y, each column solved as it would be alone.
+    ``converged`` means every column is certified, ``unconverged`` counts the
+    columns that are not, ``column_iterations`` holds each column's ADMM
+    iterations and ``iterations`` their maximum, and ``objective`` is
+    (final objective summed over columns,); a per-column ``lam`` comes back
+    as a tuple.
 
     constrained: minimize ||x||_1 s.t. ||y - Gx||_1 <= delta, solved exactly
-    as the linear program min 1'(u + v) s.t. -t <= y - G(u - v) <= t,
-    1't <= delta, u, v, t >= 0, x = u - v, by a dense dual simplex
-    (``iterations`` counts its pivots, at most max_iter).
+    as the equality-form linear program min 1'(u + v) s.t.
+    G(u - v) + p - q = y, 1'(p + q) + s = delta, u, v, p, q, s >= 0,
+    x = u - v, by a dense dual simplex on its m + 1 rows (``iterations``
+    counts its pivots, at most max_iter). The simplex starts from the basis
+    {p_i if y_i >= 0 else q_i} and s: it is triangular and its costs are
+    zero, so every reduced cost is a cost, >= 0, and the basis is dual
+    feasible; only s = delta - ||y||_1 starts negative.
     For delta == 0 the feasible set of a nonsingular square G is the single
     point G^{-1} y, which is solved for directly (0 iterations). If x = 0 is
     feasible within the slack it is returned (0 iterations). ``converged``
@@ -307,15 +342,22 @@ def l1_map_solve(
     y = np.asarray(y, dtype=np.float64)
     g = operator.matrix
     if mode == "penalized":
-        if lam is None or sigma_z is None or not (lam > 0 and sigma_z > 0):
+        cols = y.reshape(len(y), -1)
+        if np.ndim(lam):
+            lam = np.asarray(lam, dtype=np.float64)
+            if lam.shape != (cols.shape[1],):
+                raise ContractViolation("a per-column lam needs one value per column of y")
+        if lam is None or sigma_z is None or not (np.all(lam > 0) and sigma_z > 0):
             raise ContractViolation("penalized mode needs lam > 0 and sigma_z > 0")
         inv_var = 1.0 / sigma_z**2
-        cols = y.reshape(len(y), -1)
-        x, certified, it = _certified_lasso(inv_var * (g.T @ g), inv_var * (g.T @ cols),
-                                            lam, max_iter)
-        objective = float(0.5 * inv_var * np.sum((g @ x - cols) ** 2) + lam * np.sum(np.abs(x)))
-        return SolveResult(x.reshape(y.shape), bool(certified.all()), it, (objective,),
-                           "penalized", lam, int(np.count_nonzero(~certified)))
+        x, certified, its = _certified_lasso(inv_var * (g.T @ g), inv_var * (g.T @ cols),
+                                             lam, max_iter)
+        objective = float(0.5 * inv_var * np.sum((g @ x - cols) ** 2)
+                          + np.sum(lam * np.sum(np.abs(x), axis=0)))
+        return SolveResult(x.reshape(y.shape), bool(certified.all()), int(its.max(initial=0)),
+                           (objective,), "penalized",
+                           tuple(lam.tolist()) if np.ndim(lam) else lam,
+                           int(np.count_nonzero(~certified)), tuple(its.tolist()))
     if mode != "constrained":
         raise ContractViolation(f"unknown mode {mode!r}")
     if delta is None or delta < 0:
@@ -330,14 +372,22 @@ def l1_map_solve(
         x = np.linalg.solve(g, y)
     else:
         eye = np.eye(m)
-        a = np.block([[-g, g, -eye], [g, -g, -eye], [np.zeros((1, 2 * n)), np.ones((1, m))]])
-        b = np.concatenate([-y, y, [delta]])
-        c = np.concatenate([np.ones(2 * n), np.zeros(m)])
-        z, pivots, optimal = _dual_simplex(a, b, c, max_iter)
+        # columns u, v (n each), p, q (m each), s
+        a = np.block([[g, -g, eye, -eye, np.zeros((m, 1))],
+                      [np.zeros((1, 2 * n)), np.ones((1, 2 * m + 1))]])
+        b = np.append(y, delta)
+        c = np.concatenate([np.ones(2 * n), np.zeros(2 * m + 1)])
+        basis = np.append(2 * n + np.arange(m) + m * (y < 0), 2 * n + 2 * m)
+        # a_B = [[D, 0], [1', 1]] with D = diag(+-1) has the inverse
+        # [[D, 0], [-1'D, 1]], so the starting tableau needs no solve.
+        tab = np.column_stack([a, b])
+        tab[np.flatnonzero(y < 0)] *= -1.0
+        tab[m] -= tab[:m].sum(axis=0)
+        z, pivots, optimal = _dual_simplex(a, b, c, basis, tab, max_iter)
         x = z[:n] - z[n:2 * n]
     converged = optimal and float(np.sum(np.abs(y - g @ x))) <= delta + feasibility_slack
     return SolveResult(x, converged, pivots, (float(np.sum(np.abs(x))),), "constrained", None,
-                       int(not converged))
+                       int(not converged), (pivots,))
 
 
 @dataclass(frozen=True)

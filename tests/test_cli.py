@@ -289,8 +289,20 @@ class TestParameterContract:
         assert main(["validate", cfg]) == 2
         assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 2
 
-    def test_crash_in_a_parameter_check_exits_three(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("exp_id", ["sparse_noiseless_recovery", "sparse_certificate_sweep"])
+    def test_validate_builds_no_kernel(self, tmp_path, monkeypatch, exp_id):
+        """The size contract n >= 8 sigma fs is arithmetic: validate checks it
+        without building the n x n kernel, and still rejects a short n."""
         self._kernel_spy(monkeypatch)
+        cfg = write_config(tmp_path / "ok.cfg", exp_id, seed=0)
+        assert main(["validate", cfg]) == 0
+        short = write_config(tmp_path / "short.cfg", exp_id, seed=0, params={"n": 16, "fs": 4})
+        assert main(["validate", short]) == 2
+
+    def test_crash_in_a_parameter_check_exits_three(self, tmp_path, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise MemoryError("check_kernel_size called")
+        monkeypatch.setattr("chainlab.experiments.check_kernel_size", crash)
         cfg = write_config(tmp_path / "sparse.cfg", "sparse_noiseless_recovery", seed=0)
         assert main(["validate", cfg]) == 3
         assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 3

@@ -34,7 +34,6 @@ from .channels import BlurOperator, blur_matrix, gaussian_kernel
 from .restorers import (
     ParamEstimator,
     Restorer,
-    estimate_parameter,
     estimator_variance_mc,
     mmse_restorer,
     posterior_sampler,

@@ -61,10 +61,6 @@ class NonNumericSupport(ChainlabError):
     """Operation needs numeric outcome labels (e.g. conditional means)."""
 
 
-class EmptySample(ChainlabError):
-    """Parameter estimate requested from zero samples."""
-
-
 # --- classification ---------------------------------------------------------
 
 

@@ -31,6 +31,7 @@ from .domain_shift import (
 from .errors import ContractViolation, InvalidOverride, UnknownExperiment
 from .probability import ConditionalTable, assemble_joint, condition, marginal
 from .restorers import (
+    _MC_BLOCK,
     ParamEstimator,
     awgn_mean_sampler,
     constant_restorer,
@@ -264,6 +265,10 @@ def _run_crb_laplace_rate(params: dict, seed: int):
     return results, verdicts, {}, {}
 
 
+# Random stream of conditional chain i is _COND_STREAM + i; chain i uses stream i.
+_COND_STREAM = 10_000
+
+
 def _run_bayes_ordering_audit(params: dict, seed: int):
     n = int(params["n_chains"])
     n_cond = int(params["n_conditional"])
@@ -271,7 +276,7 @@ def _run_bayes_ordering_audit(params: dict, seed: int):
     rows = [a.values() + (a.ordered,) for a in audits]
     cond_audits = [
         classification.theorem_ordering_audit(
-            _random_chain(seed, 10_000 + i, y=(4, 7), xhat=None, invertible=True),
+            _random_chain(seed, _COND_STREAM + i, y=(4, 7), xhat=None, invertible=True),
             mode="conditional_perception",
         )
         for i in range(n_cond)
@@ -573,10 +578,18 @@ def _run_lambda_pipeline(params: dict, seed: int):
         n=int(params["n"]),
     )
     r = rep.replicates
+    lam, m = rep.lambda_true, rep.m
+    # The clean estimate m / S, S ~ Gamma(m, lam), has mean m lam / (m - 1) and MSE
+    # lam^2 [m^2/((m-1)(m-2)) - 2m/(m-1) + 1] = lam^2 (m+2)/((m-1)(m-2)), finite for
+    # m >= 3. Its bias b = lam/(m-1) gives the bound (1 + b')^2 / J + b^2 (Kay 1993, §3.5).
+    mse_exact = lam**2 * (m + 2) / ((m - 1) * (m - 2))
+    crb_biased = lam**2 * (m + 1) / (m - 1) ** 2
     results = {
         "mse_from_clean": result(rep.mse_clean, MONTE_CARLO, r, rep.stderr_clean),
         "mse_from_restored": result(rep.mse_restored, MONTE_CARLO, r, rep.stderr_restored),
         "crb": result(rep.crb),
+        "mse_clean_exact": result(mse_exact),
+        "crb_biased": result(crb_biased),
         "oracle_gap": result(abs(oracle.mse_restored - oracle.mse_clean)),
         "penalized_uncertified": result(rep.solver_unconverged),
         "penalized_iterations": result(rep.solver_iterations),
@@ -586,6 +599,9 @@ def _run_lambda_pipeline(params: dict, seed: int):
         "restoration_does_not_help": rep.solver_unconverged == 0 and rep.restored_not_better,
         "clean_estimate_respects_bound": rep.clean_meets_crb,
         "norm_preserving_oracle_closes_gap": oracle.mse_restored == oracle.mse_clean,
+        "clean_mse_matches_exact_within_4se":
+            abs(rep.mse_clean - mse_exact) <= 4 * rep.stderr_clean,
+        "exact_mse_respects_biased_bound": mse_exact >= crb_biased,
     }
     return results, verdicts, {}, {}
 
@@ -768,6 +784,22 @@ def _check_lambda_pipeline(p: dict) -> None:
           f"n * replicates * m <= {_MAX_ARRAY_ENTRIES} (32 MiB per signal array)")
 
 
+def _check_bayes_ordering_audit(p: dict) -> None:
+    _need(p["n_chains"] <= _COND_STREAM,
+          f"n_chains <= {_COND_STREAM} (chain streams apart from the conditional chains')")
+
+
+def _check_crb_attainment(p: dict) -> None:
+    _need_scale(p, "sigma_x")
+    # The runner measures errors of size sigma_x around theta and squares them.
+    _need(abs(p["theta"]) <= 1e10 * p["sigma_x"],
+          "|theta| <= 1e10 sigma_x (errors of size sigma_x resolved at theta)")
+    _need(p["replicates"] <= _MAX_ARRAY_ENTRIES,
+          f"replicates <= {_MAX_ARRAY_ENTRIES} (32 MiB for the estimates)")
+    _need(2 * _MC_BLOCK * p["m"] <= _MAX_ARRAY_ENTRIES,
+          f"2 * {_MC_BLOCK} * m <= {_MAX_ARRAY_ENTRIES} (32 MiB for a block of draws)")
+
+
 def _check_resolution_shift(p: dict) -> None:
     # A non-empty interior slice(3 hw, n - 3 hw), hw = ceil(4 sigma2) + 2; checked
     # first, it also bounds sigma2 so that sigma2**2 cannot overflow.
@@ -827,6 +859,7 @@ _register(
     "classification.theorem_ordering_audit",
     {"n_chains": _i(1000, 1), "n_conditional": _i(100, 1)},
     _run_bayes_ordering_audit,
+    _check_bayes_ordering_audit,
 )
 _register(
     "pe_separability_identity",
@@ -922,7 +955,7 @@ _register(
     "sparse.lambda_pipeline_experiment",
     {
         "rate": _f(1.0, 0.0),
-        "m": _i(25, 1),
+        "m": _i(25, 3),
         "replicates": _i(1000, 2),
         "sigma_n": ParamSpec(float, 0.1, 0.0, False),
         "n": _i(24, 16),
@@ -967,6 +1000,7 @@ _register(
         "replicates": _i(10000, 100),
     },
     _run_crb_attainment,
+    _check_crb_attainment,
 )
 
 

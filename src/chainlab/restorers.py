@@ -9,8 +9,10 @@ reconstruction alphabet, derived from a reference joint:
   posterior p(x | y), and its per-class version p(x | y, theta),
 - constant map (ignores the measurement).
 
-The sample-mean estimator consumes per-stage samples; a Monte Carlo harness
-measures its squared error against an information bound.
+A Monte Carlo harness measures the squared error of the sample-mean
+estimator on one chain stage against an information bound. It draws all
+replicates of a call from one generator, a block of replicates per sampler
+call, so replicate r is the same number at any replicate count above r.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContractViolation, EmptySample, NonNumericSupport, SupportMismatch
+from .errors import ContractViolation, NonNumericSupport, SupportMismatch
 from .probability import (
     ConditionalTable,
     JointDistribution,
@@ -159,16 +161,11 @@ class ParamEstimator:
             raise ContractViolation(f"unknown stage {self.stage!r}")
 
 
-def estimate_parameter(estimator: ParamEstimator, samples) -> float:
-    """Sample-mean estimate from m numeric samples."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim == 0 or arr.shape[0] == 0:
-        raise EmptySample("no samples")
-    return float(arr.mean())
-
-
 # Standard errors by which a Monte Carlo error may undercut its bound unflagged.
 _FLAG_SIGMAS = 4.0
+
+# Replicates per sampler call: a block's arrays stay small at any replicate count.
+_MC_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -196,18 +193,23 @@ def estimator_variance_mc(
 ) -> McVarianceReport:
     """Monte Carlo E(theta - theta_hat)^2 with a bound comparison.
 
-    ``sampler(rng, theta, m)`` returns per-stage sample arrays keyed "x", "y",
-    "xhat". Each replicate draws from its own (seed, replicate) stream.
+    ``sampler(rng, theta, m, replicates)`` returns per-stage sample arrays
+    keyed "x", "y", "xhat", one row per replicate. Every replicate of a call
+    comes from the one generator ``stream_rng(seed)``, drawn _MC_BLOCK
+    replicates per sampler call. The generator's stream continues across
+    calls, so the blocks give the numbers one big draw would, and replicate
+    r is the same at any ``replicates > r`` (prefix-stable).
 
     The report is flagged when the measured error undercuts the bound by
     more than _FLAG_SIGMAS standard errors (a modeling bug, not luck).
     """
     if replicates < 2:
         raise ContractViolation("need at least 2 replicates")
+    rng = stream_rng(seed)
     ests = np.empty(replicates)
-    for r in range(replicates):
-        stages = sampler(stream_rng(seed, r), theta_true, m)
-        ests[r] = estimate_parameter(estimator, stages[estimator.stage])
+    for start in range(0, replicates, _MC_BLOCK):
+        stop = min(start + _MC_BLOCK, replicates)
+        ests[start:stop] = sampler(rng, theta_true, m, stop - start)[estimator.stage].mean(axis=1)
     sq = (ests - theta_true) ** 2
     mse = float(sq.mean())
     stderr = float(sq.std(ddof=1) / np.sqrt(replicates))
@@ -229,12 +231,22 @@ def awgn_mean_sampler(sigma_x: float, sigma_n: float) -> Callable:
 
     The restorer stage averages the m measurements into a single
     reconstruction (the coincidence construction); with sigma_n = 0 the
-    measurement equals the source sample for sample.
+    measurement equals the source sample for sample. One call draws a
+    (replicates, 2, m) normal block: row r holds replicate r's source noise,
+    then its measurement noise (drawn even when sigma_n = 0, so the stream
+    does not depend on it).
     """
 
-    def sample(rng: np.random.Generator, theta: float, m: int) -> dict:
-        x = theta + sigma_x * rng.standard_normal(m)
-        y = x + sigma_n * rng.standard_normal(m) if sigma_n > 0 else x.copy()
-        return {"x": x, "y": y, "xhat": np.array([y.mean()])}
+    def sample(rng: np.random.Generator, theta: float, m: int, replicates: int) -> dict:
+        z = rng.standard_normal((replicates, 2, m))
+        x, y = z[:, 0], z[:, 1]
+        x *= sigma_x
+        x += theta
+        if sigma_n > 0:
+            y *= sigma_n
+            y += x
+        else:
+            y[...] = x
+        return {"x": x, "y": y, "xhat": y.mean(axis=1, keepdims=True)}
 
     return sample

@@ -1,8 +1,9 @@
 """Reproducible random streams.
 
-Every stochastic routine derives its generator from (master seed, stream
-index), so replicates are independent of worker count and re-runs are
-bit-identical.
+Every stochastic routine derives its generators from (master seed, stream
+index), so re-runs are bit-identical. A routine may draw many replicates
+from one stream, as the Monte Carlo harness in ``restorers`` does; its
+replicates are then fixed by their order in that stream.
 """
 
 from __future__ import annotations

@@ -267,6 +267,12 @@ class TestParameterContract:
         ("sparse_certificate_sweep", {"n": 1024}),
         ("sparse_certificate_sweep", {"draws": 10_001}),
         ("sparse_certificate_sweep", {"n": 10**6}),
+        ("bayes_ordering_audit", {"n_chains": 10_001}),
+        ("crb_attainment", {"replicates": 2**22 + 1}),
+        ("crb_attainment", {"m": 2049}),
+        ("crb_attainment", {"sigma_x": "1e-300"}),
+        ("crb_attainment", {"theta": "1e300"}),
+        ("lambda_pipeline", {"m": 2}),
     ])
     def test_cross_parameter_and_non_finite_rejected(self, tmp_path, exp_id, params):
         cfg = write_config(tmp_path / "bad.cfg", exp_id, seed=0, params=params)
@@ -333,11 +339,13 @@ class TestParameterContract:
 
     def test_validate_accepts_what_run_runs(self):
         for exp_id in ("resolution_shift", "mixed_vs_targeted", "crb_gaussian_mean",
-                       "crb_laplace_rate", "entropy_error_bound", "sparse_noiseless_recovery"):
+                       "crb_laplace_rate", "entropy_error_bound", "sparse_noiseless_recovery",
+                       "crb_attainment"):
             self._fuzz(exp_id, {})
         # Around smaller sizes than the defaults, whose runs take about a second.
         self._fuzz("lambda_pipeline", {"m": 4, "replicates": 10})
         self._fuzz("sparse_certificate_sweep", {"draws": 2, "n": 32})
+        self._fuzz("bayes_ordering_audit", {"n_chains": 20, "n_conditional": 5})
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(data=st.data())

@@ -8,7 +8,6 @@ import pytest
 
 from chainlab.errors import (
     ContractViolation,
-    EmptySample,
     NonNumericSupport,
     SupportMismatch,
 )
@@ -22,13 +21,13 @@ from chainlab.probability import (
     marginal,
     normalize,
 )
+import chainlab.restorers as restorers
 from chainlab.restorers import (
     ParamEstimator,
     assemble_joint_with_class_restorer,
     awgn_mean_sampler,
     class_conditional_restorer_tables,
     constant_restorer,
-    estimate_parameter,
     estimator_variance_mc,
     mmse_restorer,
     posterior_sampler,
@@ -285,19 +284,7 @@ class TestPerfectPerception:
             assert abs(i_x - i_xhat) <= 1e-9
 
 
-class TestEstimateParameter:
-    def test_constant_samples_recover_constant(self):
-        est = ParamEstimator(kind="sample_mean")
-        assert estimate_parameter(est, np.full(7, 3.25)) == 3.25
-
-    def test_empty_sample(self):
-        with pytest.raises(EmptySample):
-            estimate_parameter(ParamEstimator(kind="sample_mean"), np.array([]))
-
-    def test_scalar_sample_rejected(self):
-        with pytest.raises(EmptySample):
-            estimate_parameter(ParamEstimator(kind="sample_mean"), 2.0)
-
+class TestParamEstimator:
     @pytest.mark.parametrize("kind", ["ml_gaussian_mean", "ml_laplace_rate", "plugin_bayes"])
     def test_only_the_sample_mean_is_known(self, kind):
         with pytest.raises(ContractViolation, match=kind):
@@ -338,7 +325,7 @@ class TestEstimatorVarianceMc:
             estimator_variance_mc(awgn_mean_sampler(1.0, 0.0),
                                   ParamEstimator(kind="sample_mean"), 0.0, 5, 1, seed=0)
 
-    def test_replicate_streams_reproduce_under_a_seed(self):
+    def test_runs_reproduce_under_a_seed_and_differ_across_seeds(self):
         est = ParamEstimator(kind="sample_mean", stage="y")
         sampler = awgn_mean_sampler(1.0, 0.5)
         a = estimator_variance_mc(sampler, est, 0.0, 6, 50, seed=8)
@@ -346,8 +333,43 @@ class TestEstimatorVarianceMc:
         c = estimator_variance_mc(sampler, est, 0.0, 6, 50, seed=9)
         np.testing.assert_array_equal(a.estimates, b.estimates)
         assert not np.array_equal(a.estimates, c.estimates)
-        replicate_3 = sampler(stream_rng(8, 3), 0.0, 6)["y"].mean()
-        assert a.estimates[3] == replicate_3
+        rows = sampler(stream_rng(8), 0.0, 6, 50)["y"]
+        np.testing.assert_array_equal(a.estimates, rows.mean(axis=1))
+
+    def test_prefix_stable_across_block_boundaries(self):
+        """Runs of 50, 1 500 and 2 500 replicates cross the block boundaries at
+        1 024 and 2 048 and agree bit for bit on their common prefix, and with
+        one unblocked draw of the same stream."""
+        assert restorers._MC_BLOCK == 1024
+        est = ParamEstimator(kind="sample_mean", stage="xhat")
+        sampler = awgn_mean_sampler(1.0, 3.0)
+        a, b, c = (estimator_variance_mc(sampler, est, 0.3, 10, n, seed=5).estimates
+                   for n in (50, 1500, 2500))
+        np.testing.assert_array_equal(a, c[:50])
+        np.testing.assert_array_equal(b, c[:1500])
+        whole = sampler(stream_rng(5), 0.3, 10, 2500)["xhat"][:, 0]
+        np.testing.assert_array_equal(c, whole)
+
+    def test_one_generator_per_call(self, monkeypatch):
+        made, blocks = [], []
+
+        def counting_stream_rng(*args):
+            made.append(args)
+            return stream_rng(*args)
+
+        sampler = awgn_mean_sampler(1.0, 0.5)
+
+        def spy(rng, theta, m, replicates):
+            blocks.append(replicates)
+            return sampler(rng, theta, m, replicates)
+
+        monkeypatch.setattr(restorers, "stream_rng", counting_stream_rng)
+        est = ParamEstimator(kind="sample_mean", stage="y")
+        estimator_variance_mc(spy, est, 0.0, 3, 2500, seed=7)
+        assert made == [(7,)]
+        assert blocks == [1024, 1024, 452]
+        estimator_variance_mc(spy, est, 0.0, 3, 100, seed=7)
+        assert made == [(7,), (7,)]
 
     def test_error_far_below_a_claimed_bound_is_flagged(self):
         """The sample mean of 10 unit normals has error variance 0.1; a
@@ -369,16 +391,24 @@ class TestEstimatorVarianceMc:
 
 class TestAwgnMeanSampler:
     def test_restored_stage_is_the_mean_of_the_measurements(self):
-        stages = awgn_mean_sampler(1.0, 2.0)(stream_rng(12, 0), 0.5, 7)
-        assert stages["x"].shape == stages["y"].shape == (7,)
-        assert stages["xhat"].shape == (1,)
-        assert stages["xhat"][0] == stages["y"].mean()
+        stages = awgn_mean_sampler(1.5, 2.0)(stream_rng(12, 0), 0.5, 7, 3)
+        assert stages["x"].shape == stages["y"].shape == (3, 7)
+        assert stages["xhat"].shape == (3, 1)
+        np.testing.assert_array_equal(stages["xhat"], stages["y"].mean(axis=1, keepdims=True))
         assert not np.array_equal(stages["x"], stages["y"])
+
+    def test_row_r_holds_source_then_measurement_noise(self):
+        z = stream_rng(12, 0).standard_normal((3, 2, 7))
+        stages = awgn_mean_sampler(1.5, 2.0)(stream_rng(12, 0), 0.5, 7, 3)
+        np.testing.assert_array_equal(stages["x"], 1.5 * z[:, 0] + 0.5)
+        np.testing.assert_array_equal(stages["y"], 2.0 * z[:, 1] + stages["x"])
 
     def test_noise_variance_adds(self):
         """Per-sample measurement variance is sigma_x^2 + sigma_n^2."""
-        y = awgn_mean_sampler(1.0, 2.0)(stream_rng(12, 1), 0.0, 200_000)["y"]
-        assert y.var() == pytest.approx(5.0, rel=0.02)
+        stages = awgn_mean_sampler(1.0, 2.0)(stream_rng(12, 1), 0.0, 200_000, 1)
+        assert stages["y"].shape == (1, 200_000)
+        assert stages["x"].var() == pytest.approx(1.0, rel=0.02)
+        assert stages["y"].var() == pytest.approx(5.0, rel=0.02)
 
 
 class TestMatchedLawInformationAudit:

@@ -443,6 +443,23 @@ class TestLambdaPipeline:
         assert not report["verdicts"]["restoration_does_not_help"]
         assert not report["all_passed"]
 
+    def test_clean_estimate_checked_against_its_exact_mse(self):
+        """m / S with S ~ Gamma(m, rate) has MSE rate^2 (m+2)/((m-1)(m-2)) and
+        the biased-estimator bound rate^2 (m+1)/(m-1)^2: 0.048913 and 0.045139
+        at the defaults, where the Monte Carlo MSE lies within 4 se of it."""
+        report, _, _ = run_experiment("lambda_pipeline", seed=0)
+        res = report["results"]
+        assert res["mse_clean_exact"]["value"] == pytest.approx(0.048913, abs=5e-7)
+        assert res["crb_biased"]["value"] == pytest.approx(0.045139, abs=5e-7)
+        assert report["verdicts"]["clean_mse_matches_exact_within_4se"]
+        assert report["verdicts"]["exact_mse_respects_biased_bound"]
+        assert report["all_passed"]
+        report, _, _ = run_experiment("lambda_pipeline", seed=0,
+                                      overrides={"rate": 2.0, "m": 5, "replicates": 40})
+        res = report["results"]
+        assert res["mse_clean_exact"]["value"] == pytest.approx(4.0 * 7 / 12, rel=1e-15)
+        assert res["crb_biased"]["value"] == pytest.approx(4.0 * 6 / 16, rel=1e-15)
+
     def test_zero_mass_guard(self):
         with pytest.raises(ContractViolation):
             lambda_pipeline_experiment(1.0, 0, 10, seed=0)

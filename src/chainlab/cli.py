@@ -14,8 +14,9 @@ experiment snapshots are diffable and can live in the repo:
 Commands: ``run <config>`` (flags --seed, --out, --set key=value),
 ``list``, ``validate <config>``. Exit codes: 0 all verdicts pass, 1 a verdict
 failed, 2 config error, 3 the experiment or its parameter check crashed (an
-unexpected exception, reported on one ``error:`` line). ``validate`` accepts
-exactly the configs that ``run`` accepts. Outputs per run: report.json,
+unexpected exception, or a non-finite number in the report, reported on one
+``error:`` line, with nothing written). ``validate`` accepts exactly the
+configs that ``run`` accepts. Outputs per run: report.json,
 tables/*.csv, plotdata/*.csv under <out>/<experiment id>/; the CHAINLAB_OUT
 environment variable sets the default output root. Reports are
 byte-identical across runs with the same (id, seed, overrides).
@@ -181,12 +182,16 @@ def cmd_run(path: str, seed: int | None, out: str | None, sets: list) -> int:
         return 2
     except Exception as exc:  # a defect, not a failed verdict: keep exit 1 for verdicts
         return _crashed(rep.exp_id, exc)
+    try:
+        # Infinity and NaN are not JSON: a runner that returns them is at fault.
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        return _crashed(rep.exp_id, exc)
     out_root.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{rep.exp_id}-", dir=out_root))
     try:
         with open(staging / "report.json", "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
         if tables:
             (staging / "tables").mkdir()
             for name, (header, rows) in tables.items():

@@ -11,7 +11,10 @@ An affine map already exhibits the loss-minimizing output on linear-domain
 instances. ``fit_linear_restorer`` solves for the squared-error minimizer
 exactly (weighted least squares); the mixed-versus-targeted report uses it.
 ``train_mixed_restorer`` runs full-batch gradient descent with a declared
-schedule (lr halves on plateau) for the claims about training itself.
+schedule (lr halves on plateau) for the claims about training itself. It
+takes overlapping domains only: their one shared input lets each epoch form
+the prediction once, subtract the stacked targets of all domains as one
+residual array, and take one gradient product with the input.
 """
 
 from __future__ import annotations
@@ -222,37 +225,51 @@ def train_mixed_restorer(
     learning rate halves after _PLATEAU_PATIENCE epochs without
     improvement, and _DIVERGENCE_PATIENCE consecutive loss increases abort
     as divergence.
+
+    The domains must overlap (a disjoint spec raises ContractViolation):
+    every domain sees one shared input y, so the M domains' targets stack
+    into X of shape (M, b, n_out), the prediction y W' + bias is formed once
+    per epoch and the residual R = pred - X is one array. Every domain
+    weighs 1/M, so the gradient sums R (mse) or sign(R) (l1) over the
+    domains first, into one (b, n_out) array G, and then takes one product
+    G' [y 1]: W's gradient, and the bias gradient (G's column sum) as its
+    last column.
     """
     if loss not in ("mse", "l1"):
         raise ContractViolation(f"unknown loss {loss!r}")
+    if domains.mode != OVERLAPPING:
+        raise ContractViolation("train_mixed_restorer needs overlapping domains (one shared input)")
     rng = stream_rng(seed, 0)
     blocks = _training_blocks(domains, rng, batch)
     _check_domains_distinct(domains, blocks)
-    n_in = blocks[0][0].shape[1]
-    n_out = blocks[0][1].shape[1]
-    w_mat = np.zeros((n_out, n_in))
-    bias = np.zeros(n_out)
+    y = blocks[0][0]
+    x = np.stack([t for _, t, _ in blocks])
+    m, b, n_out = x.shape
+    n_in = y.shape[1]
+    # theta = [W | bias] against [y 1]: one product is the prediction, one
+    # the whole gradient, and one step moves both.
+    y1 = np.hstack([y, np.ones((b, 1))])
+    theta = np.zeros((n_out, n_in + 1))
+    # Every domain weighs 1/m and the loss is a mean over b rows.
+    loss_scale = 1.0 / m / b
+    grad_scale = (2.0 if loss == "mse" else 1.0) / m / b
+    pred = np.empty((b, n_out))
+    r = np.empty_like(x)
+    sign = np.empty_like(x)
+    g = np.empty_like(pred)
+    step = np.empty_like(theta)
     log = []
     best = math.inf
     stale = 0
     rising = 0
     prev = math.inf
     for _ in range(epochs):
-        grad_w = np.zeros_like(w_mat)
-        grad_b = np.zeros_like(bias)
-        total = 0.0
-        for y, x, wgt in blocks:
-            r = y @ w_mat.T + bias - x
-            b = y.shape[0]
-            if loss == "mse":
-                total += wgt * float(np.mean(np.sum(r**2, axis=1)))
-                grad_w += wgt * (2.0 / b) * r.T @ y
-                grad_b += wgt * (2.0 / b) * r.sum(axis=0)
-            else:
-                total += wgt * float(np.mean(np.sum(np.abs(r), axis=1)))
-                s = np.sign(r)
-                grad_w += wgt * (1.0 / b) * s.T @ y
-                grad_b += wgt * (1.0 / b) * s.sum(axis=0)
+        np.matmul(y1, theta.T, out=pred)
+        np.subtract(pred, x, out=r)
+        # mse: sum R**2 and d/dR = 2R; l1: sum |R| = sum sign(R) R and d/dR = sign(R).
+        a = r if loss == "mse" else np.sign(r, out=sign)
+        total = loss_scale * float(np.vdot(a, r))
+        a.sum(axis=0, out=g)
         log.append(total)
         if total > prev:
             rising += 1
@@ -269,15 +286,14 @@ def train_mixed_restorer(
                 lr *= 0.5
                 stale = 0
         prev = total
-        step_w = lr * grad_w
-        step_b = lr * grad_b
-        w_mat = w_mat - step_w
-        bias = bias - step_b
-        if max(np.abs(step_w).max(), np.abs(step_b).max(initial=0.0)) <= _PARAM_TOL:
+        np.matmul(g.T, y1, out=step)
+        step *= lr * grad_scale
+        theta -= step
+        if np.abs(step).max() <= _PARAM_TOL:
             break
     return LinearRestorer(
-        weights=w_mat,
-        bias=bias,
+        weights=theta[:, :n_in].copy(),
+        bias=theta[:, n_in].copy(),
         loss_log=tuple(log),
         meta={"loss": loss, "seed": seed, "final_lr": lr, "epochs_run": len(log)},
     )

@@ -322,6 +322,11 @@ def _run_pe_separability_identity(params: dict, seed: int):
     return results, verdicts, {}, {}
 
 
+# Scales of the overlapping domains the double-meaning runners train on.
+_MSE_SCALES = (1.0, 2.0)
+_L1_SCALES = (1.0, 1.0 + 1e-9, 4.0)
+
+
 def _run_double_meaning_mse(params: dict, seed: int):
     dim = int(params["dim"])
     stack = np.stack([np.zeros(3), np.array([0.0, 0.0, 9.0])])
@@ -329,7 +334,7 @@ def _run_double_meaning_mse(params: dict, seed: int):
     weighted = double_meaning_minimizer(
         [np.array([1.0]), np.array([5.0])], weights=[0.25, 0.75], loss="mse"
     )
-    domains = scaling_domains(dim, scales=(1.0, 2.0))
+    domains = scaling_domains(dim, scales=_MSE_SCALES)
     restorer = train_mixed_restorer(
         domains, loss="mse", epochs=int(params["epochs"]), lr=float(params["lr"]),
         seed=seed, batch=int(params["batch"]),
@@ -343,6 +348,7 @@ def _run_double_meaning_mse(params: dict, seed: int):
         "closed_form_weighted_mean": result(float(weighted[0])),
         "trained_vs_closed_sup_gap": result(gap),
         "epochs_run": result(restorer.meta["epochs_run"]),
+        "final_lr": result(restorer.meta["final_lr"]),
     }
     verdicts = {
         "mean_is_exact_minimizer": bool(
@@ -369,7 +375,7 @@ def _run_double_meaning_l1(params: dict, seed: int):
         [np.array([0.0]), np.array([0.0]), np.array([9.0])], loss="mse"
     )
     dim = int(params["dim"])
-    domains = scaling_domains(dim, scales=(1.0, 1.0 + 1e-9, 4.0))
+    domains = scaling_domains(dim, scales=_L1_SCALES)
     restorer = train_mixed_restorer(
         domains, loss="l1", epochs=int(params["epochs"]), lr=float(params["lr"]),
         seed=seed, batch=int(params["batch"]),
@@ -380,6 +386,8 @@ def _run_double_meaning_l1(params: dict, seed: int):
         "median_of_0_0_9": result(float(med[0])),
         "mean_of_0_0_9": result(float(mean[0])),
         "trained_weight_vs_median_map_sup": result(gap_to_median_map),
+        "epochs_run": result(restorer.meta["epochs_run"]),
+        "final_lr": result(restorer.meta["final_lr"]),
     }
     verdicts = {
         "l1_minimizer_is_median": med[0] == 0.0 and mean[0] == 3.0,
@@ -800,6 +808,18 @@ def _check_crb_attainment(p: dict) -> None:
           f"2 * {_MC_BLOCK} * m <= {_MAX_ARRAY_ENTRIES} (32 MiB for a block of draws)")
 
 
+def _check_trainer(p: dict, n_domains: int) -> None:
+    # The domains' dim x dim maps and the trainer's [W | bias], one (batch,
+    # dim) residual per domain stacked, and one logged loss per epoch (the
+    # training_loss table's rows).
+    _need(p["dim"] * (p["dim"] + 1) <= _MAX_ARRAY_ENTRIES,
+          f"dim * (dim + 1) <= {_MAX_ARRAY_ENTRIES} (32 MiB for the weights)")
+    _need(n_domains * p["batch"] * p["dim"] <= _MAX_ARRAY_ENTRIES,
+          f"{n_domains} * batch * dim <= {_MAX_ARRAY_ENTRIES} (32 MiB for the stacked residual)")
+    _need(p["epochs"] <= _MAX_ARRAY_ENTRIES,
+          f"epochs <= {_MAX_ARRAY_ENTRIES} (the loss log holds one row per epoch)")
+
+
 def _check_resolution_shift(p: dict) -> None:
     # A non-empty interior slice(3 hw, n - 3 hw), hw = ceil(4 sigma2) + 2; checked
     # first, it also bounds sigma2 so that sigma2**2 cannot overflow.
@@ -879,6 +899,7 @@ _register(
         "batch": _i(512, 8),
     },
     _run_double_meaning_mse,
+    lambda p: _check_trainer(p, len(_MSE_SCALES)),
 )
 _register(
     "double_meaning_l1",
@@ -892,6 +913,7 @@ _register(
         "train_tol": _f(0.05, 0.0),
     },
     _run_double_meaning_l1,
+    lambda p: _check_trainer(p, len(_L1_SCALES)),
 )
 _register(
     "resolution_shift",

@@ -206,6 +206,24 @@ class TestCliCommands:
         assert len(err) == 1 and err[0].startswith("error:") and "kaput" in err[0]
         assert not (tmp_path / "runs" / "naive_tree").exists()
 
+    def test_non_finite_result_exits_three(self, tmp_path, monkeypatch, capsys):
+        """report.json is JSON: a runner returning NaN is a defect, reported
+        on one error line, and nothing is written."""
+        real = CATALOG["naive_tree"].runner
+
+        def runner(params, seed):
+            results, verdicts, tables, plotdata = real(params, seed)
+            results["pe_x"]["value"] = float("nan")
+            return results, verdicts, tables, plotdata
+
+        monkeypatch.setitem(CATALOG, "naive_tree",
+                            dataclasses.replace(CATALOG["naive_tree"], runner=runner))
+        cfg = write_config(tmp_path / "nan.cfg", "naive_tree", seed=0)
+        assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "not JSON compliant: nan" in err[0]
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("text,message", [
         ("[experiment]\nid = naive_tree\n[extra]\nk = 1\n", "[extra]: unknown section"),
         ("[params]\nvalue_tol = 0.1\n", "[experiment]: section missing"),
@@ -273,6 +291,9 @@ class TestParameterContract:
         ("crb_attainment", {"sigma_x": "1e-300"}),
         ("crb_attainment", {"theta": "1e300"}),
         ("lambda_pipeline", {"m": 2}),
+        ("double_meaning_mse", {"batch": 2**19, "dim": 8}),
+        ("double_meaning_l1", {"epochs": 2**22 + 1}),
+        ("double_meaning_l1", {"dim": 2048}),
     ])
     def test_cross_parameter_and_non_finite_rejected(self, tmp_path, exp_id, params):
         cfg = write_config(tmp_path / "bad.cfg", exp_id, seed=0, params=params)

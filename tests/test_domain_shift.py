@@ -169,6 +169,62 @@ class TestTrainedRestorer:
         with pytest.raises(DomainsCoincide):
             fit_linear_restorer(dom)
 
+    @staticmethod
+    def _per_domain_descent(dom, loss, epochs, lr, seed, batch):
+        """The trainer's epoch written out domain by domain: each block's
+        residual, loss and gradient, weighted and summed, under the same
+        plateau schedule."""
+        blocks = _training_blocks(dom, stream_rng(seed, 0), batch)
+        n_in, n_out = blocks[0][0].shape[1], blocks[0][1].shape[1]
+        w_mat, bias = np.zeros((n_out, n_in)), np.zeros(n_out)
+        log, best, stale = [], math.inf, 0
+        for _ in range(epochs):
+            gw, gb, total = np.zeros_like(w_mat), np.zeros_like(bias), 0.0
+            for y, x, wgt in blocks:
+                r = y @ w_mat.T + bias - x
+                if loss == "mse":
+                    total += wgt * float(np.mean(np.sum(r**2, axis=1)))
+                    d = 2.0 * r
+                else:
+                    total += wgt * float(np.mean(np.sum(np.abs(r), axis=1)))
+                    d = np.sign(r)
+                gw += wgt / len(y) * d.T @ y
+                gb += wgt / len(y) * d.sum(axis=0)
+            log.append(total)
+            if total < best - 1e-15 * max(1.0, best if math.isfinite(best) else 1.0):
+                best, stale = total, 0
+            else:
+                stale += 1
+                if stale >= 50:
+                    lr *= 0.5
+                    stale = 0
+            w_mat = w_mat - lr * gw
+            bias = bias - lr * gb
+        return np.array(log), w_mat, bias
+
+    @pytest.mark.parametrize("make,loss,lr", [
+        (lambda: scaling_domains(4, (1.0, 1.0, 4.0)), "l1", 0.02),
+        (lambda: two_blur_domains(32, 1.0, 2.0), "mse", 0.2),
+    ])
+    def test_stacked_epoch_matches_per_domain_loop(self, make, loss, lr):
+        """One stacked residual per epoch computes the per-domain loop's loss
+        and step up to summation order, over 300 epochs (before the stopping
+        rule's round-off regime)."""
+        dom = make()
+        trained = train_mixed_restorer(dom, loss=loss, epochs=300, lr=lr, seed=5, batch=256)
+        assert trained.meta["epochs_run"] == 300
+        log, w_mat, bias = self._per_domain_descent(dom, loss, 300, lr, seed=5, batch=256)
+        np.testing.assert_allclose(trained.loss_log, log, rtol=1e-12, atol=0)
+        assert np.max(np.abs(trained.weights - w_mat)) <= 1e-10
+        assert np.max(np.abs(trained.bias - bias)) <= 1e-10
+
+    def test_disjoint_domains_rejected(self):
+        """The trainer stacks targets against one shared input; a disjoint
+        spec, whose domains draw their own inputs, is for fit_linear_restorer."""
+        dom = offset_indicator_domains(4, 1.0, -1.0, disjoint=True)
+        with pytest.raises(ContractViolation):
+            train_mixed_restorer(dom, epochs=10)
+
     def test_divergence_detected(self):
         from chainlab.errors import Diverged
 

@@ -14,9 +14,9 @@ experiment snapshots are diffable and can live in the repo:
 Commands: ``run <config>`` (flags --seed, --out, --set key=value),
 ``list``, ``validate <config>``. Exit codes: 0 all verdicts pass, 1 a verdict
 failed, 2 config error, 3 the experiment or its parameter check crashed (an
-unexpected exception, or a non-finite number in the report, reported on one
-``error:`` line, with nothing written). ``validate`` accepts exactly the
-configs that ``run`` accepts. Outputs per run: report.json,
+unexpected exception, or a non-finite number in the report or in a CSV cell,
+reported on one ``error:`` line, with nothing written). ``validate`` accepts
+exactly the configs that ``run`` accepts. Outputs per run: report.json,
 tables/*.csv, plotdata/*.csv under <out>/<experiment id>/; the CHAINLAB_OUT
 environment variable sets the default output root. Reports are
 byte-identical across runs with the same (id, seed, overrides).
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import shutil
 import sys
@@ -40,18 +41,16 @@ DEFAULT_OUT = "chainlab-runs"
 
 
 def _fmt_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"CSV cell is not finite: {v!r}")
         return format(v, ".17g")
     return str(v)
 
 
-def write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
+def _csv_text(header, rows) -> str:
+    lines = [",".join(header)] + [",".join(_fmt_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 class ConfigReport:
@@ -183,23 +182,22 @@ def cmd_run(path: str, seed: int | None, out: str | None, sets: list) -> int:
     except Exception as exc:  # a defect, not a failed verdict: keep exit 1 for verdicts
         return _crashed(rep.exp_id, exc)
     try:
-        # Infinity and NaN are not JSON: a runner that returns them is at fault.
-        text = json.dumps(report, indent=2, allow_nan=False)
+        # Infinity and NaN are neither JSON nor a measured number: a runner
+        # that returns them is at fault, so everything is formatted before
+        # anything is written.
+        files = {"report.json": json.dumps(report, indent=2, allow_nan=False) + "\n"}
+        for folder, sheets in (("tables", tables), ("plotdata", plotdata)):
+            for name, (header, rows) in sheets.items():
+                files[f"{folder}/{name}.csv"] = _csv_text(header, rows)
     except ValueError as exc:
         return _crashed(rep.exp_id, exc)
     out_root.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{rep.exp_id}-", dir=out_root))
     try:
-        with open(staging / "report.json", "w") as fh:
-            fh.write(text + "\n")
-        if tables:
-            (staging / "tables").mkdir()
-            for name, (header, rows) in tables.items():
-                write_csv(staging / "tables" / f"{name}.csv", header, rows)
-        if plotdata:
-            (staging / "plotdata").mkdir()
-            for name, (header, rows) in plotdata.items():
-                write_csv(staging / "plotdata" / f"{name}.csv", header, rows)
+        for rel, text in files.items():
+            (staging / rel).parent.mkdir(exist_ok=True)
+            with open(staging / rel, "w", newline="") as fh:
+                fh.write(text)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise

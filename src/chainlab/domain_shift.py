@@ -10,11 +10,13 @@ blur operators, and a mixed-versus-targeted error report.
 An affine map already exhibits the loss-minimizing output on linear-domain
 instances. ``fit_linear_restorer`` solves for the squared-error minimizer
 exactly (weighted least squares); the mixed-versus-targeted report uses it.
-``train_mixed_restorer`` runs full-batch gradient descent with a declared
-schedule (lr halves on plateau) for the claims about training itself. It
-takes overlapping domains only: their one shared input lets each epoch form
-the prediction once, subtract the stacked targets of all domains as one
-residual array, and take one gradient product with the input.
+``train_mixed_restorer`` runs full-batch gradient descent for the claims
+about training itself. Its first step is derived from the training draw (the
+inverse Lipschitz constant of the squared-error gradient) and halves on
+plateau, so no step size is configured. It takes overlapping domains only:
+their one shared input lets each epoch form the prediction once, subtract
+the stacked targets of all domains as one residual array, and take one
+gradient product with the input.
 """
 
 from __future__ import annotations
@@ -186,27 +188,22 @@ class LinearRestorer:
 
 
 def _training_blocks(domains: DomainSpec, rng: np.random.Generator, batch: int):
-    """Per-domain (inputs, target, weight) blocks; overlapping mode shares draws."""
-    blocks = []
-    w = 1.0 / domains.n_domains
+    """Per-domain (inputs, target) blocks; overlapping mode shares draws."""
     if domains.mode == OVERLAPPING:
         u = domains.latent_samplers[0](rng, batch)
         y = domains.observation(u)
-        for g in domains.inverses:
-            blocks.append((y, g(u), w))
-    else:
-        for g, sampler in zip(domains.inverses, domains.latent_samplers):
-            u = sampler(rng, batch)
-            blocks.append((domains.observation(u), g(u), w))
+        return [(y, g(u)) for g in domains.inverses]
+    blocks = []
+    for g, sampler in zip(domains.inverses, domains.latent_samplers):
+        u = sampler(rng, batch)
+        blocks.append((domains.observation(u), g(u)))
     return blocks
 
 
 # Loss increase, relative to the first logged loss, that check_training forgives.
 _TRAINING_SLACK = 1e-9
-# Epochs without improvement after which the learning rate halves.
+# Epochs without improvement after which the step halves.
 _PLATEAU_PATIENCE = 50
-# Consecutive loss increases that abort training as divergence.
-_DIVERGENCE_PATIENCE = 10
 # Training stops once no parameter step exceeds this.
 _PARAM_TOL = 1e-14
 
@@ -215,16 +212,20 @@ def train_mixed_restorer(
     domains: DomainSpec,
     loss: str = "mse",
     epochs: int = 10_000,
-    lr: float = 1e-2,
     seed: int = 0,
     batch: int = 512,
 ) -> LinearRestorer:
     """Fit one affine restorer against every domain's targets at once.
 
-    Full-batch gradient descent on the weighted multi-domain loss; the
-    learning rate halves after _PLATEAU_PATIENCE epochs without
-    improvement, and _DIVERGENCE_PATIENCE consecutive loss increases abort
-    as divergence.
+    Full-batch gradient descent on the weighted multi-domain loss. The first
+    step is 1/L, with L = 2 lambda_max([y 1]' [y 1]) / b the Lipschitz
+    constant of the squared-error gradient on the training draw of b rows
+    ([y 1] holds a column of ones, so lambda_max >= b > 0). By the descent
+    lemma no squared-error step can then raise the loss, and an absolute-error
+    step is bounded by the same 1/L. Both losses halve the step after
+    _PLATEAU_PATIENCE epochs without improvement and stop once no parameter
+    moves by more than _PARAM_TOL. ``meta`` records the derived
+    ``initial_lr``, the ``final_lr`` and ``epochs_run``.
 
     The domains must overlap (a disjoint spec raises ContractViolation):
     every domain sees one shared input y, so the M domains' targets stack
@@ -243,12 +244,13 @@ def train_mixed_restorer(
     blocks = _training_blocks(domains, rng, batch)
     _check_domains_distinct(domains, blocks)
     y = blocks[0][0]
-    x = np.stack([t for _, t, _ in blocks])
+    x = np.stack([t for _, t in blocks])
     m, b, n_out = x.shape
     n_in = y.shape[1]
     # theta = [W | bias] against [y 1]: one product is the prediction, one
     # the whole gradient, and one step moves both.
     y1 = np.hstack([y, np.ones((b, 1))])
+    initial_lr = lr = b / (2.0 * float(np.linalg.eigvalsh(y1.T @ y1)[-1]))
     theta = np.zeros((n_out, n_in + 1))
     # Every domain weighs 1/m and the loss is a mean over b rows.
     loss_scale = 1.0 / m / b
@@ -261,8 +263,6 @@ def train_mixed_restorer(
     log = []
     best = math.inf
     stale = 0
-    rising = 0
-    prev = math.inf
     for _ in range(epochs):
         np.matmul(y1, theta.T, out=pred)
         np.subtract(pred, x, out=r)
@@ -271,12 +271,6 @@ def train_mixed_restorer(
         total = loss_scale * float(np.vdot(a, r))
         a.sum(axis=0, out=g)
         log.append(total)
-        if total > prev:
-            rising += 1
-            if rising >= _DIVERGENCE_PATIENCE:
-                raise Diverged(f"loss increased {_DIVERGENCE_PATIENCE} consecutive epochs")
-        else:
-            rising = 0
         if total < best - 1e-15 * max(1.0, best if math.isfinite(best) else 1.0):
             best = total
             stale = 0
@@ -285,7 +279,6 @@ def train_mixed_restorer(
             if stale >= _PLATEAU_PATIENCE:
                 lr *= 0.5
                 stale = 0
-        prev = total
         np.matmul(g.T, y1, out=step)
         step *= lr * grad_scale
         theta -= step
@@ -295,21 +288,21 @@ def train_mixed_restorer(
         weights=theta[:, :n_in].copy(),
         bias=theta[:, n_in].copy(),
         loss_log=tuple(log),
-        meta={"loss": loss, "seed": seed, "final_lr": lr, "epochs_run": len(log)},
+        meta={"initial_lr": initial_lr, "final_lr": lr, "epochs_run": len(log)},
     )
 
 
 def fit_linear_restorer(domains: DomainSpec, seed: int = 0, batch: int = 512) -> LinearRestorer:
     """Exact minimizer of the objective ``train_mixed_restorer`` descends under mse.
 
-    Same draw; rows of domain i scaled by sqrt(w_i / b_i), so the squared
-    residual is sum_i w_i * mean_rows ||W y + b - x||^2.
+    Same draw; rows of domain i scaled by sqrt(1 / (M b_i)), so the squared
+    residual is (1/M) sum_i mean_rows ||W y + b - x||^2 over the M domains.
     """
     blocks = _training_blocks(domains, stream_rng(seed, 0), batch)
     _check_domains_distinct(domains, blocks)
     design, target = [], []
-    for y, x, wgt in blocks:
-        scale = math.sqrt(wgt / y.shape[0])
+    for y, x in blocks:
+        scale = math.sqrt(1.0 / domains.n_domains / y.shape[0])
         design.append(scale * np.hstack([y, np.ones((y.shape[0], 1))]))
         target.append(scale * x)
     sol = np.linalg.lstsq(np.vstack(design), np.vstack(target), rcond=None)[0]
@@ -319,7 +312,7 @@ def fit_linear_restorer(domains: DomainSpec, seed: int = 0, batch: int = 512) ->
 def _check_domains_distinct(domains: DomainSpec, blocks) -> None:
     if domains.n_domains < 2:
         return
-    targets = [x for _, x, _ in blocks]
+    targets = [x for _, x in blocks]
     base = targets[0]
     if all(np.allclose(base, t, atol=1e-12) for t in targets[1:]) and domains.mode == OVERLAPPING:
         raise DomainsCoincide("all domain inverses agree on every probed input")

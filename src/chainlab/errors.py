@@ -88,7 +88,7 @@ class DomainsCoincide(ChainlabError):
 
 
 class Diverged(ChainlabError):
-    """Training loss increased for too many consecutive epochs."""
+    """Training left non-finite parameters."""
 
 
 # --- sparse recovery --------------------------------------------------------

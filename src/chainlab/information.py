@@ -127,15 +127,19 @@ def binned_pmf(cdf: Callable[[np.ndarray], np.ndarray], grid: Sequence[float]) -
     return mass / mass.sum()
 
 
+def normal_cdf(x) -> np.ndarray:
+    """Standard normal CDF 0.5 erfc(-x / sqrt(2)), elementwise with ``math.erfc``."""
+    z = -np.asarray(x, dtype=np.float64) / math.sqrt(2.0)
+    return 0.5 * np.asarray(np.frompyfunc(math.erfc, 1, 1)(z), dtype=np.float64)
+
+
 def quantized_gaussian_mean_family(sigma_x: float, grid: Sequence[float],
                                    theta_domain: tuple) -> TableFamily:
     """Gaussian location family quantized to a fixed outcome grid."""
-    from scipy.special import ndtr
-
     g = tuple(float(v) for v in grid)
 
     def pmf(theta: float) -> np.ndarray:
-        return binned_pmf(lambda e: ndtr((e - theta) / sigma_x), g)
+        return binned_pmf(lambda e: normal_cdf((e - theta) / sigma_x), g)
 
     return TableFamily(support=g, pmf_fn=pmf, theta_domain=theta_domain)
 

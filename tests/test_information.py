@@ -21,6 +21,7 @@ from chainlab.information import (
     entropy_error_bound_gaussian,
     entropy_error_bound_grid,
     fisher_information,
+    normal_cdf,
     quantized_gaussian_mean_family,
     quantized_laplace_rate_family,
     rao_blackwellize,
@@ -328,13 +329,22 @@ class TestEntropyErrorBound:
         assert bound <= 1.0 / 12.0
 
     def test_gridded_gaussian_matches_analytic_within_1pct(self):
-        from scipy.special import ndtr
-
         sigma = 1.0
         grid = np.linspace(-8, 8, 4001)
-        masses = binned_pmf(lambda e: ndtr(e / sigma), grid)
+        masses = binned_pmf(lambda e: normal_cdf(e / sigma), grid)
         bound = entropy_error_bound_grid(masses, grid[1] - grid[0])
         assert abs(bound - sigma**2) <= 0.01 * sigma**2
+
+    def test_normal_cdf_matches_scipy(self):
+        """erfc keeps the relative precision of the lower tail that 1 - cdf
+        would lose: within 1e-12 of scipy's ndtr down to x = -37."""
+        from scipy.special import ndtr
+
+        x = np.linspace(-37.0, 37.0, 20000).reshape(100, 200)
+        got = normal_cdf(x)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, ndtr(x), rtol=1e-12, atol=0)
+        assert normal_cdf(0.0) == 0.5 and normal_cdf(-37.0) > 0.0
 
     @pytest.mark.parametrize("sigma", [0.0, -2.0])
     def test_gaussian_scale_must_be_positive(self, sigma):

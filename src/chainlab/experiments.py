@@ -527,19 +527,17 @@ def _run_sparse_certificates(params: dict, seed: int):
     sep = min_spike_separation(op.sigma, op.fs)
     delta = float(params["delta"])
 
-    def one(i: int):
+    xs, ys = np.zeros((n, draws)), np.zeros((n, draws))
+    for i in range(draws):
         rng = stream_rng(seed, i)
-        signal = random_spike_signal(rng, n, int(params["n_spikes"]), sep)
-        x = signal.to_vector()
+        xs[:, i] = random_spike_signal(rng, n, int(params["n_spikes"]), sep).to_vector()
         w = rng.standard_normal(n)
         w *= delta * rng.uniform(0.5, 1.0) / np.sum(np.abs(w))
-        y = op.apply(x) + w
-        sol = l1_map_solve(y, op, mode="constrained", delta=delta)
-        cert = recovery_certificate(x, sol.x_hat, op, delta, norm="l1")
-        return cert.holds, cert.achieved, cert.bound, sol.converged, sol.iterations
-
-    rows = [one(i) for i in range(draws)]
-    unconverged = sum(not conv for *_, conv, _ in rows)
+        ys[:, i] = op.apply(xs[:, i]) + w
+    # All draws are one solve, one column of y per draw.
+    sol = l1_map_solve(ys, op, mode="constrained", delta=delta)
+    certs = [recovery_certificate(xs[:, i], sol.x_hat[:, i], op, delta, norm="l1")
+             for i in range(draws)]
     lam_grid = np.geomspace(float(params["lam_max"]), 1e-4, 20)
     rng = stream_rng(seed, _PATH_STREAM)
     signal = random_spike_signal(rng, n, int(params["n_spikes"]), sep)
@@ -551,16 +549,16 @@ def _run_sparse_certificates(params: dict, seed: int):
     path_monotone = all(norms[i] <= norms[i + 1] + 1e-9 for i in range(len(norms) - 1))
     results = {
         "n_draws": result(draws),
-        "worst_bound_slack": result(min(b - a for _, a, b, *_ in rows)),
-        "constrained_unconverged": result(unconverged),
-        "constrained_pivots": result(sum(pivots for *_, pivots in rows)),
+        "worst_bound_slack": result(min(c.bound - c.achieved for c in certs)),
+        "constrained_unconverged": result(sol.unconverged),
+        "constrained_pivots": result(sum(sol.column_iterations)),
         "l1_norm_path": result(norms),
         "penalized_uncertified": result(path.unconverged),
         "penalized_iterations": result(list(path.column_iterations)),
     }
     verdicts = {
         # A bound checked on an inexact solve certifies nothing.
-        "error_bound_never_violated": unconverged == 0 and all(h for h, *_ in rows),
+        "error_bound_never_violated": sol.unconverged == 0 and all(c.holds for c in certs),
         # The exact lasso solution's l1 norm is non-increasing in lam.
         "penalty_path_l1_monotone": path.unconverged == 0 and path_monotone,
     }
@@ -569,7 +567,7 @@ def _run_sparse_certificates(params: dict, seed: int):
         results,
         verdicts,
         {"certificates": (["draw", "holds", "achieved", "bound"],
-                          [[i, int(h), a, b] for i, (h, a, b, *_) in enumerate(rows)])},
+                          [[i, int(c.holds), c.achieved, c.bound] for i, c in enumerate(certs)])},
         {"penalty_path": (["x", "y"], path_rows)},
     )
 
@@ -782,10 +780,13 @@ def _check_sparse_noiseless(p: dict) -> None:
 
 
 def _check_sparse_certificate_sweep(p: dict) -> None:
-    _need(p["n"] <= 512, "n <= 512 (the simplex tableau of a draw is (n + 1) x (4n + 2) floats)")
+    _need(p["n"] <= 512, "n <= 512 (a draw's simplex keeps an (n + 1) x (n + 2) basis inverse)")
     # Draw i uses stream i; stream _PATH_STREAM belongs to the penalty path.
     _need(p["draws"] <= _PATH_STREAM,
           f"draws <= {_PATH_STREAM} (draw streams apart from the path's)")
+    # The runner stacks every draw's signal and measurement, n x draws each.
+    _need(p["n"] * p["draws"] <= _MAX_ARRAY_ENTRIES,
+          f"n * draws <= {_MAX_ARRAY_ENTRIES} (32 MiB for the stacked draws)")
     _check_sparse_noiseless(p)
 
 

@@ -8,20 +8,25 @@ pattern, an exact solve on that pattern polishes it, and the lasso KKT
 conditions accept or reject each column; a penalty path is one batched
 solve with one penalty per column. The constrained mode,
 min ||x||_1 s.t. ||y - Gx||_1 <= delta, is a linear program and is solved
-exactly by a small dense dual simplex, so its answer is the constrained
-minimizer that the recovery certificates bound. The LP is taken in equality
-form, x = u - v and y - Gx = p - q, with m + 1 rows for m measurements:
+exactly for each column of y, so its answer is the constrained minimizer
+that the recovery certificates bound. The LP is taken in equality form,
+x = u - v and y - Gx = p - q, with m + 1 rows for m measurements:
 
     min 1'(u + v)  s.t.  G(u - v) + p - q = y,  1'(p + q) + s = delta,
                          u, v, p, q, s >= 0.
 
-The simplex starts from the basis of p_i where y_i >= 0 (q_i elsewhere) and
-the budget slack s. Its matrix is triangular (signs on the diagonal, ones in
-the budget row), and every basic cost is zero, so all reduced costs equal
-the costs, 1 or 0: the basis is dual feasible, and only the budget row
-starts primal infeasible (s = delta - ||y||_1 < 0). With delta == 0 the
-feasible set of the square, nonsingular G is the single point G^{-1} y,
-which is solved for directly.
+A revised dual simplex solves it, a block of columns at a time; the block
+size is derived from m so that the blocks' states take about 0.5 MiB. Each
+column starts from the basis of p_i where y_i >= 0 (q_i elsewhere) and the
+budget slack s. That basis is triangular (signs on the diagonal, ones in
+the budget row), so its inverse is known in closed form, and every basic
+cost is zero, so all reduced costs equal the costs, 1 or 0: the basis is
+dual feasible, and only the budget row starts primal infeasible
+(s = delta - ||y||_1 < 0). A column keeps only [B^-1 | z_B]; a pivot
+takes one row of B^-1, forms its row of B^-1 a from a's structure (one
+product with G) and makes a rank-1 update. With delta == 0 the feasible
+set of the square, nonsingular G is the single point G^{-1} y, which is
+solved for directly, column by column.
 
 Certificates evaluate the closed-form recovery error bounds for admissible
 kernels; the Gaussian kernel's positivity/curvature constants (beta, eps)
@@ -246,58 +251,134 @@ def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray]
 
 # Relative tolerance of the simplex: pivots, primal and dual feasibility.
 _LP_RTOL = 1e-9
-# Times the tableau is rebuilt from the original data before giving up.
+# Times a column's basis inverse is rebuilt from the original data before giving up.
 _LP_REBUILDS = 3
+# Entries of the [B^-1 | z_B] states iterated together (0.5 MiB of floats): a
+# block holds max(1, _LP_STATE_ENTRIES // ((m + 1) (m + 2))) columns, 15 at m = 64.
+_LP_STATE_ENTRIES = 2**16
 
 
-def _dual_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray, basis: np.ndarray,
-                  tab: np.ndarray, max_pivots: int) -> tuple:
-    """min c'z s.t. a z = b, z >= 0, from a dual-feasible basis; returns
-    (z, pivots, optimal).
+def _lp_rows(gg: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """beta @ a for each row of beta (k x (m + 1)), where
+    a = [[G, -G, I, -I, 0], [0, 0, 1', 1', 1]] is the constrained l1 LP's
+    matrix, from its structure: one product with gg = [G, -G]."""
+    m = gg.shape[0]
+    top, last = beta[:, :m], beta[:, m:]
+    return np.concatenate([top @ gg, top + last, last - top, last], axis=1)
 
-    ``basis`` holds one column of a per row, ``tab`` is its tableau
-    (a_B)^{-1} [a | b] (both are updated in place), and its reduced costs
-    c - a'(a_B')^{-1} c_B must be >= 0, as they are for the zero-cost,
-    triangular starting basis of the constrained l1 problem. Dense-tableau
-    dual simplex: each pivot leaves on the most negative basic value and
-    enters by the min-ratio test. The final basis is re-solved from
-    (a, b, c); ``optimal`` holds only if it is primal and dual feasible to
-    tolerances scaled to |b| and |c|. Otherwise the tableau is rebuilt from
+
+def _dual_simplex(g: np.ndarray, y: np.ndarray, delta: float, max_pivots: int) -> tuple:
+    """min 1'(u + v) s.t. G(u - v) + p - q = y_k, 1'(p + q) + s = delta, all
+    variables >= 0, for each column y_k of y; returns (x, pivots, optimal)
+    per column, x = u - v.
+
+    A revised dual simplex (Lemke 1954) on blocks of
+    max(1, _LP_STATE_ENTRIES // ((m + 1) (m + 2))) columns (_simplex_block).
+    Columns do not interact, so each is solved as it would be alone.
+    """
+    m, n = g.shape
+    eye = np.eye(m)
+    # columns u, v (n each), p, q (m each), s, one row each
+    a_cols = np.ascontiguousarray(np.block([[g, -g, eye, -eye, np.zeros((m, 1))],
+                                            [np.zeros((1, 2 * n)), np.ones((1, 2 * m + 1))]]).T)
+    c = np.concatenate([np.ones(2 * n), np.zeros(2 * m + 1)])
+    block = max(1, _LP_STATE_ENTRIES // ((m + 1) * (m + 2)))
+    x = np.zeros((n, y.shape[1]))
+    pivots = np.zeros(y.shape[1], dtype=np.intp)
+    optimal = np.zeros(y.shape[1], dtype=bool)
+    for first in range(0, y.shape[1], block):
+        cols = slice(first, first + block)
+        x[:, cols], pivots[cols], optimal[cols] = _simplex_block(g, a_cols, c, y[:, cols], delta,
+                                                                 max_pivots)
+    return x, pivots, optimal
+
+
+def _simplex_block(g: np.ndarray, a_cols: np.ndarray, c: np.ndarray, y: np.ndarray,
+                   delta: float, max_pivots: int) -> tuple:
+    """_dual_simplex on one block of columns; a_cols holds the LP's columns
+    as rows, c its costs.
+
+    A column keeps [B^-1 | z_B], (m + 1) x (m + 2), and its reduced costs,
+    started in closed form from the triangular, dual-feasible basis of the
+    module docstring: [[D, 0], [1', 1]], D = diag(+-1), has the inverse
+    [[D, 0], [-1'D, 1]]. A pivot leaves on the most negative basic value,
+    forms that row of B^-1 a from a's structure (_lp_rows), enters by the
+    min-ratio test and makes a rank-1 update with the entering column
+    B^-1 a_j. A column stops when it is primal feasible, has no column to
+    enter, or has made max_pivots pivots; its basis is then re-solved from
+    (a, b, c), and it is ``optimal`` only if primal and dual feasible to
+    tolerances scaled to |b| and |c|. Otherwise its state is rebuilt from
     that basis and pivoting resumes, at most _LP_REBUILDS times.
     """
-    tol_p = _LP_RTOL * float(np.max(np.abs(b)))
-    tol_d = _LP_RTOL * float(np.max(np.abs(c)))
-    pivots = 0
-    for _ in range(_LP_REBUILDS + 1):
-        d = c - c[basis] @ tab[:, :-1]
-        while pivots < max_pivots:
-            r = int(np.argmin(tab[:, -1]))
-            if tab[r, -1] >= -tol_p:
-                break
-            row = tab[r, :-1]
-            enter = row < -_LP_RTOL * float(np.max(np.abs(row)))
-            if not enter.any():
-                break  # primal infeasible, or lost to round-off
-            ratio = np.full(len(row), np.inf)
-            ratio[enter] = np.maximum(d[enter], 0.0) / -row[enter]
-            j = int(np.argmin(ratio))
-            tab[r] /= tab[r, j]
-            col = tab[:, j].copy()
-            col[r] = 0.0
-            tab -= np.outer(col, tab[r])
-            d -= d[j] * tab[r, :-1]
-            basis[r] = j
-            pivots += 1
-        bm = a[:, basis]
-        z_b = np.linalg.solve(bm, b)
-        reduced = c - a.T @ np.linalg.solve(bm.T, c[basis])
-        optimal = z_b.min() >= -tol_p and reduced.min() >= -tol_d
-        if optimal or pivots >= max_pivots:
-            break
-        tab = np.linalg.solve(bm, np.column_stack([a, b]))
-    z = np.zeros(a.shape[1])
-    z[basis] = z_b
-    return z, pivots, bool(optimal)
+    m, n = g.shape
+    rows, k = m + 1, y.shape[1]
+    gg = a_cols[:2 * n, :m].T  # [G, -G]
+    b = np.vstack([y, np.full((1, k), delta)])
+    floor = -_LP_RTOL * np.abs(b).max(axis=0)  # a basic value below it is infeasible
+    neg = y.T < 0
+    diag = np.arange(m)
+    basis = np.hstack([2 * n + diag + m * neg, np.full((k, 1), 2 * n + 2 * m)])
+    state = np.zeros((k, rows, rows + 1))
+    state[:, diag, diag] = np.where(neg, -1.0, 1.0)
+    state[:, m, :m] = -state[:, diag, diag]
+    state[:, m, m] = 1.0
+    state[:, :m, rows] = np.abs(y.T)
+    state[:, m, rows] = delta - state[:, :m, rows].sum(axis=1)
+    d = np.tile(c, (k, 1))
+    rebuilt = np.zeros(k, dtype=np.intp)
+    x, pivots, optimal = np.zeros((n, k)), np.zeros(k, dtype=np.intp), np.zeros(k, dtype=bool)
+    outer = np.empty_like(state)  # the rank-1 update, without a temporary
+    live = at = np.arange(k)
+    base = rows * at  # row 0 of each column in state.reshape(-1, rows + 1)
+    runs = 0  # live columns pivot together, so they share a pivot count
+    # The ratio test divides every entry and masks the ones off the entering set.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while live.size:
+            r = state[:, :, rows].argmin(axis=1)
+            flat = base + r
+            pivot_row = state.reshape(-1, rows + 1)[flat]
+            alpha = _lp_rows(gg, pivot_row[:, :rows])
+            enter = alpha < -_LP_RTOL * np.abs(alpha).max(axis=1, keepdims=True)
+            ratio = np.where(enter, np.maximum(d, 0.0) / -alpha, np.inf)
+            j = ratio.argmin(axis=1)
+            go = (pivot_row[:, rows] < floor) & (ratio[at, j] < np.inf)
+            if runs >= max_pivots or not go.all():
+                # re-solve the stopped columns' bases from the data
+                stop = np.flatnonzero(~go) if runs < max_pivots else at
+                bt = a_cols[basis[stop]]  # B'
+                z_b = np.linalg.solve(bt.transpose(0, 2, 1), b[:, stop].T[..., None])[..., 0]
+                dual = np.linalg.solve(bt, c[basis[stop]][..., None])[..., 0]
+                reduced = c - _lp_rows(gg, dual)
+                ok = (z_b.min(axis=1) >= floor[stop]) & (reduced.min(axis=1) >= -_LP_RTOL)
+                again = ~ok & (rebuilt[stop] < _LP_REBUILDS) & (runs < max_pivots)
+                if again.any():
+                    redo = stop[again]
+                    state[redo, :, :rows] = np.linalg.inv(bt[again].transpose(0, 2, 1))
+                    state[redo, :, rows] = z_b[again]
+                    d[redo] = reduced[again]
+                    rebuilt[redo] += 1
+                done = stop[~again]
+                if done.size:
+                    z = np.zeros((done.size, len(c)))
+                    z[np.arange(done.size)[:, None], basis[done]] = z_b[~again]
+                    x[:, live[done]] = (z[:, :n] - z[:, n:2 * n]).T
+                    pivots[live[done]], optimal[live[done]] = runs, ok[~again]
+                    keep = np.ones(live.size, dtype=bool)
+                    keep[done] = False
+                    live, basis, state, d = live[keep], basis[keep], state[keep], d[keep]
+                    rebuilt, b, floor = rebuilt[keep], b[:, keep], floor[keep]
+                    at, outer = np.arange(live.size), outer[:live.size]
+                    base = rows * at
+                continue
+            w = np.matmul(state[:, :, :rows], a_cols[j][:, :, None])[:, :, 0]  # B^-1 a_j
+            pivot_row /= w.reshape(-1)[flat][:, None]
+            state.reshape(-1, rows + 1)[flat] = pivot_row
+            w.reshape(-1)[flat] = 0.0
+            state -= np.einsum("ki,kj->kij", w, pivot_row, out=outer)
+            d -= d[at, j][:, None] * (alpha / alpha[at, j][:, None])
+            basis.reshape(-1)[flat] = j
+            runs += 1
+    return x, pivots, optimal
 
 
 def l1_map_solve(
@@ -324,20 +405,23 @@ def l1_map_solve(
     (final objective summed over columns,); a per-column ``lam`` comes back
     as a tuple.
 
-    constrained: minimize ||x||_1 s.t. ||y - Gx||_1 <= delta, solved exactly
-    as the equality-form linear program min 1'(u + v) s.t.
-    G(u - v) + p - q = y, 1'(p + q) + s = delta, u, v, p, q, s >= 0,
-    x = u - v, by a dense dual simplex on its m + 1 rows (``iterations``
-    counts its pivots, at most max_iter). The simplex starts from the basis
-    {p_i if y_i >= 0 else q_i} and s: it is triangular and its costs are
-    zero, so every reduced cost is a cost, >= 0, and the basis is dual
-    feasible; only s = delta - ||y||_1 starts negative.
-    For delta == 0 the feasible set of a nonsingular square G is the single
-    point G^{-1} y, which is solved for directly (0 iterations). If x = 0 is
-    feasible within the slack it is returned (0 iterations). ``converged``
-    certifies that the simplex ended on a basis that is primal and dual
-    feasible when re-solved from the data, and that ||y - Gx||_1 <= delta +
-    feasibility_slack. ``objective`` is (||x||_1,) and ``lam`` is None.
+    constrained: minimize ||x||_1 s.t. ||y - Gx||_1 <= delta for each
+    column of y, solved exactly as the equality-form linear program
+    min 1'(u + v) s.t. G(u - v) + p - q = y, 1'(p + q) + s = delta,
+    u, v, p, q, s >= 0, x = u - v, on its m + 1 rows by a batched revised
+    dual simplex (_dual_simplex) from a triangular, dual-feasible basis.
+    Columns iterate in blocks whose size is derived from m, about 0.5 MiB of
+    state per block, and each column is solved as it would be alone, within
+    max_iter pivots. For delta == 0 the feasible set of a nonsingular square G is the single
+    point G^{-1} y, solved for directly, one solve per column (0 pivots). A
+    column whose x = 0 is feasible within the slack gets x = 0 (0 pivots).
+    A column is converged when the simplex ended on a basis that is primal
+    and dual feasible when re-solved from the data, and
+    ||y - Gx||_1 <= delta + feasibility_slack. As in penalized mode,
+    ``converged`` means every column is, ``unconverged`` counts the columns
+    that are not, ``column_iterations`` holds each column's pivots and
+    ``iterations`` their maximum; ``objective`` is (||x||_1 summed over
+    columns,) and ``lam`` is None.
     """
     y = np.asarray(y, dtype=np.float64)
     g = operator.matrix
@@ -362,32 +446,24 @@ def l1_map_solve(
         raise ContractViolation(f"unknown mode {mode!r}")
     if delta is None or delta < 0:
         raise ContractViolation("constrained mode needs delta >= 0")
-    if y.ndim != 1:
-        raise ContractViolation("constrained mode solves a single measurement")
-    m, n = g.shape
-    pivots, optimal = 0, True
-    if float(np.sum(np.abs(y))) <= delta + feasibility_slack:
-        x = np.zeros(n)
-    elif delta == 0:
-        x = np.linalg.solve(g, y)
-    else:
-        eye = np.eye(m)
-        # columns u, v (n each), p, q (m each), s
-        a = np.block([[g, -g, eye, -eye, np.zeros((m, 1))],
-                      [np.zeros((1, 2 * n)), np.ones((1, 2 * m + 1))]])
-        b = np.append(y, delta)
-        c = np.concatenate([np.ones(2 * n), np.zeros(2 * m + 1)])
-        basis = np.append(2 * n + np.arange(m) + m * (y < 0), 2 * n + 2 * m)
-        # a_B = [[D, 0], [1', 1]] with D = diag(+-1) has the inverse
-        # [[D, 0], [-1'D, 1]], so the starting tableau needs no solve.
-        tab = np.column_stack([a, b])
-        tab[np.flatnonzero(y < 0)] *= -1.0
-        tab[m] -= tab[:m].sum(axis=0)
-        z, pivots, optimal = _dual_simplex(a, b, c, basis, tab, max_iter)
-        x = z[:n] - z[n:2 * n]
-    converged = optimal and float(np.sum(np.abs(y - g @ x))) <= delta + feasibility_slack
-    return SolveResult(x, converged, pivots, (float(np.sum(np.abs(x))),), "constrained", None,
-                       int(not converged), (pivots,))
+    cols = y.reshape(len(y), -1)
+    n, k = g.shape[1], cols.shape[1]
+    x = np.zeros((n, k))
+    pivots = np.zeros(k, dtype=np.intp)
+    optimal = np.ones(k, dtype=bool)
+    solve = np.sum(np.abs(cols), axis=0) > delta + feasibility_slack
+    if delta == 0:
+        # One solve per column: the kernel is ill-conditioned, and a stacked
+        # right-hand side rounds differently from a single one.
+        for j in np.flatnonzero(solve):
+            x[:, j] = np.linalg.solve(g, cols[:, j])
+    elif solve.any():
+        x[:, solve], pivots[solve], optimal[solve] = _dual_simplex(g, cols[:, solve], delta,
+                                                                   max_iter)
+    converged = optimal & (np.sum(np.abs(cols - g @ x), axis=0) <= delta + feasibility_slack)
+    return SolveResult(x.reshape(y.shape), bool(converged.all()), int(pivots.max(initial=0)),
+                       (float(np.sum(np.abs(x))),), "constrained", None,
+                       int(np.count_nonzero(~converged)), tuple(pivots.tolist()))
 
 
 @dataclass(frozen=True)
@@ -554,10 +630,8 @@ def lambda_pipeline_experiment(
             xhat_cols, iterations, unconverged = sol.x_hat, sol.iterations, sol.unconverged
         else:
             # noiseless: the exact-interpolation solve recovers each signal
-            sols = [l1_map_solve(y_cols[:, j], operator, mode="constrained", delta=0.0)
-                    for j in range(total)]
-            xhat_cols = np.column_stack([s.x_hat for s in sols])
-            unconverged = sum(s.unconverged for s in sols)
+            sol = l1_map_solve(y_cols, operator, mode="constrained", delta=0.0)
+            xhat_cols, unconverged = sol.x_hat, sol.unconverged
     else:
         raise ContractViolation(f"unknown restorer {restorer!r}")
 

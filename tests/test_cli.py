@@ -368,6 +368,29 @@ class TestParameterContract:
         short = write_config(tmp_path / "short.cfg", exp_id, seed=0, params={"n": 16, "fs": 4})
         assert main(["validate", short]) == 2
 
+    @pytest.mark.parametrize("params,reason", [
+        ({"n": 1024}, "n <= 512 (a draw's simplex keeps an (n + 1) x (n + 2) basis inverse)"),
+        ({"n": 512, "draws": 10_000}, "n * draws <= 4194304 (32 MiB for the stacked draws)"),
+    ], ids=["n", "n_times_draws"])
+    def test_sweep_size_limits_name_their_reason(self, tmp_path, monkeypatch, capsys, params,
+                                                 reason):
+        """The sweep solves all draws at once, holding n x draws floats per
+        stacked array: n = 512 with draws = 10 000 is rejected though each
+        value is in range. A config that slipped through would reach the
+        kernel spy and exit 3, never a long run."""
+        self._kernel_spy(monkeypatch)
+        cfg = write_config(tmp_path / "big.cfg", "sparse_certificate_sweep", seed=0, params=params)
+        assert main(["validate", cfg]) == 2
+        assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err.count(reason) == 2
+
+    def test_stacked_draws_at_the_entry_bound_validate(self, tmp_path, monkeypatch):
+        """n * draws = 512 * 8192 = 2**22 is the largest stack accepted."""
+        self._kernel_spy(monkeypatch)
+        cfg = write_config(tmp_path / "edge.cfg", "sparse_certificate_sweep", seed=0,
+                           params={"n": 512, "draws": 8192})
+        assert main(["validate", cfg]) == 0
+
     def test_crash_in_a_parameter_check_exits_three(self, tmp_path, monkeypatch, capsys):
         def crash(*args, **kwargs):
             raise MemoryError("check_kernel_size called")

@@ -115,6 +115,17 @@ class TestSolver:
         assert sol.converged
         assert sol.iterations == 0
 
+    def test_zero_budget_batch_solves_column_by_column(self):
+        """A batch with delta = 0 gives each column exactly its own linear
+        solve: the n = 24 kernel is ill-conditioned, so one stacked
+        right-hand side would round differently."""
+        op = build_kernel_operator(1.0, 24, 2.0)
+        y = stream_rng(72, 13).standard_normal((24, 6))
+        sol = l1_map_solve(y, op, mode="constrained", delta=0.0)
+        for j in range(6):
+            np.testing.assert_array_equal(sol.x_hat[:, j], np.linalg.solve(op.matrix, y[:, j]))
+        assert sol.converged and sol.column_iterations == (0,) * 6
+
     @pytest.mark.parametrize("n", [16, 32, 64])
     @pytest.mark.parametrize("delta", [1e-3, 0.1, 1.0])
     def test_constrained_matches_highs_linear_program(self, n, delta):
@@ -340,8 +351,9 @@ class TestSolver:
         assert report["results"]["constrained_pivots"]["value"] < 6000
 
     def test_sweep_draws_match_highs_linear_program(self):
-        """The first 20 default sweep draws at seed 0 reach the HiGHS optimum
-        of the inequality-form LP."""
+        """The first 20 default sweep draws at seed 0, solved as one call (two
+        blocks of columns), each reach the HiGHS optimum of the inequality-form
+        LP and agree with their own one-column solve."""
         from scipy.optimize import linprog
 
         n, delta = 64, 0.1
@@ -349,18 +361,53 @@ class TestSolver:
         g, eye = op.matrix, np.eye(n)
         a_ub = np.block([[-g, g, -eye], [g, -g, -eye], [np.zeros((1, 2 * n)), np.ones((1, n))]])
         c = np.concatenate([np.ones(2 * n), np.zeros(n)])
+        ys = np.zeros((n, 20))
         for i in range(20):
             rng = stream_rng(0, i)
             signal = random_spike_signal(rng, n, 3, min_spike_separation(1.0, 2.0))
             w = rng.standard_normal(n)
             w *= delta * rng.uniform(0.5, 1.0) / np.sum(np.abs(w))
-            y = op.apply(signal.to_vector()) + w
-            sol = l1_map_solve(y, op, mode="constrained", delta=delta)
-            ref = linprog(c, A_ub=a_ub, b_ub=np.concatenate([-y, y, [delta]]),
+            ys[:, i] = op.apply(signal.to_vector()) + w
+        sol = l1_map_solve(ys, op, mode="constrained", delta=delta)
+        assert sol.converged and sol.unconverged == 0
+        assert sol.x_hat.shape == (n, 20) and len(sol.column_iterations) == 20
+        assert sol.iterations == max(sol.column_iterations)
+        for i in range(20):
+            ref = linprog(c, A_ub=a_ub, b_ub=np.concatenate([-ys[:, i], ys[:, i], [delta]]),
                           bounds=(0, None), method="highs")
-            assert ref.status == 0 and sol.converged
-            assert sol.column_iterations == (sol.iterations,)
-            assert np.sum(np.abs(sol.x_hat)) == pytest.approx(ref.fun, rel=1e-7)
+            assert ref.status == 0
+            assert np.sum(np.abs(sol.x_hat[:, i])) == pytest.approx(ref.fun, rel=1e-7)
+            single = l1_map_solve(ys[:, i], op, mode="constrained", delta=delta)
+            assert single.converged and single.column_iterations == (single.iterations,)
+            np.testing.assert_allclose(sol.x_hat[:, i], single.x_hat, rtol=0, atol=1e-12)
+
+    def test_mixed_batch_reports_per_column(self):
+        """A batch whose first column has ||y||_1 <= delta returns x = 0 there
+        with no pivots, solves the other columns as it would alone, and
+        reports pivots and convergence per column."""
+        n, delta = 32, 0.05
+        op = build_kernel_operator(1.0, n, 2.0)
+        rng = stream_rng(72, 12)
+        small = rng.standard_normal(n)
+        small *= 0.5 * delta / np.sum(np.abs(small))
+        spikes = np.zeros((n, 3))
+        spikes[[8, 16, 24], [0, 1, 2]] = [1.0, -0.7, 1.3]
+        y = np.column_stack([small, op.matrix @ spikes + 1e-3 * rng.standard_normal((n, 3))])
+        sol = l1_map_solve(y, op, mode="constrained", delta=delta)
+        assert sol.x_hat.shape == (n, 4)
+        np.testing.assert_array_equal(sol.x_hat[:, 0], np.zeros(n))
+        assert len(sol.column_iterations) == 4 and sol.column_iterations[0] == 0
+        assert min(sol.column_iterations[1:]) > 0
+        assert sol.iterations == max(sol.column_iterations)
+        assert sol.converged and sol.unconverged == 0
+        assert sol.objective == pytest.approx((np.sum(np.abs(sol.x_hat)),), rel=1e-15)
+        for j in range(1, 4):
+            single = l1_map_solve(y[:, j], op, mode="constrained", delta=delta)
+            np.testing.assert_allclose(sol.x_hat[:, j], single.x_hat, rtol=0, atol=1e-12)
+        # One pivot is too few for the noisy columns: each counts as unconverged.
+        capped = l1_map_solve(y, op, mode="constrained", delta=delta, max_iter=1)
+        assert capped.column_iterations == (0, 1, 1, 1)
+        assert capped.unconverged == 3 and not capped.converged
 
 
 class TestCertificate:

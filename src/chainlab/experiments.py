@@ -29,7 +29,7 @@ from .domain_shift import (
     two_blur_domains,
 )
 from .errors import ContractViolation, InvalidOverride, UnknownExperiment
-from .probability import ConditionalTable, assemble_joint, condition, marginal
+from .probability import assemble_joint, condition, marginal, stage_pair
 from .restorers import (
     _MC_BLOCK,
     ParamEstimator,
@@ -169,44 +169,64 @@ def _run_naive_tree(params: dict, seed: int):
     return results, verdicts, tables, plotdata
 
 
-def _random_chain(seed: int, stream: int, theta=(2, 4), x=(3, 6), y=(3, 6), xhat=(3, 6),
-                  invertible: bool = False):
-    """Random chain drawn from stream ``(seed, stream)``.
+# Alphabet sizes of the random-chain runners' chains: a fixed int, a (low, high)
+# range for rng.integers, or None (no restorer).
+_CHAIN_SIZES = {"theta": (2, 4), "x": (3, 6), "y": (3, 6), "xhat": (3, 6)}
+_PE_SIZES = {"theta": 2, "x": (2, 6), "y": (2, 6), "xhat": None}
+_COND_SIZES = {"theta": (2, 4), "x": (3, 6), "y": (4, 7), "xhat": None}
 
-    Each alphabet size is a fixed int, a ``(low, high)`` range drawn with
-    ``rng.integers`` in the order theta, x, y, xhat, or None (no restorer).
+
+def _joint_cells(theta, x, y, xhat) -> int:
+    """Most cells of one drawn chain's joint: the product of its largest alphabets."""
+    return math.prod(s if isinstance(s, int) else s[1] - 1
+                     for s in (theta, x, y, xhat) if s is not None)
+
+
+def _random_chains(seed: int, n: int, first_stream: int = 0, *, theta, x, y, xhat,
+                   invertible: bool = False) -> list:
+    """Random chains 0..n-1 as one ``ChainStack`` per drawn shape.
+
+    Chain i draws from stream ``(seed, first_stream + i)``: first each
+    alphabet size, in the order theta, x, y, xhat (see ``_CHAIN_SIZES``),
+    then its tables, as ``instances.random_chain`` draws them.
     """
-    rng = stream_rng(seed, stream)
-    sizes = [s if s is None or isinstance(s, int) else int(rng.integers(*s))
-             for s in (theta, x, y, xhat)]
-    return instances.random_chain(rng, *sizes, invertible_channel=invertible)
+    groups: dict = {}
+    for i in range(n):
+        rng = stream_rng(seed, first_stream + i)
+        sizes = tuple(s if s is None or isinstance(s, int) else int(rng.integers(*s))
+                      for s in (theta, x, y, xhat))
+        index, rngs = groups.setdefault(sizes, ([], []))
+        index.append(i)
+        rngs.append(rng)
+    return [instances.random_chain(rngs, *sizes, invertible_channel=invertible, index=index)
+            for sizes, (index, rngs) in groups.items()]
+
+
+def _by_chain(stacks: list, audits: list, fields: tuple) -> list:
+    """Each field of the stacks' audits joined into chain order, as a Python list."""
+    order = np.argsort(np.concatenate([s.index for s in stacks]))
+    return [np.concatenate([getattr(a, f) for a in audits])[order].tolist() for f in fields]
 
 
 def _run_dpi_random_chains(params: dict, seed: int):
     n = int(params["n_chains"])
-    audits = [information.dpi_audit(_random_chain(seed, i)) for i in range(n)]
-    rows = [(a.i_theta_x, a.i_theta_y, a.i_theta_xhat, a.monotone) for a in audits]
-    margins_xy = [r[0] - r[1] for r in rows]
-    margins_yz = [r[1] - r[2] for r in rows]
+    stacks = _random_chains(seed, n, **_CHAIN_SIZES)
+    audits = [information.dpi_audit(s) for s in stacks]
+    i_x, i_y, i_xhat, monotone = _by_chain(
+        stacks, audits, ("i_theta_x", "i_theta_y", "i_theta_xhat", "monotone"))
     results = {
         "n_chains": result(n),
-        "min_margin_source_vs_measurement": result(min(margins_xy)),
-        "min_margin_measurement_vs_restored": result(min(margins_yz)),
+        "min_margin_source_vs_measurement": result(min(a - b for a, b in zip(i_x, i_y))),
+        "min_margin_measurement_vs_restored": result(min(b - c for b, c in zip(i_y, i_xhat))),
     }
-    verdicts = {"information_never_grows_downstream": all(r[3] for r in rows)}
-    table_rows = [[i, r[0], r[1], r[2]] for i, r in enumerate(rows)]
+    verdicts = {"information_never_grows_downstream": all(monotone)}
     tables = {
         "mutual_information_by_stage": (
             ["chain", "i_theta_x", "i_theta_y", "i_theta_xhat"],
-            table_rows,
+            [list(r) for r in zip(range(n), i_x, i_y, i_xhat)],
         )
     }
-    plotdata = {
-        "stage_information_drop": (
-            ["x", "y"],
-            [[r[0], r[2]] for r in rows],
-        )
-    }
+    plotdata = {"stage_information_drop": (["x", "y"], [list(r) for r in zip(i_x, i_xhat)])}
     return results, verdicts, tables, plotdata
 
 
@@ -275,53 +295,45 @@ _COND_STREAM = 10_000
 def _run_bayes_ordering_audit(params: dict, seed: int):
     n = int(params["n_chains"])
     n_cond = int(params["n_conditional"])
-    audits = [classification.theorem_ordering_audit(_random_chain(seed, i)) for i in range(n)]
-    rows = [a.values() + (a.ordered,) for a in audits]
+    stacks = _random_chains(seed, n, **_CHAIN_SIZES)
+    audits = [classification.theorem_ordering_audit(s) for s in stacks]
+    pe_x, pe_y, pe_xhat, ordered = _by_chain(stacks, audits, ("pe_x", "pe_y", "pe_xhat", "ordered"))
     cond_audits = [
-        classification.theorem_ordering_audit(
-            _random_chain(seed, _COND_STREAM + i, y=(4, 7), xhat=None, invertible=True),
-            mode="conditional_perception",
-        )
-        for i in range(n_cond)
+        classification.theorem_ordering_audit(s, mode="conditional_perception")
+        for s in _random_chains(seed, n_cond, _COND_STREAM, **_COND_SIZES, invertible=True)
     ]
-    cond_gaps = [abs(a.pe_xhat - a.pe_x) for a in cond_audits]
+    cond_gap = max(float(np.max(np.abs(a.pe_xhat - a.pe_x))) for a in cond_audits)
     results = {
         "n_chains": result(n),
         "n_conditional_chains": result(n_cond),
-        "max_conditional_recovery_gap": result(max(cond_gaps)),
+        "max_conditional_recovery_gap": result(cond_gap),
     }
     verdicts = {
-        "error_never_improves_downstream": all(r[3] for r in rows),
-        "class_matched_recovery_preserves_error": max(cond_gaps) <= 1e-9,
+        "error_never_improves_downstream": all(ordered),
+        "class_matched_recovery_preserves_error": cond_gap <= 1e-9,
     }
-    table_rows = [[i, r[0], r[1], r[2]] for i, r in enumerate(rows)]
+    table_rows = [list(r) for r in zip(range(n), pe_x, pe_y, pe_xhat)]
     return (
         results,
         verdicts,
         {"stage_errors": (["chain", "pe_x", "pe_y", "pe_xhat"], table_rows)},
-        {"stage_errors": (["x", "y"], [[r[0], r[2]] for r in rows])},
+        {"stage_errors": (["x", "y"], [list(r) for r in zip(pe_x, pe_xhat)])},
     )
 
 
 def _run_pe_separability_identity(params: dict, seed: int):
     n = int(params["n_chains"])
-
-    def one(i: int):
-        chain = _random_chain(seed, i, theta=2, x=(2, 6), y=(2, 6), xhat=None)
-        joint = assemble_joint(chain)
-        gaps = []
+    gap = 0.0
+    for stack in _random_chains(seed, n, **_PE_SIZES):
+        joint = assemble_joint(stack)
         for stage in ("x", "y"):
-            pair = marginal(joint, ["theta", stage])
-            rows = pair.tensor / pair.tensor.sum(axis=1, keepdims=True)
-            cond_table = ConditionalTable(chain.prior.support, pair.supports[1], rows)
-            pe = classification.bayes_risk(chain.prior, cond_table)
-            j1 = classification.separability(chain.prior, cond_table)
-            gaps.append(abs(pe - 0.5 * (1.0 - j1)))
-        return max(gaps)
-
-    gaps = [one(i) for i in range(n)]
-    results = {"n_chains": result(n), "max_identity_gap": result(max(gaps))}
-    verdicts = {"error_equals_half_one_minus_separability": max(gaps) <= 1e-10}
+            pair = stage_pair(joint, stage)
+            rows = pair / pair.sum(axis=2, keepdims=True)
+            pe = classification.bayes_risk(stack.prior, rows)
+            j1 = classification.separability(stack.prior, rows)
+            gap = max(gap, float(np.max(np.abs(pe - 0.5 * (1.0 - j1)))))
+    results = {"n_chains": result(n), "max_identity_gap": result(gap)}
+    verdicts = {"error_equals_half_one_minus_separability": gap <= 1e-10}
     return results, verdicts, {}, {}
 
 
@@ -799,9 +811,19 @@ def _check_lambda_pipeline(p: dict) -> None:
           f"n * replicates * m <= {_MAX_ARRAY_ENTRIES} (32 MiB per signal array)")
 
 
+def _check_chain_count(p: dict, name: str, cells: int) -> None:
+    _need(p[name] * cells <= _MAX_ARRAY_ENTRIES,
+          f"{name} * {cells} <= {_MAX_ARRAY_ENTRIES} (32 MiB for the stacked joints, "
+          f"up to {cells} cells per chain)")
+
+
 def _check_bayes_ordering_audit(p: dict) -> None:
     _need(p["n_chains"] <= _COND_STREAM,
           f"n_chains <= {_COND_STREAM} (chain streams apart from the conditional chains')")
+    _check_chain_count(p, "n_chains", _joint_cells(**_CHAIN_SIZES))
+    # The class-matched restorer's stage has the source alphabet.
+    restored = {**_COND_SIZES, "xhat": _COND_SIZES["x"]}
+    _check_chain_count(p, "n_conditional", _joint_cells(**restored))
 
 
 def _check_crb_attainment(p: dict) -> None:
@@ -854,6 +876,7 @@ _register(
     "information.dpi_audit",
     {"n_chains": _i(1000, 1)},
     _run_dpi_random_chains,
+    lambda p: _check_chain_count(p, "n_chains", _joint_cells(**_CHAIN_SIZES)),
 )
 _register(
     "crb_gaussian_mean",
@@ -894,6 +917,7 @@ _register(
     "classification.separability",
     {"n_chains": _i(1000, 1)},
     _run_pe_separability_identity,
+    lambda p: _check_chain_count(p, "n_chains", _joint_cells(**_PE_SIZES)),
 )
 _register(
     "double_meaning_mse",

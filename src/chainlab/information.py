@@ -19,7 +19,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolation, NotSufficient
-from .probability import PipelineChain, assemble_joint, mutual_information, pair_information
+from .probability import (
+    ChainStack,
+    PipelineChain,
+    assemble_joint,
+    pair_information,
+    stage_pair,
+)
 
 FD_STEP_SCALE = 1e-4
 MI_EQUALITY_TOL = 1e-9
@@ -219,7 +225,10 @@ def fisher_information(
 
 @dataclass(frozen=True)
 class DpiAudit:
-    """Mutual information of the class label with each chain stage (nats)."""
+    """Mutual information of the class label with each chain stage (nats).
+
+    Floats for one chain; (k,) arrays, and array verdicts, for a stack.
+    """
 
     i_theta_x: float
     i_theta_y: float
@@ -227,26 +236,29 @@ class DpiAudit:
     tol: float
 
     @property
-    def monotone(self) -> bool:
+    def monotone(self):
         ok = self.i_theta_x >= self.i_theta_y - self.tol
         if self.i_theta_xhat is not None:
-            ok = ok and self.i_theta_y >= self.i_theta_xhat - self.tol
+            ok = ok & (self.i_theta_y >= self.i_theta_xhat - self.tol)
         return ok
 
     @property
-    def first_equal(self) -> bool:
+    def first_equal(self):
         """Measurement keeps all class information (sufficient representation)."""
         return abs(self.i_theta_x - self.i_theta_y) <= self.tol
 
 
-def dpi_audit(chain: PipelineChain) -> DpiAudit:
+def dpi_audit(chains: PipelineChain | ChainStack) -> DpiAudit:
     """Exact-enumeration check that class information never grows downstream,
-    up to MI_EQUALITY_TOL."""
-    joint = assemble_joint(chain)
-    i_x = mutual_information(joint, "theta", "x")
-    i_y = mutual_information(joint, "theta", "y")
-    i_xhat = mutual_information(joint, "theta", "xhat") if chain.restorer is not None else None
-    return DpiAudit(i_theta_x=i_x, i_theta_y=i_y, i_theta_xhat=i_xhat, tol=MI_EQUALITY_TOL)
+    up to MI_EQUALITY_TOL, for one chain or for every chain of a stack."""
+    stack = chains if isinstance(chains, ChainStack) else ChainStack.of(chains)
+    joint = assemble_joint(stack)
+    stages = ("x", "y", "xhat") if stack.restorer is not None else ("x", "y")
+    info = [pair_information(stage_pair(joint, s)) for s in stages]
+    if stack is not chains:
+        info = [float(v[0]) for v in info]
+    i_xhat = info[2] if len(info) == 3 else None
+    return DpiAudit(i_theta_x=info[0], i_theta_y=info[1], i_theta_xhat=i_xhat, tol=MI_EQUALITY_TOL)
 
 
 def _resolve_statistic(support: tuple, statistic) -> list:

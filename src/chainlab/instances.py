@@ -11,12 +11,13 @@ measurements, which the original description leaves open.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .information import TableFamily
 from .probability import (
+    ChainStack,
     ConditionalTable,
     FiniteDistribution,
     PipelineChain,
@@ -65,38 +66,52 @@ def random_stochastic_rows(rng: np.random.Generator, n_in: int, n_out: int) -> n
 
 
 def random_chain(
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     n_theta: int = 2,
     n_x: int = 4,
     n_y: int = 4,
     n_xhat: Optional[int] = 4,
     invertible_channel: bool = False,
-) -> PipelineChain:
-    """Random chain with Dirichlet(1) tables and numeric supports.
+    index: Sequence[int] = (),
+) -> PipelineChain | ChainStack:
+    """Random chains with Dirichlet(1) tables and numeric supports.
 
+    ``rng`` is one generator, giving one ``PipelineChain``, or a sequence of
+    generators, giving a ``ChainStack`` of one chain per generator (numbered
+    by ``index``). Each chain draws from its own generator, in the same
+    order either way: the prior, the family, the channel, the restorer.
     With invertible_channel the degradation is a random injective relabeling
     (so no class information is lost at the measurement stage).
     """
-    prior = normalize(rng.dirichlet(np.ones(n_theta)), support=tuple(range(n_theta)))
-    family = ConditionalTable(
-        prior.support, tuple(range(n_x)), random_stochastic_rows(rng, n_theta, n_x)
-    )
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    k = len(rngs)
     if invertible_channel:
         n_y = max(n_y, n_x)
-        perm = rng.permutation(n_y)[:n_x]
-        rows = np.zeros((n_x, n_y))
-        rows[np.arange(n_x), perm] = 1.0
-        channel = ConditionalTable(family.output_support, tuple(range(n_y)), rows)
-    else:
-        channel = ConditionalTable(
-            family.output_support, tuple(range(n_y)), random_stochastic_rows(rng, n_x, n_y)
-        )
-    restorer = None
-    if n_xhat is not None:
-        restorer = ConditionalTable(
-            channel.output_support, tuple(range(n_xhat)), random_stochastic_rows(rng, n_y, n_xhat)
-        )
-    return PipelineChain(prior, family, channel, restorer)
+    prior = np.empty((k, n_theta))
+    family = np.empty((k, n_theta, n_x))
+    channel = np.zeros((k, n_x, n_y))
+    restorer = None if n_xhat is None else np.empty((k, n_y, n_xhat))
+    for c, g in enumerate(rngs):
+        p = g.dirichlet(np.ones(n_theta))
+        prior[c] = p / p.sum()
+        family[c] = random_stochastic_rows(g, n_theta, n_x)
+        if invertible_channel:
+            channel[c, np.arange(n_x), g.permutation(n_y)[:n_x]] = 1.0
+        else:
+            channel[c] = random_stochastic_rows(g, n_x, n_y)
+        if restorer is not None:
+            restorer[c] = random_stochastic_rows(g, n_y, n_xhat)
+    stack = ChainStack(prior, family, channel, restorer, index)
+    if not single:
+        return stack
+    labels = [tuple(range(n)) for n in (n_theta, n_x, n_y, n_xhat or 0)]
+    return PipelineChain(
+        FiniteDistribution(labels[0], prior[0]),
+        ConditionalTable(labels[0], labels[1], family[0]),
+        ConditionalTable(labels[1], labels[2], channel[0]),
+        None if restorer is None else ConditionalTable(labels[2], labels[3], restorer[0]),
+    )
 
 
 def sufficient_statistic_instance(rng: np.random.Generator) -> tuple:

@@ -6,11 +6,19 @@ Everything stays in linear space with 64-bit floats; alphabets are meant
 to be small enough (~1e4 joint cells) that no sampling is ever needed, so
 inequality audits hold to numerical precision instead of Monte Carlo noise.
 
+Chains are enumerated as per-shape stacks: a ``ChainStack`` holds k chains
+of one shape as factor tables with a leading chain axis, is validated once
+for all k, and its joint is one ``einsum``. A single labelled
+``PipelineChain`` is the k = 1 case of the same kernels. Chains of different
+shapes go into different stacks rather than being padded, so every chain's
+numbers are the ones it would get alone.
+
 Conventions:
 - 0 * log 0 = 0 everywhere.
 - Mutual information is in nats.
-- Canonical chain axis order is ("theta", "x", "y", "xhat"); results are
-  always addressed by axis name, never position.
+- Canonical chain axis order is ("theta", "x", "y", "xhat"); labelled
+  results are addressed by axis name, stacks by position after the chain
+  axis.
 """
 
 from __future__ import annotations
@@ -36,6 +44,26 @@ THETA, X, Y, XHAT = "theta", "x", "y", "xhat"
 CHAIN_AXES = (THETA, X, Y, XHAT)
 
 
+def check_mass(p: np.ndarray, axes, tol: float, what: str) -> None:
+    """Raise unless ``p`` is non-negative and sums to 1 within ``tol`` over ``axes``.
+
+    The message names the position of the first bad entry, or of the first
+    bad sum among the axes that remain.
+    """
+    neg = p < 0
+    if np.any(neg):
+        raise NegativeWeight(f"negative entry in {what}{_at(neg)}")
+    sums = p.sum(axis=axes)
+    bad = np.abs(sums - 1.0) > tol
+    if np.any(bad):
+        raise InvalidDistribution(f"{what}{_at(bad)} sums to {sums[bad][0]!r}, not 1")
+
+
+def _at(flags: np.ndarray) -> str:
+    at = np.unravel_index(np.argmax(flags), flags.shape)
+    return f" at {tuple(int(i) for i in at)}" if at else ""
+
+
 def _as_labels(support: Sequence) -> tuple:
     labels = tuple(support)
     if len(set(labels)) != len(labels):
@@ -56,10 +84,7 @@ class FiniteDistribution:
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or len(p) != len(self.support):
             raise InvalidDistribution("probs shape does not match support")
-        if np.any(p < 0):
-            raise NegativeWeight(f"negative probability in {p}")
-        if abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
-            raise InvalidDistribution(f"probabilities sum to {p.sum()!r}, not 1")
+        check_mass(p, -1, PROB_SUM_TOL, "probabilities")
         p.setflags(write=False)
 
     def __len__(self) -> int:
@@ -103,15 +128,7 @@ class ConditionalTable:
                 f"rows shape {r.shape} does not match supports "
                 f"({len(self.input_support)}, {len(self.output_support)})"
             )
-        if np.any(r < 0):
-            raise NegativeWeight("negative entry in conditional table")
-        sums = r.sum(axis=1)
-        bad = np.abs(sums - 1.0) > PROB_SUM_TOL
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise InvalidDistribution(
-                f"row {self.input_support[i]!r} sums to {sums[i]!r}, not 1"
-            )
+        check_mass(r, -1, PROB_SUM_TOL, "conditional table row")
         r.setflags(write=False)
 
     def row(self, label) -> FiniteDistribution:
@@ -158,10 +175,7 @@ class JointDistribution:
             raise InvalidDistribution(
                 f"tensor shape {t.shape} does not match supports"
             )
-        if np.any(t < 0):
-            raise NegativeWeight("negative entry in joint tensor")
-        if abs(float(t.sum()) - 1.0) > JOINT_SUM_TOL:
-            raise InvalidDistribution(f"joint sums to {t.sum()!r}, not 1")
+        check_mass(t, None, JOINT_SUM_TOL, "joint tensor")
         t.setflags(write=False)
 
     def axis_index(self, axis: str) -> int:
@@ -210,17 +224,80 @@ class PipelineChain:
         return CHAIN_AXES if self.restorer is not None else CHAIN_AXES[:3]
 
 
-def assemble_joint(chain: PipelineChain) -> JointDistribution:
+@dataclass(frozen=True)
+class ChainStack:
+    """k chains of one shape: factor tables with a leading chain axis.
+
+    ``prior`` is (k, theta), ``family`` (k, theta, x) and ``channel``
+    (k, x, y). ``restorer`` is None, (k, y, xhat), or (k, theta, y, xhat) for
+    a restorer that may depend on the class. Labels are positions;
+    ``index`` numbers the chains for messages (default 0..k-1). The whole
+    stack is checked once, with the checks the per-table classes run.
+    """
+
+    prior: np.ndarray
+    family: np.ndarray
+    channel: np.ndarray
+    restorer: Optional[np.ndarray] = None
+    index: tuple = ()
+
+    def __post_init__(self):
+        tables = {name: np.asarray(getattr(self, name), dtype=np.float64)
+                  for name in ("prior", "family", "channel", "restorer")
+                  if getattr(self, name) is not None}
+        for name, table in tables.items():
+            object.__setattr__(self, name, table)
+        if (self.prior.ndim, self.family.ndim, self.channel.ndim) != (2, 3, 3):
+            raise SupportMismatch("stack factors need a chain axis before their table axes")
+        k, n_theta = self.prior.shape
+        n_x, n_y = self.family.shape[2], self.channel.shape[2]
+        if self.family.shape[:2] != (k, n_theta) or self.channel.shape[:2] != (k, n_x):
+            raise SupportMismatch("stack factors disagree on chain count or alphabets")
+        if self.restorer is not None and self.restorer.shape[:-1] not in (
+                (k, n_y), (k, n_theta, n_y)):
+            raise SupportMismatch("restorer input does not match the measurement alphabet")
+        index = tuple(int(i) for i in self.index) or tuple(range(k))
+        if len(index) != k:
+            raise SupportMismatch(f"{len(index)} chain numbers for {k} chains")
+        object.__setattr__(self, "index", index)
+        for name, table in tables.items():
+            check_mass(table, -1, PROB_SUM_TOL, f"stacked {name}")
+
+    @classmethod
+    def of(cls, chain: PipelineChain) -> "ChainStack":
+        """The one-chain stack of a labelled chain."""
+        restorer = None if chain.restorer is None else chain.restorer.rows[None]
+        return cls(chain.prior.probs[None], chain.family.rows[None],
+                   chain.channel.rows[None], restorer)
+
+
+def assemble_joint(chain: PipelineChain | ChainStack):
     """Multiply the chain factors into the dense joint tensor.
 
-    Entry (theta, x, y[, xhat]) is P(theta) p(x|theta) p(y|x) [p(xhat|y)].
+    Entry (theta, x, y[, xhat]) is P(theta) p(x|theta) p(y|x) [p(xhat|y)]
+    (p(xhat|y, theta) for a class-dependent restorer). A ``ChainStack``
+    gives its (k, theta, x, y[, xhat]) tensor; a ``PipelineChain`` is the
+    k = 1 case and gives a labelled ``JointDistribution``.
     """
-    t = np.einsum("t,tx,xy->txy", chain.prior.probs, chain.family.rows, chain.channel.rows)
-    supports = [chain.prior.support, chain.family.output_support, chain.channel.output_support]
+    if isinstance(chain, PipelineChain):
+        supports = [chain.prior.support, chain.family.output_support,
+                    chain.channel.output_support]
+        if chain.restorer is not None:
+            supports.append(chain.restorer.output_support)
+        tensor = assemble_joint(ChainStack.of(chain))[0]
+        return JointDistribution(chain.axes, tuple(supports), tensor)
+    t = np.einsum("ct,ctx,cxy->ctxy", chain.prior, chain.family, chain.channel)
     if chain.restorer is not None:
-        t = np.einsum("txy,yz->txyz", t, chain.restorer.rows)
-        supports.append(chain.restorer.output_support)
-    return JointDistribution(chain.axes, tuple(supports), t)
+        spec = "ctxy,cyz->ctxyz" if chain.restorer.ndim == 3 else "ctxy,ctyz->ctxyz"
+        t = np.einsum(spec, t, chain.restorer)
+    check_mass(t, tuple(range(1, t.ndim)), JOINT_SUM_TOL, "stacked joint")
+    return t
+
+
+def stage_pair(joints: np.ndarray, stage: str) -> np.ndarray:
+    """(k, theta, stage) pair marginals of stacked chain joints (k, theta, x, y[, xhat])."""
+    keep = CHAIN_AXES.index(stage) + 1
+    return joints.sum(axis=tuple(a for a in range(2, joints.ndim) if a != keep))
 
 
 def marginal(joint: JointDistribution, keep_axes: Sequence[str]) -> JointDistribution:
@@ -262,11 +339,15 @@ def mutual_information(joint: JointDistribution, axis_a: str, axis_b: str) -> fl
     return pair_information(marginal(joint, [axis_a, axis_b]).tensor)
 
 
-def pair_information(pair: np.ndarray) -> float:
-    """I(A;B) in nats of a two-axis joint table (rows A, columns B); never negative."""
-    pa = pair.sum(axis=1)
-    pb = pair.sum(axis=0)
-    outer = np.outer(pa, pb)
+def pair_information(pair: np.ndarray):
+    """I(A;B) in nats of a two-axis joint table (rows A, columns B); never negative.
+
+    A stack (k, A, B) gives the k values as an array.
+    """
+    pa = pair.sum(axis=-1, keepdims=True)
+    pb = pair.sum(axis=-2, keepdims=True)
     nz = pair > 0
-    i = float(np.sum(pair[nz] * (np.log(pair[nz]) - np.log(outer[nz]))))
-    return max(i, 0.0)
+    p = np.where(nz, pair, 1.0)
+    terms = np.where(nz, p * (np.log(p) - np.log(np.where(nz, pa * pb, 1.0))), 0.0)
+    i = np.maximum(terms.sum(axis=(-2, -1)), 0.0)
+    return float(i) if pair.ndim == 2 else i

@@ -22,8 +22,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContractViolation, NonNumericSupport, SupportMismatch
+from .errors import ContractViolation, NonNumericSupport
 from .probability import (
+    ChainStack,
     ConditionalTable,
     JointDistribution,
     PipelineChain,
@@ -94,46 +95,20 @@ def constant_restorer(y_support, x_support, value) -> Restorer:
     return Restorer(kind=CONSTANT, table=ConditionalTable(tuple(y_support), tuple(x_support), rows))
 
 
-def class_conditional_restorer_tables(joint: JointDistribution) -> dict:
-    """Per-class tables p(x | y, theta); rows unreachable under a class are uniform."""
-    tens = marginal(joint, ["theta", "y", "x"]).tensor
-    out: dict = {}
-    n_x = tens.shape[2]
-    for k, theta in enumerate(joint.support_of("theta")):
-        mass = tens[k].sum(axis=1, keepdims=True)
-        rows = np.where(mass > 0, tens[k] / np.where(mass > 0, mass, 1.0), 1.0 / n_x)
-        out[theta] = ConditionalTable(joint.support_of("y"), joint.support_of("x"), rows)
-    return out
+def with_class_restorer(chains: ChainStack) -> ChainStack:
+    """The stack with each chain's per-class posterior sampler as its restorer.
 
-
-def assemble_joint_with_class_restorer(chain: PipelineChain, tables: dict) -> JointDistribution:
-    """Joint of a chain whose restorer is allowed to depend on the class.
-
-    The tensor is P(theta) p(x|theta) p(y|x) p(xhat|y, theta); this is how the
-    per-class posterior sampler enters an audit.
+    Chain c's restorer is p(x | y, theta), a (theta, y, x) table; rows
+    unreachable under a class are uniform. The restored joint is
+    P(theta) p(x|theta) p(y|x) p(xhat|y, theta), which is how the per-class
+    sampler enters an audit.
     """
-    if chain.restorer is not None:
-        raise ContractViolation("chain already carries a class-agnostic restorer")
-    base = assemble_joint(chain).tensor  # (theta, x, y)
-    thetas = chain.prior.support
-    first = tables[thetas[0]]
-    stack = []
-    for th in thetas:
-        t = tables[th]
-        if t.input_support != chain.channel.output_support:
-            raise SupportMismatch("restorer input support != channel output support")
-        if t.output_support != first.output_support:
-            raise SupportMismatch("per-class restorers disagree on output support")
-        stack.append(t.rows)
-    rows = np.stack(stack)  # (theta, y, xhat)
-    tensor = np.einsum("txy,tyz->txyz", base, rows)
-    supports = (
-        chain.prior.support,
-        chain.family.output_support,
-        chain.channel.output_support,
-        first.output_support,
-    )
-    return JointDistribution(("theta", "x", "y", "xhat"), supports, tensor)
+    if chains.restorer is not None:
+        raise ContractViolation("chain already carries a restorer")
+    tens = assemble_joint(chains).transpose(0, 1, 3, 2)  # (k, theta, y, x)
+    mass = tens.sum(axis=3, keepdims=True)
+    rows = np.where(mass > 0, tens / np.where(mass > 0, mass, 1.0), 1.0 / tens.shape[3])
+    return ChainStack(chains.prior, chains.family, chains.channel, rows, chains.index)
 
 
 def with_restorer(chain: PipelineChain, restorer: Restorer) -> PipelineChain:

@@ -16,7 +16,6 @@ from chainlab.classification import (
     bayes_risk,
     pr_gap,
     separability,
-    stage_error,
     theorem_ordering_audit,
 )
 from chainlab.errors import (
@@ -44,6 +43,11 @@ from chainlab.restorers import (
     with_restorer,
 )
 from chainlab.rng import stream_rng
+
+
+def stage_error(joint, stage):
+    """Bayes error of the class from one stage, read off the pair marginal."""
+    return 1.0 - marginal(joint, ["theta", stage]).tensor.max(axis=0).sum()
 
 
 def y_conditionals(chain):

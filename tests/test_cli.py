@@ -391,6 +391,39 @@ class TestParameterContract:
                            params={"n": 512, "draws": 8192})
         assert main(["validate", cfg]) == 0
 
+    @pytest.mark.parametrize("exp_id,params,reason", [
+        ("dpi_random_chains", {"n_chains": 11_185},
+         "n_chains * 375 <= 4194304 (32 MiB for the stacked joints, up to 375 cells per chain)"),
+        ("pe_separability_identity", {"n_chains": 83_887},
+         "n_chains * 50 <= 4194304 (32 MiB for the stacked joints, up to 50 cells per chain)"),
+        ("bayes_ordering_audit", {"n_conditional": 9_321},
+         "n_conditional * 450 <= 4194304 (32 MiB for the stacked joints, up to 450 cells per "
+         "chain)"),
+        ("dpi_random_chains", {"n_chains": 10**9}, "n_chains * 375 <= 4194304"),
+    ], ids=["dpi", "pe", "conditional", "dpi_huge"])
+    def test_chain_counts_name_their_reason(self, tmp_path, monkeypatch, capsys, exp_id, params,
+                                            reason):
+        """The random-chain runners hold every chain's joint in per-shape
+        stacks: n chains of at most c cells each must fit 2**22 entries. A
+        config that slipped through would reach the draw spy and exit 3,
+        never a long run."""
+        def spy(*args, **kwargs):
+            raise MemoryError("random_chain called")
+        monkeypatch.setattr("chainlab.instances.random_chain", spy)
+        cfg = write_config(tmp_path / "big.cfg", exp_id, seed=0, params=params)
+        assert main(["validate", cfg]) == 2
+        assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 2
+        assert capsys.readouterr().err.count(reason) == 2
+
+    @pytest.mark.parametrize("exp_id,params", [
+        ("dpi_random_chains", {"n_chains": 11_184}),
+        ("pe_separability_identity", {"n_chains": 83_886}),
+        ("bayes_ordering_audit", {"n_chains": 10_000, "n_conditional": 9_320}),
+    ])
+    def test_chain_counts_at_the_entry_bound_validate(self, tmp_path, exp_id, params):
+        cfg = write_config(tmp_path / "edge.cfg", exp_id, seed=0, params=params)
+        assert main(["validate", cfg]) == 0
+
     def test_crash_in_a_parameter_check_exits_three(self, tmp_path, monkeypatch, capsys):
         def crash(*args, **kwargs):
             raise MemoryError("check_kernel_size called")
@@ -435,6 +468,8 @@ class TestParameterContract:
         self._fuzz("lambda_pipeline", {"m": 4, "replicates": 10})
         self._fuzz("sparse_certificate_sweep", {"draws": 2, "n": 32})
         self._fuzz("bayes_ordering_audit", {"n_chains": 20, "n_conditional": 5})
+        self._fuzz("dpi_random_chains", {"n_chains": 20})
+        self._fuzz("pe_separability_identity", {"n_chains": 20})
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(data=st.data())

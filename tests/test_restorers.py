@@ -14,23 +14,24 @@ from chainlab.errors import (
 from chainlab.information import dpi_audit, fisher_information
 from chainlab.instances import naive_tree_chain, random_chain
 from chainlab.probability import (
+    ChainStack,
     ConditionalTable,
     PipelineChain,
     assemble_joint,
     condition,
     marginal,
     normalize,
+    pair_information,
 )
 import chainlab.restorers as restorers
 from chainlab.restorers import (
     ParamEstimator,
-    assemble_joint_with_class_restorer,
     awgn_mean_sampler,
-    class_conditional_restorer_tables,
     constant_restorer,
     estimator_variance_mc,
     mmse_restorer,
     posterior_sampler,
+    with_class_restorer,
     with_restorer,
 )
 from chainlab.rng import stream_rng
@@ -45,6 +46,19 @@ def numeric_chain(seed: int, ambiguous: bool = True) -> PipelineChain:
     else:
         channel = ConditionalTable.deterministic((0, 1), ("u", "v"), {0: "u", 1: "v"})
     return PipelineChain(prior, family, channel)
+
+
+def class_restored(chain: PipelineChain) -> tuple:
+    """(theta, x, y, xhat) joint of the chain restored by its class-matched
+    sampler, and the sampler's (theta, y, x) tables."""
+    stack = with_class_restorer(ChainStack.of(chain))
+    return assemble_joint(stack)[0], stack.restorer[0]
+
+
+def class_law(tensor: np.ndarray, keep: int) -> np.ndarray:
+    """Per-class law of axis ``keep`` of a (theta, ...) tensor, one row per class."""
+    rows = tensor.sum(axis=tuple(a for a in range(1, tensor.ndim) if a != keep))
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def expected_squared_error(joint) -> float:
@@ -150,12 +164,11 @@ class TestPosteriorSampler:
         for i in range(10):
             chain = random_chain(stream_rng(48, i), 3, 4, 4, None)
             joint = assemble_joint(chain)
-            tables = class_conditional_restorer_tables(joint)
+            _, tables = class_restored(chain)
             post = posterior_sampler(joint).table
-            for y in joint.support_of("y"):
+            for j, y in enumerate(joint.support_of("y")):
                 p_theta = marginal(condition(joint, "y", y), ["theta"]).tensor
-                mixed = sum(p_theta[k] * tables[t].row(y).probs
-                            for k, t in enumerate(joint.support_of("theta")))
+                mixed = sum(p_theta[k] * tables[k, j] for k in range(len(p_theta)))
                 np.testing.assert_allclose(mixed, post.row(y).probs, atol=1e-12)
 
 
@@ -176,31 +189,25 @@ class TestConstantRestorer:
 class TestClassRestorerJoint:
     def test_marginal_without_restored_stage_is_the_chain(self):
         chain = random_chain(stream_rng(49, 0), 2, 3, 4, None)
-        base = assemble_joint(chain)
-        full = assemble_joint_with_class_restorer(
-            chain, class_conditional_restorer_tables(base))
-        np.testing.assert_allclose(marginal(full, ["theta", "x", "y"]).tensor,
-                                   base.tensor, atol=1e-15)
+        full, _ = class_restored(chain)
+        np.testing.assert_allclose(full.sum(axis=3), assemble_joint(chain).tensor, atol=1e-15)
 
     def test_chain_with_restorer_rejected(self):
         chain = random_chain(stream_rng(49, 1), 2, 3, 3, 3)
-        tables = class_conditional_restorer_tables(assemble_joint(chain))
         with pytest.raises(ContractViolation):
-            assemble_joint_with_class_restorer(chain, tables)
+            with_class_restorer(ChainStack.of(chain))
 
     def test_tables_must_read_the_measurement_alphabet(self):
-        chain = random_chain(stream_rng(49, 2), 2, 3, 3, None)
-        wrong = ConditionalTable((7, 8, 9), (0, 1, 2), np.eye(3))
+        stack = ChainStack.of(random_chain(stream_rng(49, 2), 2, 3, 3, None))
+        wrong = np.tile(np.eye(4), (1, 2, 1, 1))  # (chain, theta, y, xhat) with 4 measurements
         with pytest.raises(SupportMismatch):
-            assemble_joint_with_class_restorer(chain, {0: wrong, 1: wrong})
+            ChainStack(stack.prior, stack.family, stack.channel, wrong)
 
-    def test_tables_must_share_an_output_alphabet(self):
-        chain = random_chain(stream_rng(49, 3), 2, 3, 3, None)
-        y = chain.channel.output_support
-        a = ConditionalTable(y, (0, 1, 2), np.eye(3))
-        b = ConditionalTable(y, (2, 1, 0), np.eye(3))
+    def test_class_restorer_needs_one_table_per_class(self):
+        stack = ChainStack.of(random_chain(stream_rng(49, 3), 2, 3, 3, None))
+        wrong = np.tile(np.eye(3), (1, 3, 1, 1))  # three class tables for two classes
         with pytest.raises(SupportMismatch):
-            assemble_joint_with_class_restorer(chain, {0: a, 1: b})
+            ChainStack(stack.prior, stack.family, stack.channel, wrong)
 
 
 class TestPerfectPerception:
@@ -230,20 +237,15 @@ class TestPerfectPerception:
     def test_conditional_matches_class_law(self):
         """Per class, the restored conditional law equals the source law."""
         chain = random_chain(stream_rng(43, 0), 2, 4, 4, None)
-        joint = assemble_joint(chain)
-        tables = class_conditional_restorer_tables(joint)
-        full = assemble_joint_with_class_restorer(chain, tables)
-        for theta in chain.prior.support:
-            got = marginal(condition(full, "theta", theta), ["xhat"]).tensor
-            want = marginal(condition(joint, "theta", theta), ["x"]).tensor
-            np.testing.assert_allclose(got, want, atol=1e-12)
+        full, _ = class_restored(chain)
+        np.testing.assert_allclose(class_law(full, 3), class_law(assemble_joint(chain).tensor, 1),
+                                   atol=1e-12)
 
     def test_invertible_channel_collapses_to_inverse(self):
         chain = numeric_chain(0, ambiguous=False)
         joint = assemble_joint(chain)
-        for table in (posterior_sampler(joint).table,
-                      class_conditional_restorer_tables(joint)["a"]):
-            assert table.row("u").prob_of(0) == 1.0
+        assert posterior_sampler(joint).table.row("u").prob_of(0) == 1.0
+        assert class_restored(chain)[1][0, 0, 0] == 1.0  # class "a", measurement "u", source 0
 
     def test_conditional_preserves_fisher_information_on_gridded_chains(self):
         """Class-matched restoration on an invertible-channel chain leaves
@@ -253,18 +255,10 @@ class TestPerfectPerception:
 
         rng = stream_rng(47, 0)
         chain = random_chain(rng, 3, 4, 5, None, invertible_channel=True)
-        joint = assemble_joint(chain)
-        tables = class_conditional_restorer_tables(joint)
-        full = assemble_joint_with_class_restorer(chain, tables)
+        full, _ = class_restored(chain)
         grid = np.array([0.0, 1.0, 2.0])
-        src_rows = np.stack([
-            marginal(condition(joint, "theta", t), ["x"]).tensor
-            for t in chain.prior.support
-        ])
-        rec_rows = np.stack([
-            marginal(condition(full, "theta", t), ["xhat"]).tensor
-            for t in chain.prior.support
-        ])
+        src_rows = class_law(assemble_joint(chain).tensor, 1)
+        rec_rows = class_law(full, 3)
         j_src = fisher_information(TableFamily.from_rows(grid, src_rows), 1.0).J
         j_rec = fisher_information(TableFamily.from_rows(grid, rec_rows), 1.0).J
         assert abs(j_src - j_rec) <= 1e-9 * max(j_src, 1.0)
@@ -274,13 +268,9 @@ class TestPerfectPerception:
         the full class information at the restored stage."""
         for i in range(10):
             chain = random_chain(stream_rng(44, i), 2, 4, 5, None, invertible_channel=True)
-            joint = assemble_joint(chain)
-            tables = class_conditional_restorer_tables(joint)
-            full = assemble_joint_with_class_restorer(chain, tables)
-            from chainlab.probability import mutual_information
-
-            i_x = mutual_information(full, "theta", "x")
-            i_xhat = mutual_information(full, "theta", "xhat")
+            full, _ = class_restored(chain)
+            i_x = pair_information(full.sum(axis=(2, 3)))
+            i_xhat = pair_information(full.sum(axis=(1, 2)))
             assert abs(i_x - i_xhat) <= 1e-9
 
 

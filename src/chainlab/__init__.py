@@ -5,8 +5,24 @@ Exact finite-alphabet probability, Fisher-information and error-probability
 bound audits, restorers and parameter estimators, mixed-domain training
 collapse, sparse recovery certificates, and a deterministic experiment
 runner.
+
+Importing chainlab pins BLAS to one thread, so that report bytes do not
+depend on the host's core count: OpenBLAS's multithreaded solves round
+differently. The pin only takes before numpy is loaded; ``BLAS_PINNED``
+says whether it did (or the environment had already set one thread).
 """
 
+import os
+import sys
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules:
+    BLAS_PINNED = all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
+else:
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    BLAS_PINNED = True
+
+# numpy loads from here on, after the pin.
 from .probability import (
     FiniteDistribution,
     ConditionalTable,

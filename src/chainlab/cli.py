@@ -34,6 +34,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from . import BLAS_PINNED
 from .errors import ChainlabError, InvalidOverride
 from .experiments import CATALOG, list_experiments, resolve_params, run_experiment
 
@@ -172,6 +173,10 @@ def cmd_run(path: str, seed: int | None, out: str | None, sets: list) -> int:
         for e in rep.errors:
             print(f"error: {e}", file=sys.stderr)
         return 2
+    if not BLAS_PINNED:
+        print("warning: numpy was imported before chainlab, so BLAS is not pinned to one "
+              "thread; report numbers that rest on a BLAS solve may differ with the thread "
+              "count", file=sys.stderr)
     out_root = Path(out or os.environ.get("CHAINLAB_OUT") or DEFAULT_OUT)
     target = out_root / rep.exp_id
     try:

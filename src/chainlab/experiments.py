@@ -175,6 +175,14 @@ _CHAIN_SIZES = {"theta": (2, 4), "x": (3, 6), "y": (3, 6), "xhat": (3, 6)}
 _PE_SIZES = {"theta": 2, "x": (2, 6), "y": (2, 6), "xhat": None}
 _COND_SIZES = {"theta": (2, 4), "x": (3, 6), "y": (4, 7), "xhat": None}
 
+# Streams of the random chains: the runners' chains draw from _CHAIN_STREAM,
+# bayes_ordering_audit's conditional chains from _COND_STREAM. A stream s keys
+# the size generator (seed, s) and one generator (seed, s, theta, x, y, xhat)
+# per drawn shape (xhat 0: no restorer), so no two keys of a run coincide,
+# even padded with zeros (see rng.stream_rng).
+_CHAIN_STREAM = 1
+_COND_STREAM = 2
+
 
 def _joint_cells(theta, x, y, xhat) -> int:
     """Most cells of one drawn chain's joint: the product of its largest alphabets."""
@@ -182,24 +190,29 @@ def _joint_cells(theta, x, y, xhat) -> int:
                      for s in (theta, x, y, xhat) if s is not None)
 
 
-def _random_chains(seed: int, n: int, first_stream: int = 0, *, theta, x, y, xhat,
+def _random_chains(seed: int, n: int, stream: int, *, theta, x, y, xhat,
                    invertible: bool = False) -> list:
     """Random chains 0..n-1 as one ``ChainStack`` per drawn shape.
 
-    Chain i draws from stream ``(seed, first_stream + i)``: first each
-    alphabet size, in the order theta, x, y, xhat (see ``_CHAIN_SIZES``),
-    then its tables, as ``instances.random_chain`` draws them.
+    The generator ``stream_rng(seed, stream)`` draws the alphabet sizes of
+    all n chains in one ``integers`` call of shape (n, 4): row i holds chain
+    i's theta, x, y and xhat (see ``_CHAIN_SIZES``; a fixed size takes no
+    draw, and an xhat of 0 means no restorer). The chains of each drawn shape
+    then come, in chain order, from that shape's own generator
+    ``stream_rng(seed, stream, theta, x, y, xhat)`` in one
+    ``instances.random_chain`` call. Chain i's sizes and tables are thus a
+    contiguous run of their streams, the same for every n > i.
     """
+    bounds = [(s, s + 1) if isinstance(s, int) else (0, 1) if s is None else s
+              for s in (theta, x, y, xhat)]
+    low, high = zip(*bounds)
+    sizes = stream_rng(seed, stream).integers(low, high, size=(n, 4))
     groups: dict = {}
-    for i in range(n):
-        rng = stream_rng(seed, first_stream + i)
-        sizes = tuple(s if s is None or isinstance(s, int) else int(rng.integers(*s))
-                      for s in (theta, x, y, xhat))
-        index, rngs = groups.setdefault(sizes, ([], []))
-        index.append(i)
-        rngs.append(rng)
-    return [instances.random_chain(rngs, *sizes, invertible_channel=invertible, index=index)
-            for sizes, (index, rngs) in groups.items()]
+    for i, shape in enumerate(map(tuple, sizes.tolist())):
+        groups.setdefault(shape, []).append(i)
+    return [instances.random_chain(stream_rng(seed, stream, *shape), *shape[:3], shape[3] or None,
+                                   invertible_channel=invertible, index=index)
+            for shape, index in groups.items()]
 
 
 def _by_chain(stacks: list, audits: list, fields: tuple) -> list:
@@ -210,7 +223,7 @@ def _by_chain(stacks: list, audits: list, fields: tuple) -> list:
 
 def _run_dpi_random_chains(params: dict, seed: int):
     n = int(params["n_chains"])
-    stacks = _random_chains(seed, n, **_CHAIN_SIZES)
+    stacks = _random_chains(seed, n, _CHAIN_STREAM, **_CHAIN_SIZES)
     audits = [information.dpi_audit(s) for s in stacks]
     i_x, i_y, i_xhat, monotone = _by_chain(
         stacks, audits, ("i_theta_x", "i_theta_y", "i_theta_xhat", "monotone"))
@@ -288,14 +301,10 @@ def _run_crb_laplace_rate(params: dict, seed: int):
     return results, verdicts, {}, {}
 
 
-# Random stream of conditional chain i is _COND_STREAM + i; chain i uses stream i.
-_COND_STREAM = 10_000
-
-
 def _run_bayes_ordering_audit(params: dict, seed: int):
     n = int(params["n_chains"])
     n_cond = int(params["n_conditional"])
-    stacks = _random_chains(seed, n, **_CHAIN_SIZES)
+    stacks = _random_chains(seed, n, _CHAIN_STREAM, **_CHAIN_SIZES)
     audits = [classification.theorem_ordering_audit(s) for s in stacks]
     pe_x, pe_y, pe_xhat, ordered = _by_chain(stacks, audits, ("pe_x", "pe_y", "pe_xhat", "ordered"))
     cond_audits = [
@@ -324,7 +333,7 @@ def _run_bayes_ordering_audit(params: dict, seed: int):
 def _run_pe_separability_identity(params: dict, seed: int):
     n = int(params["n_chains"])
     gap = 0.0
-    for stack in _random_chains(seed, n, **_PE_SIZES):
+    for stack in _random_chains(seed, n, _CHAIN_STREAM, **_PE_SIZES):
         joint = assemble_joint(stack)
         for stage in ("x", "y"):
             pair = stage_pair(joint, stage)
@@ -585,22 +594,14 @@ def _run_sparse_certificates(params: dict, seed: int):
 
 
 def _run_lambda_pipeline(params: dict, seed: int):
-    rep = lambda_pipeline_experiment(
+    # One draw of signals and noise serves both restorers.
+    rep, oracle = lambda_pipeline_experiment(
         lambda_true=float(params["rate"]),
         m=int(params["m"]),
         replicates=int(params["replicates"]),
         seed=seed,
         sigma_n=float(params["sigma_n"]),
-        restorer="map_l1",
-        n=int(params["n"]),
-    )
-    oracle = lambda_pipeline_experiment(
-        lambda_true=float(params["rate"]),
-        m=int(params["m"]),
-        replicates=int(params["replicates"]),
-        seed=seed,
-        sigma_n=float(params["sigma_n"]),
-        restorer="norm_oracle",
+        restorer=("map_l1", "norm_oracle"),
         n=int(params["n"]),
     )
     r = rep.replicates
@@ -818,8 +819,6 @@ def _check_chain_count(p: dict, name: str, cells: int) -> None:
 
 
 def _check_bayes_ordering_audit(p: dict) -> None:
-    _need(p["n_chains"] <= _COND_STREAM,
-          f"n_chains <= {_COND_STREAM} (chain streams apart from the conditional chains')")
     _check_chain_count(p, "n_chains", _joint_cells(**_CHAIN_SIZES))
     # The class-matched restorer's stage has the source alphabet.
     restored = {**_COND_SIZES, "xhat": _COND_SIZES["x"]}

@@ -66,45 +66,48 @@ def random_stochastic_rows(rng: np.random.Generator, n_in: int, n_out: int) -> n
 
 
 def random_chain(
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rng: np.random.Generator,
     n_theta: int = 2,
     n_x: int = 4,
     n_y: int = 4,
     n_xhat: Optional[int] = 4,
     invertible_channel: bool = False,
-    index: Sequence[int] = (),
+    index: Optional[Sequence[int]] = None,
 ) -> PipelineChain | ChainStack:
-    """Random chains with Dirichlet(1) tables and numeric supports.
+    """Random chains of one shape with Dirichlet(1) tables and numeric supports.
 
-    ``rng`` is one generator, giving one ``PipelineChain``, or a sequence of
-    generators, giving a ``ChainStack`` of one chain per generator (numbered
-    by ``index``). Each chain draws from its own generator, in the same
-    order either way: the prior, the family, the channel, the restorer.
-    With invertible_channel the degradation is a random injective relabeling
-    (so no class information is lost at the measurement stage).
+    All chains come from one ``standard_exponential`` block of ``rng``, one
+    row of ``cells`` draws per chain. A row is cut into segments, in the
+    order prior (theta cells), family (theta x), channel (x y) and restorer
+    (y xhat), and each table row is its segment normalised to sum 1: a
+    normalised row of iid Exp(1) draws is a Dirichlet(1) row (Devroye 1986,
+    ch. XI). With invertible_channel the degradation is a random injective
+    relabelling, the argsort of a channel segment of y draws (so no class
+    information is lost at the measurement stage).
+
+    ``index`` None draws one chain and returns a labelled ``PipelineChain``;
+    a sequence of k chain numbers draws k chains and returns them as one
+    ``ChainStack``. Chain j is the j-th run of ``cells`` draws in the stream,
+    the same whatever k is.
     """
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
-    k = len(rngs)
     if invertible_channel:
         n_y = max(n_y, n_x)
-    prior = np.empty((k, n_theta))
-    family = np.empty((k, n_theta, n_x))
-    channel = np.zeros((k, n_x, n_y))
-    restorer = None if n_xhat is None else np.empty((k, n_y, n_xhat))
-    for c, g in enumerate(rngs):
-        p = g.dirichlet(np.ones(n_theta))
-        prior[c] = p / p.sum()
-        family[c] = random_stochastic_rows(g, n_theta, n_x)
-        if invertible_channel:
-            channel[c, np.arange(n_x), g.permutation(n_y)[:n_x]] = 1.0
-        else:
-            channel[c] = random_stochastic_rows(g, n_x, n_y)
-        if restorer is not None:
-            restorer[c] = random_stochastic_rows(g, n_y, n_xhat)
-    stack = ChainStack(prior, family, channel, restorer, index)
-    if not single:
-        return stack
+    k = 1 if index is None else len(index)
+    widths = (n_theta, n_theta * n_x, n_y if invertible_channel else n_x * n_y,
+              n_y * (n_xhat or 0))
+    draws = rng.standard_exponential((k, sum(widths)))
+    prior, family, channel, restorer = np.split(draws, np.cumsum(widths)[:-1], axis=1)
+    prior = prior / prior.sum(axis=1, keepdims=True)
+    family = _stochastic_rows(family, n_theta, n_x)
+    if invertible_channel:
+        relabel = np.argsort(channel, axis=1)[:, :n_x]
+        channel = np.zeros((k, n_x, n_y))
+        channel[np.arange(k)[:, None], np.arange(n_x), relabel] = 1.0
+    else:
+        channel = _stochastic_rows(channel, n_x, n_y)
+    restorer = None if n_xhat is None else _stochastic_rows(restorer, n_y, n_xhat)
+    if index is not None:
+        return ChainStack(prior, family, channel, restorer, index)
     labels = [tuple(range(n)) for n in (n_theta, n_x, n_y, n_xhat or 0)]
     return PipelineChain(
         FiniteDistribution(labels[0], prior[0]),
@@ -112,6 +115,12 @@ def random_chain(
         ConditionalTable(labels[1], labels[2], channel[0]),
         None if restorer is None else ConditionalTable(labels[2], labels[3], restorer[0]),
     )
+
+
+def _stochastic_rows(draws: np.ndarray, n_in: int, n_out: int) -> np.ndarray:
+    """(k, n_in * n_out) Exp(1) draws as k row-stochastic (n_in, n_out) tables."""
+    rows = draws.reshape(len(draws), n_in, n_out)
+    return rows / rows.sum(axis=2, keepdims=True)
 
 
 def sufficient_statistic_instance(rng: np.random.Generator) -> tuple:

@@ -587,9 +587,9 @@ def lambda_pipeline_experiment(
     replicates: int,
     seed: int,
     sigma_n: float = 0.1,
-    restorer: str = "map_l1",
+    restorer: str | tuple = "map_l1",
     n: int = 24,
-) -> LambdaPipelineReport:
+) -> LambdaPipelineReport | tuple:
     """Estimate the sparsity rate before and after reconstruction.
 
     Each replicate draws m single-spike signals whose l1 mass is exponential
@@ -598,42 +598,65 @@ def lambda_pipeline_experiment(
     clean signals and from the reconstructions. Restorers: "map_l1" (the
     penalized solver, which needs the rate as its regularization prior; the
     exact interpolation when sigma_n == 0), "norm_oracle" (copies the true
-    l1 mass).
+    l1 mass). ``restorer`` names one restorer, giving one report, or is a
+    tuple of names, giving one report per name, all on the same draw.
     """
     if m < 1 or replicates < 2:
         raise ContractViolation("need m >= 1 and replicates >= 2")
+    names = (restorer,) if isinstance(restorer, str) else tuple(restorer)
+    unknown = [name for name in names if name not in ("map_l1", "norm_oracle")]
+    if unknown:
+        raise ContractViolation(f"unknown restorer {unknown[0]!r}")
     operator = build_kernel_operator(sigma=1.0, n=n, fs=2.0)
+    x_cols, y_cols = _pipeline_draw(operator, lambda_true, m, replicates, seed, sigma_n)
+    reports = tuple(_pipeline_report(name, x_cols, y_cols, operator, lambda_true, m,
+                                     replicates, sigma_n) for name in names)
+    return reports[0] if isinstance(restorer, str) else reports
+
+
+def _pipeline_draw(operator, lambda_true: float, m: int, replicates: int, seed: int,
+                   sigma_n: float) -> tuple:
+    """The pipeline's clean signals and measurements, (n, replicates * m) each.
+
+    Replicate r draws from stream (seed, r): its m spike locations, their
+    amplitudes, then its (n, m) noise; column r * m + i is its signal i.
+    """
+    n = operator.n
     sep = min_spike_separation(operator.sigma, operator.fs)
     total = replicates * m
-    x_cols = np.zeros((n, total))
-    rng_cols = []
+    locs = np.empty(total, dtype=np.int64)
+    amps = np.empty(total)
+    noise = np.empty((n, total)) if sigma_n > 0 else None
     for r in range(replicates):
         rng = stream_rng(seed, r)
-        locs = rng.integers(sep, n - sep, size=m)
-        amps = rng.exponential(1.0 / lambda_true, size=m)
-        for i in range(m):
-            x_cols[locs[i], r * m + i] = amps[i]
-        rng_cols.append(rng)
+        cols = slice(r * m, (r + 1) * m)
+        locs[cols] = rng.integers(sep, n - sep, size=m)
+        amps[cols] = rng.exponential(1.0 / lambda_true, size=m)
+        if noise is not None:
+            noise[:, cols] = rng.standard_normal((n, m))
+    x_cols = np.zeros((n, total))
+    x_cols[locs, np.arange(total)] = amps
     y_cols = operator.matrix @ x_cols
-    if sigma_n > 0:
-        noise = np.hstack([rng_cols[r].standard_normal((n, m)) for r in range(replicates)])
+    if noise is not None:
         y_cols = y_cols + sigma_n * noise
+    return x_cols, y_cols
 
+
+def _pipeline_report(restorer: str, x_cols, y_cols, operator, lambda_true: float, m: int,
+                     replicates: int, sigma_n: float) -> LambdaPipelineReport:
+    """Reconstruct the drawn signals with one restorer and compare the two rate estimates."""
     iterations = unconverged = 0
     if restorer == "norm_oracle":
         xhat_cols = np.zeros_like(x_cols)
         xhat_cols[0, :] = np.abs(x_cols).sum(axis=0)
-    elif restorer == "map_l1":
-        if sigma_n > 0:
-            sol = l1_map_solve(y_cols, operator, mode="penalized", lam=lambda_true,
-                               sigma_z=sigma_n, max_iter=_PIPELINE_SOLVER_ITERS)
-            xhat_cols, iterations, unconverged = sol.x_hat, sol.iterations, sol.unconverged
-        else:
-            # noiseless: the exact-interpolation solve recovers each signal
-            sol = l1_map_solve(y_cols, operator, mode="constrained", delta=0.0)
-            xhat_cols, unconverged = sol.x_hat, sol.unconverged
+    elif sigma_n > 0:
+        sol = l1_map_solve(y_cols, operator, mode="penalized", lam=lambda_true,
+                           sigma_z=sigma_n, max_iter=_PIPELINE_SOLVER_ITERS)
+        xhat_cols, iterations, unconverged = sol.x_hat, sol.iterations, sol.unconverged
     else:
-        raise ContractViolation(f"unknown restorer {restorer!r}")
+        # noiseless: the exact-interpolation solve recovers each signal
+        sol = l1_map_solve(y_cols, operator, mode="constrained", delta=0.0)
+        xhat_cols, unconverged = sol.x_hat, sol.unconverged
 
     l1_clean = np.abs(x_cols).sum(axis=0).reshape(replicates, m).sum(axis=1)
     l1_rest = np.abs(xhat_cols).sum(axis=0).reshape(replicates, m).sum(axis=1)

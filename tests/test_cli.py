@@ -309,7 +309,7 @@ class TestParameterContract:
         ("sparse_certificate_sweep", {"n": 1024}),
         ("sparse_certificate_sweep", {"draws": 10_001}),
         ("sparse_certificate_sweep", {"n": 10**6}),
-        ("bayes_ordering_audit", {"n_chains": 10_001}),
+        ("bayes_ordering_audit", {"n_chains": 11_185}),
         ("crb_attainment", {"replicates": 2**22 + 1}),
         ("crb_attainment", {"m": 2049}),
         ("crb_attainment", {"sigma_x": "1e-300"}),
@@ -418,7 +418,7 @@ class TestParameterContract:
     @pytest.mark.parametrize("exp_id,params", [
         ("dpi_random_chains", {"n_chains": 11_184}),
         ("pe_separability_identity", {"n_chains": 83_886}),
-        ("bayes_ordering_audit", {"n_chains": 10_000, "n_conditional": 9_320}),
+        ("bayes_ordering_audit", {"n_chains": 11_184, "n_conditional": 9_320}),
     ])
     def test_chain_counts_at_the_entry_bound_validate(self, tmp_path, exp_id, params):
         cfg = write_config(tmp_path / "edge.cfg", exp_id, seed=0, params=params)
@@ -597,3 +597,39 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestBlasPin:
+    """OpenBLAS rounds a multithreaded solve differently from a one-thread
+    solve (sparse_noiseless_recovery's n = 256 kernel, on a host with two or
+    more cores), so importing chainlab pins BLAS to one thread."""
+
+    RUN = ("import sys\n"
+           "import chainlab.cli\n"
+           "sys.exit(chainlab.cli.main(['run', sys.argv[1], '--out', sys.argv[2]]))\n")
+
+    @staticmethod
+    def _run(tmp_path, name, openblas_threads, code):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(chainlab.__file__)))
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if openblas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = openblas_threads
+        cfg = write_config(tmp_path / f"{name}.cfg", "sparse_noiseless_recovery", seed=0)
+        out = tmp_path / name
+        proc = subprocess.run([sys.executable, "-c", code, cfg, str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr, (out / "sparse_noiseless_recovery" / "report.json").read_bytes()
+
+    def test_report_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
+        reports = [self._run(tmp_path, f"threads-{t}", t, self.RUN)[1] for t in ("1", "2", None)]
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_numpy_loaded_first_is_reported_and_leaves_the_report(self, tmp_path):
+        err, pinned = self._run(tmp_path, "pinned", None, self.RUN)
+        assert err == ""
+        err, late = self._run(tmp_path, "late", "1", "import numpy\n" + self.RUN)
+        assert "numpy was imported before chainlab" in err
+        assert late == pinned

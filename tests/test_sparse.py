@@ -25,6 +25,7 @@ from chainlab.experiments import run_experiment
 from chainlab.rng import stream_rng
 from chainlab.sparse import (
     SpikeSignal,
+    _pipeline_draw,
     build_kernel_operator,
     gaussian_admissibility,
     l1_map_solve,
@@ -467,6 +468,35 @@ class TestLambdaPipeline:
         rep = lambda_pipeline_experiment(1.0, 10, 100, seed=3, sigma_n=0.1,
                                          restorer="norm_oracle")
         assert rep.mse_restored == rep.mse_clean
+
+    @pytest.mark.parametrize("sigma_n", [0.1, 0.0])
+    def test_draw_matches_a_per_spike_loop(self, sigma_n):
+        """Replicate r's spikes, then its noise, from stream (seed, r), placed
+        one spike at a time as a reference."""
+        operator = build_kernel_operator(sigma=1.0, n=24, fs=2.0)
+        sep = min_spike_separation(operator.sigma, operator.fs)
+        m, replicates = 6, 7
+        x = np.zeros((24, m * replicates))
+        noise = np.zeros_like(x)
+        for r in range(replicates):
+            rng = stream_rng(9, r)
+            locs = rng.integers(sep, 24 - sep, size=m)
+            amps = rng.exponential(1.0 / 2.0, size=m)
+            for i in range(m):
+                x[locs[i], r * m + i] = amps[i]
+            if sigma_n > 0:
+                noise[:, r * m:(r + 1) * m] = rng.standard_normal((24, m))
+        x_cols, y_cols = _pipeline_draw(operator, 2.0, m, replicates, 9, sigma_n)
+        assert np.array_equal(x_cols, x)
+        assert np.array_equal(y_cols, operator.matrix @ x + sigma_n * noise)
+
+    def test_restorers_share_one_draw(self):
+        """A tuple of restorers gives the reports that separate calls give."""
+        both = lambda_pipeline_experiment(1.0, 5, 30, seed=6, sigma_n=0.1,
+                                          restorer=("map_l1", "norm_oracle"))
+        assert both == tuple(lambda_pipeline_experiment(1.0, 5, 30, seed=6, sigma_n=0.1,
+                                                        restorer=name)
+                             for name in ("map_l1", "norm_oracle"))
 
     def test_noisy_ordering_holds(self):
         rep = lambda_pipeline_experiment(1.0, 15, 300, seed=4, sigma_n=0.1,

@@ -12,7 +12,15 @@ from chainlab.errors import (
     OrderingViolation,
     SupportMismatch,
 )
-from chainlab.experiments import _CHAIN_SIZES, _COND_SIZES, _PE_SIZES, _random_chains
+from chainlab import experiments
+from chainlab.experiments import (
+    _CHAIN_SIZES,
+    _CHAIN_STREAM,
+    _COND_SIZES,
+    _COND_STREAM,
+    _PE_SIZES,
+    _random_chains,
+)
 from chainlab.information import dpi_audit
 from chainlab.instances import random_chain
 from chainlab.probability import (
@@ -26,14 +34,41 @@ from chainlab.rng import stream_rng
 
 SEED = 314
 N_CHAINS = 60
+# (sizes, stream, invertible) of the three random-chain runners' draws.
+DRAWS = {
+    "full": (_CHAIN_SIZES, _CHAIN_STREAM, False),
+    "binary": (_PE_SIZES, _CHAIN_STREAM, False),
+    "conditional": (_COND_SIZES, _COND_STREAM, True),
+}
 
 
-def alone(i: int, sizes: dict, first_stream: int = 0, invertible: bool = False):
-    """Chain i of ``_random_chains`` drawn by itself, as a one-chain call draws it."""
-    rng = stream_rng(SEED, first_stream + i)
-    drawn = [s if s is None or isinstance(s, int) else int(rng.integers(*s))
-             for s in sizes.values()]
-    return random_chain(rng, *drawn, invertible_channel=invertible)
+def alone(i: int, sizes: dict, stream: int, invertible: bool = False):
+    """Chain i of ``_random_chains`` drawn by itself from the documented
+    layout: its sizes are row i of the size stream's (n, 4) block, and its
+    tables the j-th run of one row's cells in its shape's stream, j counting
+    the earlier chains of that shape."""
+    bounds = [(s, s + 1) if isinstance(s, int) else (0, 1) if s is None else s
+              for s in sizes.values()]
+    low, high = zip(*bounds)
+    drawn = stream_rng(SEED, stream).integers(low, high, size=(i + 1, 4)).tolist()
+    shape = drawn[i]
+    theta, x, y, xhat = shape
+    if invertible:
+        y = max(x, y)
+    cells = theta + theta * x + (y if invertible else x * y) + y * xhat
+    rng = stream_rng(SEED, stream, *shape)
+    rng.standard_exponential(drawn[:i].count(shape) * cells)
+    return random_chain(rng, *shape[:3], xhat or None, invertible_channel=invertible)
+
+
+def tables(stacks) -> dict:
+    """Chain number -> its (prior, family, channel, restorer) rows."""
+    out = {}
+    for s in stacks:
+        for j, i in enumerate(s.index):
+            out[i] = (s.prior[j], s.family[j], s.channel[j],
+                      None if s.restorer is None else s.restorer[j])
+    return out
 
 
 # Per-chain reference formulas, one chain at a time with no chain axis.
@@ -69,16 +104,25 @@ def reference_error(pair: np.ndarray) -> float:
     return float(max(1.0 - pair.max(axis=0).sum(), 0.0))
 
 
-def stacks_and_chains(sizes: dict, first_stream: int = 0, invertible: bool = False):
-    stacks = _random_chains(SEED, N_CHAINS, first_stream, **sizes, invertible=invertible)
+def stacks_and_chains(draw: str):
+    sizes, stream, invertible = DRAWS[draw]
+    stacks = _random_chains(SEED, N_CHAINS, stream, **sizes, invertible=invertible)
     assert sorted(i for s in stacks for i in s.index) == list(range(N_CHAINS))
     assert len(stacks) > 1 and max(len(s.index) for s in stacks) >= 3  # mixed shapes, real stacks
-    return stacks, [alone(i, sizes, first_stream, invertible) for i in range(N_CHAINS)]
+    chains = [alone(i, sizes, stream, invertible) for i in range(N_CHAINS)]
+    for i, drawn in tables(stacks).items():  # the same draws, table for table
+        one = chains[i]
+        assert np.array_equal(drawn[0], one.prior.probs)
+        assert np.array_equal(drawn[1], one.family.rows)
+        assert np.array_equal(drawn[2], one.channel.rows)
+        assert (drawn[3] is None) == (one.restorer is None)
+        assert drawn[3] is None or np.array_equal(drawn[3], one.restorer.rows)
+    return stacks, chains
 
 
 class TestStackEqualsOneChain:
     def test_full_chains_joint_information_and_errors(self):
-        stacks, chains = stacks_and_chains(_CHAIN_SIZES)
+        stacks, chains = stacks_and_chains("full")
         for stack in stacks:
             joints = assemble_joint(stack)
             info = dpi_audit(stack)
@@ -99,7 +143,7 @@ class TestStackEqualsOneChain:
                                         for s in ("x", "y", "xhat"))
 
     def test_binary_chains_risk_and_separability(self):
-        stacks, chains = stacks_and_chains(_PE_SIZES)
+        stacks, chains = stacks_and_chains("binary")
         for stack in stacks:
             joints = assemble_joint(stack)
             for stage in ("x", "y"):
@@ -117,7 +161,7 @@ class TestStackEqualsOneChain:
                     assert j1[j] == separability(chain.prior, cond) == np.abs(w[0] - w[1]).sum()
 
     def test_invertible_conditional_perception_chains(self):
-        stacks, chains = stacks_and_chains(_COND_SIZES, first_stream=10_000, invertible=True)
+        stacks, chains = stacks_and_chains("conditional")
         for stack in stacks:
             errors = theorem_ordering_audit(stack, mode="conditional_perception")
             for j, i in enumerate(stack.index):
@@ -132,7 +176,7 @@ class TestStackEqualsOneChain:
 class TestStackChecks:
     @staticmethod
     def _stack():
-        return random_chain([stream_rng(SEED, 100 + i) for i in range(3)], 2, 3, 3, 3)
+        return random_chain(stream_rng(SEED, 100), 2, 3, 3, 3, index=(0, 1, 2))
 
     @pytest.mark.parametrize("entry,error", [(1.1, InvalidDistribution), (-0.5, NegativeWeight)])
     def test_one_bad_row_raises_as_a_table_does(self, entry, error):
@@ -168,3 +212,47 @@ class TestStackChecks:
         leaky = ChainStack(stack.prior, stack.family, stack.channel, restorer, (7, 8, 9))
         with pytest.raises(OrderingViolation, match="chain 8: error ordering broken"):
             theorem_ordering_audit(leaky)
+
+
+class TestDraws:
+    @pytest.mark.parametrize("draw", sorted(DRAWS))
+    def test_a_chain_does_not_depend_on_the_chain_count(self, draw):
+        sizes, stream, invertible = DRAWS[draw]
+        few, many = (tables(_random_chains(SEED, n, stream, **sizes, invertible=invertible))
+                     for n in (20, 57))
+        assert sorted(few) == list(range(20))
+        for i in range(20):
+            for a, b in zip(few[i], many[i], strict=True):
+                assert (a is None and b is None) or np.array_equal(a, b)
+
+    @pytest.mark.parametrize("draw", sorted(DRAWS))
+    def test_one_generator_for_the_sizes_and_one_per_shape(self, monkeypatch, draw):
+        keys = []
+
+        def spy(*key):
+            keys.append(key)
+            return stream_rng(*key)
+
+        monkeypatch.setattr(experiments, "stream_rng", spy)
+        sizes, stream, invertible = DRAWS[draw]
+        stacks = _random_chains(SEED, 1000, stream, **sizes, invertible=invertible)
+        assert len(keys) == 1 + len(stacks)
+
+    @pytest.mark.parametrize("exp_id", ["dpi_random_chains", "bayes_ordering_audit",
+                                        "pe_separability_identity"])
+    def test_every_generator_of_an_audit_run_is_its_own(self, monkeypatch, exp_id):
+        """SeedSequence pads a key with zeros up to four words, so keys that
+        differ only in trailing zeros would draw the same numbers."""
+        keys = []
+
+        def spy(*key):
+            keys.append(key)
+            return stream_rng(*key)
+
+        monkeypatch.setattr(experiments, "stream_rng", spy)
+        report, _, _ = experiments.run_experiment(exp_id, 0, {})
+        assert report["all_passed"]
+        padded = {k + (0,) * (4 - len(k)) for k in keys}
+        assert len(padded) == len(keys)
+        first = {stream_rng(*k).random() for k in keys}
+        assert len(first) == len(keys)

@@ -215,7 +215,7 @@ def cmd_run(path: str, seed: int | None, out: str | None, sets: list) -> int:
     return 0 if report["all_passed"] else 1
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chainlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="show the experiment catalog")
@@ -227,7 +227,17 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", default=None, help="output root (default $CHAINLAB_OUT or ./chainlab-runs)")
     p_run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a parameter (repeatable)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# Built once at import: ``main`` may run many times in one process.
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    # argparse's append action copies its default list before appending, so
+    # one call's --set items never reach the next.
+    args = _PARSER.parse_args(argv)
     if args.command == "list":
         return cmd_list()
     if args.command == "validate":

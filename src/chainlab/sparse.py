@@ -3,10 +3,12 @@
 The observation model is a Toeplitz operator whose columns are shifted
 Gaussian kernel evaluations plus additive noise. Inversion comes in two
 modes. The penalized mode is l1-penalized least squares (the lasso), solved
-column by column to a certified exact minimizer: batched ADMM finds the sign
-pattern, an exact solve on that pattern polishes it, and the lasso KKT
-conditions accept or reject each column; a penalty path is one batched
-solve with one penalty per column. The constrained mode,
+column by column to a certified exact minimizer: batched over-relaxed ADMM
+finds the sign pattern, an exact solve on that pattern polishes it, and the
+lasso KKT conditions accept or reject each column. The polish reads only the
+signs, so a column is polished again only when its signs have changed since
+its last failed polish. A penalty path is one batched solve with one penalty
+per column. The constrained mode,
 min ||x||_1 s.t. ||y - Gx||_1 <= delta, is a linear program and is solved
 exactly for each column of y, so its answer is the constrained minimizer
 that the recovery certificates bound. The LP is taken in equality form,
@@ -147,8 +149,10 @@ class SolveResult:
 
 # ADMM penalty rho, as a fraction of the mean eigenvalue tr(A)/n of A = G'G / sigma_z^2.
 _ADMM_RHO = 0.004
+# Over-relaxation alpha of the ADMM x-update (Boyd et al. 2011, sec. 3.4.3).
+_ADMM_RELAX = 1.8
 # ADMM iterations between two polish-and-certify rounds.
-_POLISH_EVERY = 100
+_POLISH_EVERY = 50
 # Columns iterated together; bounds the working set of a batched solve.
 _ADMM_BLOCK = 1024
 # Stationarity on the support holds to this fraction of |A||x| + |b| + lam,
@@ -166,21 +170,25 @@ def _polish(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray], z: np.n
     size. The column is certified when x keeps the signs s, stationarity
     (Ax - b)_S + lam s_S = 0 holds to round-off, and |(Ax - b)_j| <= lam off
     S: these are the KKT conditions of min 0.5 x'Ax - b'x + lam ||x||_1, so a
-    certified x is its exact minimizer. lam is a float or one value per
-    column of b. Returns (x, certified).
+    certified x is its exact minimizer. Only the signs of z are read, so two
+    z of one sign pattern give the same result. lam is a float or one value
+    per column of b. Returns (x, certified).
     """
+    n = a.shape[0]
     s = np.sign(z)
     on = s != 0
     sizes = on.sum(axis=0)
+    # Row j of order lists column j's support first, in increasing order.
+    order = np.argsort(~on.T, axis=1, kind="stable")
     x = np.zeros_like(z)
     solved = np.ones(z.shape[1], dtype=bool)
     for k in np.unique(sizes[sizes > 0]):
         cols = np.flatnonzero(sizes == k)
-        rows = np.nonzero(on[:, cols].T)[1].reshape(len(cols), k)
+        rows = order[cols, :k]
         at = (rows, cols[:, None])
         lam_at = lam[cols, None] if np.ndim(lam) else lam
         try:
-            x[at] = np.linalg.solve(a[rows[:, :, None], rows[:, None, :]],
+            x[at] = np.linalg.solve(a.reshape(-1)[rows[:, :, None] * n + rows[:, None, :]],
                                     (b[at] - lam_at * s[at])[..., None])[..., 0]
         except np.linalg.LinAlgError:  # an exactly singular A_SS in the group
             solved[cols] = False
@@ -195,30 +203,39 @@ def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray]
                      max_iter: int) -> tuple:
     """min 0.5 x'Ax - b'x + lam ||x||_1 for each column of b, certified per column.
 
-    ADMM for the lasso (Boyd et al. 2011, sec. 6.4), with (A + rho I)^{-1}
-    formed once, iterates a block of at most _ADMM_BLOCK live columns. Every
-    _POLISH_EVERY iterations each live column is polished on its ADMM
-    support (_polish). Certified columns, and columns that reached max_iter,
-    leave the block, and columns not yet started take their places. lam is a
-    float, or one value per column; a float stays a scalar threshold in the
-    iteration, which clips faster than a per-column bound. Columns do not
-    interact, so each runs as it would alone. Returns (x, certified,
-    iterations), iterations holding each column's count; an uncertified
-    column returns its last ADMM iterate.
+    Over-relaxed ADMM for the lasso (Boyd et al. 2011, secs. 3.4.3 and 6.4;
+    Eckstein & Bertsekas 1992), with alpha = _ADMM_RELAX folded into one
+    step matrix formed once from (A + rho I)^{-1}, iterates a block of at
+    most _ADMM_BLOCK live columns. Every _POLISH_EVERY iterations each live
+    column whose sign pattern differs from the one it was last polished on
+    is polished on its ADMM support (_polish); the others are skipped, since
+    _polish reads only the signs and that pattern already failed. Certified
+    columns, and columns that reached max_iter, leave the block, and columns
+    not yet started take their places. lam is a float, or one value per
+    column; a float stays a scalar threshold in the iteration, which is
+    faster than a per-column bound. Columns do not interact, so each runs as
+    it would alone. Returns (x, certified, iterations), iterations holding
+    each column's count; an uncertified column returns its last ADMM
+    iterate.
     """
     n, c = b.shape
     rho = _ADMM_RHO * float(np.trace(a)) / n
     inv = np.linalg.inv(a + rho * np.eye(n))
-    step = rho * inv
+    step = _ADMM_RELAX * rho * inv + (1.0 - _ADMM_RELAX) * np.eye(n)
     x_out = np.zeros((n, c))
     certified = np.zeros(c, dtype=bool)
     iterations = np.zeros(c, dtype=np.intp)
-    # Live columns: index, iterations run, x of z = u = 0, and the ADMM state.
-    # With v = x + u, the z-update soft-thresholds v at tau, and the scaled
-    # dual update leaves u = v - z = clip(v, -tau, tau); w = z - u.
+    # Live columns: index, iterations run, alpha x0 (x0 = (A + rho I)^{-1} b,
+    # the x of z = u = 0), the ADMM state u, w, and the sign pattern last
+    # polished (2, no sign, before the first polish). With
+    # x = x0 + rho (A + rho I)^{-1} w and z = w + u, the relaxed point plus u is
+    # v = alpha x + (1 - alpha) z + u = step w + alpha x0 + (2 - alpha) u; the
+    # z-update soft-thresholds v at tau, the scaled dual update leaves
+    # u = v - z = clip(v, -tau, tau), and w = z - u.
     live = np.zeros(0, dtype=np.intp)
     runs = np.zeros(0, dtype=np.intp)
     x0, u, w = (np.zeros((n, 0)) for _ in range(3))
+    polished = np.zeros((n, 0), dtype=np.int8)
     started = 0
     while max_iter > 0 and (started < c or live.size):
         new = np.arange(started, min(started + _ADMM_BLOCK - live.size, c))
@@ -226,26 +243,40 @@ def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray]
         zeros = np.zeros((n, new.size))
         live = np.concatenate([live, new])
         runs = np.concatenate([runs, np.zeros(new.size, dtype=np.intp)])
-        x0, u, w = np.hstack([x0, inv @ b[:, new]]), np.hstack([u, zeros]), np.hstack([w, zeros])
+        x0 = np.hstack([x0, _ADMM_RELAX * (inv @ b[:, new])])
+        u, w = np.hstack([u, zeros]), np.hstack([w, zeros])
+        polished = np.hstack([polished, np.full((n, new.size), 2, dtype=np.int8)])
         lam_live = lam[live] if np.ndim(lam) else lam
         tau = lam_live / rho
-        v = np.empty_like(u)
+        neg_tau = -tau
+        v, t = np.empty_like(u), np.empty_like(u)
         steps = min(_POLISH_EVERY, max_iter - int(runs.max()))
         for _ in range(steps):
-            np.matmul(step, w, out=v)  # x = (A + rho I)^{-1} (b + rho (z - u))
+            np.matmul(step, w, out=v)
             v += x0
-            v += u
-            np.clip(v, -tau, tau, out=u)
+            np.multiply(u, 2.0 - _ADMM_RELAX, out=t)
+            v += t
+            np.maximum(v, neg_tau, out=u)
+            np.minimum(u, tau, out=u)
             np.subtract(v, u, out=w)
             w -= u
         runs += steps
         iterations[live] = runs
         z = w + u
-        x, ok = _polish(a, b[:, live], lam_live, z)
-        x_out[:, live] = np.where(ok, x, z)
-        certified[live] = ok
-        keep = ~ok & (runs < max_iter)
+        signs = np.sign(z).astype(np.int8)
+        fresh = np.flatnonzero((signs != polished).any(axis=0))
+        polished[:, fresh] = signs[:, fresh]
+        x, ok = _polish(a, b[:, live[fresh]], lam_live[fresh] if np.ndim(lam) else lam,
+                        z[:, fresh])
+        done = fresh[ok]
+        capped = runs >= max_iter
+        x_out[:, live[capped]] = z[:, capped]
+        x_out[:, live[done]] = x[:, ok]
+        certified[live[done]] = True
+        keep = ~capped
+        keep[done] = False
         live, runs, x0, u, w = live[keep], runs[keep], x0[:, keep], u[:, keep], w[:, keep]
+        polished = polished[:, keep]
     return x_out, certified, iterations
 
 
@@ -394,11 +425,13 @@ def l1_map_solve(
     """Sparse inversion of y through the kernel operator.
 
     penalized: minimize 0.5 ||y - Gx||^2 / sigma_z^2 + lam ||x||_1 for each
-    column of y by blocked ADMM, polished exactly on its sign pattern and
-    accepted per column only on a KKT certificate (_certified_lasso), within
-    max_iter ADMM iterations. lam is one float for every column, or a
-    sequence of one value per column of y: a penalty path is one call whose
-    columns repeat y, each column solved as it would be alone.
+    column of y by blocked, over-relaxed ADMM, polished exactly on its sign
+    pattern every _POLISH_EVERY iterations whenever that pattern is new to
+    the column, and accepted per column only on a KKT certificate
+    (_certified_lasso), within max_iter ADMM iterations. lam is one float
+    for every column, or a sequence of one value per column of y: a penalty
+    path is one call whose columns repeat y, each column solved as it would
+    be alone.
     ``converged`` means every column is certified, ``unconverged`` counts the
     columns that are not, ``column_iterations`` holds each column's ADMM
     iterations and ``iterations`` their maximum, and ``objective`` is
@@ -554,9 +587,10 @@ def problem_doc(
 # rate-estimation pipeline
 # ---------------------------------------------------------------------------
 
-# ADMM iteration cap of the penalized solve over all noisy replicates. At
-# 5 000 a column stayed uncertified at seeds 1, 2, 5 and 6; each certified
-# after 5 300 to 6 500 iterations.
+# ADMM iteration cap of the penalized solve over all noisy replicates. At the
+# defaults, the slowest column of each of seeds 0-99 certifies after 1 650 to
+# 5 150 iterations; the worst are seed 80 (5 150), seed 62 (4 900) and
+# seed 84 (4 700).
 _PIPELINE_SOLVER_ITERS = 20_000
 # Standard errors of slack the two pipeline verdicts allow.
 _PIPELINE_FLAG_SIGMAS = 4.0

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainlab
+from chainlab import cli
 from chainlab.cli import main
 from chainlab.errors import InvalidOverride, UnknownExperiment
 from chainlab.experiments import (
@@ -162,6 +163,23 @@ class TestCliCommands:
         assert doc["seed"] == 9
         assert doc["params"]["m"] == 5
         assert doc["results"]["crb"]["value"] == pytest.approx(4.0 / 5)
+
+    def test_set_overrides_do_not_leak_into_the_next_call(self, tmp_path):
+        """main parses with one parser built at import; the append action's
+        default list must not carry one call's --set items into the next call."""
+        cfg = write_config(tmp_path / "gm.cfg", "crb_gaussian_mean", seed=0)
+        schema = CATALOG["crb_gaussian_mean"].schema
+        calls = {"a": ["--set", "m=5"], "b": [], "c": ["--set", "sigma_x=2.0"]}
+        docs = {}
+        for name, extra in calls.items():
+            assert main(["run", cfg, "--out", str(tmp_path / name)] + extra) == 0
+            docs[name] = json.loads((tmp_path / name / "crb_gaussian_mean" / "report.json")
+                                    .read_text())["params"]
+        assert schema["m"].default != 5 and schema["sigma_x"].default != 2.0
+        assert docs["a"]["m"] == 5 and docs["a"]["sigma_x"] == schema["sigma_x"].default
+        assert docs["b"] == dict(docs["a"], m=schema["m"].default)
+        assert docs["c"] == dict(docs["b"], sigma_x=2.0)
+        assert cli._PARSER.parse_args(["run", cfg]).set == []
 
     def test_csv_uses_17_significant_digits(self, tmp_path):
         cfg = write_config(tmp_path / "tree.cfg", "naive_tree", seed=0)

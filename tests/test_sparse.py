@@ -334,6 +334,48 @@ class TestSolver:
             assert single.converged
         assert path.converged and path.unconverged == 0
 
+    def test_unchanged_sign_pattern_is_not_polished_again(self, monkeypatch):
+        """A column is polished only on a sign pattern it was not polished on
+        before: column 17 of this pipeline draw fails its polish at iteration
+        50, keeps those signs at 100, where it is skipped, and certifies at
+        150. The skip is exact: a fresh polish of its iterate at 100 repeats
+        the failed result of 50 bit for bit."""
+        op = build_kernel_operator(1.0, 24, 2.0)
+        _, y = _pipeline_draw(op, 1.0, 5, 40, 0, 0.1)
+        g = op.matrix
+        a, b = 100.0 * (g.T @ g), 100.0 * (g.T @ y[:, 17:18])
+        real = sparse._polish
+        polished = []
+
+        def spy(*args):
+            out = real(*args)
+            polished.append((args[3].copy(), out))
+            return out
+
+        monkeypatch.setattr(sparse, "_polish", spy)
+        _, ok, its = sparse._certified_lasso(a, b, 1.0, 20_000)
+        assert ok[0] and its[0] == 150
+        assert sum(z.shape[1] for z, _ in polished) == 2
+        z50, (x50, ok50) = polished[0]
+        z100, ok100, its100 = sparse._certified_lasso(a, b, 1.0, 100)  # its last ADMM iterate
+        assert not ok50[0] and not ok100[0] and its100[0] == 100
+        assert not np.array_equal(z100, z50)
+        np.testing.assert_array_equal(np.sign(z100), np.sign(z50))
+        x_fresh, ok_fresh = real(a, b, 1.0, z100)
+        assert not ok_fresh[0] and np.array_equal(x_fresh, x50)
+
+    def test_certified_columns_are_the_polish_of_their_sign_pattern(self):
+        """The answer depends only on the sign pattern ADMM ends on: every
+        certified column of a pipeline solve is, bit for bit, the polish of
+        its own signs, however many iterations found them."""
+        op = build_kernel_operator(1.0, 24, 2.0)
+        _, y = _pipeline_draw(op, 1.0, 5, 40, 0, 0.1)
+        sol = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=20_000)
+        assert sol.converged and len(set(sol.column_iterations)) > 1
+        g, inv_var = op.matrix, 1.0 / 0.1**2
+        x, ok = sparse._polish(inv_var * (g.T @ g), inv_var * (g.T @ y), 1.0, sol.x_hat)
+        assert ok.all() and np.array_equal(x, sol.x_hat)
+
     @pytest.mark.parametrize("lam", [[1.0, 0.0, 0.5], [1.0, -0.1, 0.5], [1.0, float("nan"), 0.5],
                                      [1.0, 0.5], [1.0, 0.5, 0.2, 0.1], [[1.0, 0.5, 0.2]]])
     def test_per_column_lam_contract(self, lam):
@@ -505,6 +547,17 @@ class TestLambdaPipeline:
         assert rep.restored_not_better
         assert rep.clean_meets_crb
         assert rep.mse_restored >= rep.mse_clean
+
+    def test_pipeline_column_iterations(self):
+        """Over-relaxed ADMM, polished every 50 iterations: the 25 000 default
+        pipeline columns at seed 0 take 2 229 600 column-iterations, all
+        certified (4 189 000 with plain ADMM polished every 100)."""
+        op = build_kernel_operator(sigma=1.0, n=24, fs=2.0)
+        _, y = _pipeline_draw(op, 1.0, 25, 1000, 0, 0.1)
+        sol = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1,
+                           max_iter=sparse._PIPELINE_SOLVER_ITERS)
+        assert sol.converged and len(sol.column_iterations) == 25_000
+        assert sum(sol.column_iterations) <= 2_500_000
 
     def test_verdict_fails_on_uncertified_reconstructions(self, monkeypatch):
         """Cut the solver off before it certifies: the restored MSE is then not

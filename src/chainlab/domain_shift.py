@@ -56,20 +56,15 @@ def double_meaning_minimizer(
     if loss == "mse":
         return np.tensordot(w, stack, axes=1)
     if loss == "l1":
+        # Per coordinate: sort the M values stably, and take the first whose
+        # cumulative weight reaches half of that coordinate's total.
         flat = stack.reshape(len(arrs), -1)
-        out = np.empty(flat.shape[1])
-        for k in range(flat.shape[1]):
-            out[k] = _weighted_lower_median(flat[:, k], w)
-        return out.reshape(shape)
+        order = np.argsort(flat, axis=0, kind="stable")
+        cum = np.cumsum(w[order], axis=0)
+        idx = np.argmax(cum >= 0.5 * cum[-1] - 1e-15, axis=0)
+        pick = np.take_along_axis(order, idx[None], axis=0)
+        return np.take_along_axis(flat, pick, axis=0).reshape(shape)
     raise ContractViolation(f"unknown loss {loss!r}")
-
-
-def _weighted_lower_median(values: np.ndarray, weights: np.ndarray) -> float:
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    half = 0.5 * cum[-1]
-    idx = int(np.searchsorted(cum, half - 1e-15))
-    return float(values[order][min(idx, len(values) - 1)])
 
 
 def _resolve_weights(weights, m: int) -> np.ndarray:
@@ -206,6 +201,9 @@ _TRAINING_SLACK = 1e-9
 _PLATEAU_PATIENCE = 50
 # Training stops once no parameter step exceeds this.
 _PARAM_TOL = 1e-14
+# Absolute-error training stops once its loss is within this relative gap of
+# the per-row median lower bound, which certifies it that close to optimal.
+_L1_GAP_RTOL = 1e-6
 
 
 def train_mixed_restorer(
@@ -226,6 +224,16 @@ def train_mixed_restorer(
     _PLATEAU_PATIENCE epochs without improvement and stop once no parameter
     moves by more than _PARAM_TOL. ``meta`` records the derived
     ``initial_lr``, the ``final_lr`` and ``epochs_run``.
+
+    Absolute error also stops on an optimality certificate. No model beats
+    the per-row minimizer, the lower median of a row's M targets
+    (``double_meaning_minimizer``), so lb = (1/(M b)) sum |X - median| bounds
+    the loss from below; once the loss is at most lb (1 + _L1_GAP_RTOL), the
+    iterate is within that relative gap of the optimum and is returned
+    unstepped. ``meta`` adds ``lower_bound``, ``certified`` (stopped on the
+    bound), ``gap_bound`` (the returned weights' loss over lb, minus 1) and
+    ``median_fit``: the least-squares affine fit to the per-row medians, an
+    exact minimizer when its ``median_fit_gap`` (likewise) is round-off.
 
     The domains must overlap (a disjoint spec raises ContractViolation):
     every domain sees one shared input y, so the M domains' targets stack
@@ -260,6 +268,12 @@ def train_mixed_restorer(
     sign = np.empty_like(x)
     g = np.empty_like(pred)
     step = np.empty_like(theta)
+    stop_at = -math.inf
+    if loss == "l1":
+        median = double_meaning_minimizer(x, loss="l1")
+        lb = _l1_loss(median, x)
+        stop_at = lb * (1.0 + _L1_GAP_RTOL)
+    certified = False
     log = []
     best = math.inf
     stale = 0
@@ -269,8 +283,11 @@ def train_mixed_restorer(
         # mse: sum R**2 and d/dR = 2R; l1: sum |R| = sum sign(R) R and d/dR = sign(R).
         a = r if loss == "mse" else np.sign(r, out=sign)
         total = loss_scale * float(np.vdot(a, r))
-        a.sum(axis=0, out=g)
         log.append(total)
+        if total <= stop_at:
+            certified = True
+            break
+        a.sum(axis=0, out=g)
         if total < best - 1e-15 * max(1.0, best if math.isfinite(best) else 1.0):
             best = total
             stale = 0
@@ -284,12 +301,33 @@ def train_mixed_restorer(
         theta -= step
         if np.abs(step).max() <= _PARAM_TOL:
             break
+    meta = {"initial_lr": initial_lr, "final_lr": lr, "epochs_run": len(log)}
+    if loss == "l1":
+        fit = np.linalg.lstsq(y1, median, rcond=None)[0]
+        meta.update(
+            lower_bound=lb,
+            certified=certified,
+            gap_bound=_relative_gap(_l1_loss(y1 @ theta.T, x), lb),
+            median_fit=LinearRestorer(weights=fit[:-1].T.copy(), bias=fit[-1].copy(), loss_log=()),
+            median_fit_gap=_relative_gap(_l1_loss(y1 @ fit, x), lb),
+        )
     return LinearRestorer(
         weights=theta[:, :n_in].copy(),
         bias=theta[:, n_in].copy(),
         loss_log=tuple(log),
-        meta={"initial_lr": initial_lr, "final_lr": lr, "epochs_run": len(log)},
+        meta=meta,
     )
+
+
+def _l1_loss(pred: np.ndarray, x: np.ndarray) -> float:
+    """Mean over the b rows and M domains of ||pred - x||_1, x of shape (M, b, n_out)."""
+    return float(np.abs(pred - x).sum()) / (x.shape[0] * x.shape[1])
+
+
+def _relative_gap(value: float, lb: float) -> float:
+    if lb > 0:
+        return (value - lb) / lb
+    return math.inf if value > lb else 0.0
 
 
 def fit_linear_restorer(domains: DomainSpec, seed: int = 0, batch: int = 512) -> LinearRestorer:

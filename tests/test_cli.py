@@ -481,7 +481,7 @@ class TestParameterContract:
             self._fuzz(exp_id, {})
         self._fuzz("double_meaning_mse", {})
         # Around smaller sizes than the defaults, whose runs take about a second
-        # (double_meaning_l1: about 0.1 s, nearly all of it spent halving the step).
+        # (double_meaning_l1: about 0.035 s, stopping on its optimality certificate).
         self._fuzz("double_meaning_l1", {"epochs": 300})
         self._fuzz("lambda_pipeline", {"m": 4, "replicates": 10})
         self._fuzz("sparse_certificate_sweep", {"draws": 2, "n": 32})
@@ -511,6 +511,17 @@ class TestDomainExperiments:
         for seed in range(10):
             report, _, _ = run_experiment(exp_id, seed=seed)
             assert report["all_passed"], (seed, report["verdicts"])
+
+    def test_l1_training_certified_at_seeds_0_to_99(self):
+        """Every default run stops on the median-bound certificate, and the
+        affine fit to the per-row medians is the median map (1 + 1e-9) I."""
+        for seed in range(100):
+            report, _, _ = run_experiment("double_meaning_l1", seed=seed)
+            res = {k: v["value"] for k, v in report["results"].items()}
+            assert report["all_passed"] and res["certified"], (seed, res)
+            assert res["optimality_gap_bound"] <= 1e-6, (seed, res)
+            assert abs(res["median_fit_weight_vs_median_map_sup"] - 1e-9) <= 1e-14, (seed, res)
+            assert abs(res["median_fit_optimality_gap"]) <= 1e-14, (seed, res)
 
     def test_mixed_vs_targeted_report_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "mvt.cfg", "mixed_vs_targeted", seed=3)

@@ -10,7 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chainlab import domain_shift
 from chainlab.channels import blur_matrix, gaussian_kernel
 from chainlab.domain_shift import (
     DomainSpec,
@@ -26,7 +29,7 @@ from chainlab.domain_shift import (
     train_mixed_restorer,
     two_blur_domains,
 )
-from chainlab.domain_shift import _training_blocks
+from chainlab.domain_shift import _L1_GAP_RTOL, _training_blocks
 from chainlab.errors import ContractViolation, DimensionMismatch, DomainsCoincide
 from chainlab.rng import stream_rng
 
@@ -72,6 +75,28 @@ class TestMinimizer:
         a = double_meaning_minimizer(targets, loss="l1")
         b = double_meaning_minimizer(targets[::-1], loss="l1")
         np.testing.assert_array_equal(a, b)
+
+    def test_l1_matches_per_coordinate_loop(self):
+        """The vectorised weighted lower median equals a per-coordinate sort,
+        cumsum and searchsorted exactly, ties and zero weights included."""
+
+        def lower_median(values, weights):
+            order = np.argsort(values, kind="stable")
+            cum = np.cumsum(weights[order])
+            idx = int(np.searchsorted(cum, 0.5 * cum[-1] - 1e-15))
+            return values[order][min(idx, len(values) - 1)]
+
+        rng = stream_rng(61, 2)
+        for trial in range(200):
+            m = int(rng.integers(1, 7))
+            vals = rng.integers(-2, 3, (m, 5)).astype(float) if trial % 2 else rng.standard_normal((m, 5))
+            w = rng.integers(0, 4, m).astype(float)
+            w = np.full(m, 1.0 / m) if w.sum() == 0 or trial % 3 == 0 else w / w.sum()
+            if abs(w.sum() - 1.0) > 1e-12:
+                continue
+            got = double_meaning_minimizer(list(vals), weights=w, loss="l1")
+            want = [lower_median(vals[:, k], w) for k in range(5)]
+            np.testing.assert_array_equal(got, want)
 
     def test_mse_minimizer_has_zero_gradient(self):
         """Finite-difference gradient of the weighted quadratic vanishes at
@@ -230,6 +255,78 @@ class TestTrainedRestorer:
         dom = offset_indicator_domains(4, 1.0, -1.0, disjoint=True)
         with pytest.raises(ContractViolation):
             train_mixed_restorer(dom, epochs=10)
+
+
+class TestL1Certificate:
+    """The per-row median lower bound on the absolute-error objective, and
+    the stop it certifies."""
+
+    @staticmethod
+    def _training_targets(dom, seed, batch):
+        blocks = _training_blocks(dom, stream_rng(seed, 0), batch)
+        return blocks[0][0], np.stack([t for _, t in blocks])
+
+    @staticmethod
+    def _loss(restorer, y, x):
+        return float(np.abs(restorer.predict(y) - x).sum()) / (x.shape[0] * x.shape[1])
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 20),
+           scales=st.sampled_from([(1.0, 1.0 + 1e-9, 4.0), (1.0, 2.0, 7.0), (0.5, 3.0, -1.0)]))
+    def test_bound_is_valid_and_the_stop_sound(self, seed, scales):
+        dom = scaling_domains(2, scales)
+        trained = train_mixed_restorer(dom, loss="l1", epochs=6000, seed=seed, batch=128)
+        meta = trained.meta
+        y, x = self._training_targets(dom, seed, 128)
+        # Three domains: the lower median of each row is its middle value.
+        lb = float(np.abs(x - np.median(x, axis=0)).sum()) / (3 * 128)
+        assert meta["lower_bound"] == pytest.approx(lb, rel=1e-14)
+        assert min(trained.loss_log) >= lb * (1 - 1e-12)
+        # The median map is (middle scale) I, so the median fit attains the bound.
+        assert self._loss(meta["median_fit"], y, x) == pytest.approx(lb, rel=1e-12)
+        assert abs(meta["median_fit_gap"]) <= 1e-12
+        middle = sorted(scales)[1]
+        assert np.max(np.abs(meta["median_fit"].weights - middle * np.eye(2))) <= 1e-12
+        assert meta["certified"]
+        assert trained.loss_log[-1] <= lb * (1 + _L1_GAP_RTOL)
+        assert self._loss(trained, y, x) == pytest.approx(trained.loss_log[-1], rel=1e-12)
+        assert meta["gap_bound"] <= _L1_GAP_RTOL
+
+    def test_certified_stop_only_truncates_the_descent(self, monkeypatch):
+        dom = scaling_domains(4, (1.0, 1.0, 4.0))
+        stopped = train_mixed_restorer(dom, loss="l1", epochs=6000, seed=5, batch=256)
+        monkeypatch.setattr(domain_shift, "_L1_GAP_RTOL", -math.inf)
+        full = train_mixed_restorer(dom, loss="l1", epochs=6000, seed=5, batch=256)
+        assert stopped.meta["certified"] and not full.meta["certified"]
+        n = stopped.meta["epochs_run"]
+        assert n < full.meta["epochs_run"]
+        assert stopped.loss_log == full.loss_log[:n]
+
+    def test_unattained_bound_falls_back_to_the_old_stop(self, monkeypatch):
+        # Per-row medians of u, u**3 and 4u: u where |u| <= 1, u**3 up to
+        # |u| = 2, 4u beyond; no affine map realizes them.
+        dom = DomainSpec.overlapping(
+            [lambda u: u, lambda u: u**3, lambda u: 4.0 * u], latent_sampler=gaussian_latents(2)
+        )
+        trained = train_mixed_restorer(dom, loss="l1", epochs=20_000, seed=0, batch=128)
+        meta = trained.meta
+        assert not meta["certified"]
+        assert meta["gap_bound"] > 0.1 and meta["median_fit_gap"] > 0.1
+        assert min(trained.loss_log) >= meta["lower_bound"]
+        # Stopped by _PARAM_TOL, after the plateau halvings, before the cap.
+        assert meta["epochs_run"] < 20_000
+        assert meta["final_lr"] <= meta["initial_lr"] * 2.0**-30
+        capped = train_mixed_restorer(dom, loss="l1", epochs=500, seed=0, batch=128)
+        assert capped.meta["epochs_run"] == 500 and not capped.meta["certified"]
+        # The bound never triggers, so the run is the one without it.
+        monkeypatch.setattr(domain_shift, "_L1_GAP_RTOL", -math.inf)
+        plain = train_mixed_restorer(dom, loss="l1", epochs=20_000, seed=0, batch=128)
+        assert plain.loss_log == trained.loss_log
+        np.testing.assert_array_equal(plain.weights, trained.weights)
+
+    def test_squared_error_carries_no_certificate(self):
+        trained = train_mixed_restorer(scaling_domains(3, (1.0, 2.0)), epochs=100, seed=0, batch=64)
+        assert set(trained.meta) == {"initial_lr", "final_lr", "epochs_run"}
 
 
 class TestExactFit:

@@ -11,12 +11,12 @@ An affine map already exhibits the loss-minimizing output on linear-domain
 instances. ``fit_linear_restorer`` solves for the squared-error minimizer
 exactly (weighted least squares); the mixed-versus-targeted report uses it.
 ``train_mixed_restorer`` runs full-batch gradient descent for the claims
-about training itself. Its first step is derived from the training draw (the
-inverse Lipschitz constant of the squared-error gradient) and halves on
-plateau, so no step size is configured. It takes overlapping domains only:
-their one shared input lets each epoch form the prediction once, subtract
-the stacked targets of all domains as one residual array, and take one
-gradient product with the input.
+about training itself, with no configured step size: squared error steps by
+the inverse Lipschitz constant of its gradient on the training draw, absolute
+error by Polyak's step to the per-row median bound on its optimal value. It
+takes overlapping domains only: their one shared input lets each epoch form
+the prediction once, subtract the stacked targets of all domains as one
+residual array, and take one gradient product with the input.
 """
 
 from __future__ import annotations
@@ -197,9 +197,7 @@ def _training_blocks(domains: DomainSpec, rng: np.random.Generator, batch: int):
 
 # Loss increase, relative to the first logged loss, that check_training forgives.
 _TRAINING_SLACK = 1e-9
-# Epochs without improvement after which the step halves.
-_PLATEAU_PATIENCE = 50
-# Training stops once no parameter step exceeds this.
+# Squared-error training stops once no parameter step exceeds this.
 _PARAM_TOL = 1e-14
 # Absolute-error training stops once its loss is within this relative gap of
 # the per-row median lower bound, which certifies it that close to optimal.
@@ -215,34 +213,33 @@ def train_mixed_restorer(
 ) -> LinearRestorer:
     """Fit one affine restorer against every domain's targets at once.
 
-    Full-batch gradient descent on the weighted multi-domain loss. The first
-    step is 1/L, with L = 2 lambda_max([y 1]' [y 1]) / b the Lipschitz
-    constant of the squared-error gradient on the training draw of b rows
-    ([y 1] holds a column of ones, so lambda_max >= b > 0). By the descent
-    lemma no squared-error step can then raise the loss, and an absolute-error
-    step is bounded by the same 1/L. Both losses halve the step after
-    _PLATEAU_PATIENCE epochs without improvement and stop once no parameter
-    moves by more than _PARAM_TOL. ``meta`` records the derived
-    ``initial_lr``, the ``final_lr`` and ``epochs_run``.
+    Full-batch (sub)gradient descent on the weighted multi-domain loss; no
+    step size is configured. Squared error steps by 1/L, with
+    L = 2 lambda_max([y 1]' [y 1]) / b the Lipschitz constant of its gradient
+    on the training draw of b rows ([y 1] holds a column of ones, so
+    lambda_max >= b > 0): by the descent lemma no step raises the loss. It
+    stops once no parameter moves by more than _PARAM_TOL. ``meta`` records
+    the derived ``initial_lr`` and ``epochs_run``.
 
-    Absolute error also stops on an optimality certificate. No model beats
+    Absolute error knows its optimal value, or a bound on it: no model beats
     the per-row minimizer, the lower median of a row's M targets
     (``double_meaning_minimizer``), so lb = (1/(M b)) sum |X - median| bounds
-    the loss from below; once the loss is at most lb (1 + _L1_GAP_RTOL), the
-    iterate is within that relative gap of the optimum and is returned
-    unstepped. ``meta`` adds ``lower_bound``, ``certified`` (stopped on the
-    bound), ``gap_bound`` (the returned weights' loss over lb, minus 1) and
-    ``median_fit``: the least-squares affine fit to the per-row medians, an
-    exact minimizer when its ``median_fit_gap`` (likewise) is round-off.
+    the loss f from below. It takes Polyak's step (f - lb) / ||G||^2 along
+    the subgradient G, and stops once f <= lb (1 + _L1_GAP_RTOL): the iterate
+    is then within that relative gap of the optimum. The subgradient method
+    guarantees only its best loss, so the lowest-loss iterate is returned.
+    ``meta`` records ``epochs_run``, ``lower_bound``, ``certified`` (stopped on
+    the bound), ``gap_bound`` (the returned weights' loss over lb, minus 1)
+    and ``median_fit``: the least-squares affine fit to the per-row medians,
+    an exact minimizer when its ``median_fit_gap`` (likewise) is round-off.
 
     The domains must overlap (a disjoint spec raises ContractViolation):
     every domain sees one shared input y, so the M domains' targets stack
     into X of shape (M, b, n_out), the prediction y W' + bias is formed once
     per epoch and the residual R = pred - X is one array. Every domain
     weighs 1/M, so the gradient sums R (mse) or sign(R) (l1) over the
-    domains first, into one (b, n_out) array G, and then takes one product
-    G' [y 1]: W's gradient, and the bias gradient (G's column sum) as its
-    last column.
+    domains first, into one (b, n_out) array, and then takes one product
+    with [y 1]: W's gradient, and the bias gradient as its last column.
     """
     if loss not in ("mse", "l1"):
         raise ContractViolation(f"unknown loss {loss!r}")
@@ -258,25 +255,24 @@ def train_mixed_restorer(
     # theta = [W | bias] against [y 1]: one product is the prediction, one
     # the whole gradient, and one step moves both.
     y1 = np.hstack([y, np.ones((b, 1))])
-    initial_lr = lr = b / (2.0 * float(np.linalg.eigvalsh(y1.T @ y1)[-1]))
     theta = np.zeros((n_out, n_in + 1))
     # Every domain weighs 1/m and the loss is a mean over b rows.
     loss_scale = 1.0 / m / b
-    grad_scale = (2.0 if loss == "mse" else 1.0) / m / b
     pred = np.empty((b, n_out))
     r = np.empty_like(x)
-    sign = np.empty_like(x)
     g = np.empty_like(pred)
     step = np.empty_like(theta)
-    stop_at = -math.inf
-    if loss == "l1":
+    if loss == "mse":
+        lr = b / (2.0 * float(np.linalg.eigvalsh(y1.T @ y1)[-1]))
+        meta = {"initial_lr": lr}
+    else:
         median = double_meaning_minimizer(x, loss="l1")
         lb = _l1_loss(median, x)
-        stop_at = lb * (1.0 + _L1_GAP_RTOL)
+        sign = np.empty_like(x)
+        best, best_theta = math.inf, theta.copy()
+        meta = {}
     certified = False
     log = []
-    best = math.inf
-    stale = 0
     for _ in range(epochs):
         np.matmul(y1, theta.T, out=pred)
         np.subtract(pred, x, out=r)
@@ -284,30 +280,33 @@ def train_mixed_restorer(
         a = r if loss == "mse" else np.sign(r, out=sign)
         total = loss_scale * float(np.vdot(a, r))
         log.append(total)
-        if total <= stop_at:
-            certified = True
-            break
+        if loss == "l1":
+            if total < best:
+                best, best_theta[...] = total, theta
+            if total <= lb * (1.0 + _L1_GAP_RTOL):
+                certified = True
+                break
         a.sum(axis=0, out=g)
-        if total < best - 1e-15 * max(1.0, best if math.isfinite(best) else 1.0):
-            best = total
-            stale = 0
-        else:
-            stale += 1
-            if stale >= _PLATEAU_PATIENCE:
-                lr *= 0.5
-                stale = 0
+        # The gradient is (2 for mse) loss_scale times this product.
         np.matmul(g.T, y1, out=step)
-        step *= lr * grad_scale
+        if loss == "mse":
+            step *= lr * (2.0 * loss_scale)
+        else:
+            norm_sq = float(np.vdot(step, step))
+            if norm_sq == 0.0:  # 0 is a subgradient: theta is a minimizer
+                break
+            step *= (total - lb) / (loss_scale * norm_sq)
         theta -= step
-        if np.abs(step).max() <= _PARAM_TOL:
+        if loss == "mse" and np.abs(step).max() <= _PARAM_TOL:
             break
-    meta = {"initial_lr": initial_lr, "final_lr": lr, "epochs_run": len(log)}
+    meta["epochs_run"] = len(log)
     if loss == "l1":
+        theta = best_theta
         fit = np.linalg.lstsq(y1, median, rcond=None)[0]
         meta.update(
             lower_bound=lb,
             certified=certified,
-            gap_bound=_relative_gap(_l1_loss(y1 @ theta.T, x), lb),
+            gap_bound=_relative_gap(best, lb),
             median_fit=LinearRestorer(weights=fit[:-1].T.copy(), bias=fit[-1].copy(), loss_log=()),
             median_fit_gap=_relative_gap(_l1_loss(y1 @ fit, x), lb),
         )
@@ -333,26 +332,21 @@ def _relative_gap(value: float, lb: float) -> float:
 def fit_linear_restorer(domains: DomainSpec, seed: int = 0, batch: int = 512) -> LinearRestorer:
     """Exact minimizer of the objective ``train_mixed_restorer`` descends under mse.
 
-    Same draw; rows of domain i scaled by sqrt(1 / (M b_i)), so the squared
-    residual is (1/M) sum_i mean_rows ||W y + b - x||^2 over the M domains.
+    Same draw. Every domain draws ``batch`` rows, so the least-squares fit over
+    all domains' stacked rows minimizes (1/M) sum_i mean_rows ||W y + b - x||^2.
     """
     blocks = _training_blocks(domains, stream_rng(seed, 0), batch)
     _check_domains_distinct(domains, blocks)
-    design, target = [], []
-    for y, x in blocks:
-        scale = math.sqrt(1.0 / domains.n_domains / y.shape[0])
-        design.append(scale * np.hstack([y, np.ones((y.shape[0], 1))]))
-        target.append(scale * x)
-    sol = np.linalg.lstsq(np.vstack(design), np.vstack(target), rcond=None)[0]
+    design = np.vstack([np.hstack([y, np.ones((y.shape[0], 1))]) for y, _ in blocks])
+    sol = np.linalg.lstsq(design, np.vstack([x for _, x in blocks]), rcond=None)[0]
     return LinearRestorer(weights=sol[:-1].T.copy(), bias=sol[-1].copy(), loss_log=())
 
 
 def _check_domains_distinct(domains: DomainSpec, blocks) -> None:
     if domains.n_domains < 2:
         return
-    targets = [x for _, x in blocks]
-    base = targets[0]
-    if all(np.allclose(base, t, atol=1e-12) for t in targets[1:]) and domains.mode == OVERLAPPING:
+    base, *rest = [x for _, x in blocks]
+    if all(np.allclose(base, t, rtol=1e-5, atol=1e-12) for t in rest) and domains.mode == OVERLAPPING:
         raise DomainsCoincide("all domain inverses agree on every probed input")
 
 

@@ -152,29 +152,24 @@ class TestTrainedRestorer:
         assert np.max(np.abs(restorer.weights - np.eye(4))) <= 0.05
 
     def test_scalar_l1_matches_subgradient_oracle(self):
-        """Three scalar domains: an independent subgradient descent on the
-        same objective lands on the same (median) map."""
+        """Three scalar domains: an independent Polyak subgradient descent on
+        the weight alone, to the same median bound, lands on the same
+        (median) map."""
         dom = scaling_domains(1, (1.0, 2.0, 7.0))
         restorer = train_mixed_restorer(dom, loss="l1", epochs=8000, seed=3, batch=1024)
+        assert restorer.meta["certified"]
         u = stream_rng(3, 0).standard_normal((1024, 1))
+        lb = float(np.mean(np.abs(u - 2.0 * u) + np.abs(7.0 * u - 2.0 * u))) / 3
         w = 0.0
-        lr = self._derived_step(u)
-        best = np.inf
-        stale = 0
         for _ in range(8000):
             r = [w * u - s * u for s in (1.0, 2.0, 7.0)]
-            loss = float(np.mean(sum(np.abs(x).sum(axis=1) for x in r))) / 3
-            if loss < best - 1e-15:
-                best, stale = loss, 0
-            else:
-                stale += 1
-                if stale >= 50:
-                    lr *= 0.5
-                    stale = 0
+            loss = float(np.mean(sum(np.abs(x) for x in r))) / 3
+            if loss <= lb * (1 + _L1_GAP_RTOL):
+                break
             g = float(np.mean(sum(np.sign(x) * u for x in r))) / 3
-            w -= lr * g
-        assert abs(restorer.weights[0, 0] - w) <= 0.05
-        assert abs(w - 2.0) <= 0.05  # median scale
+            w -= (loss - lb) / g**2 * g
+        assert abs(restorer.weights[0, 0] - w) <= 1e-4
+        assert abs(w - 2.0) <= 1e-4  # median scale
 
     def test_loss_log_non_increasing_for_mse(self):
         dom = scaling_domains(4, (1.0, 3.0))
@@ -193,22 +188,22 @@ class TestTrainedRestorer:
             fit_linear_restorer(dom)
 
     @staticmethod
-    def _derived_step(y):
-        """1/L for the squared-error gradient on inputs y: b / (2 lambda_max([y 1]'[y 1]))."""
-        y1 = np.hstack([y, np.ones((len(y), 1))])
-        return len(y) / (2.0 * np.linalg.eigvalsh(y1.T @ y1)[-1])
-
-    @classmethod
-    def _per_domain_descent(cls, dom, loss, epochs, seed, batch):
+    def _per_domain_descent(dom, loss, epochs, seed, batch):
         """The trainer's epoch written out domain by domain: each block's
-        residual, loss and gradient, weighted and summed, from the same
-        derived first step under the same plateau schedule."""
+        residual, loss and (sub)gradient, weighted and summed. Squared error
+        steps by 1/L = b / (2 lambda_max([y 1]'[y 1])); absolute error takes
+        Polyak's step to the per-row median bound and stops on it."""
         blocks = _training_blocks(dom, stream_rng(seed, 0), batch)
-        n_in, n_out = blocks[0][0].shape[1], blocks[0][1].shape[1]
+        y0 = blocks[0][0]
+        n_in, n_out = y0.shape[1], blocks[0][1].shape[1]
         w_mat, bias = np.zeros((n_out, n_in)), np.zeros(n_out)
-        lr = cls._derived_step(blocks[0][0])
+        y1 = np.hstack([y0, np.ones((len(y0), 1))])
+        lr = len(y0) / (2.0 * np.linalg.eigvalsh(y1.T @ y1)[-1])
+        # Three domains: the lower median of each row is its middle value.
+        x = np.stack([t for _, t in blocks])
+        lb = float(np.abs(x - np.median(x, axis=0)).sum()) / (x.shape[0] * x.shape[1])
         wgt = 1.0 / len(blocks)
-        log, best, stale = [], math.inf, 0
+        log = []
         for _ in range(epochs):
             gw, gb, total = np.zeros_like(w_mat), np.zeros_like(bias), 0.0
             for y, x in blocks:
@@ -222,28 +217,27 @@ class TestTrainedRestorer:
                 gw += wgt / len(y) * d.T @ y
                 gb += wgt / len(y) * d.sum(axis=0)
             log.append(total)
-            if total < best - 1e-15 * max(1.0, best if math.isfinite(best) else 1.0):
-                best, stale = total, 0
-            else:
-                stale += 1
-                if stale >= 50:
-                    lr *= 0.5
-                    stale = 0
+            if loss == "l1":
+                if total <= lb * (1 + _L1_GAP_RTOL):
+                    break
+                lr = (total - lb) / (np.sum(gw**2) + np.sum(gb**2))
             w_mat = w_mat - lr * gw
             bias = bias - lr * gb
         return np.array(log), w_mat, bias
 
-    @pytest.mark.parametrize("make,loss", [
-        (lambda: scaling_domains(4, (1.0, 1.0, 4.0)), "l1"),
-        (lambda: two_blur_domains(32, 1.0, 2.0), "mse"),
+    @pytest.mark.parametrize("make,loss,epochs_run", [
+        (lambda: scaling_domains(4, (1.0, 1.0, 4.0)), "l1", 37),
+        (lambda: two_blur_domains(32, 1.0, 2.0), "mse", 300),
     ])
-    def test_stacked_epoch_matches_per_domain_loop(self, make, loss):
+    def test_stacked_epoch_matches_per_domain_loop(self, make, loss, epochs_run):
         """One stacked residual per epoch computes the per-domain loop's loss
-        and step up to summation order, over 300 epochs (before the stopping
-        rule's round-off regime)."""
+        and step up to summation order: squared error over 300 epochs (before
+        its stopping rule's round-off regime), absolute error until it
+        certifies."""
         dom = make()
         trained = train_mixed_restorer(dom, loss=loss, epochs=300, seed=5, batch=256)
-        assert trained.meta["epochs_run"] == 300
+        assert trained.meta["epochs_run"] == epochs_run
+        assert loss == "mse" or trained.meta["certified"]
         log, w_mat, bias = self._per_domain_descent(dom, loss, 300, seed=5, batch=256)
         np.testing.assert_allclose(trained.loss_log, log, rtol=1e-12, atol=0)
         assert np.max(np.abs(trained.weights - w_mat)) <= 1e-10
@@ -302,31 +296,66 @@ class TestL1Certificate:
         assert n < full.meta["epochs_run"]
         assert stopped.loss_log == full.loss_log[:n]
 
-    def test_unattained_bound_falls_back_to_the_old_stop(self, monkeypatch):
+    def test_unattained_bound_returns_the_lowest_loss_iterate(self, monkeypatch):
         # Per-row medians of u, u**3 and 4u: u where |u| <= 1, u**3 up to
         # |u| = 2, 4u beyond; no affine map realizes them.
         dom = DomainSpec.overlapping(
             [lambda u: u, lambda u: u**3, lambda u: 4.0 * u], latent_sampler=gaussian_latents(2)
         )
-        trained = train_mixed_restorer(dom, loss="l1", epochs=20_000, seed=0, batch=128)
-        meta = trained.meta
-        assert not meta["certified"]
+        trained = train_mixed_restorer(dom, loss="l1", epochs=2000, seed=0, batch=128)
+        meta, log = trained.meta, trained.loss_log
+        assert meta["epochs_run"] == 2000 and not meta["certified"]
         assert meta["gap_bound"] > 0.1 and meta["median_fit_gap"] > 0.1
-        assert min(trained.loss_log) >= meta["lower_bound"]
-        # Stopped by _PARAM_TOL, after the plateau halvings, before the cap.
-        assert meta["epochs_run"] < 20_000
-        assert meta["final_lr"] <= meta["initial_lr"] * 2.0**-30
-        capped = train_mixed_restorer(dom, loss="l1", epochs=500, seed=0, batch=128)
-        assert capped.meta["epochs_run"] == 500 and not capped.meta["certified"]
+        assert min(log) >= meta["lower_bound"]
+        # Polyak's step to a bound below the optimum does not descend
+        # monotonically: the last iterate is worse than the best one.
+        best = log.index(min(log))
+        assert best < len(log) - 1 and log[-1] > log[best]
+        # The returned weights are the lowest-loss iterate (the last one
+        # evaluated by the run capped just after it), and the gap bound is theirs.
+        prefix = train_mixed_restorer(dom, loss="l1", epochs=best + 1, seed=0, batch=128)
+        assert prefix.loss_log == log[:best + 1]
+        np.testing.assert_array_equal(prefix.weights, trained.weights)
+        np.testing.assert_array_equal(prefix.bias, trained.bias)
+        y, x = self._training_targets(dom, 0, 128)
+        lb = meta["lower_bound"]
+        assert meta["gap_bound"] == pytest.approx(self._loss(trained, y, x) / lb - 1, rel=1e-12)
         # The bound never triggers, so the run is the one without it.
         monkeypatch.setattr(domain_shift, "_L1_GAP_RTOL", -math.inf)
-        plain = train_mixed_restorer(dom, loss="l1", epochs=20_000, seed=0, batch=128)
-        assert plain.loss_log == trained.loss_log
+        plain = train_mixed_restorer(dom, loss="l1", epochs=2000, seed=0, batch=128)
+        assert plain.loss_log == log
         np.testing.assert_array_equal(plain.weights, trained.weights)
+
+    def test_polyak_step_never_moves_away_from_the_median_map(self):
+        """Fejer monotonicity: on an attained bound, Polyak's step brings the
+        weights no farther from the median map [2 I | 0] at any epoch. Runs
+        capped at 1..k epochs are prefixes of one run, and each returns its
+        lowest-loss iterate."""
+        dom = scaling_domains(2, (1.0, 2.0, 7.0))
+        full = train_mixed_restorer(dom, loss="l1", epochs=1000, seed=0, batch=128)
+        assert full.meta["certified"]
+        k = full.meta["epochs_run"]
+        dists = []
+        for epochs in range(1, k + 1):
+            run = train_mixed_restorer(dom, loss="l1", epochs=epochs, seed=0, batch=128)
+            assert run.loss_log == full.loss_log[:epochs]
+            theta = np.hstack([run.weights - 2.0 * np.eye(2), run.bias[:, None]])
+            dists.append(float(np.linalg.norm(theta)))
+        assert np.all(np.diff(dists) <= 0.0)
+        assert dists[-1] <= 1e-3 * dists[0]
+
+    def test_zero_subgradient_ends_the_run(self, monkeypatch):
+        """Domains u and -u: at the zero map every row's signs cancel, so 0 is
+        a subgradient and the run ends there rather than divide by it."""
+        dom = scaling_domains(2, (1.0, -1.0))
+        monkeypatch.setattr(domain_shift, "_L1_GAP_RTOL", -math.inf)
+        trained = train_mixed_restorer(dom, loss="l1", epochs=100, seed=0, batch=64)
+        assert trained.meta["epochs_run"] == 1 and not trained.meta["certified"]
+        assert not np.any(trained.weights) and not np.any(trained.bias)
 
     def test_squared_error_carries_no_certificate(self):
         trained = train_mixed_restorer(scaling_domains(3, (1.0, 2.0)), epochs=100, seed=0, batch=64)
-        assert set(trained.meta) == {"initial_lr", "final_lr", "epochs_run"}
+        assert set(trained.meta) == {"initial_lr", "epochs_run"}
 
 
 class TestExactFit:

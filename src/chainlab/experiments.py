@@ -42,6 +42,7 @@ from .restorers import (
 )
 from .rng import stream_rng
 from .sparse import (
+    _ADMM_HANDOFF,
     build_kernel_operator,
     check_kernel_size,
     l1_map_solve,
@@ -557,7 +558,7 @@ def _run_sparse_certificates(params: dict, seed: int):
     y = op.apply(signal.to_vector()) + 0.01 * rng.standard_normal(n)
     # The whole path is one solve, one column of y per penalty.
     path = l1_map_solve(np.repeat(y[:, None], len(lam_grid), axis=1), op, mode="penalized",
-                        lam=lam_grid, sigma_z=1.0, max_iter=20_000)
+                        lam=lam_grid, sigma_z=1.0, max_iter=_ADMM_HANDOFF)
     norms = [float(np.sum(np.abs(x))) for x in path.x_hat.T]
     path_monotone = all(norms[i] <= norms[i + 1] + 1e-9 for i in range(len(norms) - 1))
     results = {
@@ -568,6 +569,7 @@ def _run_sparse_certificates(params: dict, seed: int):
         "l1_norm_path": result(norms),
         "penalized_uncertified": result(path.unconverged),
         "penalized_iterations": result(list(path.column_iterations)),
+        "penalized_finished": result(path.finished),
     }
     verdicts = {
         # A bound checked on an inexact solve certifies nothing.
@@ -612,6 +614,7 @@ def _run_lambda_pipeline(params: dict, seed: int):
         "oracle_gap": result(abs(oracle.mse_restored - oracle.mse_clean)),
         "penalized_uncertified": result(rep.solver_unconverged),
         "penalized_iterations": result(rep.solver_iterations),
+        "penalized_finished": result(rep.solver_finished),
     }
     verdicts = {
         # An MSE measured on unconverged reconstructions says nothing of the minimizer's.
@@ -862,6 +865,13 @@ def _check_mixed_vs_targeted(p: dict) -> None:
     _need(tap > 1e-5, f"the residual blur's first off-centre tap > 1e-5, the relative "
           f"tolerance of the probe that the domains differ (tap {tap:.3g}, std {sigma_res:.3g})")
     _need(p["n"] % 2 == 0, "an even n for the half-rate domain")
+    # Each restorer is an affine least-squares fit to one shared input of batch
+    # rows: n + 1 unknowns per output for the blur and rate domains, and
+    # offset_dim + 2 for the offset ones (input and flag). With no more rows
+    # than inputs, lstsq returns a minimum-norm fit, not the unique minimizer.
+    bound = max(p["n"], p["offset_dim"] + 1)
+    _need(p["batch"] > bound, f"batch > max(n, offset_dim + 1) = {bound} (an affine fit "
+          f"with fewer rows than unknowns is not unique)")
 
 
 _register(

@@ -4,11 +4,14 @@ The observation model is a Toeplitz operator whose columns are shifted
 Gaussian kernel evaluations plus additive noise. Inversion comes in two
 modes. The penalized mode is l1-penalized least squares (the lasso), solved
 column by column to a certified exact minimizer: batched over-relaxed ADMM
-finds the sign pattern, an exact solve on that pattern polishes it, and the
-lasso KKT conditions accept or reject each column. The polish reads only the
-signs, so a column is polished again only when its signs have changed since
-its last failed polish. A penalty path is one batched solve with one penalty
-per column. The constrained mode,
+in float32 proposes the sign pattern, an exact float64 solve on that pattern
+polishes it, and the lasso KKT conditions accept or reject each column. The
+polish reads only the signs, so a column is polished again only when its
+signs have changed since its last failed polish. A column that ADMM has not
+certified after max_iter iterations goes to feature-sign search, a finite
+float64 active-set method, and the same polish and certificate judge its
+answer. A penalty path is one batched solve with one penalty per column.
+The constrained mode,
 min ||x||_1 s.t. ||y - Gx||_1 <= delta, is a linear program and is solved
 exactly for each column of y, so its answer is the constrained minimizer
 that the recovery certificates bound. The LP is taken in equality form,
@@ -145,14 +148,21 @@ class SolveResult:
     lam: Union[None, float, tuple]  # penalty weight, or one per column; None in constrained mode
     unconverged: int  # columns of y whose solve is not converged or certified
     column_iterations: tuple  # iterations (or pivots) of each column; their max is ``iterations``
+    finished: int = 0  # penalized columns that the feature-sign finisher certified
 
 
 # ADMM penalty rho, as a fraction of the mean eigenvalue tr(A)/n of A = G'G / sigma_z^2.
-_ADMM_RHO = 0.004
+_ADMM_RHO = 0.008
 # Over-relaxation alpha of the ADMM x-update (Boyd et al. 2011, sec. 3.4.3).
 _ADMM_RELAX = 1.8
 # ADMM iterations between two polish-and-certify rounds.
 _POLISH_EVERY = 50
+# ADMM iterations after which the experiments' penalized solves hand a column
+# to the feature-sign finisher. At the defaults over seeds 0-99 it takes 21 of
+# the 2 500 000 pipeline columns and 18 of the 2 000 sweep path columns. ADMM
+# certifies every other pipeline column by 1 900 iterations (99.99% by 1 000)
+# and every other path column by 2 000.
+_ADMM_HANDOFF = 2_000
 # Columns iterated together; bounds the working set of a batched solve.
 _ADMM_BLOCK = 1024
 # Stationarity on the support holds to this fraction of |A||x| + |b| + lam,
@@ -160,6 +170,12 @@ _ADMM_BLOCK = 1024
 _KKT_ROUNDOFF = 1e-12
 # Off the support: |(Ax - b)_j| <= lam (1 + _KKT_DUAL_RTOL).
 _KKT_DUAL_RTOL = 1e-9
+# Feature-sign steps a column may take in the finisher, per unknown. The worst
+# case is exponential (Mairal & Yu 2012), so a column past the cap stays
+# uncertified. Started from zero, the experiments' columns take at most 1.5 n:
+# 35 at n = 24 (4 500 pipeline columns, seeds 0-2) and 95 at n = 64 (the
+# sweep's paths at fs 2 and 4.42, seeds 0-9).
+_FEATURE_SIGN_STEPS = 4
 
 
 def _polish(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray], z: np.ndarray) -> tuple:
@@ -204,50 +220,63 @@ def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray]
     """min 0.5 x'Ax - b'x + lam ||x||_1 for each column of b, certified per column.
 
     Over-relaxed ADMM for the lasso (Boyd et al. 2011, secs. 3.4.3 and 6.4;
-    Eckstein & Bertsekas 1992), with alpha = _ADMM_RELAX folded into one
-    step matrix formed once from (A + rho I)^{-1}, iterates a block of at
-    most _ADMM_BLOCK live columns. Every _POLISH_EVERY iterations each live
-    column whose sign pattern differs from the one it was last polished on
-    is polished on its ADMM support (_polish); the others are skipped, since
-    _polish reads only the signs and that pattern already failed. Certified
-    columns, and columns that reached max_iter, leave the block, and columns
-    not yet started take their places. lam is a float, or one value per
-    column; a float stays a scalar threshold in the iteration, which is
-    faster than a per-column bound. Columns do not interact, so each runs as
-    it would alone. Returns (x, certified, iterations), iterations holding
-    each column's count; an uncertified column returns its last ADMM
+    Eckstein & Bertsekas 1992) proposes sign patterns in float32; only the
+    float64 _polish and its certificate accept one. alpha = _ADMM_RELAX is
+    folded into one step matrix formed once from (A + rho I)^{-1}, and a
+    block of at most _ADMM_BLOCK live columns iterates together. Every
+    _POLISH_EVERY iterations each live column whose sign pattern differs
+    from the one it was last polished on is polished on its ADMM support;
+    the others are skipped, since _polish reads only the signs and that
+    pattern already failed. Certified columns, and columns that reached
+    max_iter, leave the block, and columns not yet started take their
+    places. max_iter is the hand-off: each column still uncertified then
+    goes to the float64 feature-sign finisher (_feature_sign), started from
+    its last ADMM iterate, and is certified only if _polish certifies what
+    the finisher settles on. lam is a float, or one value per column; a
+    float stays a scalar threshold in the iteration, which is faster than a
+    per-column bound. Columns do not interact, so each runs as it would
+    alone. Returns (x, certified, iterations, finished): iterations holds
+    each column's ADMM count, finished marks the columns the finisher
+    certified, and an uncertified column returns the finisher's last
     iterate.
     """
     n, c = b.shape
     rho = _ADMM_RHO * float(np.trace(a)) / n
     inv = np.linalg.inv(a + rho * np.eye(n))
-    step = _ADMM_RELAX * rho * inv + (1.0 - _ADMM_RELAX) * np.eye(n)
+    step = (_ADMM_RELAX * rho * inv + (1.0 - _ADMM_RELAX) * np.eye(n)).astype(np.float32)
+    # The float32 state is kept in units of scale, a power of two that brings
+    # alpha |x0| <= alpha ||inv||_inf max |b| below 1 (x0 = inv b, the x of
+    # z = u = 0): an exact change of units, which only keeps the state in
+    # float32's range. A threshold tau outside 2^-60..2^60 of that unit acts as
+    # 0 or as infinity, and is clamped there.
+    bound = _ADMM_RELAX * np.abs(inv).sum(axis=1).max() * max(b.max(initial=0.0),
+                                                              -b.min(initial=0.0))
+    scale = 2.0 ** -np.frexp(bound)[1]
     x_out = np.zeros((n, c))
     certified = np.zeros(c, dtype=bool)
     iterations = np.zeros(c, dtype=np.intp)
-    # Live columns: index, iterations run, alpha x0 (x0 = (A + rho I)^{-1} b,
-    # the x of z = u = 0), the ADMM state u, w, and the sign pattern last
-    # polished (2, no sign, before the first polish). With
+    # Live columns: index, iterations run, alpha x0, the ADMM state u, w, and
+    # the sign pattern last polished (2, no sign, before the first polish). With
     # x = x0 + rho (A + rho I)^{-1} w and z = w + u, the relaxed point plus u is
     # v = alpha x + (1 - alpha) z + u = step w + alpha x0 + (2 - alpha) u; the
     # z-update soft-thresholds v at tau, the scaled dual update leaves
     # u = v - z = clip(v, -tau, tau), and w = z - u.
     live = np.zeros(0, dtype=np.intp)
     runs = np.zeros(0, dtype=np.intp)
-    x0, u, w = (np.zeros((n, 0)) for _ in range(3))
+    x0, u, w = (np.zeros((n, 0), dtype=np.float32) for _ in range(3))
     polished = np.zeros((n, 0), dtype=np.int8)
     started = 0
     while max_iter > 0 and (started < c or live.size):
         new = np.arange(started, min(started + _ADMM_BLOCK - live.size, c))
         started += new.size
-        zeros = np.zeros((n, new.size))
+        zeros = np.zeros((n, new.size), dtype=np.float32)
         live = np.concatenate([live, new])
         runs = np.concatenate([runs, np.zeros(new.size, dtype=np.intp)])
-        x0 = np.hstack([x0, _ADMM_RELAX * (inv @ b[:, new])])
+        x0 = np.hstack([x0, (scale * _ADMM_RELAX * (inv @ b[:, new])).astype(np.float32)])
         u, w = np.hstack([u, zeros]), np.hstack([w, zeros])
         polished = np.hstack([polished, np.full((n, new.size), 2, dtype=np.int8)])
         lam_live = lam[live] if np.ndim(lam) else lam
-        tau = lam_live / rho
+        tau = np.float32(np.clip(scale * lam_live / rho, 2.0**-60, 2.0**60))
         neg_tau = -tau
         v, t = np.empty_like(u), np.empty_like(u)
         steps = min(_POLISH_EVERY, max_iter - int(runs.max()))
@@ -256,13 +285,12 @@ def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray]
             v += x0
             np.multiply(u, 2.0 - _ADMM_RELAX, out=t)
             v += t
-            np.maximum(v, neg_tau, out=u)
-            np.minimum(u, tau, out=u)
+            np.clip(v, neg_tau, tau, out=u)
             np.subtract(v, u, out=w)
             w -= u
         runs += steps
         iterations[live] = runs
-        z = w + u
+        z = (w + u).astype(np.float64) / scale
         signs = np.sign(z).astype(np.int8)
         fresh = np.flatnonzero((signs != polished).any(axis=0))
         polished[:, fresh] = signs[:, fresh]
@@ -277,7 +305,68 @@ def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray]
         keep[done] = False
         live, runs, x0, u, w = live[keep], runs[keep], x0[:, keep], u[:, keep], w[:, keep]
         polished = polished[:, keep]
-    return x_out, certified, iterations
+    handed = np.flatnonzero(~certified)
+    settled = np.zeros(handed.size, dtype=bool)
+    for k, j in enumerate(handed):
+        x_out[:, j], settled[k] = _feature_sign(a, b[:, j], lam[j] if np.ndim(lam) else lam,
+                                                x_out[:, j], _FEATURE_SIGN_STEPS * n)
+    handed = handed[settled]
+    x, ok = _polish(a, b[:, handed], lam[handed] if np.ndim(lam) else lam, x_out[:, handed])
+    x_out[:, handed[ok]] = x[:, ok]
+    finished = np.zeros(c, dtype=bool)
+    finished[handed[ok]] = certified[handed[ok]] = True
+    return x_out, certified, iterations, finished
+
+
+def _feature_sign(a: np.ndarray, b: np.ndarray, lam: float, x: np.ndarray,
+                  max_steps: int) -> tuple:
+    """Feature-sign search (Lee, Battle, Raina & Ng 2007) for one column of
+    min f(x) = 0.5 x'Ax - b'x + lam ||x||_1, in float64, started from x.
+
+    The active set S is the support of x, with signs theta. A step solves
+    A_SS x_S = b_S - lam theta_S and searches the segment from x to that
+    solution: of the solution and of each point where a coefficient crosses
+    zero (set to exactly zero there), it moves to the one of lowest f, and
+    the zeros leave S. Once a step reaches the solution with its signs kept,
+    S is optimal, and the index off S with the largest |(Ax - b)_j| above
+    lam (1 + _KKT_DUAL_RTOL) joins it, with the sign that lowers f. f falls
+    at every step, so no active set repeats and the search is finite.
+    Returns (x, settled): settled when S is optimal and no index violates
+    that bound within max_steps steps. Settling certifies nothing; the
+    caller's _polish decides.
+    """
+    x = x.copy()
+    theta = np.sign(x)
+    optimal = not theta.any()
+    steps = 0
+    while True:
+        if optimal:
+            grad = a @ x - b
+            off = np.where(theta == 0, np.abs(grad), 0.0)
+            j = int(off.argmax())
+            if off[j] <= lam * (1.0 + _KKT_DUAL_RTOL):
+                return x, True
+            theta[j] = -np.sign(grad[j])
+        if steps == max_steps:
+            return x, False
+        steps += 1
+        on = np.flatnonzero(theta)
+        a_on, b_on = a[np.ix_(on, on)], b[on]
+        try:
+            x_new = np.linalg.solve(a_on, b_on - lam * theta[on])
+        except np.linalg.LinAlgError:  # an exactly singular A_SS
+            return x, False
+        x_on = x[on]
+        cross = np.flatnonzero(x_on * x_new < 0)
+        points = x_on[:, None] + np.outer(x_new - x_on, x_on[cross] / (x_on[cross] - x_new[cross]))
+        points[cross, np.arange(cross.size)] = 0.0
+        points = np.hstack([points, x_new[:, None]])
+        f = (np.einsum("ij,ij->j", points, 0.5 * (a_on @ points) - b_on[:, None])
+             + lam * np.abs(points).sum(axis=0))
+        best = int(f.argmin())
+        x[on] = points[:, best]
+        optimal = best == cross.size and bool(np.all(x_new * theta[on] >= 0))
+        theta = np.sign(x)
 
 
 # Relative tolerance of the simplex: pivots, primal and dual feasibility.
@@ -425,18 +514,20 @@ def l1_map_solve(
     """Sparse inversion of y through the kernel operator.
 
     penalized: minimize 0.5 ||y - Gx||^2 / sigma_z^2 + lam ||x||_1 for each
-    column of y by blocked, over-relaxed ADMM, polished exactly on its sign
-    pattern every _POLISH_EVERY iterations whenever that pattern is new to
-    the column, and accepted per column only on a KKT certificate
-    (_certified_lasso), within max_iter ADMM iterations. lam is one float
+    column of y by blocked, over-relaxed ADMM in float32, polished exactly in
+    float64 on its sign pattern every _POLISH_EVERY iterations whenever that
+    pattern is new to the column, and accepted per column only on the
+    polish's KKT certificate (_certified_lasso). max_iter is the hand-off:
+    a column ADMM has not certified by then goes to the float64 feature-sign
+    finisher, whose answer the same certificate judges. lam is one float
     for every column, or a sequence of one value per column of y: a penalty
     path is one call whose columns repeat y, each column solved as it would
     be alone.
     ``converged`` means every column is certified, ``unconverged`` counts the
-    columns that are not, ``column_iterations`` holds each column's ADMM
-    iterations and ``iterations`` their maximum, and ``objective`` is
-    (final objective summed over columns,); a per-column ``lam`` comes back
-    as a tuple.
+    columns that are not, ``finished`` the columns the finisher certified,
+    ``column_iterations`` holds each column's ADMM iterations and
+    ``iterations`` their maximum, and ``objective`` is (final objective
+    summed over columns,); a per-column ``lam`` comes back as a tuple.
 
     constrained: minimize ||x||_1 s.t. ||y - Gx||_1 <= delta for each
     column of y, solved exactly as the equality-form linear program
@@ -467,14 +558,15 @@ def l1_map_solve(
         if lam is None or sigma_z is None or not (np.all(lam > 0) and sigma_z > 0):
             raise ContractViolation("penalized mode needs lam > 0 and sigma_z > 0")
         inv_var = 1.0 / sigma_z**2
-        x, certified, its = _certified_lasso(inv_var * (g.T @ g), inv_var * (g.T @ cols),
-                                             lam, max_iter)
+        x, certified, its, finished = _certified_lasso(inv_var * (g.T @ g),
+                                                       inv_var * (g.T @ cols), lam, max_iter)
         objective = float(0.5 * inv_var * np.sum((g @ x - cols) ** 2)
                           + np.sum(lam * np.sum(np.abs(x), axis=0)))
         return SolveResult(x.reshape(y.shape), bool(certified.all()), int(its.max(initial=0)),
                            (objective,), "penalized",
                            tuple(lam.tolist()) if np.ndim(lam) else lam,
-                           int(np.count_nonzero(~certified)), tuple(its.tolist()))
+                           int(np.count_nonzero(~certified)), tuple(its.tolist()),
+                           int(np.count_nonzero(finished)))
     if mode != "constrained":
         raise ContractViolation(f"unknown mode {mode!r}")
     if delta is None or delta < 0:
@@ -587,11 +679,6 @@ def problem_doc(
 # rate-estimation pipeline
 # ---------------------------------------------------------------------------
 
-# ADMM iteration cap of the penalized solve over all noisy replicates. At the
-# defaults, the slowest column of each of seeds 0-99 certifies after 1 650 to
-# 5 150 iterations; the worst are seed 80 (5 150), seed 62 (4 900) and
-# seed 84 (4 700).
-_PIPELINE_SOLVER_ITERS = 20_000
 # Standard errors of slack the two pipeline verdicts allow.
 _PIPELINE_FLAG_SIGMAS = 4.0
 
@@ -613,6 +700,7 @@ class LambdaPipelineReport:
     clean_meets_crb: bool
     solver_iterations: int  # of the reconstruction solve (0 without one)
     solver_unconverged: int  # reconstructed columns not converged or certified
+    solver_finished: int  # reconstructed columns the feature-sign finisher certified
 
 
 def lambda_pipeline_experiment(
@@ -679,14 +767,15 @@ def _pipeline_draw(operator, lambda_true: float, m: int, replicates: int, seed: 
 def _pipeline_report(restorer: str, x_cols, y_cols, operator, lambda_true: float, m: int,
                      replicates: int, sigma_n: float) -> LambdaPipelineReport:
     """Reconstruct the drawn signals with one restorer and compare the two rate estimates."""
-    iterations = unconverged = 0
+    iterations = unconverged = finished = 0
     if restorer == "norm_oracle":
         xhat_cols = np.zeros_like(x_cols)
         xhat_cols[0, :] = np.abs(x_cols).sum(axis=0)
     elif sigma_n > 0:
         sol = l1_map_solve(y_cols, operator, mode="penalized", lam=lambda_true,
-                           sigma_z=sigma_n, max_iter=_PIPELINE_SOLVER_ITERS)
+                           sigma_z=sigma_n, max_iter=_ADMM_HANDOFF)
         xhat_cols, iterations, unconverged = sol.x_hat, sol.iterations, sol.unconverged
+        finished = sol.finished
     else:
         # noiseless: the exact-interpolation solve recovers each signal
         sol = l1_map_solve(y_cols, operator, mode="constrained", delta=0.0)
@@ -720,4 +809,5 @@ def _pipeline_report(restorer: str, x_cols, y_cols, operator, lambda_true: float
         clean_meets_crb=bool(mse_clean >= crb - _PIPELINE_FLAG_SIGMAS * se_clean),
         solver_iterations=iterations,
         solver_unconverged=unconverged,
+        solver_finished=finished,
     )

@@ -314,6 +314,9 @@ class TestParameterContract:
         ("mixed_vs_targeted", {"n": 17}),
         ("mixed_vs_targeted", {"n": 10**6}),
         ("mixed_vs_targeted", {"sigma2": 1.01}),
+        ("mixed_vs_targeted", {"n": 1024}),
+        ("mixed_vs_targeted", {"n": 256}),
+        ("mixed_vs_targeted", {"offset_dim": 255}),
         ("resolution_shift", {"n": 10**6}),
         ("crb_gaussian_mean", {"sigma_x": "5e-324"}),
         ("crb_gaussian_mean", {"theta": "1e300"}),

@@ -10,8 +10,8 @@ polish reads only the signs, so a column is polished again only when its
 signs have changed since its last failed polish. A column that ADMM has not
 certified after max_iter iterations goes to feature-sign search, a finite
 float64 active-set method, and the same polish and certificate judge its
-answer. A penalty path is one batched solve with one penalty per column.
-The constrained mode,
+answer. A penalty path (one penalty per column) is feature-sign search
+alone, each column started from the last one's answer. The constrained mode,
 min ||x||_1 s.t. ||y - Gx||_1 <= delta, is a linear program and is solved
 exactly for each column of y, so its answer is the constrained minimizer
 that the recovery certificates bound. The LP is taken in equality form,
@@ -147,8 +147,8 @@ class SolveResult:
     mode: str
     lam: Union[None, float, tuple]  # penalty weight, or one per column; None in constrained mode
     unconverged: int  # columns of y whose solve is not converged or certified
-    column_iterations: tuple  # iterations (or pivots) of each column; their max is ``iterations``
-    finished: int = 0  # penalized columns that the feature-sign finisher certified
+    column_iterations: tuple  # iterations, pivots or steps of each column; max is ``iterations``
+    finished: int = 0  # penalized columns that feature-sign search certified
 
 
 # ADMM penalty rho, as a fraction of the mean eigenvalue tr(A)/n of A = G'G / sigma_z^2.
@@ -157,11 +157,9 @@ _ADMM_RHO = 0.008
 _ADMM_RELAX = 1.8
 # ADMM iterations between two polish-and-certify rounds.
 _POLISH_EVERY = 50
-# ADMM iterations after which the experiments' penalized solves hand a column
-# to the feature-sign finisher. At the defaults over seeds 0-99 it takes 21 of
-# the 2 500 000 pipeline columns and 18 of the 2 000 sweep path columns. ADMM
-# certifies every other pipeline column by 1 900 iterations (99.99% by 1 000)
-# and every other path column by 2 000.
+# ADMM iterations after which the pipeline hands a column to the feature-sign
+# finisher: 21 of its 2 500 000 columns at the defaults over seeds 0-99. ADMM
+# certifies every other one by 1 900 iterations (99.99% by 1 000).
 _ADMM_HANDOFF = 2_000
 # Columns iterated together; bounds the working set of a batched solve.
 _ADMM_BLOCK = 1024
@@ -170,11 +168,9 @@ _ADMM_BLOCK = 1024
 _KKT_ROUNDOFF = 1e-12
 # Off the support: |(Ax - b)_j| <= lam (1 + _KKT_DUAL_RTOL).
 _KKT_DUAL_RTOL = 1e-9
-# Feature-sign steps a column may take in the finisher, per unknown. The worst
-# case is exponential (Mairal & Yu 2012), so a column past the cap stays
-# uncertified. Started from zero, the experiments' columns take at most 1.5 n:
-# 35 at n = 24 (4 500 pipeline columns, seeds 0-2) and 95 at n = 64 (the
-# sweep's paths at fs 2 and 4.42, seeds 0-9).
+# Feature-sign steps a column may take, per unknown: the worst case is
+# exponential (Mairal & Yu 2012), and a column past the cap stays uncertified.
+# The experiments' columns take at most 1.5 n from zero, 30 along the sweep's path.
 _FEATURE_SIGN_STEPS = 4
 
 
@@ -215,8 +211,7 @@ def _polish(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray], z: np.n
     return x, solved & kkt.all(axis=0)
 
 
-def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray],
-                     max_iter: int) -> tuple:
+def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: float, max_iter: int) -> tuple:
     """min 0.5 x'Ax - b'x + lam ||x||_1 for each column of b, certified per column.
 
     Over-relaxed ADMM for the lasso (Boyd et al. 2011, secs. 3.4.3 and 6.4;
@@ -230,15 +225,11 @@ def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray]
     pattern already failed. Certified columns, and columns that reached
     max_iter, leave the block, and columns not yet started take their
     places. max_iter is the hand-off: each column still uncertified then
-    goes to the float64 feature-sign finisher (_feature_sign), started from
-    its last ADMM iterate, and is certified only if _polish certifies what
-    the finisher settles on. lam is a float, or one value per column; a
-    float stays a scalar threshold in the iteration, which is faster than a
-    per-column bound. Columns do not interact, so each runs as it would
-    alone. Returns (x, certified, iterations, finished): iterations holds
-    each column's ADMM count, finished marks the columns the finisher
-    certified, and an uncertified column returns the finisher's last
-    iterate.
+    goes to the feature-sign finisher (_feature_sign_polish) from its last
+    ADMM iterate. Columns do not interact, so each runs as it would alone.
+    Returns (x, certified, iterations, finished): each column's ADMM count,
+    and the columns the finisher certified; an uncertified column returns
+    the finisher's last iterate.
     """
     n, c = b.shape
     rho = _ADMM_RHO * float(np.trace(a)) / n
@@ -265,6 +256,7 @@ def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray]
     runs = np.zeros(0, dtype=np.intp)
     x0, u, w = (np.zeros((n, 0), dtype=np.float32) for _ in range(3))
     polished = np.zeros((n, 0), dtype=np.int8)
+    tau = np.float32(np.clip(scale * lam / rho, 2.0**-60, 2.0**60))
     started = 0
     while max_iter > 0 and (started < c or live.size):
         new = np.arange(started, min(started + _ADMM_BLOCK - live.size, c))
@@ -275,9 +267,6 @@ def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray]
         x0 = np.hstack([x0, (scale * _ADMM_RELAX * (inv @ b[:, new])).astype(np.float32)])
         u, w = np.hstack([u, zeros]), np.hstack([w, zeros])
         polished = np.hstack([polished, np.full((n, new.size), 2, dtype=np.int8)])
-        lam_live = lam[live] if np.ndim(lam) else lam
-        tau = np.float32(np.clip(scale * lam_live / rho, 2.0**-60, 2.0**60))
-        neg_tau = -tau
         v, t = np.empty_like(u), np.empty_like(u)
         steps = min(_POLISH_EVERY, max_iter - int(runs.max()))
         for _ in range(steps):
@@ -285,7 +274,7 @@ def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray]
             v += x0
             np.multiply(u, 2.0 - _ADMM_RELAX, out=t)
             v += t
-            np.clip(v, neg_tau, tau, out=u)
+            np.clip(v, -tau, tau, out=u)
             np.subtract(v, u, out=w)
             w -= u
         runs += steps
@@ -294,8 +283,7 @@ def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray]
         signs = np.sign(z).astype(np.int8)
         fresh = np.flatnonzero((signs != polished).any(axis=0))
         polished[:, fresh] = signs[:, fresh]
-        x, ok = _polish(a, b[:, live[fresh]], lam_live[fresh] if np.ndim(lam) else lam,
-                        z[:, fresh])
+        x, ok = _polish(a, b[:, live[fresh]], lam, z[:, fresh])
         done = fresh[ok]
         capped = runs >= max_iter
         x_out[:, live[capped]] = z[:, capped]
@@ -305,17 +293,29 @@ def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray]
         keep[done] = False
         live, runs, x0, u, w = live[keep], runs[keep], x0[:, keep], u[:, keep], w[:, keep]
         polished = polished[:, keep]
-    handed = np.flatnonzero(~certified)
-    settled = np.zeros(handed.size, dtype=bool)
-    for k, j in enumerate(handed):
-        x_out[:, j], settled[k] = _feature_sign(a, b[:, j], lam[j] if np.ndim(lam) else lam,
-                                                x_out[:, j], _FEATURE_SIGN_STEPS * n)
-    handed = handed[settled]
-    x, ok = _polish(a, b[:, handed], lam[handed] if np.ndim(lam) else lam, x_out[:, handed])
-    x_out[:, handed[ok]] = x[:, ok]
-    finished = np.zeros(c, dtype=bool)
-    finished[handed[ok]] = certified[handed[ok]] = True
-    return x_out, certified, iterations, finished
+    handed, finished = ~certified, np.zeros(c, dtype=bool)
+    x_out[:, handed], finished[handed], _ = _feature_sign_polish(
+        a, b[:, handed], np.full(np.count_nonzero(handed), lam), x_out[:, handed])
+    return x_out, certified | finished, iterations, finished
+
+
+def _feature_sign_polish(a: np.ndarray, b: np.ndarray, lam: np.ndarray,
+                         starts: Optional[np.ndarray]) -> tuple:
+    """_feature_sign on column j of b at lam[j], within _FEATURE_SIGN_STEPS * n
+    steps, from starts[:, j], or for starts None (a penalty path) from column
+    j - 1's answer, zero for j = 0; then one _polish of the settled columns.
+    Returns (x, certified, steps); an uncertified column holds the search's
+    last iterate."""
+    n, c = b.shape
+    x, certified, steps = np.zeros((n, c)), np.zeros(c, dtype=bool), np.zeros(c, dtype=np.intp)
+    for j in range(c):
+        start = x[:, max(j - 1, 0)] if starts is None else starts[:, j]
+        x[:, j], certified[j], steps[j] = _feature_sign(a, b[:, j], lam[j], start,
+                                                        _FEATURE_SIGN_STEPS * n)
+    polished, ok = _polish(a, b[:, certified], lam[certified], x[:, certified])
+    certified[certified] = ok  # of the settled columns, those the polish certifies
+    x[:, certified] = polished[:, ok]
+    return x, certified, steps
 
 
 def _feature_sign(a: np.ndarray, b: np.ndarray, lam: float, x: np.ndarray,
@@ -331,9 +331,9 @@ def _feature_sign(a: np.ndarray, b: np.ndarray, lam: float, x: np.ndarray,
     S is optimal, and the index off S with the largest |(Ax - b)_j| above
     lam (1 + _KKT_DUAL_RTOL) joins it, with the sign that lowers f. f falls
     at every step, so no active set repeats and the search is finite.
-    Returns (x, settled): settled when S is optimal and no index violates
-    that bound within max_steps steps. Settling certifies nothing; the
-    caller's _polish decides.
+    Returns (x, settled, steps): settled when S is optimal and no index
+    violates that bound within max_steps steps. Settling certifies nothing;
+    the caller's _polish decides.
     """
     x = x.copy()
     theta = np.sign(x)
@@ -345,17 +345,17 @@ def _feature_sign(a: np.ndarray, b: np.ndarray, lam: float, x: np.ndarray,
             off = np.where(theta == 0, np.abs(grad), 0.0)
             j = int(off.argmax())
             if off[j] <= lam * (1.0 + _KKT_DUAL_RTOL):
-                return x, True
+                return x, True, steps
             theta[j] = -np.sign(grad[j])
         if steps == max_steps:
-            return x, False
+            return x, False, steps
         steps += 1
         on = np.flatnonzero(theta)
         a_on, b_on = a[np.ix_(on, on)], b[on]
         try:
             x_new = np.linalg.solve(a_on, b_on - lam * theta[on])
         except np.linalg.LinAlgError:  # an exactly singular A_SS
-            return x, False
+            return x, False, steps
         x_on = x[on]
         cross = np.flatnonzero(x_on * x_new < 0)
         points = x_on[:, None] + np.outer(x_new - x_on, x_on[cross] / (x_on[cross] - x_new[cross]))
@@ -394,7 +394,8 @@ def _dual_simplex(g: np.ndarray, y: np.ndarray, delta: float, max_pivots: int) -
 
     A revised dual simplex (Lemke 1954) on blocks of
     max(1, _LP_STATE_ENTRIES // ((m + 1) (m + 2))) columns (_simplex_block).
-    Columns do not interact, so each is solved as it would be alone.
+    A column's pivots (and x, to round-off) depend on its block's size, which
+    m fixes, so results are reproducible.
     """
     m, n = g.shape
     eye = np.eye(m)
@@ -449,14 +450,12 @@ def _simplex_block(g: np.ndarray, a_cols: np.ndarray, c: np.ndarray, y: np.ndarr
     x, pivots, optimal = np.zeros((n, k)), np.zeros(k, dtype=np.intp), np.zeros(k, dtype=bool)
     outer = np.empty_like(state)  # the rank-1 update, without a temporary
     live = at = np.arange(k)
-    base = rows * at  # row 0 of each column in state.reshape(-1, rows + 1)
     runs = 0  # live columns pivot together, so they share a pivot count
     # The ratio test divides every entry and masks the ones off the entering set.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while live.size:
             r = state[:, :, rows].argmin(axis=1)
-            flat = base + r
-            pivot_row = state.reshape(-1, rows + 1)[flat]
+            pivot_row = state[at, r]
             alpha = _lp_rows(gg, pivot_row[:, :rows])
             enter = alpha < -_LP_RTOL * np.abs(alpha).max(axis=1, keepdims=True)
             ratio = np.where(enter, np.maximum(d, 0.0) / -alpha, np.inf)
@@ -488,15 +487,14 @@ def _simplex_block(g: np.ndarray, a_cols: np.ndarray, c: np.ndarray, y: np.ndarr
                     live, basis, state, d = live[keep], basis[keep], state[keep], d[keep]
                     rebuilt, b, floor = rebuilt[keep], b[:, keep], floor[keep]
                     at, outer = np.arange(live.size), outer[:live.size]
-                    base = rows * at
                 continue
             w = np.matmul(state[:, :, :rows], a_cols[j][:, :, None])[:, :, 0]  # B^-1 a_j
-            pivot_row /= w.reshape(-1)[flat][:, None]
-            state.reshape(-1, rows + 1)[flat] = pivot_row
-            w.reshape(-1)[flat] = 0.0
+            pivot_row /= w[at, r][:, None]
+            state[at, r] = pivot_row
+            w[at, r] = 0.0
             state -= np.einsum("ki,kj->kij", w, pivot_row, out=outer)
             d -= d[at, j][:, None] * (alpha / alpha[at, j][:, None])
-            basis.reshape(-1)[flat] = j
+            basis[at, r] = j
             runs += 1
     return x, pivots, optimal
 
@@ -514,29 +512,27 @@ def l1_map_solve(
     """Sparse inversion of y through the kernel operator.
 
     penalized: minimize 0.5 ||y - Gx||^2 / sigma_z^2 + lam ||x||_1 for each
-    column of y by blocked, over-relaxed ADMM in float32, polished exactly in
-    float64 on its sign pattern every _POLISH_EVERY iterations whenever that
-    pattern is new to the column, and accepted per column only on the
-    polish's KKT certificate (_certified_lasso). max_iter is the hand-off:
-    a column ADMM has not certified by then goes to the float64 feature-sign
-    finisher, whose answer the same certificate judges. lam is one float
-    for every column, or a sequence of one value per column of y: a penalty
-    path is one call whose columns repeat y, each column solved as it would
-    be alone.
+    column of y; a column is accepted only on the KKT certificate of an
+    exact float64 polish on its sign pattern. For one float lam, float32
+    ADMM proposes the patterns (_certified_lasso), and max_iter is its
+    hand-off to feature-sign search; max_iter serves a scalar lam only. One
+    lam per column of y is a penalty path, solved by feature-sign search
+    alone, column j started from column j - 1's answer.
     ``converged`` means every column is certified, ``unconverged`` counts the
-    columns that are not, ``finished`` the columns the finisher certified,
-    ``column_iterations`` holds each column's ADMM iterations and
-    ``iterations`` their maximum, and ``objective`` is (final objective
-    summed over columns,); a per-column ``lam`` comes back as a tuple.
+    columns that are not, ``finished`` those feature-sign certified,
+    ``column_iterations`` holds each column's ADMM iterations (feature-sign
+    steps on a path) and ``iterations`` their maximum; ``objective`` is
+    (final objective summed over columns,) and a per-column ``lam`` comes
+    back as a tuple.
 
     constrained: minimize ||x||_1 s.t. ||y - Gx||_1 <= delta for each
     column of y, solved exactly as the equality-form linear program
     min 1'(u + v) s.t. G(u - v) + p - q = y, 1'(p + q) + s = delta,
     u, v, p, q, s >= 0, x = u - v, on its m + 1 rows by a batched revised
     dual simplex (_dual_simplex) from a triangular, dual-feasible basis.
-    Columns iterate in blocks whose size is derived from m, about 0.5 MiB of
-    state per block, and each column is solved as it would be alone, within
-    max_iter pivots. For delta == 0 the feasible set of a nonsingular square G is the single
+    Columns iterate in blocks whose size m fixes, about 0.5 MiB of state
+    each, within max_iter pivots; a column's pivots depend on that size.
+    For delta == 0 the feasible set of a nonsingular square G is the single
     point G^{-1} y, solved for directly, one solve per column (0 pivots). A
     column whose x = 0 is feasible within the slack gets x = 0 (0 pivots).
     A column is converged when the simplex ended on a basis that is primal
@@ -558,8 +554,13 @@ def l1_map_solve(
         if lam is None or sigma_z is None or not (np.all(lam > 0) and sigma_z > 0):
             raise ContractViolation("penalized mode needs lam > 0 and sigma_z > 0")
         inv_var = 1.0 / sigma_z**2
-        x, certified, its, finished = _certified_lasso(inv_var * (g.T @ g),
-                                                       inv_var * (g.T @ cols), lam, max_iter)
+        a, b = inv_var * (g.T @ g), inv_var * (g.T @ cols)
+        if np.ndim(lam):
+            x, finished, its = _feature_sign_polish(a, b, lam, None)
+            certified = finished
+        else:
+            x, certified, its, finished = _certified_lasso(a, b, lam, max_iter)
+        del a, b  # G'y is the size of y: free it before the objective's temporaries
         objective = float(0.5 * inv_var * np.sum((g @ x - cols) ** 2)
                           + np.sum(lam * np.sum(np.abs(x), axis=0)))
         return SolveResult(x.reshape(y.shape), bool(certified.all()), int(its.max(initial=0)),

@@ -96,6 +96,19 @@ def exhaustive_oracle(y, op, k, grid_vals=None):
     return best_x
 
 
+def sweep_draws(op, seed, draws, delta=0.1):
+    """The measurements of sparse_certificate_sweep's first draws at its
+    default spike count, one column per draw."""
+    ys = np.zeros((op.n, draws))
+    for i in range(draws):
+        rng = stream_rng(seed, i)
+        signal = random_spike_signal(rng, op.n, 3, min_spike_separation(op.sigma, op.fs))
+        w = rng.standard_normal(op.n)
+        w *= delta * rng.uniform(0.5, 1.0) / np.sum(np.abs(w))
+        ys[:, i] = op.apply(signal.to_vector()) + w
+    return ys
+
+
 class TestSolver:
     def test_noiseless_well_separated_exact(self):
         op = build_kernel_operator(1.0, 64, 2.0)
@@ -307,8 +320,9 @@ class TestSolver:
             np.testing.assert_allclose(batch.x_hat[:, k], single.x_hat, atol=1e-9)
 
     def test_penalty_path_batch_matches_single_solves(self):
-        """The sweep's 20-point path as one call with one lam per column: each
-        column is the solve it would be alone, to the same iteration.
+        """The sweep's 20-point path as one call with one lam per column, by
+        warm-started feature-sign search within its step cap: each column is
+        the certified minimizer that a scalar ADMM solve finds alone.
 
         G'y as one column of a 20-column product and as a single product
         differ in the last bit, and the exact solve on the support S
@@ -322,9 +336,10 @@ class TestSolver:
         y = op.apply(signal.to_vector()) + 0.01 * rng.standard_normal(64)
         lam_grid = np.geomspace(1.0, 1e-4, 20)
         path = l1_map_solve(np.repeat(y[:, None], 20, axis=1), op, mode="penalized",
-                            lam=lam_grid, sigma_z=1.0, max_iter=20_000)
+                            lam=lam_grid, sigma_z=1.0)
         assert path.lam == tuple(lam_grid)
         assert path.iterations == max(path.column_iterations)
+        assert path.iterations <= sparse._FEATURE_SIGN_STEPS * 64
         a = op.matrix.T @ op.matrix
         for k, lam in enumerate(lam_grid):
             single = l1_map_solve(y, op, mode="penalized", lam=float(lam), sigma_z=1.0,
@@ -332,10 +347,35 @@ class TestSolver:
             on = single.x_hat != 0
             bound = 1e-15 * np.linalg.cond(a[np.ix_(on, on)]) * np.max(np.abs(single.x_hat))
             assert np.max(np.abs(path.x_hat[:, k] - single.x_hat)) <= max(bound, 1e-12)
-            assert path.column_iterations[k] == single.iterations
             assert single.column_iterations == (single.iterations,)
             assert single.converged
         assert path.converged and path.unconverged == 0
+
+    def test_per_column_lam_on_distinct_columns_matches_scalar_solves(self):
+        """A per-column lam need not repeat one y: on five distinct
+        measurements, each column started from the previous column's answer,
+        every column is certified, is bit for bit the polish of its own sign
+        pattern, and is on the sign pattern of its scalar solve and within
+        the round-off bound of the test above."""
+        op = build_kernel_operator(1.0, 64, 2.0)
+        rng = stream_rng(72, 13)
+        sep = min_spike_separation(1.0, 2.0)
+        ys = np.column_stack([op.apply(random_spike_signal(rng, 64, 3, sep).to_vector())
+                              + 0.01 * rng.standard_normal(64) for _ in range(5)])
+        lams = [0.5, 1e-3, 0.05, 1.0, 1e-2]
+        path = l1_map_solve(ys, op, mode="penalized", lam=lams, sigma_z=1.0)
+        assert path.converged and path.finished == 5 and path.lam == tuple(lams)
+        a = op.matrix.T @ op.matrix
+        polished, ok = sparse._polish(a, op.matrix.T @ ys, np.array(lams), path.x_hat)
+        assert ok.all() and np.array_equal(polished, path.x_hat)
+        for k, lam in enumerate(lams):
+            single = l1_map_solve(ys[:, k], op, mode="penalized", lam=lam, sigma_z=1.0,
+                                  max_iter=20_000)
+            assert single.converged
+            on = single.x_hat != 0
+            assert np.array_equal(np.sign(path.x_hat[:, k]), np.sign(single.x_hat))
+            bound = 1e-15 * np.linalg.cond(a[np.ix_(on, on)]) * np.max(np.abs(single.x_hat))
+            assert np.max(np.abs(path.x_hat[:, k] - single.x_hat)) <= max(bound, 1e-12)
 
     def test_unchanged_sign_pattern_is_not_polished_again(self, monkeypatch):
         """A column is polished only on a sign pattern it was not polished on
@@ -416,14 +456,14 @@ class TestSolver:
     def test_sweep_at_fs_4_42_passes_at_seeds_0_to_9(self):
         """At fs = 4.42 ADMM stalls on some path columns (20 000 float64
         iterations left 2, 1 and 1 uncertified at seeds 0-2, failing the
-        path verdict); the finisher certifies them at the hand-off."""
+        path verdict); warm-started feature-sign search certifies every
+        column."""
         for seed in range(10):
             report, _, _ = run_experiment("sparse_certificate_sweep", seed=seed,
                                           overrides={"fs": 4.42})
             res = report["results"]
             assert report["all_passed"], (seed, report["verdicts"])
             assert res["penalized_uncertified"]["value"] == 0
-            assert res["penalized_finished"]["value"] > 0
 
     def test_sweep_draws_match_highs_linear_program(self):
         """The first 20 default sweep draws at seed 0, solved as one call (two
@@ -436,13 +476,7 @@ class TestSolver:
         g, eye = op.matrix, np.eye(n)
         a_ub = np.block([[-g, g, -eye], [g, -g, -eye], [np.zeros((1, 2 * n)), np.ones((1, n))]])
         c = np.concatenate([np.ones(2 * n), np.zeros(n)])
-        ys = np.zeros((n, 20))
-        for i in range(20):
-            rng = stream_rng(0, i)
-            signal = random_spike_signal(rng, n, 3, min_spike_separation(1.0, 2.0))
-            w = rng.standard_normal(n)
-            w *= delta * rng.uniform(0.5, 1.0) / np.sum(np.abs(w))
-            ys[:, i] = op.apply(signal.to_vector()) + w
+        ys = sweep_draws(op, 0, 20, delta)
         sol = l1_map_solve(ys, op, mode="constrained", delta=delta)
         assert sol.converged and sol.unconverged == 0
         assert sol.x_hat.shape == (n, 20) and len(sol.column_iterations) == 20
@@ -456,10 +490,24 @@ class TestSolver:
             assert single.converged and single.column_iterations == (single.iterations,)
             np.testing.assert_allclose(sol.x_hat[:, i], single.x_hat, rtol=0, atol=1e-12)
 
+    def test_simplex_does_not_depend_on_memory_order(self):
+        """The 100 default sweep draws at seeds 0-4, passed to the simplex C-
+        and F-ordered, give the same x and pivots: every pivot records its
+        entering column in the basis whatever the layout of y."""
+        op = build_kernel_operator(1.0, 64, 2.0)
+        for seed in range(5):
+            ys = sweep_draws(op, seed, 100)
+            x_c, pivots_c, ok_c = sparse._dual_simplex(op.matrix, np.ascontiguousarray(ys), 0.1,
+                                                       100_000)
+            x_f, pivots_f, ok_f = sparse._dual_simplex(op.matrix, np.asfortranarray(ys), 0.1,
+                                                       100_000)
+            assert ok_c.all() and ok_f.all()
+            assert np.array_equal(x_c, x_f) and np.array_equal(pivots_c, pivots_f)
+
     def test_mixed_batch_reports_per_column(self):
         """A batch whose first column has ||y||_1 <= delta returns x = 0 there
-        with no pivots, solves the other columns as it would alone, and
-        reports pivots and convergence per column."""
+        with no pivots, solves the other columns as it would alone to
+        round-off, and reports pivots and convergence per column."""
         n, delta = 32, 0.05
         op = build_kernel_operator(1.0, n, 2.0)
         rng = stream_rng(72, 12)
@@ -486,8 +534,8 @@ class TestSolver:
 
 
 class TestFeatureSignFinisher:
-    """The float64 feature-sign finisher, which takes every column that float32
-    ADMM has not certified at the hand-off."""
+    """Float64 feature-sign search, which takes every column that float32 ADMM
+    has not certified at the hand-off, and every column of a penalty path."""
 
     @pytest.mark.parametrize("seed,col,rho", [(73, 7103, 0.004), (18, 20_596, 0.008)])
     def test_float32_stragglers_are_finished_exactly(self, monkeypatch, seed, col, rho):
@@ -532,7 +580,8 @@ class TestFeatureSignFinisher:
             oracle = xs[:, ok][:, 0]
             sizes.add(np.count_nonzero(oracle))
             for start in (np.zeros(n), rng.standard_normal(n)):
-                x, settled = sparse._feature_sign(a, b, lam, start, sparse._FEATURE_SIGN_STEPS * n)
+                x, settled, _ = sparse._feature_sign(a, b, lam, start,
+                                                     sparse._FEATURE_SIGN_STEPS * n)
                 assert settled
                 x, ok = sparse._polish(a, b[:, None], lam, x[:, None])
                 assert ok[0] and np.array_equal(x[:, 0], oracle)
@@ -560,6 +609,28 @@ class TestFeatureSignFinisher:
         monkeypatch.setattr(sparse, "_KKT_ROUNDOFF", 0.0)
         sol = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=0)
         assert sol.unconverged > 0 and sol.finished == 200 - sol.unconverged
+
+    def test_penalty_path_is_warm_started(self):
+        """Each column of the sweep's default path at seed 0 starts from the
+        previous column's answer: the path takes 116 feature-sign steps in
+        all, against 503 with every column started from zero."""
+        report, _, _ = run_experiment("sparse_certificate_sweep", seed=0)
+        assert report["results"]["penalized_uncertified"]["value"] == 0
+        assert sum(report["results"]["penalized_iterations"]["value"]) <= 150
+
+    def test_exhausted_step_cap_fails_the_penalty_path(self, monkeypatch):
+        """With no step allowed, no column of the sweep's path settles: each
+        is returned uncertified and counted, and the path verdict fails,
+        though the l1 norms of the zero columns it returns are monotone."""
+        monkeypatch.setattr(sparse, "_FEATURE_SIGN_STEPS", 0)
+        report, _, _ = run_experiment("sparse_certificate_sweep", seed=0)
+        res = report["results"]
+        assert res["penalized_uncertified"]["value"] == 20
+        assert res["penalized_iterations"]["value"] == [0] * 20
+        assert res["l1_norm_path"]["value"] == [0.0] * 20
+        assert not report["verdicts"]["penalty_path_l1_monotone"]
+        assert report["verdicts"]["error_bound_never_violated"]
+        assert not report["all_passed"]
 
     def test_exhausted_step_cap_leaves_the_column_uncertified(self, monkeypatch):
         """A column that runs out of steps is not settled, and so not

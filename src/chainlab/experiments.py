@@ -603,9 +603,12 @@ def _run_lambda_pipeline(params: dict, seed: int):
     # m >= 3. Its bias b = lam/(m-1) gives the bound (1 + b')^2 / J + b^2 (Kay 1993, §3.5).
     mse_exact = lam**2 * (m + 2) / ((m - 1) * (m - 2))
     crb_biased = lam**2 * (m + 1) / (m - 1) ** 2
+    # A replicate restored to zero l1 mass makes the restored MSE infinite: JSON null.
+    mse_rest, se_rest = (v if math.isfinite(v) else None
+                         for v in (rep.mse_restored, rep.stderr_restored))
     results = {
         "mse_from_clean": result(rep.mse_clean, MONTE_CARLO, r, rep.stderr_clean),
-        "mse_from_restored": result(rep.mse_restored, MONTE_CARLO, r, rep.stderr_restored),
+        "mse_from_restored": result(mse_rest, MONTE_CARLO, r, se_rest),
         "crb": result(rep.crb),
         "mse_clean_exact": result(mse_exact),
         "crb_biased": result(crb_biased),
@@ -800,9 +803,10 @@ def _check_lambda_pipeline(p: dict) -> None:
     _need_scale(p, "rate")
     _need(p["sigma_n"] == 0 or 1e-150 <= p["sigma_n"] <= 1e150,
           "sigma_n == 0 or 1e-150 <= sigma_n <= 1e150 (sigma_n**2 is a normal float)")
-    # The runner holds a few n x (replicates * m) float arrays at once.
+    # The runner holds y, G'y / sigma_n^2 and x_hat, n x (replicates * m) floats
+    # each, and with its temporaries stays under four such arrays.
     _need(p["n"] * p["replicates"] * p["m"] <= _MAX_ARRAY_ENTRIES,
-          f"n * replicates * m <= {_MAX_ARRAY_ENTRIES} (32 MiB per signal array)")
+          f"n * replicates * m <= {_MAX_ARRAY_ENTRIES} (32 MiB per measurement array)")
 
 
 def _check_chain_count(p: dict, name: str, cells: int) -> None:

@@ -143,9 +143,6 @@ class SolveResult:
     x_hat: np.ndarray
     converged: bool
     iterations: int
-    objective: tuple
-    mode: str
-    lam: Union[None, float, tuple]  # penalty weight, or one per column; None in constrained mode
     unconverged: int  # columns of y whose solve is not converged or certified
     column_iterations: tuple  # iterations, pivots or steps of each column; max is ``iterations``
     finished: int = 0  # penalized columns that feature-sign search certified
@@ -521,9 +518,7 @@ def l1_map_solve(
     ``converged`` means every column is certified, ``unconverged`` counts the
     columns that are not, ``finished`` those feature-sign certified,
     ``column_iterations`` holds each column's ADMM iterations (feature-sign
-    steps on a path) and ``iterations`` their maximum; ``objective`` is
-    (final objective summed over columns,) and a per-column ``lam`` comes
-    back as a tuple.
+    steps on a path) and ``iterations`` their maximum.
 
     constrained: minimize ||x||_1 s.t. ||y - Gx||_1 <= delta for each
     column of y, solved exactly as the equality-form linear program
@@ -540,8 +535,7 @@ def l1_map_solve(
     ||y - Gx||_1 <= delta + feasibility_slack. As in penalized mode,
     ``converged`` means every column is, ``unconverged`` counts the columns
     that are not, ``column_iterations`` holds each column's pivots and
-    ``iterations`` their maximum; ``objective`` is (||x||_1 summed over
-    columns,) and ``lam`` is None.
+    ``iterations`` their maximum.
     """
     y = np.asarray(y, dtype=np.float64)
     g = operator.matrix
@@ -560,12 +554,7 @@ def l1_map_solve(
             certified = finished
         else:
             x, certified, its, finished = _certified_lasso(a, b, lam, max_iter)
-        del a, b  # G'y is the size of y: free it before the objective's temporaries
-        objective = float(0.5 * inv_var * np.sum((g @ x - cols) ** 2)
-                          + np.sum(lam * np.sum(np.abs(x), axis=0)))
         return SolveResult(x.reshape(y.shape), bool(certified.all()), int(its.max(initial=0)),
-                           (objective,), "penalized",
-                           tuple(lam.tolist()) if np.ndim(lam) else lam,
                            int(np.count_nonzero(~certified)), tuple(its.tolist()),
                            int(np.count_nonzero(finished)))
     if mode != "constrained":
@@ -588,7 +577,6 @@ def l1_map_solve(
                                                                    max_iter)
     converged = optimal & (np.sum(np.abs(cols - g @ x), axis=0) <= delta + feasibility_slack)
     return SolveResult(x.reshape(y.shape), bool(converged.all()), int(pivots.max(initial=0)),
-                       (float(np.sum(np.abs(x))),), "constrained", None,
                        int(np.count_nonzero(~converged)), tuple(pivots.tolist()))
 
 
@@ -731,70 +719,76 @@ def lambda_pipeline_experiment(
     if unknown:
         raise ContractViolation(f"unknown restorer {unknown[0]!r}")
     operator = build_kernel_operator(sigma=1.0, n=n, fs=2.0)
-    x_cols, y_cols = _pipeline_draw(operator, lambda_true, m, replicates, seed, sigma_n)
-    reports = tuple(_pipeline_report(name, x_cols, y_cols, operator, lambda_true, m,
-                                     replicates, sigma_n) for name in names)
+    amps, y = _pipeline_draw(operator, lambda_true, m, replicates, seed, sigma_n)
+    reports = tuple(_pipeline_report(name, amps, y, operator, lambda_true, m, replicates,
+                                     sigma_n) for name in names)
     return reports[0] if isinstance(restorer, str) else reports
 
 
 def _pipeline_draw(operator, lambda_true: float, m: int, replicates: int, seed: int,
                    sigma_n: float) -> tuple:
-    """The pipeline's clean signals and measurements, (n, replicates * m) each.
+    """The pipeline's spike amplitudes, one per column, and its measurements,
+    (n, replicates * m).
 
     Replicate r draws from stream (seed, r): its m spike locations, their
-    amplitudes, then its (n, m) noise; column r * m + i is its signal i.
+    amplitudes, then its (n, m) noise; column r * m + i is its signal i, one
+    spike. Column j of Gx holds one nonzero product, so G[:, loc_j] amp_j is
+    that column to the bit, and y = Gx + sigma_n noise is formed without x.
     """
     n = operator.n
     sep = min_spike_separation(operator.sigma, operator.fs)
     total = replicates * m
     locs = np.empty(total, dtype=np.int64)
     amps = np.empty(total)
-    noise = np.empty((n, total)) if sigma_n > 0 else None
+    y = np.zeros((n, total))
     for r in range(replicates):
         rng = stream_rng(seed, r)
         cols = slice(r * m, (r + 1) * m)
         locs[cols] = rng.integers(sep, n - sep, size=m)
         amps[cols] = rng.exponential(1.0 / lambda_true, size=m)
-        if noise is not None:
-            noise[:, cols] = rng.standard_normal((n, m))
-    x_cols = np.zeros((n, total))
-    x_cols[locs, np.arange(total)] = amps
-    y_cols = operator.matrix @ x_cols
-    if noise is not None:
-        y_cols = y_cols + sigma_n * noise
-    return x_cols, y_cols
+        if sigma_n > 0:
+            y[:, cols] = rng.standard_normal((n, m))
+    y *= sigma_n
+    spikes = operator.matrix[:, locs]
+    spikes *= amps
+    y += spikes
+    return amps, y
 
 
-def _pipeline_report(restorer: str, x_cols, y_cols, operator, lambda_true: float, m: int,
+def _pipeline_report(restorer: str, amps, y, operator, lambda_true: float, m: int,
                      replicates: int, sigma_n: float) -> LambdaPipelineReport:
-    """Reconstruct the drawn signals with one restorer and compare the two rate estimates."""
+    """Restore the drawn signals with one restorer and compare the two rate
+    estimates, each from the signals' l1 masses: amps on the clean side and
+    for the norm oracle, the column l1 norms of x_hat for map_l1. A replicate
+    restored to zero mass has an infinite rate estimate, so the restored MSE
+    and its standard errors are infinite."""
     iterations = unconverged = finished = 0
     if restorer == "norm_oracle":
-        xhat_cols = np.zeros_like(x_cols)
-        xhat_cols[0, :] = np.abs(x_cols).sum(axis=0)
-    elif sigma_n > 0:
-        sol = l1_map_solve(y_cols, operator, mode="penalized", lam=lambda_true,
-                           sigma_z=sigma_n, max_iter=_ADMM_HANDOFF)
-        xhat_cols, iterations, unconverged = sol.x_hat, sol.iterations, sol.unconverged
-        finished = sol.finished
+        masses = amps
     else:
-        # noiseless: the exact-interpolation solve recovers each signal
-        sol = l1_map_solve(y_cols, operator, mode="constrained", delta=0.0)
-        xhat_cols, unconverged = sol.x_hat, sol.unconverged
+        if sigma_n > 0:
+            sol = l1_map_solve(y, operator, mode="penalized", lam=lambda_true,
+                               sigma_z=sigma_n, max_iter=_ADMM_HANDOFF)
+            iterations, finished = sol.iterations, sol.finished
+        else:
+            # noiseless: the exact-interpolation solve recovers each signal
+            sol = l1_map_solve(y, operator, mode="constrained", delta=0.0)
+        masses, unconverged = np.abs(sol.x_hat).sum(axis=0), sol.unconverged
 
-    l1_clean = np.abs(x_cols).sum(axis=0).reshape(replicates, m).sum(axis=1)
-    l1_rest = np.abs(xhat_cols).sum(axis=0).reshape(replicates, m).sum(axis=1)
-    if np.any(l1_clean == 0) or np.any(l1_rest == 0):
-        raise ZeroL1Norm("a replicate produced zero total l1 mass")
-    lam_clean = m / l1_clean
-    lam_rest = m / l1_rest
-    sq_clean = (lam_clean - lambda_true) ** 2
-    sq_rest = (lam_rest - lambda_true) ** 2
+    l1_clean = amps.reshape(replicates, m).sum(axis=1)
+    if np.any(l1_clean == 0):
+        raise ZeroL1Norm("a replicate drew zero total l1 mass")
+    l1_rest = masses.reshape(replicates, m).sum(axis=1)
+    sq_clean = (m / l1_clean - lambda_true) ** 2
     mse_clean = float(sq_clean.mean())
-    mse_rest = float(sq_rest.mean())
     se_clean = float(sq_clean.std(ddof=1) / math.sqrt(replicates))
-    se_rest = float(sq_rest.std(ddof=1) / math.sqrt(replicates))
-    se_diff = float((sq_rest - sq_clean).std(ddof=1) / math.sqrt(replicates))
+    if np.all(l1_rest > 0):
+        sq_rest = (m / l1_rest - lambda_true) ** 2
+        mse_rest = float(sq_rest.mean())
+        se_rest = float(sq_rest.std(ddof=1) / math.sqrt(replicates))
+        se_diff = float((sq_rest - sq_clean).std(ddof=1) / math.sqrt(replicates))
+    else:
+        mse_rest = se_rest = se_diff = math.inf
     crb = lambda_true**2 / m
     return LambdaPipelineReport(
         lambda_true=lambda_true,

@@ -470,6 +470,24 @@ class TestParameterContract:
         cfg = write_config(tmp_path / "big.cfg", exp_id, seed=0, params=params)
         assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 0
 
+    @pytest.mark.parametrize("params,code", [
+        ({"rate": 100, "m": 4, "replicates": 10}, 1),
+        ({"rate": 30, "n": 16, "m": 3, "replicates": 20}, 0),
+        ({"sigma_n": 10, "m": 3, "replicates": 20}, 0),
+    ])
+    def test_replicate_restored_to_zero_mass_is_a_finding(self, tmp_path, params, code):
+        """The penalty zeroes a whole replicate on these configs: its restored
+        rate estimate is infinite, which the report writes as null, and the
+        verdicts decide the exit code (the first fails
+        clean_mse_matches_exact_within_4se at 10 replicates)."""
+        cfg = write_config(tmp_path / "zero.cfg", "lambda_pipeline", seed=0, params=params)
+        assert main(["validate", cfg]) == 0
+        assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == code
+        doc = json.loads((tmp_path / "runs" / "lambda_pipeline" / "report.json").read_text())
+        restored = doc["results"]["mse_from_restored"]
+        assert restored["value"] is None and restored["stderr"] is None
+        assert doc["verdicts"]["restoration_does_not_help"]
+
     @staticmethod
     def _values(spec, center):
         wild = st.sampled_from(["inf", "-inf", "nan", "1e400", "-1", "0", "x", "2.5",

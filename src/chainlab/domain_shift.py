@@ -9,7 +9,10 @@ blur operators, and a mixed-versus-targeted error report.
 
 An affine map already exhibits the loss-minimizing output on linear-domain
 instances. ``fit_linear_restorer`` solves for the squared-error minimizer
-exactly (weighted least squares); the mixed-versus-targeted report uses it.
+exactly (weighted least squares). The mixed-versus-targeted report fits it
+and every domain's targeted restorer from one training draw; on overlapping
+domains with one solve, since the mixed minimizer is then the mean of the
+targeted ones.
 ``train_mixed_restorer`` runs full-batch gradient descent for the claims
 about training itself, with no configured step size: squared error steps by
 the inverse Lipschitz constant of its gradient on the training draw, absolute
@@ -143,15 +146,6 @@ class DomainSpec:
             latent_samplers=tuple(latent_samplers),
             observation=lambda u: u,
             mode=DISJOINT,
-        )
-
-    def restricted_to(self, i: int) -> "DomainSpec":
-        """Single-domain spec for targeted training."""
-        return DomainSpec(
-            inverses=(self.inverses[i],),
-            latent_samplers=(self.latent_samplers[i],),
-            observation=self.observation,
-            mode=self.mode,
         )
 
 
@@ -333,12 +327,40 @@ def fit_linear_restorer(domains: DomainSpec, seed: int = 0, batch: int = 512) ->
     """Exact minimizer of the objective ``train_mixed_restorer`` descends under mse.
 
     Same draw. Every domain draws ``batch`` rows, so the least-squares fit over
-    all domains' stacked rows minimizes (1/M) sum_i mean_rows ||W y + b - x||^2.
+    all domains' stacked rows minimizes (1/M) sum_i mean_rows ||W y + b - x||^2;
+    on overlapping domains that fit is the mean of the per-domain fits
+    (``_exact_fits``).
+    """
+    return _exact_fits(domains, seed, batch)[0]
+
+
+def _exact_fits(domains: DomainSpec, seed: int, batch: int):
+    """The mixed restorer and the M targeted ones, all from one training draw.
+
+    Overlapping domains share the design [y 1], so one least-squares solve
+    takes the M targets side by side as right-hand sides. The pseudo-inverse
+    is linear in its targets, so the mixed minimizer, the fit to the mean
+    target, is the mean of the M targeted fits (with M = 1, the fit itself).
+    Disjoint domains fit the mixed restorer on all blocks stacked, and
+    targeted restorer i on block i.
     """
     blocks = _training_blocks(domains, stream_rng(seed, 0), batch)
     _check_domains_distinct(domains, blocks)
-    design = np.vstack([np.hstack([y, np.ones((y.shape[0], 1))]) for y, _ in blocks])
-    sol = np.linalg.lstsq(design, np.vstack([x for _, x in blocks]), rcond=None)[0]
+    designs = [np.hstack([y, np.ones((y.shape[0], 1))]) for y, _ in blocks]
+    if domains.mode == OVERLAPPING:
+        m, n_out = domains.n_domains, blocks[0][1].shape[1]
+        sol = np.linalg.lstsq(designs[0], np.hstack([x for _, x in blocks]), rcond=None)[0]
+        targeted = sol.reshape(sol.shape[0], m, n_out).transpose(1, 0, 2)
+        mixed = targeted.mean(axis=0)
+    else:
+        mixed = np.linalg.lstsq(np.vstack(designs), np.vstack([x for _, x in blocks]),
+                                rcond=None)[0]
+        targeted = [np.linalg.lstsq(d, x, rcond=None)[0] for d, (_, x) in zip(designs, blocks)]
+    return _exact_restorer(mixed), tuple(_exact_restorer(t) for t in targeted)
+
+
+def _exact_restorer(sol: np.ndarray) -> LinearRestorer:
+    """The restorer of a least-squares solution against [y 1]: bias in the last row."""
     return LinearRestorer(weights=sol[:-1].T.copy(), bias=sol[-1].copy(), loss_log=())
 
 
@@ -391,19 +413,20 @@ _EVAL_BATCH = 1024
 def mixed_vs_targeted_report(
     domains: DomainSpec, seed: int = 0, batch: int = 512
 ) -> MixedVsTargetedReport:
-    """Fit (``fit_linear_restorer``) one restorer over all domains and one per
-    domain, then compare.
+    """Fit one restorer over all domains and one per domain, then compare.
 
-    The per-domain metric is mean squared error on _EVAL_BATCH fresh draws
-    from that domain. A shared restorer can only match the targeted ones
-    when nothing forces averaging (single domain, or domains distinguishable
-    from the input); overlapping distinct domains open a strict gap.
+    All M + 1 restorers are exact least-squares fits to one training draw
+    (``_exact_fits``): on overlapping domains one solve, whose mean over the
+    domains is the mixed restorer. The per-domain metric is mean squared
+    error on _EVAL_BATCH fresh draws from that domain. A shared restorer can
+    only match the targeted ones when nothing forces averaging (single
+    domain, or domains distinguishable from the input); overlapping distinct
+    domains open a strict gap.
     """
-    mixed = fit_linear_restorer(domains, seed=seed, batch=batch)
+    mixed, targeted = _exact_fits(domains, seed, batch)
     mixed_errors = []
     targeted_errors = []
-    for i in range(domains.n_domains):
-        solo = fit_linear_restorer(domains.restricted_to(i), seed=seed, batch=batch)
+    for i, solo in enumerate(targeted):
         rng = stream_rng(seed, 1000 + i)
         u = domains.latent_samplers[i](rng, _EVAL_BATCH)
         y = domains.observation(u)

@@ -62,7 +62,7 @@ class TestBlurMatrix:
         n, sigma, hw = 12, 1.0, 3
         h = blur_matrix(n, sigma, halfwidth=hw)
         taps = gaussian_kernel(sigma, hw)  # taps[hw + off] weighs x[i + off]
-        assert h.support_halfwidth == hw and h.n == n
+        assert h.support_halfwidth == hw and h.matrix.shape == (n, n)
         first = np.zeros(n)
         for off in range(-hw, hw + 1):
             j = off if off >= 0 else -off - 1
@@ -70,6 +70,34 @@ class TestBlurMatrix:
         np.testing.assert_allclose(h.matrix[0], first, atol=1e-15)
         np.testing.assert_allclose(h.matrix[n - 1], first[::-1], atol=1e-15)
         np.testing.assert_allclose(h.matrix.sum(axis=1), np.ones(n), atol=1e-15)
+
+    @staticmethod
+    def _reference_loop(n, sigma, hw):
+        """Row by row, tap by tap: each tap folds back by half-sample
+        reflection until it lands inside, then adds to its entry."""
+        taps = gaussian_kernel(sigma, hw)
+        m = np.zeros((n, n))
+        for i in range(n):
+            for off, t in zip(range(-hw, hw + 1), taps):
+                j = i + off
+                while j < 0 or j >= n:
+                    j = -j - 1 if j < 0 else 2 * n - 1 - j
+                m[i, j] += t
+        return m
+
+    @pytest.mark.parametrize("n,sigma,hw", [
+        # n = 2 hw + 1: every row but the middle one folds taps back
+        (3, 0.3, 1), (7, 1.0, 3), (13, 2.0, 6), (21, 1.0, 10),
+        (12, 1.0, 3), (16, 1.2, 4), (24, 1.7, 6), (64, 1.5, 5), (128, 2.5, 8),
+        # the catalog's operators
+        (48, 1.0, None), (48, 2.0, None), (48, math.sqrt(3.0), None),
+        (96, 1.0, None), (96, math.sqrt(3.0), None),
+        (96, 1.0, 10), (96, 2.0, 10), (96, math.sqrt(3.0), 10),
+    ])
+    def test_scatter_equals_reference_loop(self, n, sigma, hw):
+        h = blur_matrix(n, sigma, halfwidth=hw)
+        ref = self._reference_loop(n, sigma, h.support_halfwidth)
+        assert np.array_equal(h.matrix, ref)
 
     def test_matrix_is_read_only(self):
         h = blur_matrix(16, 1.0)

@@ -486,3 +486,51 @@ class TestMixedVsTargeted:
         rep = mixed_vs_targeted_report(dom, seed=0, batch=256)
         for mixed, targeted in zip(rep.mixed_errors, rep.targeted_errors):
             assert mixed > targeted + 5e-4
+
+    @pytest.mark.parametrize("make", [
+        lambda: two_blur_domains(32, 1.0, 2.0),
+        lambda: offset_indicator_domains(4, 1.0, -1.0, disjoint=False),
+        lambda: offset_indicator_domains(4, 1.0, -1.0, disjoint=True),
+        lambda: scaling_domains(3, (2.0,)),
+    ])
+    def test_one_training_draw_per_report(self, make, monkeypatch):
+        """The mixed and the targeted restorers all fit the same draw."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return _training_blocks(*args, **kwargs)
+
+        monkeypatch.setattr(domain_shift, "_training_blocks", counting)
+        mixed_vs_targeted_report(make(), seed=1, batch=64)
+        assert len(calls) == 1
+
+    @staticmethod
+    def _stacked_mixed_errors(dom, seed, batch):
+        """Held-out errors of the least-squares fit on all domains' rows
+        stacked, M copies of the design over the M targets."""
+        blocks = _training_blocks(dom, stream_rng(seed, 0), batch)
+        design = np.vstack([np.hstack([y, np.ones((len(y), 1))]) for y, _ in blocks])
+        sol = np.linalg.lstsq(design, np.vstack([x for _, x in blocks]), rcond=None)[0]
+        errors = []
+        for i in range(dom.n_domains):
+            u = dom.latent_samplers[i](stream_rng(seed, 1000 + i), 1024)
+            y = dom.observation(u)
+            pred = y @ sol[:-1] + sol[-1]
+            errors.append(float(np.mean((pred - dom.inverses[i](u)) ** 2)))
+        return errors
+
+    @pytest.mark.parametrize("make", [
+        lambda: two_blur_domains(48, 1.0, 2.0),
+        lambda: decimation_domains(48),
+        lambda: offset_indicator_domains(6, 1.0, -1.0, disjoint=False),
+    ])
+    def test_mean_of_targeted_fits_is_the_stacked_fit(self, make):
+        """Overlapping domains: the mixed restorer, the mean of the targeted
+        fits, has the stacked least-squares fit's held-out errors."""
+        dom = make()
+        for seed in range(5):
+            rep = mixed_vs_targeted_report(dom, seed=seed, batch=256)
+            np.testing.assert_allclose(rep.mixed_errors,
+                                       self._stacked_mixed_errors(dom, seed, 256),
+                                       rtol=1e-9, atol=0)

@@ -17,6 +17,7 @@ call, so replicate r is the same number at any replicate count above r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -185,9 +186,13 @@ def estimator_variance_mc(
     for start in range(0, replicates, _MC_BLOCK):
         stop = min(start + _MC_BLOCK, replicates)
         ests[start:stop] = sampler(rng, theta_true, m, stop - start)[estimator.stage].mean(axis=1)
-    sq = (ests - theta_true) ** 2
-    mse = float(sq.mean())
-    stderr = float(sq.std(ddof=1) / np.sqrt(replicates))
+    # Squared errors in a power-of-two unit of the errors: an exact change of
+    # units that keeps the squares' standard deviation in float range.
+    err = ests - theta_true
+    unit = 2.0 ** math.frexp(np.abs(err).max())[1]
+    sq = (err / unit) ** 2
+    mse = float(sq.mean()) * unit**2
+    stderr = float(sq.std(ddof=1) / np.sqrt(replicates)) * unit**2
     flagged = crb is not None and mse < crb - _FLAG_SIGMAS * stderr
     return McVarianceReport(
         theta_true=theta_true,

@@ -504,7 +504,6 @@ def l1_map_solve(
     sigma_z: Optional[float] = None,
     delta: Optional[float] = None,
     max_iter: int = 100_000,
-    feasibility_slack: float = 1e-6,
 ) -> SolveResult:
     """Sparse inversion of y through the kernel operator.
 
@@ -529,13 +528,14 @@ def l1_map_solve(
     each, within max_iter pivots; a column's pivots depend on that size.
     For delta == 0 the feasible set of a nonsingular square G is the single
     point G^{-1} y, solved for directly, one solve per column (0 pivots). A
-    column whose x = 0 is feasible within the slack gets x = 0 (0 pivots).
-    A column is converged when the simplex ended on a basis that is primal
-    and dual feasible when re-solved from the data, and
-    ||y - Gx||_1 <= delta + feasibility_slack. As in penalized mode,
-    ``converged`` means every column is, ``unconverged`` counts the columns
-    that are not, ``column_iterations`` holds each column's pivots and
-    ``iterations`` their maximum.
+    column with ||y||_1 <= delta starts primal feasible, so the simplex
+    returns x = 0 at its starting basis (0 pivots). A column is converged
+    when the simplex ended on a basis that is primal and dual feasible when
+    re-solved from the data, and ||y - Gx||_1 <= delta + _LP_RTOL (delta +
+    ||y||_1 + 1'|G||x|), the magnitudes summed in the residual. As in
+    penalized mode, ``converged`` means every column is, ``unconverged``
+    counts the columns that are not, ``column_iterations`` holds each
+    column's pivots and ``iterations`` their maximum.
     """
     y = np.asarray(y, dtype=np.float64)
     g = operator.matrix
@@ -562,20 +562,19 @@ def l1_map_solve(
     if delta is None or delta < 0:
         raise ContractViolation("constrained mode needs delta >= 0")
     cols = y.reshape(len(y), -1)
-    n, k = g.shape[1], cols.shape[1]
-    x = np.zeros((n, k))
-    pivots = np.zeros(k, dtype=np.intp)
-    optimal = np.ones(k, dtype=bool)
-    solve = np.sum(np.abs(cols), axis=0) > delta + feasibility_slack
+    k = cols.shape[1]
     if delta == 0:
         # One solve per column: the kernel is ill-conditioned, and a stacked
-        # right-hand side rounds differently from a single one.
-        for j in np.flatnonzero(solve):
-            x[:, j] = np.linalg.solve(g, cols[:, j])
-    elif solve.any():
-        x[:, solve], pivots[solve], optimal[solve] = _dual_simplex(g, cols[:, solve], delta,
-                                                                   max_iter)
-    converged = optimal & (np.sum(np.abs(cols - g @ x), axis=0) <= delta + feasibility_slack)
+        # right-hand side rounds differently from a single one. C order, so
+        # that later sums over x round as they do on a solve per column.
+        x = np.ascontiguousarray(np.linalg.solve(np.broadcast_to(g, (k, *g.shape)),
+                                                 cols.T[..., None])[..., 0].T)
+        pivots, optimal = np.zeros(k, dtype=np.intp), np.ones(k, dtype=bool)
+    else:
+        x, pivots, optimal = _dual_simplex(g, cols, delta, max_iter)
+    slack = _LP_RTOL * (delta + np.abs(cols).sum(axis=0) + np.abs(g).sum(axis=0) @ np.abs(x))
+    residual = g @ x - cols
+    converged = optimal & (np.abs(residual, out=residual).sum(axis=0) <= delta + slack)
     return SolveResult(x.reshape(y.shape), bool(converged.all()), int(pivots.max(initial=0)),
                        int(np.count_nonzero(~converged)), tuple(pivots.tolist()))
 
@@ -779,14 +778,20 @@ def _pipeline_report(restorer: str, amps, y, operator, lambda_true: float, m: in
     if np.any(l1_clean == 0):
         raise ZeroL1Norm("a replicate drew zero total l1 mass")
     l1_rest = masses.reshape(replicates, m).sum(axis=1)
-    sq_clean = (m / l1_clean - lambda_true) ** 2
-    mse_clean = float(sq_clean.mean())
-    se_clean = float(sq_clean.std(ddof=1) / math.sqrt(replicates))
-    if np.all(l1_rest > 0):
-        sq_rest = (m / l1_rest - lambda_true) ** 2
-        mse_rest = float(sq_rest.mean())
-        se_rest = float(sq_rest.std(ddof=1) / math.sqrt(replicates))
-        se_diff = float((sq_rest - sq_clean).std(ddof=1) / math.sqrt(replicates))
+    finite = bool(np.all(l1_rest > 0))
+    err_clean = m / l1_clean - lambda_true
+    err_rest = m / l1_rest - lambda_true if finite else np.zeros(0)
+    # Squared errors in one power-of-two unit of both sides' errors: an exact
+    # change of units that keeps the squares' standard deviations in range.
+    unit = 2.0 ** math.frexp(max(np.abs(err_clean).max(), np.abs(err_rest).max(initial=0.0)))[1]
+    sq_clean = (err_clean / unit) ** 2
+    mse_clean = float(sq_clean.mean()) * unit**2
+    se_clean = float(sq_clean.std(ddof=1) / math.sqrt(replicates)) * unit**2
+    if finite:
+        sq_rest = (err_rest / unit) ** 2
+        mse_rest = float(sq_rest.mean()) * unit**2
+        se_rest = float(sq_rest.std(ddof=1) / math.sqrt(replicates)) * unit**2
+        se_diff = float((sq_rest - sq_clean).std(ddof=1) / math.sqrt(replicates)) * unit**2
     else:
         mse_rest = se_rest = se_diff = math.inf
     crb = lambda_true**2 / m

@@ -488,6 +488,21 @@ class TestParameterContract:
         assert restored["value"] is None and restored["stderr"] is None
         assert doc["verdicts"]["restoration_does_not_help"]
 
+    @pytest.mark.parametrize("exp_id,params", [
+        *(("crb_attainment", {"m": 5, "sigma_x": s})
+          for s in ("9.72767664453016e+75", "1e100", "1e150", "1e-100", "1e-150")),
+        *(("lambda_pipeline", {"rate": r, "replicates": 20}) for r in ("1e80", "1e150", "1e-100")),
+    ])
+    def test_extreme_scales_run_to_a_verdict(self, tmp_path, exp_id, params):
+        """Squared errors at these scales have standard deviations outside
+        float range; the Monte Carlo MSEs are taken in a power-of-two unit of
+        the errors, so each accepted config ends on its verdicts, and at
+        seed 0 every verdict passes (not a crash, exit 3, or an underflowed
+        standard error, exit 1)."""
+        cfg = write_config(tmp_path / "scale.cfg", exp_id, seed=0, params=params)
+        assert main(["validate", cfg]) == 0
+        assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 0
+
     @staticmethod
     def _values(spec, center):
         wild = st.sampled_from(["inf", "-inf", "nan", "1e400", "-1", "0", "x", "2.5",

@@ -310,6 +310,17 @@ class TestEstimatorVarianceMc:
         np.testing.assert_array_equal(rep_y.estimates, rep_xhat.estimates)
         assert not rep_y.flagged
 
+    @pytest.mark.parametrize("c", [2.0**-300, 2.0**300])
+    def test_mse_commutes_with_power_of_two_scaling(self, c):
+        """Squared errors of size c^2 have a variance of size c^4, outside
+        float range here; in a power-of-two unit of the errors the MSE and
+        its standard error scale by exactly c^2."""
+        est = ParamEstimator(kind="sample_mean", stage="y")
+        base = estimator_variance_mc(awgn_mean_sampler(1.0, 2.0), est, 0.0, 5, 300, seed=3)
+        scaled = estimator_variance_mc(awgn_mean_sampler(c, 2.0 * c), est, 0.0, 5, 300, seed=3)
+        np.testing.assert_array_equal(scaled.estimates, c * base.estimates)
+        assert (scaled.mse, scaled.mse_stderr) == (c**2 * base.mse, c**2 * base.mse_stderr)
+
     def test_single_replicate_rejected(self):
         with pytest.raises(ContractViolation):
             estimator_variance_mc(awgn_mean_sampler(1.0, 0.0),

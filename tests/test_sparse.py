@@ -274,12 +274,37 @@ class TestSolver:
         y = op.apply(x) + w
         sol1 = l1_map_solve(y, op, mode="constrained", delta=delta)
         c = 4.0  # a power of two scales every float operation exactly
-        sol2 = l1_map_solve(c * y, op, mode="constrained", delta=c * delta,
-                            feasibility_slack=c * 1e-6)
+        sol2 = l1_map_solve(c * y, op, mode="constrained", delta=c * delta)
         np.testing.assert_array_equal(sol2.x_hat, c * sol1.x_hat)
         assert sol1.converged
         assert np.sum(np.abs(sol1.x_hat)) == pytest.approx(2.99277, abs=1e-5)
         assert np.sum(np.abs(y - op.apply(sol1.x_hat))) == pytest.approx(delta, abs=1e-9)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    @pytest.mark.parametrize("c", [2.0**-40, 2.0**40])
+    def test_constrained_solve_commutes_with_power_of_two_scaling(self, delta, c):
+        """Scaled by 2^-40, ||y||_1 is far below any absolute slack, and by
+        2^40 the residual's round-off is far above one: the solve returns c x
+        and is converged either way, with the zero budget and with a
+        positive one, since its slack is relative to the data."""
+        op = build_kernel_operator(1.0, 32, 2.0)
+        rng = stream_rng(72, 3)
+        y = op.apply(random_spike_signal(rng, 32, 2, min_spike_separation(1.0, 2.0))
+                     .to_vector()) + 0.01 * rng.standard_normal(32)
+        sol = l1_map_solve(y, op, mode="constrained", delta=delta)
+        scaled = l1_map_solve(c * y, op, mode="constrained", delta=c * delta)
+        assert sol.converged and scaled.converged and np.any(sol.x_hat)
+        np.testing.assert_array_equal(scaled.x_hat, c * sol.x_hat)
+        assert scaled.column_iterations == sol.column_iterations
+
+    def test_measurement_within_the_budget_stops_at_zero(self):
+        """||y||_1 <= delta makes the simplex's starting basis primal
+        feasible, so x = 0 with no pivot, next to a column that pivots."""
+        op = build_kernel_operator(1.0, 32, 2.0)
+        y = np.stack([np.full(32, 0.1 / 32), op.matrix[:, 10]], axis=1)
+        sol = l1_map_solve(y, op, mode="constrained", delta=0.1)
+        assert sol.converged and sol.column_iterations[0] == 0 < sol.column_iterations[1]
+        np.testing.assert_array_equal(sol.x_hat[:, 0], np.zeros(32))
 
     def test_penalty_path_norm_monotone(self):
         op = build_kernel_operator(1.0, 48, 2.0)
@@ -698,6 +723,15 @@ class TestLambdaPipeline:
         assert rep.solver_unconverged == 0
         assert abs(rep.mse_restored - rep.mse_clean) <= 1e-3 * max(rep.mse_clean, 1e-9)
 
+    @pytest.mark.parametrize("rate", [1e6, 1e8])
+    def test_noiseless_restored_mse_matches_clean_at_large_rates(self, rate):
+        """Spike masses near 1 / rate: the exact inversion keeps every column,
+        however small its l1 norm, so the restored MSE is the clean one to
+        round-off and finite."""
+        rep = lambda_pipeline_experiment(rate, 25, 20, seed=0, sigma_n=0.0, restorer="map_l1")
+        assert rep.solver_unconverged == 0 and math.isfinite(rep.mse_restored)
+        assert rep.mse_restored == pytest.approx(rep.mse_clean, rel=1e-8)
+
     def test_norm_oracle_closes_gap_exactly(self):
         rep = lambda_pipeline_experiment(1.0, 10, 100, seed=3, sigma_n=0.1,
                                          restorer="norm_oracle")
@@ -793,16 +827,19 @@ class TestLambdaPipeline:
         G'y / sigma_n^2 and the reconstructions x_hat, n x (replicates * m)
         floats each, and stays under four such arrays: the bound that
         lambda_pipeline's parameter check rests on. The spikes are kept as
-        amplitudes, not as a dense signal array."""
+        amplitudes, not as a dense signal array. The noiseless branch, an
+        exact inversion in place of the penalized solve, stays under it too."""
         both = ("map_l1", "norm_oracle")
-        lambda_pipeline_experiment(1.0, 3, 4, seed=0, restorer=both)  # first-call allocations
-        tracemalloc.start()
-        try:
-            lambda_pipeline_experiment(1.0, 25, 1000, seed=0, sigma_n=0.1, restorer=both)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 24 * 25_000 * np.dtype(np.float64).itemsize
+        for sigma_n in (0.1, 0.0):  # first-call allocations
+            lambda_pipeline_experiment(1.0, 3, 4, seed=0, sigma_n=sigma_n, restorer=both)
+        for sigma_n in (0.1, 0.0):
+            tracemalloc.start()
+            try:
+                lambda_pipeline_experiment(1.0, 25, 1000, seed=0, sigma_n=sigma_n, restorer=both)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 24 * 25_000 * np.dtype(np.float64).itemsize, sigma_n
 
     def test_replicate_restored_to_zero_mass_has_infinite_error(self):
         """At rate 100 the penalty zeroes every column of some replicate, whose

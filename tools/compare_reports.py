@@ -1,0 +1,100 @@
+"""Run every catalog experiment at its default parameters under two chainlab
+source trees and list the output files that differ.
+
+    python tools/compare_reports.py PARENT_SRC CHANGE_SRC --seeds 0-99
+
+PARENT_SRC and CHANGE_SRC are directories that hold the ``chainlab``
+package, such as the ``src`` folders of two checkouts. Each tree runs in one
+interpreter of its own, which imports chainlab first (so BLAS is pinned to
+one thread, as under ``chainlab run``) and calls ``chainlab.cli.main`` once
+per experiment and seed. The script lists every ``report.json`` and CSV
+that is missing on one side or differs in its bytes, and every run whose
+exit code differs. It exits 0 when there is none and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# Runs in each source tree's interpreter: argv is (out_dir, first_seed, last_seed).
+CHILD = """
+import sys
+import chainlab
+from chainlab.cli import main
+from chainlab.experiments import CATALOG
+import contextlib, io, json, pathlib
+out, first, last = pathlib.Path(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+codes = {}
+for seed in range(first, last + 1):
+    for exp_id in sorted(CATALOG):
+        cfg = out / "configs" / f"{exp_id}-{seed}.cfg"
+        cfg.parent.mkdir(parents=True, exist_ok=True)
+        cfg.write_text(f"[experiment]\\nid = {exp_id}\\nseed = {seed}\\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes[f"{exp_id} seed {seed}"] = main(["run", str(cfg), "--out",
+                                                    str(out / "runs" / f"seed-{seed}")])
+(out / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True))
+"""
+
+
+def _seeds(text: str) -> tuple:
+    first, _, last = text.partition("-")
+    return int(first), int(last or first)
+
+
+def _outputs(root: Path) -> set:
+    return {p.relative_to(root) for p in root.rglob("*")
+            if p.is_file() and (p.name == "report.json" or p.suffix == ".csv")}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    parser.add_argument("--seeds", default="0", help="one seed, or an inclusive range A-B")
+    args = parser.parse_args(argv)
+    first, last = _seeds(args.seeds)
+    with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
+        sides = {"parent": args.parent_src, "change": args.change_src}
+        procs = {}
+        for side, src in sides.items():
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+            procs[side] = subprocess.Popen(
+                [sys.executable, "-c", CHILD, os.path.join(tmp, side), str(first), str(last)],
+                env=env, stderr=subprocess.PIPE, text=True)
+        for side, proc in procs.items():
+            err = proc.communicate()[1]
+            if proc.returncode != 0:
+                print(f"error: the {side} interpreter exited with {proc.returncode}\n{err}",
+                      file=sys.stderr)
+                return 1
+        parent, change = (Path(tmp, side) for side in sides)
+        differ = []
+        codes = [json.loads((root / "exit_codes.json").read_text()) for root in (parent, change)]
+        for run in sorted(set(codes[0]) | set(codes[1])):
+            a, b = (c.get(run) for c in codes)
+            if a != b:
+                differ.append(f"exit code {run}: {a} -> {b}")
+        files = [_outputs(root / "runs") for root in (parent, change)]
+        for rel in sorted(files[0] | files[1]):
+            if rel not in files[0] or rel not in files[1]:
+                differ.append(f"only in {'change' if rel in files[1] else 'parent'}: {rel}")
+            elif not filecmp.cmp(parent / "runs" / rel, change / "runs" / rel, shallow=False):
+                differ.append(f"differs: {rel}")
+        runs, outputs = len(codes[0]), len(files[0] | files[1])
+    for line in differ:
+        print(line)
+    print(f"seeds {first}-{last}: {runs} runs per side, {outputs} output files, "
+          f"{len(differ)} differences")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

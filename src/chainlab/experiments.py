@@ -42,6 +42,8 @@ from .restorers import (
 )
 from .rng import stream_rng
 from .sparse import (
+    _ADMM_BLOCK,
+    _PIPELINE_COLUMNS,
     build_kernel_operator,
     check_kernel_size,
     l1_map_solve,
@@ -803,10 +805,19 @@ def _check_lambda_pipeline(p: dict) -> None:
     _need_scale(p, "rate")
     _need(p["sigma_n"] == 0 or 1e-150 <= p["sigma_n"] <= 1e150,
           "sigma_n == 0 or 1e-150 <= sigma_n <= 1e150 (sigma_n**2 is a normal float)")
-    # The runner holds y, G'y / sigma_n^2 and x_hat, n x (replicates * m) floats
-    # each, and with its temporaries stays under four such arrays.
-    _need(p["n"] * p["replicates"] * p["m"] <= _MAX_ARRAY_ENTRIES,
-          f"n * replicates * m <= {_MAX_ARRAY_ENTRIES} (32 MiB per measurement array)")
+    # The runner streams its draw through the solver a chunk of whole replicates
+    # at a time, at most max(m, _PIPELINE_COLUMNS) columns, and keeps only
+    # arrays of one entry per column: the amplitudes, the l1 masses and the
+    # solver's counts. The solver stacks up to _ADMM_BLOCK active-set matrices,
+    # n x n each, which also bounds the n x n kernel.
+    _need(p["replicates"] * p["m"] <= _MAX_ARRAY_ENTRIES,
+          f"replicates * m <= {_MAX_ARRAY_ENTRIES} (32 MiB per array of one entry per column)")
+    _need(_ADMM_BLOCK * p["n"] * p["n"] <= _MAX_ARRAY_ENTRIES,
+          f"{_ADMM_BLOCK} * n * n <= {_MAX_ARRAY_ENTRIES} (32 MiB for the solver's stacked "
+          f"n x n active-set matrices; n <= {math.isqrt(_MAX_ARRAY_ENTRIES // _ADMM_BLOCK)})")
+    _need(p["n"] * max(p["m"], _PIPELINE_COLUMNS) <= _MAX_ARRAY_ENTRIES,
+          f"n * max(m, {_PIPELINE_COLUMNS}) <= {_MAX_ARRAY_ENTRIES} (32 MiB for a chunk of "
+          f"measurements, whole replicates of m columns each)")
 
 
 def _check_chain_count(p: dict, name: str, cells: int) -> None:

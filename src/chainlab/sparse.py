@@ -10,7 +10,11 @@ polish reads only the signs, so a column is polished again only when its
 signs have changed since its last failed polish. A column that ADMM has not
 certified after max_iter iterations goes to feature-sign search, a finite
 float64 active-set method, and the same polish and certificate judge its
-answer. A penalty path (one penalty per column) is feature-sign search
+answer. The columns stream through this solve: it fetches the right-hand
+sides each refill of its block needs and hands every finished column to
+its caller, so the rate pipeline draws its measurements a chunk of
+replicates at a time and keeps only each reconstruction's l1 mass. A
+penalty path (one penalty per column) is feature-sign search
 alone, each column started from the last one's answer. The constrained mode,
 min ||x||_1 s.t. ||y - Gx||_1 <= delta, is a linear program and is solved
 exactly for each column of y, so its answer is the constrained minimizer
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -158,7 +162,8 @@ _POLISH_EVERY = 50
 # finisher: 21 of its 2 500 000 columns at the defaults over seeds 0-99. ADMM
 # certifies every other one by 1 900 iterations (99.99% by 1 000).
 _ADMM_HANDOFF = 2_000
-# Columns iterated together; bounds the working set of a batched solve.
+# Columns iterated together; bounds the working set of a batched solve: the
+# b it holds, and the up to _ADMM_BLOCK n x n matrices a polish stacks.
 _ADMM_BLOCK = 1024
 # Stationarity on the support holds to this fraction of |A||x| + |b| + lam,
 # the magnitudes summed in Ax - b + lam s (round-off measured up to 1e-14).
@@ -208,62 +213,108 @@ def _polish(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray], z: np.n
     return x, solved & kkt.all(axis=0)
 
 
-def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: float, max_iter: int) -> tuple:
-    """min 0.5 x'Ax - b'x + lam ||x||_1 for each column of b, certified per column.
+def _column_source(blocks) -> Callable:
+    """The fetch of _certified_lasso over an iterable of (n, k) blocks of
+    columns: fetch(k) returns the next k columns, (n, k), taking blocks from
+    the iterable only as it needs them."""
+    blocks = iter(blocks)
+    block, served = np.zeros((0, 0)), 0  # the block being served, its columns served
 
-    Over-relaxed ADMM for the lasso (Boyd et al. 2011, secs. 3.4.3 and 6.4;
-    Eckstein & Bertsekas 1992) proposes sign patterns in float32; only the
-    float64 _polish and its certificate accept one. alpha = _ADMM_RELAX is
-    folded into one step matrix formed once from (A + rho I)^{-1}, and a
-    block of at most _ADMM_BLOCK live columns iterates together. Every
-    _POLISH_EVERY iterations each live column whose sign pattern differs
-    from the one it was last polished on is polished on its ADMM support;
-    the others are skipped, since _polish reads only the signs and that
-    pattern already failed. Certified columns, and columns that reached
-    max_iter, leave the block, and columns not yet started take their
-    places. max_iter is the hand-off: each column still uncertified then
-    goes to the feature-sign finisher (_feature_sign_polish) from its last
-    ADMM iterate. Columns do not interact, so each runs as it would alone.
-    Returns (x, certified, iterations, finished): each column's ADMM count,
-    and the columns the finisher certified; an uncertified column returns
-    the finisher's last iterate.
+    def fetch(k: int) -> np.ndarray:
+        nonlocal block, served
+        parts = []
+        while k > 0:
+            if served == block.shape[1]:
+                block, served = next(blocks), 0
+            take = min(k, block.shape[1] - served)
+            parts.append(block[:, served:served + take])
+            served += take
+            k -= take
+        return np.hstack(parts)
+
+    return fetch
+
+
+def _certified_lasso(a: np.ndarray, fetch: Callable, c: int, lam: float, max_iter: int,
+                     collect: Callable) -> tuple:
+    """min 0.5 x'Ax - b'x + lam ||x||_1 for each of c columns b, certified per column.
+
+    The columns stream through the solve: fetch(k) returns the next k columns
+    of b, (n, k), and collect(cols, x) receives the answers x, (n, len(cols)),
+    of the columns numbered cols as they finish, so that b is held only for
+    the live block and no answer is held at all. Over-relaxed ADMM for the
+    lasso (Boyd et al. 2011, secs. 3.4.3 and 6.4; Eckstein & Bertsekas 1992)
+    proposes sign patterns in float32; only the float64 _polish and its
+    certificate accept one. alpha = _ADMM_RELAX is folded into one step
+    matrix formed once from (A + rho I)^{-1}, and a block of at most
+    _ADMM_BLOCK live columns iterates together. Every _POLISH_EVERY
+    iterations each live column whose sign pattern differs from the one it
+    was last polished on is polished on its ADMM support; the others are
+    skipped, since _polish reads only the signs and that pattern already
+    failed. Certified columns, and columns that reached max_iter, leave the
+    block, and the next columns are fetched in their places (a refill).
+    max_iter is the hand-off: a column still uncertified then goes to the
+    feature-sign finisher (_feature_sign_polish) from its last ADMM iterate,
+    in the round it reaches max_iter; with max_iter = 0 every column goes to
+    it from zero. Columns do not interact, so each runs as it would alone,
+    in any order. Returns (certified, iterations, finished), one entry per
+    column: each column's ADMM count, and the columns the finisher
+    certified; an uncertified column's answer is the finisher's last iterate.
     """
-    n, c = b.shape
+    n = a.shape[0]
     rho = _ADMM_RHO * float(np.trace(a)) / n
     inv = np.linalg.inv(a + rho * np.eye(n))
     step = (_ADMM_RELAX * rho * inv + (1.0 - _ADMM_RELAX) * np.eye(n)).astype(np.float32)
     # The float32 state is kept in units of scale, a power of two that brings
     # alpha |x0| <= alpha ||inv||_inf max |b| below 1 (x0 = inv b, the x of
-    # z = u = 0): an exact change of units, which only keeps the state in
-    # float32's range. A threshold tau outside 2^-60..2^60 of that unit acts as
-    # 0 or as infinity, and is clamped there.
-    bound = _ADMM_RELAX * np.abs(inv).sum(axis=1).max() * max(b.max(initial=0.0),
-                                                              -b.min(initial=0.0))
-    scale = 2.0 ** -np.frexp(bound)[1]
-    x_out = np.zeros((n, c))
-    certified = np.zeros(c, dtype=bool)
+    # z = u = 0) for every column fetched so far: an exact change of units,
+    # which only keeps the state in float32's range. The first refill sets
+    # the unit; a refill with a larger max |b| lowers it, and the live x0, u
+    # and w are rescaled by the exact power of two between the two units. A
+    # threshold tau outside 2^-60..2^60 of the unit acts as 0 or as
+    # infinity, and is clamped there.
+    gain = _ADMM_RELAX * np.abs(inv).sum(axis=1).max()
+    bound, scale = 0.0, 1.0
+    certified, finished = np.zeros(c, dtype=bool), np.zeros(c, dtype=bool)
     iterations = np.zeros(c, dtype=np.intp)
-    # Live columns: index, iterations run, alpha x0, the ADMM state u, w, and
-    # the sign pattern last polished (2, no sign, before the first polish). With
-    # x = x0 + rho (A + rho I)^{-1} w and z = w + u, the relaxed point plus u is
-    # v = alpha x + (1 - alpha) z + u = step w + alpha x0 + (2 - alpha) u; the
-    # z-update soft-thresholds v at tau, the scaled dual update leaves
-    # u = v - z = clip(v, -tau, tau), and w = z - u.
+
+    def finish(cols, b, starts):
+        x, ok, _ = _feature_sign_polish(a, b, np.full(cols.size, lam), starts)
+        collect(cols, x)
+        certified[cols] = finished[cols] = ok
+
+    # Live columns: index, iterations run, b, alpha x0, the ADMM state u, w,
+    # and the sign pattern last polished (2, no sign, before the first
+    # polish). With x = x0 + rho (A + rho I)^{-1} w and z = w + u, the relaxed
+    # point plus u is v = alpha x + (1 - alpha) z + u = step w + alpha x0 +
+    # (2 - alpha) u; the z-update soft-thresholds v at tau, the scaled dual
+    # update leaves u = v - z = clip(v, -tau, tau), and w = z - u.
     live = np.zeros(0, dtype=np.intp)
     runs = np.zeros(0, dtype=np.intp)
+    b = np.zeros((n, 0))
     x0, u, w = (np.zeros((n, 0), dtype=np.float32) for _ in range(3))
     polished = np.zeros((n, 0), dtype=np.int8)
     tau = np.float32(np.clip(scale * lam / rho, 2.0**-60, 2.0**60))
     started = 0
     while max_iter > 0 and (started < c or live.size):
-        new = np.arange(started, min(started + _ADMM_BLOCK - live.size, c))
-        started += new.size
-        zeros = np.zeros((n, new.size), dtype=np.float32)
-        live = np.concatenate([live, new])
-        runs = np.concatenate([runs, np.zeros(new.size, dtype=np.intp)])
-        x0 = np.hstack([x0, (scale * _ADMM_RELAX * (inv @ b[:, new])).astype(np.float32)])
-        u, w = np.hstack([u, zeros]), np.hstack([w, zeros])
-        polished = np.hstack([polished, np.full((n, new.size), 2, dtype=np.int8)])
+        k = min(_ADMM_BLOCK - live.size, c - started)
+        if k:
+            new = fetch(k)
+            bound = max(bound, gain * max(new.max(), -new.min()))
+            unit = 2.0 ** -np.frexp(bound)[1]
+            if unit != scale:  # in float64, so that a zero state stays zero
+                for state in (x0, u, w):
+                    state *= np.float64(unit / scale)
+                scale = unit
+                tau = np.float32(np.clip(scale * lam / rho, 2.0**-60, 2.0**60))
+            zeros = np.zeros((n, k), dtype=np.float32)
+            live = np.concatenate([live, np.arange(started, started + k)])
+            started += k
+            runs = np.concatenate([runs, np.zeros(k, dtype=np.intp)])
+            b = np.hstack([b, new])
+            x0 = np.hstack([x0, (scale * _ADMM_RELAX * (inv @ new)).astype(np.float32)])
+            u, w = np.hstack([u, zeros]), np.hstack([w, zeros])
+            polished = np.hstack([polished, np.full((n, k), 2, dtype=np.int8)])
         v, t = np.empty_like(u), np.empty_like(u)
         steps = min(_POLISH_EVERY, max_iter - int(runs.max()))
         for _ in range(steps):
@@ -280,20 +331,22 @@ def _certified_lasso(a: np.ndarray, b: np.ndarray, lam: float, max_iter: int) ->
         signs = np.sign(z).astype(np.int8)
         fresh = np.flatnonzero((signs != polished).any(axis=0))
         polished[:, fresh] = signs[:, fresh]
-        x, ok = _polish(a, b[:, live[fresh]], lam, z[:, fresh])
+        x, ok = _polish(a, b[:, fresh], lam, z[:, fresh])
         done = fresh[ok]
-        capped = runs >= max_iter
-        x_out[:, live[capped]] = z[:, capped]
-        x_out[:, live[done]] = x[:, ok]
+        collect(live[done], x[:, ok])
         certified[live[done]] = True
-        keep = ~capped
+        keep = runs < max_iter
         keep[done] = False
-        live, runs, x0, u, w = live[keep], runs[keep], x0[:, keep], u[:, keep], w[:, keep]
-        polished = polished[:, keep]
-    handed, finished = ~certified, np.zeros(c, dtype=bool)
-    x_out[:, handed], finished[handed], _ = _feature_sign_polish(
-        a, b[:, handed], np.full(np.count_nonzero(handed), lam), x_out[:, handed])
-    return x_out, certified | finished, iterations, finished
+        handed = ~keep
+        handed[done] = False
+        if handed.any():
+            finish(live[handed], b[:, handed], z[:, handed])
+        live, runs, b, polished = live[keep], runs[keep], b[:, keep], polished[:, keep]
+        x0, u, w = x0[:, keep], u[:, keep], w[:, keep]
+    for first in range(started, c, _ADMM_BLOCK):  # max_iter == 0: the finisher alone, from zero
+        new = fetch(min(_ADMM_BLOCK, c - first))
+        finish(np.arange(first, first + new.shape[1]), new, np.zeros_like(new))
+    return certified, iterations, finished
 
 
 def _feature_sign_polish(a: np.ndarray, b: np.ndarray, lam: np.ndarray,
@@ -553,7 +606,13 @@ def l1_map_solve(
             x, finished, its = _feature_sign_polish(a, b, lam, None)
             certified = finished
         else:
-            x, certified, its, finished = _certified_lasso(a, b, lam, max_iter)
+            x = np.zeros_like(b)
+
+            def collect(cols, x_cols):
+                x[:, cols] = x_cols
+
+            certified, its, finished = _certified_lasso(a, _column_source([b]), b.shape[1], lam,
+                                                        max_iter, collect)
         return SolveResult(x.reshape(y.shape), bool(certified.all()), int(its.max(initial=0)),
                            int(np.count_nonzero(~certified)), tuple(its.tolist()),
                            int(np.count_nonzero(finished)))
@@ -718,61 +777,118 @@ def lambda_pipeline_experiment(
     if unknown:
         raise ContractViolation(f"unknown restorer {unknown[0]!r}")
     operator = build_kernel_operator(sigma=1.0, n=n, fs=2.0)
-    amps, y = _pipeline_draw(operator, lambda_true, m, replicates, seed, sigma_n)
-    reports = tuple(_pipeline_report(name, amps, y, operator, lambda_true, m, replicates,
-                                     sigma_n) for name in names)
+    amps = np.empty(replicates * m)
+
+    def measurements():
+        drawn = 0
+        for chunk_amps, y in _pipeline_draw(operator, lambda_true, m, replicates, seed, sigma_n):
+            amps[drawn:drawn + chunk_amps.size] = chunk_amps
+            drawn += chunk_amps.size
+            yield y
+
+    if "map_l1" in names:
+        restored = _map_l1_masses(measurements(), operator, lambda_true, sigma_n, amps.size)
+    else:
+        restored = None
+        for _ in measurements():  # the clean masses only
+            pass
+    reports = tuple(_pipeline_report(name, amps, restored, lambda_true, m, replicates)
+                    for name in names)
     return reports[0] if isinstance(restorer, str) else reports
 
 
+# Columns of measurements the pipeline draws at a time, as whole replicates:
+# a chunk holds max(1, _PIPELINE_COLUMNS // m) replicates.
+_PIPELINE_COLUMNS = 256
+
+
 def _pipeline_draw(operator, lambda_true: float, m: int, replicates: int, seed: int,
-                   sigma_n: float) -> tuple:
-    """The pipeline's spike amplitudes, one per column, and its measurements,
-    (n, replicates * m).
+                   sigma_n: float):
+    """The pipeline's draw, in chunks of whole replicates: yields, chunk by
+    chunk, the spike amplitudes, one per column, and the measurements, (n,
+    columns), of max(1, _PIPELINE_COLUMNS // m) replicates.
 
     Replicate r draws from stream (seed, r): its m spike locations, their
-    amplitudes, then its (n, m) noise; column r * m + i is its signal i, one
-    spike. Column j of Gx holds one nonzero product, so G[:, loc_j] amp_j is
-    that column to the bit, and y = Gx + sigma_n noise is formed without x.
+    amplitudes, then its (n, m) noise; its columns follow those of replicate
+    r - 1, column i being its signal i, one spike. Column j of Gx holds one
+    nonzero product, so G[:, loc_j] amp_j is that column to the bit, and
+    y = Gx + sigma_n noise is formed without x. Each replicate has its own
+    stream, so the chunking moves no number.
     """
     n = operator.n
     sep = min_spike_separation(operator.sigma, operator.fs)
-    total = replicates * m
-    locs = np.empty(total, dtype=np.int64)
-    amps = np.empty(total)
-    y = np.zeros((n, total))
-    for r in range(replicates):
-        rng = stream_rng(seed, r)
-        cols = slice(r * m, (r + 1) * m)
-        locs[cols] = rng.integers(sep, n - sep, size=m)
-        amps[cols] = rng.exponential(1.0 / lambda_true, size=m)
-        if sigma_n > 0:
-            y[:, cols] = rng.standard_normal((n, m))
-    y *= sigma_n
-    spikes = operator.matrix[:, locs]
-    spikes *= amps
-    y += spikes
-    return amps, y
+    per_chunk = max(1, _PIPELINE_COLUMNS // m)
+    for first in range(0, replicates, per_chunk):
+        count = min(per_chunk, replicates - first)
+        locs = np.empty(count * m, dtype=np.int64)
+        amps = np.empty(count * m)
+        y = np.zeros((n, count * m))
+        for i in range(count):
+            rng = stream_rng(seed, first + i)
+            cols = slice(i * m, (i + 1) * m)
+            locs[cols] = rng.integers(sep, n - sep, size=m)
+            amps[cols] = rng.exponential(1.0 / lambda_true, size=m)
+            if sigma_n > 0:
+                y[:, cols] = rng.standard_normal((n, m))
+        y *= sigma_n
+        spikes = operator.matrix[:, locs]
+        spikes *= amps
+        y += spikes
+        yield amps, y
 
 
-def _pipeline_report(restorer: str, amps, y, operator, lambda_true: float, m: int,
-                     replicates: int, sigma_n: float) -> LambdaPipelineReport:
-    """Restore the drawn signals with one restorer and compare the two rate
-    estimates, each from the signals' l1 masses: amps on the clean side and
-    for the norm oracle, the column l1 norms of x_hat for map_l1. A replicate
-    restored to zero mass has an infinite rate estimate, so the restored MSE
-    and its standard errors are infinite."""
-    iterations = unconverged = finished = 0
-    if restorer == "norm_oracle":
-        masses = amps
-    else:
-        if sigma_n > 0:
-            sol = l1_map_solve(y, operator, mode="penalized", lam=lambda_true,
-                               sigma_z=sigma_n, max_iter=_ADMM_HANDOFF)
-            iterations, finished = sol.iterations, sol.finished
-        else:
-            # noiseless: the exact-interpolation solve recovers each signal
+def _l1_masses(x: np.ndarray) -> np.ndarray:
+    """Column l1 norms of x, adding its rows in order: to the bit the sums
+    that np.abs(x).sum(axis=0) takes over a C-ordered x of many columns.
+    (numpy sums a contiguous axis pairwise, so it rounds differently on a
+    single column or an F-ordered x.)"""
+    mass = np.zeros(x.shape[1])
+    for row in np.abs(x):
+        mass += row
+    return mass
+
+
+def _map_l1_masses(measurements, operator, lambda_true: float, sigma_n: float,
+                   total: int) -> tuple:
+    """The l1 mass of each of the total columns' map_l1 reconstructions, and
+    the solver's (iterations, unconverged, finished), from the measurements'
+    chunks as the solver takes them. Each reconstruction is reduced to its
+    mass as it is finished, so none is held."""
+    masses = np.empty(total)
+    if sigma_n == 0:
+        # noiseless: the exact-interpolation solve recovers each signal
+        done = unconverged = 0
+        for y in measurements:
             sol = l1_map_solve(y, operator, mode="constrained", delta=0.0)
-        masses, unconverged = np.abs(sol.x_hat).sum(axis=0), sol.unconverged
+            masses[done:done + y.shape[1]] = _l1_masses(sol.x_hat)
+            done += y.shape[1]
+            unconverged += sol.unconverged
+        return masses, 0, unconverged, 0
+    g = operator.matrix
+    inv_var = 1.0 / sigma_n**2
+
+    def collect(cols, x):
+        masses[cols] = _l1_masses(x)
+
+    certified, its, finished = _certified_lasso(
+        inv_var * (g.T @ g), _column_source(inv_var * (g.T @ y) for y in measurements), total,
+        lambda_true, _ADMM_HANDOFF, collect)
+    return (masses, int(its.max(initial=0)), int(np.count_nonzero(~certified)),
+            int(np.count_nonzero(finished)))
+
+
+def _pipeline_report(restorer: str, amps, restored, lambda_true: float, m: int,
+                     replicates: int) -> LambdaPipelineReport:
+    """Compare the two rate estimates of one restorer, each from the signals'
+    l1 masses: amps on the clean side and for the norm oracle, and for map_l1
+    the masses of its reconstructions with the solver's counts, restored (as
+    _map_l1_masses returns them). A replicate restored to zero mass has an
+    infinite rate estimate, so the restored MSE and its standard errors are
+    infinite."""
+    if restorer == "norm_oracle":
+        masses, iterations, unconverged, finished = amps, 0, 0, 0
+    else:
+        masses, iterations, unconverged, finished = restored
 
     l1_clean = amps.reshape(replicates, m).sum(axis=1)
     if np.any(l1_clean == 0):

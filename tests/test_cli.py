@@ -350,6 +350,24 @@ class TestParameterContract:
         assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 2
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("params,code", [
+        ({"n": 30_000, "m": 3, "replicates": 2}, 2),
+        ({"n": 65, "m": 3, "replicates": 2}, 2),
+        ({"n": 64, "m": 3, "replicates": 2}, 0),
+        ({"n": 24, "m": 3, "replicates": 2**22 // 3}, 0),
+        ({"n": 24, "m": 3, "replicates": 2**22 // 3 + 1}, 2),
+        ({"n": 64, "m": 2**16, "replicates": 2}, 0),
+        ({"n": 64, "m": 2**16 + 1, "replicates": 2}, 2),
+    ])
+    def test_lambda_pipeline_bounds_what_its_run_stacks(self, tmp_path, params, code):
+        """validate bounds the kernel and the solver's stacked n x n
+        active-set matrices (n <= 64), a chunk of measurements (n m <= 2^22)
+        and the arrays of one entry per column (replicates m <= 2^22). These
+        configs are only validated: a run at n = 30 000 would build n x n
+        arrays of 7.2 GB."""
+        cfg = write_config(tmp_path / "pipeline.cfg", "lambda_pipeline", seed=0, params=params)
+        assert main(["validate", cfg]) == code
+
     @pytest.mark.parametrize("exp_id,name", [
         ("double_meaning_mse", "lr"),
         ("double_meaning_l1", "lr"),

@@ -38,6 +38,24 @@ from chainlab.sparse import (
 )
 
 
+def _draw(op, rate, m, replicates, seed, sigma_n):
+    """The pipeline's chunked draw joined into one (amplitudes, y) pair."""
+    amps, ys = zip(*_pipeline_draw(op, rate, m, replicates, seed, sigma_n))
+    return np.concatenate(amps), np.hstack(ys)
+
+
+def _lasso(a, b, lam, max_iter):
+    """_certified_lasso over the columns of a dense b, as l1_map_solve runs
+    it: (x, certified, iterations, finished)."""
+    x = np.zeros_like(b)
+
+    def collect(cols, x_cols):
+        x[:, cols] = x_cols
+
+    return (x, *sparse._certified_lasso(a, sparse._column_source([b]), b.shape[1], lam,
+                                        max_iter, collect))
+
+
 class TestSpikeSignal:
     def test_to_vector_places_amplitudes(self):
         v = SpikeSignal(16, (2, 9), (1.5, -0.5)).to_vector()
@@ -407,7 +425,7 @@ class TestSolver:
         150. The skip is exact: a fresh polish of its iterate at 100 repeats
         the failed result of 50 bit for bit."""
         op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _pipeline_draw(op, 1.0, 5, 40, 0, 0.1)
+        _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
         g = op.matrix
         a, b = 100.0 * (g.T @ g), 100.0 * (g.T @ y[:, 33:34])
         real = sparse._polish
@@ -419,12 +437,12 @@ class TestSolver:
             return out
 
         monkeypatch.setattr(sparse, "_polish", spy)
-        _, ok, its, finished = sparse._certified_lasso(a, b, 1.0, 2_000)
+        _, ok, its, finished = _lasso(a, b, 1.0, 2_000)
         assert ok[0] and its[0] == 150 and not finished[0]
         assert sum(z.shape[1] for z, _ in polished) == 2
         z50, (x50, ok50) = polished[0]
         monkeypatch.setattr(sparse, "_FEATURE_SIGN_STEPS", 0)
-        z100, ok100, its100, _ = sparse._certified_lasso(a, b, 1.0, 100)  # its last ADMM iterate
+        z100, ok100, its100, _ = _lasso(a, b, 1.0, 100)  # its last ADMM iterate
         assert not ok50[0] and not ok100[0] and its100[0] == 100
         assert not np.array_equal(z100, z50)
         np.testing.assert_array_equal(np.sign(z100), np.sign(z50))
@@ -436,7 +454,7 @@ class TestSolver:
         by c, far beyond float32's range: the ADMM state runs in units of a
         power of two, so the solve repeats bit for bit, iterations included."""
         op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _pipeline_draw(op, 1.0, 5, 40, 0, 0.1)
+        _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
         c = 2.0**200
         base = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1,
                             max_iter=sparse._ADMM_HANDOFF)
@@ -447,12 +465,50 @@ class TestSolver:
         assert big.column_iterations == base.column_iterations
         assert np.array_equal(big.x_hat, c * base.x_hat)
 
+    @pytest.mark.parametrize("c", [2.0**40, 2.0**200])
+    def test_later_refill_with_larger_right_hand_sides_lowers_the_unit(self, monkeypatch, c):
+        """A refill whose right-hand sides are c times those of the first
+        refill arrives while ordinary columns are live: the float32 unit is
+        lowered and the live state rescaled exactly, so nothing overflows
+        (float32 holds no more than 2^128), and every column's answer is the
+        one it has when its own columns are solved alone."""
+        monkeypatch.setattr(sparse, "_ADMM_BLOCK", 64)
+        op = build_kernel_operator(1.0, 24, 2.0)
+        _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
+        g = op.matrix
+        a, ordinary = 100.0 * (g.T @ g), 100.0 * (g.T @ y)
+        big = c * ordinary[:, :64]
+        b = np.hstack([ordinary, big])
+        fetched = []
+        source = sparse._column_source([b])
+
+        def fetch(k):
+            fetched.append(k)
+            return source(k)
+
+        x = np.zeros_like(b)
+
+        def collect(cols, x_cols):
+            x[:, cols] = x_cols
+
+        with np.errstate(over="raise", invalid="raise"):
+            ok, _, _ = sparse._certified_lasso(a, fetch, b.shape[1], 1.0, sparse._ADMM_HANDOFF,
+                                               collect)
+            alone = _lasso(a, ordinary, 1.0, sparse._ADMM_HANDOFF)
+            big_alone = _lasso(a, big, 1.0, sparse._ADMM_HANDOFF)
+        first_big = np.searchsorted(np.cumsum(fetched), 200, side="right")
+        assert fetched[first_big] < 64  # ordinary columns were live when it came
+        assert alone[1].all() and ok[:200].all()
+        assert np.array_equal(x[:, :200], alone[0])
+        assert np.array_equal(ok[200:], big_alone[1])
+        assert np.array_equal(x[:, 200:], big_alone[0])
+
     def test_certified_columns_are_the_polish_of_their_sign_pattern(self):
         """The answer depends only on the sign pattern ADMM ends on: every
         certified column of a pipeline solve is, bit for bit, the polish of
         its own signs, however many iterations found them."""
         op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _pipeline_draw(op, 1.0, 5, 40, 0, 0.1)
+        _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
         sol = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=20_000)
         assert sol.converged and len(set(sol.column_iterations)) > 1
         g, inv_var = op.matrix, 1.0 / 0.1**2
@@ -567,13 +623,13 @@ class TestFeatureSignFinisher:
         iterate at the hand-off, bit for bit the float64 polish of its sign
         pattern and the answer at the other rho."""
         op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _pipeline_draw(op, 1.0, 25, 1000, seed, 0.1)
+        _, y = _draw(op, 1.0, 25, 1000, seed, 0.1)
         g = op.matrix
         a, b = 100.0 * (g.T @ g), 100.0 * (g.T @ y[:, col:col + 1])
         answers = {}
         for r in (0.004, 0.008):
             monkeypatch.setattr(sparse, "_ADMM_RHO", r)
-            x, ok, its, finished = sparse._certified_lasso(a, b, 1.0, sparse._ADMM_HANDOFF)
+            x, ok, its, finished = _lasso(a, b, 1.0, sparse._ADMM_HANDOFF)
             assert ok[0]
             answers[r] = x, its[0], finished[0]
         x, its, finished = answers[rho]
@@ -583,7 +639,7 @@ class TestFeatureSignFinisher:
         assert np.array_equal(answers[0.004][0], answers[0.008][0])
         monkeypatch.setattr(sparse, "_ADMM_RHO", rho)
         monkeypatch.setattr(sparse, "_FEATURE_SIGN_STEPS", 0)
-        assert not sparse._certified_lasso(a, b, 1.0, sparse._ADMM_HANDOFF)[1][0]
+        assert not _lasso(a, b, 1.0, sparse._ADMM_HANDOFF)[1][0]
 
     def test_matches_exhaustive_sign_pattern_oracle(self):
         """On small random lassos (n = 6), exactly one of the 3^6 sign
@@ -614,7 +670,7 @@ class TestFeatureSignFinisher:
         finisher from zero; it certifies all of them, bit for bit as ADMM's
         certified answers."""
         op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _pipeline_draw(op, 1.0, 5, 40, 0, 0.1)
+        _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
         admm = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1,
                             max_iter=sparse._ADMM_HANDOFF)
         alone = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=0)
@@ -627,7 +683,7 @@ class TestFeatureSignFinisher:
         finisher still settles every column, but the polish rejects those
         whose stationarity holds only to round-off: they stay uncertified."""
         op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _pipeline_draw(op, 1.0, 5, 40, 0, 0.1)
+        _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
         monkeypatch.setattr(sparse, "_KKT_ROUNDOFF", 0.0)
         sol = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=0)
         assert sol.unconverged > 0 and sol.finished == 200 - sol.unconverged
@@ -658,7 +714,7 @@ class TestFeatureSignFinisher:
         """A column that runs out of steps is not settled, and so not
         polished: the solve returns it uncertified and counts it."""
         op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _pipeline_draw(op, 1.0, 5, 40, 0, 0.1)
+        _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
         g = op.matrix
         a, b = 100.0 * (g.T @ g), 100.0 * (g.T @ y[:, 0])
         settles = [sparse._feature_sign(a, b, 1.0, np.zeros(24), k)[1] for k in range(24)]
@@ -738,9 +794,10 @@ class TestLambdaPipeline:
         assert rep.mse_restored == rep.mse_clean
 
     @pytest.mark.parametrize("sigma_n", [0.1, 0.0])
-    def test_draw_matches_a_per_spike_loop(self, sigma_n):
+    def test_draw_matches_a_per_spike_loop(self, monkeypatch, sigma_n):
         """Replicate r's spikes, then its noise, from stream (seed, r), placed
-        one spike at a time as a reference."""
+        one spike at a time as a reference; the draw comes in chunks of whole
+        replicates."""
         operator = build_kernel_operator(sigma=1.0, n=24, fs=2.0)
         sep = min_spike_separation(operator.sigma, operator.fs)
         m, replicates = 6, 7
@@ -755,7 +812,10 @@ class TestLambdaPipeline:
                 x[locs[i], r * m + i] = amps[r * m + i]
             if sigma_n > 0:
                 noise[:, r * m:(r + 1) * m] = rng.standard_normal((24, m))
-        amps_drawn, y = _pipeline_draw(operator, 2.0, m, replicates, 9, sigma_n)
+        monkeypatch.setattr(sparse, "_PIPELINE_COLUMNS", 13)  # 2 replicates per chunk
+        chunks = list(_pipeline_draw(operator, 2.0, m, replicates, 9, sigma_n))
+        assert [c.shape[1] for _, c in chunks] == [12, 12, 12, 6]
+        amps_drawn, y = np.concatenate([a for a, _ in chunks]), np.hstack([c for _, c in chunks])
         assert np.array_equal(amps_drawn, amps)
         assert np.array_equal(y, operator.matrix @ x + sigma_n * noise)
 
@@ -782,11 +842,56 @@ class TestLambdaPipeline:
         (2 229 600 in float64 at rho 0.004; 4 189 000 with plain ADMM
         polished every 100)."""
         op = build_kernel_operator(sigma=1.0, n=24, fs=2.0)
-        _, y = _pipeline_draw(op, 1.0, 25, 1000, 0, 0.1)
+        _, y = _draw(op, 1.0, 25, 1000, 0, 0.1)
         sol = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1,
                            max_iter=sparse._ADMM_HANDOFF)
         assert sol.converged and sol.finished == 0 and len(sol.column_iterations) == 25_000
         assert sum(sol.column_iterations) <= 1_700_000
+
+    def test_solution_does_not_depend_on_column_order(self):
+        """The pipeline streams its columns through the solver in any order
+        of refills: on a permutation of a pipeline draw's columns the solve
+        returns the permuted x_hat and iterations, bit for bit."""
+        op = build_kernel_operator(sigma=1.0, n=24, fs=2.0)
+        _, y = _draw(op, 1.0, 25, 200, 7, 0.1)
+        perm = stream_rng(7, 1).permutation(y.shape[1])
+        sol = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1,
+                           max_iter=sparse._ADMM_HANDOFF)
+        shuffled = l1_map_solve(y[:, perm], op, mode="penalized", lam=1.0, sigma_z=0.1,
+                                max_iter=sparse._ADMM_HANDOFF)
+        assert sol.converged and shuffled.converged
+        assert np.array_equal(shuffled.x_hat, sol.x_hat[:, perm])
+        assert shuffled.column_iterations == tuple(np.array(sol.column_iterations)[perm])
+
+    def test_streamed_draw_matches_a_dense_solve(self, monkeypatch):
+        """Chunks of 2 replicates (50 columns) feed refills of up to 1 024
+        columns: the streamed solve returns, bit for bit, the x_hat and
+        iterations of one solve on the joined measurements, and the pipeline's
+        masses are the column sums of that x_hat."""
+        monkeypatch.setattr(sparse, "_PIPELINE_COLUMNS", 60)
+        op = build_kernel_operator(sigma=1.0, n=24, fs=2.0)
+        g, inv_var = op.matrix, 1.0 / 0.1**2
+        _, y = _draw(op, 1.0, 25, 200, 7, 0.1)
+        dense = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1,
+                             max_iter=sparse._ADMM_HANDOFF)
+        x = np.full(y.shape, np.nan)
+
+        def collect(cols, x_cols):
+            x[:, cols] = x_cols
+
+        chunks = _pipeline_draw(op, 1.0, 25, 200, 7, 0.1)
+        assert {chunk.shape[1] for _, chunk in chunks} == {50}
+        chunks = _pipeline_draw(op, 1.0, 25, 200, 7, 0.1)
+        certified, its, finished = sparse._certified_lasso(
+            inv_var * (g.T @ g), sparse._column_source(inv_var * (g.T @ c) for _, c in chunks),
+            y.shape[1], 1.0, sparse._ADMM_HANDOFF, collect)
+        assert certified.all() and not finished.any()
+        assert np.array_equal(x, dense.x_hat)
+        assert tuple(its.tolist()) == dense.column_iterations
+        masses, iterations, unconverged, _ = sparse._map_l1_masses(
+            (c for _, c in _pipeline_draw(op, 1.0, 25, 200, 7, 0.1)), op, 1.0, 0.1, y.shape[1])
+        assert np.array_equal(masses, np.abs(dense.x_hat).sum(axis=0))
+        assert (iterations, unconverged) == (dense.iterations, 0)
 
     def test_verdict_fails_on_uncertified_reconstructions(self, monkeypatch):
         """Cut the solver off before it certifies, at the hand-off and in the
@@ -822,24 +927,31 @@ class TestLambdaPipeline:
         assert res["mse_clean_exact"]["value"] == pytest.approx(4.0 * 7 / 12, rel=1e-15)
         assert res["crb_biased"]["value"] == pytest.approx(4.0 * 6 / 16, rel=1e-15)
 
-    def test_peak_memory_under_four_measurement_arrays(self):
-        """The default pipeline with both restorers holds the measurements y,
-        G'y / sigma_n^2 and the reconstructions x_hat, n x (replicates * m)
-        floats each, and stays under four such arrays: the bound that
-        lambda_pipeline's parameter check rests on. The spikes are kept as
-        amplitudes, not as a dense signal array. The noiseless branch, an
-        exact inversion in place of the penalized solve, stays under it too."""
+    def test_peak_memory_under_one_measurement_array(self):
+        """The pipeline streams its draw through the solver a chunk of
+        replicates at a time and keeps only each column's l1 mass: at the
+        defaults, with both restorers, its traced peak stays under one
+        n x (replicates * m) float array, the noiseless branch's too. At 4x
+        the replicates the peak grows by no more than the arrays of one entry
+        per column (amplitudes and masses, float64; the solver's iteration
+        counts, intp; its certified and finished flags, bool): the bound that
+        lambda_pipeline's parameter check rests on."""
         both = ("map_l1", "norm_oracle")
+        per_column = 2 * 8 + np.dtype(np.intp).itemsize + 2
         for sigma_n in (0.1, 0.0):  # first-call allocations
             lambda_pipeline_experiment(1.0, 3, 4, seed=0, sigma_n=sigma_n, restorer=both)
         for sigma_n in (0.1, 0.0):
-            tracemalloc.start()
-            try:
-                lambda_pipeline_experiment(1.0, 25, 1000, seed=0, sigma_n=sigma_n, restorer=both)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 4 * 24 * 25_000 * np.dtype(np.float64).itemsize, sigma_n
+            peaks = []
+            for replicates in (1000, 4000):
+                tracemalloc.start()
+                try:
+                    lambda_pipeline_experiment(1.0, 25, replicates, seed=0, sigma_n=sigma_n,
+                                               restorer=both)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[0] < 24 * 25_000 * np.dtype(np.float64).itemsize, sigma_n
+            assert peaks[1] - peaks[0] <= 3 * 25_000 * per_column, sigma_n
 
     def test_replicate_restored_to_zero_mass_has_infinite_error(self):
         """At rate 100 the penalty zeroes every column of some replicate, whose

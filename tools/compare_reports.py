@@ -2,12 +2,15 @@
 source trees and list the output files that differ.
 
     python tools/compare_reports.py PARENT_SRC CHANGE_SRC --seeds 0-99
+    python tools/compare_reports.py PARENT_SRC CHANGE_SRC --seeds 0-99 \
+        --ids lambda_pipeline,sparse_certificate_sweep,sparse_noiseless_recovery
 
 PARENT_SRC and CHANGE_SRC are directories that hold the ``chainlab``
 package, such as the ``src`` folders of two checkouts. Each tree runs in one
 interpreter of its own, which imports chainlab first (so BLAS is pinned to
 one thread, as under ``chainlab run``) and calls ``chainlab.cli.main`` once
-per experiment and seed. The script lists every ``report.json`` and CSV
+per experiment and seed: every catalog experiment, or only those that
+``--ids`` names, comma-separated. The script lists every ``report.json`` and CSV
 that is missing on one side or differs in its bytes, and every run whose
 exit code differs. It exits 0 when there is none and 1 otherwise.
 """
@@ -23,7 +26,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-# Runs in each source tree's interpreter: argv is (out_dir, first_seed, last_seed).
+# Runs in each source tree's interpreter: argv is (out_dir, first_seed,
+# last_seed, ids), ids comma-separated, or empty for the whole catalog.
 CHILD = """
 import sys
 import chainlab
@@ -31,9 +35,13 @@ from chainlab.cli import main
 from chainlab.experiments import CATALOG
 import contextlib, io, json, pathlib
 out, first, last = pathlib.Path(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+ids = sorted(sys.argv[4].split(",")) if sys.argv[4] else sorted(CATALOG)
+unknown = [exp_id for exp_id in ids if exp_id not in CATALOG]
+if unknown:
+    sys.exit(f"unknown experiment ids: {', '.join(unknown)}")
 codes = {}
 for seed in range(first, last + 1):
-    for exp_id in sorted(CATALOG):
+    for exp_id in ids:
         cfg = out / "configs" / f"{exp_id}-{seed}.cfg"
         cfg.parent.mkdir(parents=True, exist_ok=True)
         cfg.write_text(f"[experiment]\\nid = {exp_id}\\nseed = {seed}\\n")
@@ -59,6 +67,8 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument("--seeds", default="0", help="one seed, or an inclusive range A-B")
+    parser.add_argument("--ids", default="",
+                        help="comma-separated experiment ids to compare (default: all)")
     args = parser.parse_args(argv)
     first, last = _seeds(args.seeds)
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
@@ -67,7 +77,8 @@ def main(argv=None) -> int:
         for side, src in sides.items():
             env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
             procs[side] = subprocess.Popen(
-                [sys.executable, "-c", CHILD, os.path.join(tmp, side), str(first), str(last)],
+                [sys.executable, "-c", CHILD, os.path.join(tmp, side), str(first), str(last),
+                 args.ids],
                 env=env, stderr=subprocess.PIPE, text=True)
         for side, proc in procs.items():
             err = proc.communicate()[1]

@@ -116,9 +116,6 @@ class ErrorOrderingAudit:
     def recovery_matches_source(self):
         return self.pe_xhat is not None and abs(self.pe_xhat - self.pe_x) <= self.tol
 
-    def values(self) -> tuple:
-        return (self.pe_x, self.pe_y, self.pe_xhat)
-
 
 def theorem_ordering_audit(
     chains: PipelineChain | ChainStack,

@@ -1083,15 +1083,6 @@ def list_experiments() -> list:
             sorted(CATALOG.values(), key=lambda d: d.exp_id)]
 
 
-def resolve_operation(operation: str):
-    """Import the library operation an experiment says it exercises."""
-    import importlib
-
-    mod_name, _, attr = operation.rpartition(".")
-    mod = importlib.import_module(f"chainlab.{mod_name}")
-    return getattr(mod, attr)
-
-
 def resolve_params(exp_id: str, overrides: Optional[dict] = None) -> dict:
     if exp_id not in CATALOG:
         raise UnknownExperiment(f"unknown experiment {exp_id!r}")

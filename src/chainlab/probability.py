@@ -87,12 +87,6 @@ class FiniteDistribution:
         check_mass(p, -1, PROB_SUM_TOL, "probabilities")
         p.setflags(write=False)
 
-    def __len__(self) -> int:
-        return len(self.support)
-
-    def prob_of(self, label) -> float:
-        return float(self.probs[self.support.index(label)])
-
 
 def normalize(weights: Sequence[float], support: Optional[Sequence] = None) -> FiniteDistribution:
     """Scale nonnegative weights into a distribution.
@@ -130,10 +124,6 @@ class ConditionalTable:
             )
         check_mass(r, -1, PROB_SUM_TOL, "conditional table row")
         r.setflags(write=False)
-
-    def row(self, label) -> FiniteDistribution:
-        i = self.input_support.index(label)
-        return FiniteDistribution(self.output_support, self.rows[i])
 
     @classmethod
     def from_rows(cls, input_support, output_support, row_map) -> "ConditionalTable":

@@ -255,11 +255,13 @@ def _certified_lasso(a: np.ndarray, fetch: Callable, c: int, lam: float, max_ite
     block, and the next columns are fetched in their places (a refill).
     max_iter is the hand-off: a column still uncertified then goes to the
     feature-sign finisher (_feature_sign_polish) from its last ADMM iterate,
-    in the round it reaches max_iter; with max_iter = 0 every column goes to
-    it from zero. Columns do not interact, so each runs as it would alone,
-    in any order. Returns (certified, iterations, finished), one entry per
-    column: each column's ADMM count, and the columns the finisher
-    certified; an uncertified column's answer is the finisher's last iterate.
+    in the round it reaches max_iter. With max_iter = 0 no ADMM step is
+    taken: one polish of x = 0 certifies the columns whose minimizer is 0,
+    and every other column goes to the finisher from zero. Columns do not
+    interact, so each runs as it would alone, in any order. Returns
+    (certified, iterations, finished): per column, whether it is certified
+    and its ADMM count, and the number of columns the finisher certified; an
+    uncertified column's answer is the finisher's last iterate.
     """
     n = a.shape[0]
     rho = _ADMM_RHO * float(np.trace(a)) / n
@@ -275,13 +277,8 @@ def _certified_lasso(a: np.ndarray, fetch: Callable, c: int, lam: float, max_ite
     # infinity, and is clamped there.
     gain = _ADMM_RELAX * np.abs(inv).sum(axis=1).max()
     bound, scale = 0.0, 1.0
-    certified, finished = np.zeros(c, dtype=bool), np.zeros(c, dtype=bool)
-    iterations = np.zeros(c, dtype=np.intp)
-
-    def finish(cols, b, starts):
-        x, ok, _ = _feature_sign_polish(a, b, np.full(cols.size, lam), starts)
-        collect(cols, x)
-        certified[cols] = finished[cols] = ok
+    certified, iterations = np.zeros(c, dtype=bool), np.zeros(c, dtype=np.intp)
+    finished = 0
 
     # Live columns: index, iterations run, b, alpha x0, the ADMM state u, w,
     # and the sign pattern last polished (2, no sign, before the first
@@ -296,7 +293,7 @@ def _certified_lasso(a: np.ndarray, fetch: Callable, c: int, lam: float, max_ite
     polished = np.zeros((n, 0), dtype=np.int8)
     tau = np.float32(np.clip(scale * lam / rho, 2.0**-60, 2.0**60))
     started = 0
-    while max_iter > 0 and (started < c or live.size):
+    while started < c or live.size:
         k = min(_ADMM_BLOCK - live.size, c - started)
         if k:
             new = fetch(k)
@@ -340,12 +337,13 @@ def _certified_lasso(a: np.ndarray, fetch: Callable, c: int, lam: float, max_ite
         handed = ~keep
         handed[done] = False
         if handed.any():
-            finish(live[handed], b[:, handed], z[:, handed])
+            cols = live[handed]
+            x, ok, _ = _feature_sign_polish(a, b[:, handed], np.full(cols.size, lam), z[:, handed])
+            collect(cols, x)
+            certified[cols] = ok
+            finished += int(np.count_nonzero(ok))
         live, runs, b, polished = live[keep], runs[keep], b[:, keep], polished[:, keep]
         x0, u, w = x0[:, keep], u[:, keep], w[:, keep]
-    for first in range(started, c, _ADMM_BLOCK):  # max_iter == 0: the finisher alone, from zero
-        new = fetch(min(_ADMM_BLOCK, c - first))
-        finish(np.arange(first, first + new.shape[1]), new, np.zeros_like(new))
     return certified, iterations, finished
 
 
@@ -564,9 +562,11 @@ def l1_map_solve(
     column of y; a column is accepted only on the KKT certificate of an
     exact float64 polish on its sign pattern. For one float lam, float32
     ADMM proposes the patterns (_certified_lasso), and max_iter is its
-    hand-off to feature-sign search; max_iter serves a scalar lam only. One
-    lam per column of y is a penalty path, solved by feature-sign search
-    alone, column j started from column j - 1's answer.
+    hand-off to feature-sign search: at max_iter = 0, after one polish of
+    x = 0, every column that polish leaves uncertified goes to feature-sign
+    search. max_iter serves a scalar lam only. One lam per column of y is a
+    penalty path, solved by feature-sign search alone, column j started
+    from column j - 1's answer.
     ``converged`` means every column is certified, ``unconverged`` counts the
     columns that are not, ``finished`` those feature-sign certified,
     ``column_iterations`` holds each column's ADMM iterations (feature-sign
@@ -590,6 +590,8 @@ def l1_map_solve(
     counts the columns that are not, ``column_iterations`` holds each
     column's pivots and ``iterations`` their maximum.
     """
+    if max_iter < 0:
+        raise ContractViolation("max_iter must be >= 0")
     y = np.asarray(y, dtype=np.float64)
     g = operator.matrix
     if mode == "penalized":
@@ -603,8 +605,8 @@ def l1_map_solve(
         inv_var = 1.0 / sigma_z**2
         a, b = inv_var * (g.T @ g), inv_var * (g.T @ cols)
         if np.ndim(lam):
-            x, finished, its = _feature_sign_polish(a, b, lam, None)
-            certified = finished
+            x, certified, its = _feature_sign_polish(a, b, lam, None)
+            finished = int(np.count_nonzero(certified))
         else:
             x = np.zeros_like(b)
 
@@ -614,8 +616,7 @@ def l1_map_solve(
             certified, its, finished = _certified_lasso(a, _column_source([b]), b.shape[1], lam,
                                                         max_iter, collect)
         return SolveResult(x.reshape(y.shape), bool(certified.all()), int(its.max(initial=0)),
-                           int(np.count_nonzero(~certified)), tuple(its.tolist()),
-                           int(np.count_nonzero(finished)))
+                           int(np.count_nonzero(~certified)), tuple(its.tolist()), finished)
     if mode != "constrained":
         raise ContractViolation(f"unknown mode {mode!r}")
     if delta is None or delta < 0:
@@ -873,8 +874,7 @@ def _map_l1_masses(measurements, operator, lambda_true: float, sigma_n: float,
     certified, its, finished = _certified_lasso(
         inv_var * (g.T @ g), _column_source(inv_var * (g.T @ y) for y in measurements), total,
         lambda_true, _ADMM_HANDOFF, collect)
-    return (masses, int(its.max(initial=0)), int(np.count_nonzero(~certified)),
-            int(np.count_nonzero(finished)))
+    return masses, int(its.max(initial=0)), int(np.count_nonzero(~certified)), finished
 
 
 def _pipeline_report(restorer: str, amps, restored, lambda_true: float, m: int,

@@ -232,7 +232,6 @@ class TestOrderingAudit:
         broken = ErrorOrderingAudit(pe_x=0.2, pe_y=0.1, pe_xhat=0.3,
                                     mode="class_agnostic", tol=1e-9)
         assert not broken.ordered
-        assert broken.values() == (0.2, 0.1, 0.3)
         jitter = ErrorOrderingAudit(pe_x=0.2, pe_y=0.2 - 1e-12, pe_xhat=0.2 + 5e-10,
                                     mode="conditional_perception", tol=1e-9)
         assert jitter.ordered and jitter.recovery_matches_source

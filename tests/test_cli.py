@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -20,7 +21,6 @@ from chainlab.errors import InvalidOverride, UnknownExperiment
 from chainlab.experiments import (
     CATALOG,
     list_experiments,
-    resolve_operation,
     resolve_params,
     run_experiment,
 )
@@ -55,7 +55,8 @@ class TestCatalog:
     def test_every_entry_names_a_resolvable_operation(self):
         for exp_id, description, operation in list_experiments():
             assert description
-            assert callable(resolve_operation(operation))
+            module, _, name = operation.rpartition(".")
+            assert callable(getattr(importlib.import_module(f"chainlab.{module}"), name)), exp_id
 
     def test_unknown_experiment(self):
         with pytest.raises(UnknownExperiment):
@@ -660,6 +661,43 @@ class TestNoUnusedOptions:
                   for name, position in self._optional_params(fn, method)
                   if not any(sets(c, name, position) for c in calls.get(fn.name, []))]
         assert unused == []
+
+
+class TestNoUnreachedFunctions:
+    # Public functions that nothing but their unit tests calls, with the reason each stays.
+    KEPT = {
+        "domain_shift.fit_linear_restorer":
+            "reference implementation: the exact fit the trainer's tests compare against",
+    }
+
+    def test_every_public_function_is_referenced(self):
+        """Every public module-level function of chainlab is referenced by
+        name in the package outside its own body, or in the acceptance
+        tests: one that only its own unit test calls is API that no
+        experiment, criterion or CLI path reaches. Methods are left out,
+        since a name cannot tell a method from a builtin one (``values``)."""
+        package = Path(chainlab.__file__).parent
+        trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+        public = {node: f"{path.stem}.{node.name}"
+                  for path, tree in trees.items() for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+        referenced = set()
+
+        def visit(node, inside):
+            if node in public:
+                inside = node.name
+            if isinstance(node, ast.Name) and node.id != inside:
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr != inside:
+                referenced.add(node.attr)
+            for child in ast.iter_child_nodes(node):
+                visit(child, inside)
+
+        acceptance = Path(__file__).parent / "test_acceptance.py"
+        for tree in [*trees.values(), ast.parse(acceptance.read_text())]:
+            visit(tree, None)
+        unreferenced = {name for node, name in public.items() if node.name not in referenced}
+        assert unreferenced == set(self.KEPT)
 
 
 class TestStartup:

@@ -61,6 +61,16 @@ def class_law(tensor: np.ndarray, keep: int) -> np.ndarray:
     return rows / rows.sum(axis=1, keepdims=True)
 
 
+def _row(table: ConditionalTable, label) -> np.ndarray:
+    """The output probabilities of one input label of a table."""
+    return table.rows[table.input_support.index(label)]
+
+
+def _prob(table: ConditionalTable, label, out) -> float:
+    """p(out | label) in a table."""
+    return _row(table, label)[table.output_support.index(out)]
+
+
 def expected_squared_error(joint) -> float:
     """E (x - xhat)^2 under the joint, summed over the pair marginal."""
     pair = marginal(joint, ["x", "xhat"])
@@ -73,14 +83,14 @@ class TestMmseRestorer:
     def test_invertible_channel_returns_preimage(self):
         chain = numeric_chain(0, ambiguous=False)
         rest = mmse_restorer(assemble_joint(chain))
-        assert rest.table.row("u").prob_of(0.0) == 1.0
-        assert rest.table.row("v").prob_of(1.0) == 1.0
+        assert _prob(rest.table, "u", 0.0) == 1.0
+        assert _prob(rest.table, "v", 1.0) == 1.0
 
     def test_two_equiprobable_preimages_average(self):
         """Sources 0 and 1 both explain the measurement; the output is 0.5."""
         chain = numeric_chain(0, ambiguous=True)
         rest = mmse_restorer(assemble_joint(chain))
-        assert rest.table.row("u").prob_of(0.5) == 1.0
+        assert _prob(rest.table, "u", 0.5) == 1.0
 
     def test_prior_weighted_blend_weights(self):
         """Deterministic two-branch construction: class priors 0.8/0.2 with
@@ -96,8 +106,8 @@ class TestMmseRestorer:
         )
         joint = assemble_joint(PipelineChain(prior, family, channel))
         rest = mmse_restorer(joint)
-        row = rest.table.row("shared")
-        got = [v for v, p in zip(row.support, row.probs) if p == 1.0][0]
+        row = _row(rest.table, "shared")
+        got = [v for v, p in zip(rest.table.output_support, row) if p == 1.0][0]
         p_shared = 0.8 * 0.5 + 0.2 * 0.5
         c_a = 0.8 * 0.5 / p_shared
         c_b = 0.2 * 0.5 / p_shared
@@ -109,8 +119,8 @@ class TestMmseRestorer:
         source 1 with probability 0.4, so the blend follows the posterior."""
         joint = assemble_joint(naive_tree_chain())
         rest = mmse_restorer(joint)
-        row = rest.table.row(1.5)
-        got = [v for v, p in zip(row.support, row.probs) if p == 1.0][0]
+        row = _row(rest.table, 1.5)
+        got = [v for v, p in zip(rest.table.output_support, row) if p == 1.0][0]
         c_a = (0.8 / 3 * 0.4) / (0.8 / 3 * 0.4 + 0.2 / 3)
         assert got == pytest.approx(c_a * 1 + (1 - c_a) * 4)
 
@@ -154,9 +164,9 @@ class TestPosteriorSampler:
         channel = ConditionalTable.deterministic((0, 1, 2), ("u", "v", "never"),
                                                  {0: "u", 1: "u", 2: "v"})
         rest = posterior_sampler(assemble_joint(PipelineChain(prior, family, channel)), seed=5)
-        np.testing.assert_allclose(rest.table.row("never").probs, np.full(3, 1.0 / 3.0))
-        np.testing.assert_allclose(rest.table.row("u").probs, [1 / 3, 2 / 3, 0.0], atol=1e-15)
-        np.testing.assert_allclose(rest.table.row("v").probs, [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(_row(rest.table, "never"), np.full(3, 1.0 / 3.0))
+        np.testing.assert_allclose(_row(rest.table, "u"), [1 / 3, 2 / 3, 0.0], atol=1e-15)
+        np.testing.assert_allclose(_row(rest.table, "v"), [0.0, 0.0, 1.0])
         assert rest.kind == "posterior_sampler" and rest.meta == {"seed": 5}
 
     def test_class_tables_mix_to_the_unconditional_posterior(self):
@@ -169,7 +179,7 @@ class TestPosteriorSampler:
             for j, y in enumerate(joint.support_of("y")):
                 p_theta = marginal(condition(joint, "y", y), ["theta"]).tensor
                 mixed = sum(p_theta[k] * tables[k, j] for k in range(len(p_theta)))
-                np.testing.assert_allclose(mixed, post.row(y).probs, atol=1e-12)
+                np.testing.assert_allclose(mixed, _row(post, y), atol=1e-12)
 
 
 class TestConstantRestorer:
@@ -229,7 +239,7 @@ class TestPerfectPerception:
         for y in rest.table.input_support:
             post = condition(joint, "y", y)
             np.testing.assert_allclose(
-                rest.table.row(y).probs,
+                _row(rest.table, y),
                 marginal(post, ["x"]).tensor,
                 atol=1e-12,
             )
@@ -244,7 +254,7 @@ class TestPerfectPerception:
     def test_invertible_channel_collapses_to_inverse(self):
         chain = numeric_chain(0, ambiguous=False)
         joint = assemble_joint(chain)
-        assert posterior_sampler(joint).table.row("u").prob_of(0) == 1.0
+        assert _prob(posterior_sampler(joint).table, "u", 0) == 1.0
         assert class_restored(chain)[1][0, 0, 0] == 1.0  # class "a", measurement "u", source 0
 
     def test_conditional_preserves_fisher_information_on_gridded_chains(self):

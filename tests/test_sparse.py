@@ -46,7 +46,7 @@ def _draw(op, rate, m, replicates, seed, sigma_n):
 
 def _lasso(a, b, lam, max_iter):
     """_certified_lasso over the columns of a dense b, as l1_map_solve runs
-    it: (x, certified, iterations, finished)."""
+    it: (x, certified, iterations, finished), finished a count."""
     x = np.zeros_like(b)
 
     def collect(cols, x_cols):
@@ -438,7 +438,7 @@ class TestSolver:
 
         monkeypatch.setattr(sparse, "_polish", spy)
         _, ok, its, finished = _lasso(a, b, 1.0, 2_000)
-        assert ok[0] and its[0] == 150 and not finished[0]
+        assert ok[0] and its[0] == 150 and finished == 0
         assert sum(z.shape[1] for z, _ in polished) == 2
         z50, (x50, ok50) = polished[0]
         monkeypatch.setattr(sparse, "_FEATURE_SIGN_STEPS", 0)
@@ -523,6 +523,15 @@ class TestSolver:
         y = stream_rng(72, 11).standard_normal((24, 3))
         with pytest.raises(ContractViolation):
             l1_map_solve(y, op, mode="penalized", lam=lam, sigma_z=1.0)
+
+    @pytest.mark.parametrize("mode, kwargs", [("penalized", {"lam": 1.0, "sigma_z": 0.1}),
+                                              ("constrained", {"delta": 0.1})])
+    def test_negative_max_iter_rejected(self, mode, kwargs):
+        """max_iter counts iterations or pivots, so it must be >= 0."""
+        op = build_kernel_operator(1.0, 24, 2.0)
+        y = stream_rng(72, 12).standard_normal((24, 3))
+        with pytest.raises(ContractViolation, match="max_iter"):
+            l1_map_solve(y, op, mode=mode, max_iter=-1, **kwargs)
 
     def test_sweep_pivot_count(self):
         """The equality-form simplex from its dual-feasible starting basis:
@@ -631,9 +640,9 @@ class TestFeatureSignFinisher:
             monkeypatch.setattr(sparse, "_ADMM_RHO", r)
             x, ok, its, finished = _lasso(a, b, 1.0, sparse._ADMM_HANDOFF)
             assert ok[0]
-            answers[r] = x, its[0], finished[0]
+            answers[r] = x, its[0], finished
         x, its, finished = answers[rho]
-        assert finished and its == sparse._ADMM_HANDOFF
+        assert finished == 1 and its == sparse._ADMM_HANDOFF
         polished, ok = sparse._polish(a, b, 1.0, x)
         assert ok[0] and np.array_equal(polished, x)
         assert np.array_equal(answers[0.004][0], answers[0.008][0])
@@ -666,9 +675,9 @@ class TestFeatureSignFinisher:
         assert len(sizes) > 2
 
     def test_finisher_alone_matches_admm(self):
-        """With no ADMM iteration (max_iter = 0) every column goes to the
-        finisher from zero; it certifies all of them, bit for bit as ADMM's
-        certified answers."""
+        """With no ADMM iteration (max_iter = 0) every column whose minimizer
+        is not zero goes to the finisher from zero; it certifies all of them,
+        bit for bit as ADMM's certified answers."""
         op = build_kernel_operator(1.0, 24, 2.0)
         _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
         admm = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1,
@@ -677,6 +686,26 @@ class TestFeatureSignFinisher:
         assert admm.converged and admm.finished == 0
         assert alone.converged and alone.finished == 200 and alone.iterations == 0
         assert np.array_equal(alone.x_hat, admm.x_hat)
+
+    def test_zero_hand_off_polishes_zero_first(self):
+        """At max_iter = 0 the ADMM loop takes no step: a column whose
+        minimizer is x = 0 is certified by the polish of zero and is not
+        counted as finished; the other goes to the finisher. The answers
+        equal ADMM's. An empty y is a converged empty solve."""
+        op = build_kernel_operator(1.0, 24, 2.0)
+        y = op.matrix[:, [5, 8]] * [1.0, 1e-6]
+        admm = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1,
+                            max_iter=sparse._ADMM_HANDOFF)
+        alone = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=0)
+        assert admm.converged and alone.converged
+        assert alone.iterations == 0 and alone.column_iterations == (0, 0)
+        assert alone.finished == 1
+        assert np.array_equal(alone.x_hat, admm.x_hat) and not alone.x_hat[:, 1].any()
+        empty = l1_map_solve(np.zeros((24, 0)), op, mode="penalized", lam=1.0, sigma_z=0.1,
+                             max_iter=0)
+        assert empty.converged and empty.x_hat.shape == (24, 0)
+        assert empty.iterations == empty.unconverged == empty.finished == 0
+        assert empty.column_iterations == ()
 
     def test_only_the_polish_certifies_a_settled_column(self, monkeypatch):
         """With no round-off allowed in the polish's stationarity check, the
@@ -885,7 +914,7 @@ class TestLambdaPipeline:
         certified, its, finished = sparse._certified_lasso(
             inv_var * (g.T @ g), sparse._column_source(inv_var * (g.T @ c) for _, c in chunks),
             y.shape[1], 1.0, sparse._ADMM_HANDOFF, collect)
-        assert certified.all() and not finished.any()
+        assert certified.all() and finished == 0
         assert np.array_equal(x, dense.x_hat)
         assert tuple(its.tolist()) == dense.column_iterations
         masses, iterations, unconverged, _ = sparse._map_l1_masses(
@@ -932,10 +961,12 @@ class TestLambdaPipeline:
         replicates at a time and keeps only each column's l1 mass: at the
         defaults, with both restorers, its traced peak stays under one
         n x (replicates * m) float array, the noiseless branch's too. At 4x
-        the replicates the peak grows by no more than the arrays of one entry
-        per column (amplitudes and masses, float64; the solver's iteration
-        counts, intp; its certified and finished flags, bool): the bound that
-        lambda_pipeline's parameter check rests on."""
+        the replicates the peak grows by no more than 26 bytes per added
+        column, the bound that lambda_pipeline's parameter check rests on.
+        The arrays of one entry per column take 25 (amplitudes and masses,
+        float64; the solver's iteration counts, intp; its certified flags,
+        bool); the last byte, 75 kB here, covers the few kB by which the
+        interpreter's free lists move a traced peak from run to run."""
         both = ("map_l1", "norm_oracle")
         per_column = 2 * 8 + np.dtype(np.intp).itemsize + 2
         for sigma_n in (0.1, 0.0):  # first-call allocations

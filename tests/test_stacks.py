@@ -137,8 +137,9 @@ class TestStackEqualsOneChain:
                 assert stacked == tuple(reference_information(reference_pair(t, s))
                                         for s in ("x", "y", "xhat"))
                 assert info.monotone[j] == one.monotone
-                stacked = tuple(v[j] for v in errors.values())
-                assert stacked == theorem_ordering_audit(chains[i]).values()
+                stacked = (errors.pe_x[j], errors.pe_y[j], errors.pe_xhat[j])
+                one = theorem_ordering_audit(chains[i])
+                assert stacked == (one.pe_x, one.pe_y, one.pe_xhat)
                 assert stacked == tuple(reference_error(reference_pair(t, s))
                                         for s in ("x", "y", "xhat"))
 
@@ -166,8 +167,8 @@ class TestStackEqualsOneChain:
             errors = theorem_ordering_audit(stack, mode="conditional_perception")
             for j, i in enumerate(stack.index):
                 one = theorem_ordering_audit(chains[i], mode="conditional_perception")
-                stacked = tuple(v[j] for v in errors.values())
-                assert stacked == one.values()
+                stacked = (errors.pe_x[j], errors.pe_y[j], errors.pe_xhat[j])
+                assert stacked == (one.pe_x, one.pe_y, one.pe_xhat)
                 t = reference_class_restored(chains[i])
                 assert stacked == tuple(reference_error(reference_pair(t, s))
                                         for s in ("x", "y", "xhat"))

@@ -136,9 +136,13 @@ def build_kernel_operator(sigma: float, n: int, fs: float = 1.0) -> KernelOperat
     """
     check_kernel_size(sigma, n, fs)
     beta, eps = gaussian_admissibility(sigma)
-    k = np.arange(n, dtype=np.float64)
-    t = (k[:, None] - k[None, :]) / fs
-    g = np.exp(-(t**2) / (2.0 * sigma**2))
+    # g((k - m)/fs) depends on k - m alone: evaluate it once on the 2n - 1
+    # offsets and copy a reversed sliding window of that profile, so that the
+    # build holds one n x n array. Each entry takes the same float operations
+    # as in the outer difference k[:, None] - k[None, :], so the bits agree.
+    t = np.arange(1 - n, n, dtype=np.float64) / fs
+    profile = np.exp(-(t**2) / (2.0 * sigma**2))
+    g = np.lib.stride_tricks.sliding_window_view(profile, n)[:, ::-1].copy()
     return KernelOperator(matrix=g, sigma=sigma, fs=fs, beta=beta, eps=eps)
 
 
@@ -192,13 +196,15 @@ def _polish(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray], z: np.n
     s = np.sign(z)
     on = s != 0
     sizes = on.sum(axis=0)
-    # Row j of order lists column j's support first, in increasing order.
-    order = np.argsort(~on.T, axis=1, kind="stable")
+    # Column j's support, in increasing order, is support[first[j]:][:sizes[j]].
+    support = np.nonzero(on.T)[1]
+    first = np.cumsum(sizes) - sizes
     x = np.zeros_like(z)
     solved = np.ones(z.shape[1], dtype=bool)
-    for k in np.unique(sizes[sizes > 0]):
+    # The support sizes in use, by np.bincount: np.unique would import numpy.ma.
+    for k in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
         cols = np.flatnonzero(sizes == k)
-        rows = order[cols, :k]
+        rows = support[first[cols, None] + np.arange(k)]
         at = (rows, cols[:, None])
         lam_at = lam[cols, None] if np.ndim(lam) else lam
         try:
@@ -206,8 +212,12 @@ def _polish(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray], z: np.n
                                     (b[at] - lam_at * s[at])[..., None])[..., 0]
         except np.linalg.LinAlgError:  # an exactly singular A_SS in the group
             solved[cols] = False
-    grad = a @ x - b
-    roundoff = _KKT_ROUNDOFF * (np.abs(a) @ np.abs(x) + np.abs(b) + lam)
+    grad = a @ x
+    grad -= b
+    roundoff = np.abs(a) @ np.abs(x)
+    roundoff += np.abs(b)
+    roundoff += lam
+    roundoff *= _KKT_ROUNDOFF
     kkt = np.where(on, (x * s > 0) & (np.abs(grad + lam * s) <= roundoff),
                    np.abs(grad) <= lam * (1.0 + _KKT_DUAL_RTOL))
     return x, solved & kkt.all(axis=0)

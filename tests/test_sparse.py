@@ -44,6 +44,16 @@ def _draw(op, rate, m, replicates, seed, sigma_n):
     return np.concatenate(amps), np.hstack(ys)
 
 
+def _assert_runs_fresh(code):
+    """Run code in a fresh interpreter that imports this chainlab; it must exit 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chainlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _lasso(a, b, lam, max_iter):
     """_certified_lasso over the columns of a dense b, as l1_map_solve runs
     it: (x, certified, iterations, finished), finished a count."""
@@ -91,6 +101,29 @@ class TestKernelOperator:
     def test_signal_length_floor(self):
         with pytest.raises(ContractViolation):
             build_kernel_operator(2.0, 16, 2.0)  # needs n >= 8 sigma fs = 32
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.7, 1.0, 2.5])
+    @pytest.mark.parametrize("fs", [1.0, 1.7, 2.0, 3.0])
+    def test_matrix_is_the_outer_difference_formula(self, sigma, fs):
+        for n in range(16, 512, 15):  # 16 to 511, odd and even
+            if n < 8 * sigma * fs:
+                continue
+            k = np.arange(n, dtype=np.float64)
+            expected = np.exp(-((k[:, None] - k[None, :]) / fs) ** 2 / (2 * sigma**2))
+            matrix = build_kernel_operator(sigma, n, fs).matrix
+            assert np.array_equal(matrix, expected), (sigma, fs, n)
+            assert matrix.flags.c_contiguous and not matrix.flags.writeable
+
+    def test_build_holds_one_n_by_n_array(self):
+        n = 256
+        build_kernel_operator(1.0, n, 1.0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            build_kernel_operator(1.0, n, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * np.dtype(np.float64).itemsize
 
     def test_gaussian_defaults(self):
         beta, eps = gaussian_admissibility(1.0)
@@ -187,7 +220,6 @@ class TestSolver:
     def test_constrained_solve_does_not_import_scipy_optimize(self, tmp_path):
         # scipy.optimize costs about 0.25 s of start-up and 20 MB of peak RSS
         # per run; the benchmark counts both, so the LP stays in numpy.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(chainlab.__file__)))
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("[experiment]\nid = sparse_certificate_sweep\nseed = 0\n\n"
                        "[params]\ndraws = 3\n")
@@ -203,11 +235,19 @@ class TestSolver:
             f"assert main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
             "assert 'scipy.optimize' not in sys.modules\n"
         )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        _assert_runs_fresh(code)
+
+    def test_sparse_experiments_do_not_import_numpy_ma(self):
+        # numpy.ma costs 10-17 ms of start-up and about 0.9 MB of peak RSS per
+        # run; the benchmark counts both, so the sparse solvers avoid np.unique.
+        code = (
+            "import sys\n"
+            "from chainlab.experiments import run_experiment\n"
+            "run_experiment('sparse_certificate_sweep', 0)\n"
+            "run_experiment('lambda_pipeline', 0, {'replicates': 40})\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        _assert_runs_fresh(code)
 
     def test_zero_measurement_zero_solution(self):
         op = build_kernel_operator(1.0, 32, 2.0)

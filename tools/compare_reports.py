@@ -12,7 +12,10 @@ one thread, as under ``chainlab run``) and calls ``chainlab.cli.main`` once
 per experiment and seed: every catalog experiment, or only those that
 ``--ids`` names, comma-separated. The script lists every ``report.json`` and CSV
 that is missing on one side or differs in its bytes, and every run whose
-exit code differs. It exits 0 when there is none and 1 otherwise.
+exit code differs. It exits 0 when there is none and 1 when there is any.
+It exits 2, with a message, when it cannot compare: a reversed seed range
+such as ``--seeds 3-1``, a source tree that holds no ``chainlab`` package, or
+a child interpreter that crashes (an unknown ``--ids`` entry among others).
 """
 
 from __future__ import annotations
@@ -54,7 +57,13 @@ for seed in range(first, last + 1):
 
 def _seeds(text: str) -> tuple:
     first, _, last = text.partition("-")
-    return int(first), int(last or first)
+    try:
+        first, last = int(first), int(last or first)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a seed or a range A-B: {text!r}") from None
+    if last < first:
+        raise argparse.ArgumentTypeError(f"reversed seed range {text!r}")
+    return first, last
 
 
 def _outputs(root: Path) -> set:
@@ -66,13 +75,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
-    parser.add_argument("--seeds", default="0", help="one seed, or an inclusive range A-B")
+    parser.add_argument("--seeds", default="0", type=_seeds,
+                        help="one seed, or an inclusive range A-B")
     parser.add_argument("--ids", default="",
                         help="comma-separated experiment ids to compare (default: all)")
     args = parser.parse_args(argv)
-    first, last = _seeds(args.seeds)
+    first, last = args.seeds
+    sides = {"parent": args.parent_src, "change": args.change_src}
+    for side, src in sides.items():
+        if not Path(src, "chainlab", "__init__.py").is_file():
+            parser.error(f"the {side} source tree {src} holds no chainlab package")
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
-        sides = {"parent": args.parent_src, "change": args.change_src}
         procs = {}
         for side, src in sides.items():
             env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -80,12 +93,12 @@ def main(argv=None) -> int:
                 [sys.executable, "-c", CHILD, os.path.join(tmp, side), str(first), str(last),
                  args.ids],
                 env=env, stderr=subprocess.PIPE, text=True)
+        errs = {side: proc.communicate()[1] for side, proc in procs.items()}
         for side, proc in procs.items():
-            err = proc.communicate()[1]
             if proc.returncode != 0:
-                print(f"error: the {side} interpreter exited with {proc.returncode}\n{err}",
-                      file=sys.stderr)
-                return 1
+                print(f"error: the {side} interpreter exited with {proc.returncode}\n"
+                      f"{errs[side]}", file=sys.stderr)
+                return 2
         parent, change = (Path(tmp, side) for side in sides)
         differ = []
         codes = [json.loads((root / "exit_codes.json").read_text()) for root in (parent, change)]

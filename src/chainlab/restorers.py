@@ -48,10 +48,10 @@ class Restorer:
     meta: dict = field(default_factory=dict)
 
 
-def _posterior_rows(joint: JointDistribution, given: str = "y", target: str = "x") -> np.ndarray:
-    """p(target | given) rows; rows for zero-probability conditions are uniform
-    (they carry no joint mass, so any valid row works)."""
-    pair = marginal(joint, [given, target]).tensor
+def _posterior_rows(joint: JointDistribution) -> np.ndarray:
+    """p(x | y) rows; rows for zero-probability measurements are uniform (they
+    carry no joint mass, so any valid row works)."""
+    pair = marginal(joint, ["y", "x"]).tensor
     mass = pair.sum(axis=1, keepdims=True)
     n_t = pair.shape[1]
     rows = np.where(mass > 0, pair / np.where(mass > 0, mass, 1.0), 1.0 / n_t)
@@ -137,11 +137,28 @@ class ParamEstimator:
             raise ContractViolation(f"unknown stage {self.stage!r}")
 
 
-# Standard errors by which a Monte Carlo error may undercut its bound unflagged.
+# Standard errors by which a Monte Carlo number may miss the value it is
+# checked against, in every verdict that allows a Monte Carlo error.
 _FLAG_SIGMAS = 4.0
 
 # Replicates per sampler call: a block's arrays stay small at any replicate count.
 _MC_BLOCK = 1024
+
+
+def _mse_stderr(err: np.ndarray, paired: Optional[np.ndarray] = None) -> list:
+    """The Monte Carlo mean squared error of err, one error per replicate, as
+    (mean, standard error); given paired, the errors of a second estimate on
+    the same replicates, also that of paired and that of the difference of
+    squares paired**2 - err**2, replicate by replicate. The squares are taken
+    in one power-of-two unit of all the errors: an exact change of units that
+    keeps the squares' standard deviations in float range."""
+    errors = (err,) if paired is None else (err, paired)
+    unit = 2.0 ** math.frexp(max(np.abs(e).max(initial=0.0) for e in errors))[1]
+    squares = [(e / unit) ** 2 for e in errors]
+    if paired is not None:
+        squares.append(squares[1] - squares[0])
+    return [(float(sq.mean()) * unit**2, float(sq.std(ddof=1) / math.sqrt(err.size)) * unit**2)
+            for sq in squares]
 
 
 @dataclass(frozen=True)
@@ -186,13 +203,7 @@ def estimator_variance_mc(
     for start in range(0, replicates, _MC_BLOCK):
         stop = min(start + _MC_BLOCK, replicates)
         ests[start:stop] = sampler(rng, theta_true, m, stop - start)[estimator.stage].mean(axis=1)
-    # Squared errors in a power-of-two unit of the errors: an exact change of
-    # units that keeps the squares' standard deviation in float range.
-    err = ests - theta_true
-    unit = 2.0 ** math.frexp(np.abs(err).max())[1]
-    sq = (err / unit) ** 2
-    mse = float(sq.mean()) * unit**2
-    stderr = float(sq.std(ddof=1) / np.sqrt(replicates)) * unit**2
+    [(mse, stderr)] = _mse_stderr(ests - theta_true)
     flagged = crb is not None and mse < crb - _FLAG_SIGMAS * stderr
     return McVarianceReport(
         theta_true=theta_true,

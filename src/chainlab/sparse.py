@@ -53,6 +53,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ContractViolation, ZeroL1Norm
+from .restorers import _mse_stderr
 from .rng import stream_rng
 
 
@@ -737,10 +738,6 @@ def problem_doc(
 # rate-estimation pipeline
 # ---------------------------------------------------------------------------
 
-# Standard errors of slack the two pipeline verdicts allow.
-_PIPELINE_FLAG_SIGMAS = 4.0
-
-
 @dataclass(frozen=True)
 class LambdaPipelineReport:
     """Squared rate-estimation error from clean signals vs reconstructions."""
@@ -754,8 +751,6 @@ class LambdaPipelineReport:
     stderr_restored: float
     stderr_paired_diff: float
     crb: float
-    restored_not_better: bool
-    clean_meets_crb: bool
     solver_iterations: int  # of the reconstruction solve (0 without one)
     solver_unconverged: int  # reconstructed columns not converged or certified
     solver_finished: int  # reconstructed columns the feature-sign finisher certified
@@ -779,31 +774,28 @@ def lambda_pipeline_experiment(
     penalized solver, which needs the rate as its regularization prior; the
     exact interpolation when sigma_n == 0), "norm_oracle" (copies the true
     l1 mass). ``restorer`` names one restorer, giving one report, or is a
-    tuple of names, giving one report per name, all on the same draw.
+    nonempty tuple of names, giving one report per name, all on the same
+    draw. A report holds the numbers only: the experiment runner judges them.
     """
     if m < 1 or replicates < 2:
         raise ContractViolation("need m >= 1 and replicates >= 2")
     names = (restorer,) if isinstance(restorer, str) else tuple(restorer)
+    if not names:
+        raise ContractViolation("need at least one restorer")
     unknown = [name for name in names if name not in ("map_l1", "norm_oracle")]
     if unknown:
         raise ContractViolation(f"unknown restorer {unknown[0]!r}")
     operator = build_kernel_operator(sigma=1.0, n=n, fs=2.0)
     amps = np.empty(replicates * m)
-
-    def measurements():
-        drawn = 0
-        for chunk_amps, y in _pipeline_draw(operator, lambda_true, m, replicates, seed, sigma_n):
-            amps[drawn:drawn + chunk_amps.size] = chunk_amps
-            drawn += chunk_amps.size
-            yield y
-
+    measurements = _pipeline_draw(operator, lambda_true, m, replicates, seed, sigma_n, amps)
+    restored = {"norm_oracle": (amps, 0, 0, 0)}
     if "map_l1" in names:
-        restored = _map_l1_masses(measurements(), operator, lambda_true, sigma_n, amps.size)
+        restored["map_l1"] = _map_l1_masses(measurements, operator, lambda_true, sigma_n,
+                                            amps.size)
     else:
-        restored = None
-        for _ in measurements():  # the clean masses only
+        for _ in measurements:  # the clean masses only
             pass
-    reports = tuple(_pipeline_report(name, amps, restored, lambda_true, m, replicates)
+    reports = tuple(_pipeline_report(amps, restored[name], lambda_true, m, replicates)
                     for name in names)
     return reports[0] if isinstance(restorer, str) else reports
 
@@ -814,10 +806,11 @@ _PIPELINE_COLUMNS = 256
 
 
 def _pipeline_draw(operator, lambda_true: float, m: int, replicates: int, seed: int,
-                   sigma_n: float):
+                   sigma_n: float, amps: np.ndarray):
     """The pipeline's draw, in chunks of whole replicates: yields, chunk by
-    chunk, the spike amplitudes, one per column, and the measurements, (n,
-    columns), of max(1, _PIPELINE_COLUMNS // m) replicates.
+    chunk, the measurements, (n, columns), of max(1, _PIPELINE_COLUMNS // m)
+    replicates, once it has written their spike amplitudes, one per column,
+    into their entries of amps, a (replicates * m,) array.
 
     Replicate r draws from stream (seed, r): its m spike locations, their
     amplitudes, then its (n, m) noise; its columns follow those of replicate
@@ -832,20 +825,20 @@ def _pipeline_draw(operator, lambda_true: float, m: int, replicates: int, seed: 
     for first in range(0, replicates, per_chunk):
         count = min(per_chunk, replicates - first)
         locs = np.empty(count * m, dtype=np.int64)
-        amps = np.empty(count * m)
+        chunk_amps = amps[first * m:(first + count) * m]
         y = np.zeros((n, count * m))
         for i in range(count):
             rng = stream_rng(seed, first + i)
             cols = slice(i * m, (i + 1) * m)
             locs[cols] = rng.integers(sep, n - sep, size=m)
-            amps[cols] = rng.exponential(1.0 / lambda_true, size=m)
+            chunk_amps[cols] = rng.exponential(1.0 / lambda_true, size=m)
             if sigma_n > 0:
                 y[:, cols] = rng.standard_normal((n, m))
         y *= sigma_n
         spikes = operator.matrix[:, locs]
-        spikes *= amps
+        spikes *= chunk_amps
         y += spikes
-        yield amps, y
+        yield y
 
 
 def _l1_masses(x: np.ndarray) -> np.ndarray:
@@ -887,40 +880,26 @@ def _map_l1_masses(measurements, operator, lambda_true: float, sigma_n: float,
     return masses, int(its.max(initial=0)), int(np.count_nonzero(~certified)), finished
 
 
-def _pipeline_report(restorer: str, amps, restored, lambda_true: float, m: int,
+def _pipeline_report(amps, restored, lambda_true: float, m: int,
                      replicates: int) -> LambdaPipelineReport:
-    """Compare the two rate estimates of one restorer, each from the signals'
-    l1 masses: amps on the clean side and for the norm oracle, and for map_l1
-    the masses of its reconstructions with the solver's counts, restored (as
-    _map_l1_masses returns them). A replicate restored to zero mass has an
-    infinite rate estimate, so the restored MSE and its standard errors are
-    infinite."""
-    if restorer == "norm_oracle":
-        masses, iterations, unconverged, finished = amps, 0, 0, 0
-    else:
-        masses, iterations, unconverged, finished = restored
-
+    """The two rate estimates of one restorer, each from the signals' l1
+    masses: amps on the clean side, and on the restored side the masses of
+    restored = (masses, iterations, unconverged, finished), as _map_l1_masses
+    returns them, or (amps, 0, 0, 0) for the norm oracle. A replicate restored
+    to zero mass has an infinite rate estimate, so the restored MSE and its
+    standard errors are infinite."""
+    masses, iterations, unconverged, finished = restored
     l1_clean = amps.reshape(replicates, m).sum(axis=1)
     if np.any(l1_clean == 0):
         raise ZeroL1Norm("a replicate drew zero total l1 mass")
     l1_rest = masses.reshape(replicates, m).sum(axis=1)
-    finite = bool(np.all(l1_rest > 0))
     err_clean = m / l1_clean - lambda_true
-    err_rest = m / l1_rest - lambda_true if finite else np.zeros(0)
-    # Squared errors in one power-of-two unit of both sides' errors: an exact
-    # change of units that keeps the squares' standard deviations in range.
-    unit = 2.0 ** math.frexp(max(np.abs(err_clean).max(), np.abs(err_rest).max(initial=0.0)))[1]
-    sq_clean = (err_clean / unit) ** 2
-    mse_clean = float(sq_clean.mean()) * unit**2
-    se_clean = float(sq_clean.std(ddof=1) / math.sqrt(replicates)) * unit**2
-    if finite:
-        sq_rest = (err_rest / unit) ** 2
-        mse_rest = float(sq_rest.mean()) * unit**2
-        se_rest = float(sq_rest.std(ddof=1) / math.sqrt(replicates)) * unit**2
-        se_diff = float((sq_rest - sq_clean).std(ddof=1) / math.sqrt(replicates)) * unit**2
+    if np.all(l1_rest > 0):
+        (mse_clean, se_clean), (mse_rest, se_rest), (_, se_diff) = _mse_stderr(
+            err_clean, m / l1_rest - lambda_true)
     else:
+        [(mse_clean, se_clean)] = _mse_stderr(err_clean)
         mse_rest = se_rest = se_diff = math.inf
-    crb = lambda_true**2 / m
     return LambdaPipelineReport(
         lambda_true=lambda_true,
         m=m,
@@ -930,9 +909,7 @@ def _pipeline_report(restorer: str, amps, restored, lambda_true: float, m: int,
         stderr_clean=se_clean,
         stderr_restored=se_rest,
         stderr_paired_diff=se_diff,
-        crb=crb,
-        restored_not_better=bool(mse_rest >= mse_clean - _PIPELINE_FLAG_SIGMAS * se_diff),
-        clean_meets_crb=bool(mse_clean >= crb - _PIPELINE_FLAG_SIGMAS * se_clean),
+        crb=lambda_true**2 / m,
         solver_iterations=iterations,
         solver_unconverged=unconverged,
         solver_finished=finished,

@@ -20,6 +20,7 @@ from chainlab.cli import main
 from chainlab.errors import InvalidOverride, UnknownExperiment
 from chainlab.experiments import (
     CATALOG,
+    _close,
     list_experiments,
     resolve_params,
     run_experiment,
@@ -479,15 +480,24 @@ class TestParameterContract:
         assert len(err) == 2 and all(e.startswith("error:") and "MemoryError" in e for e in err)
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("exp_id,params", [
-        ("crb_gaussian_mean", {"sigma_x": 1000}),
-        ("entropy_error_bound", {"sigma": 1000}),
+    @pytest.mark.parametrize("scale", ["1e-150", "1e-100", "1e-10", "0.3", "1", "3", "1000",
+                                       "1e10", "1e100", "1e150"])
+    @pytest.mark.parametrize("exp_id,name", [
+        ("crb_laplace_rate", "rate"),
+        ("crb_gaussian_mean", "sigma_x"),
+        ("entropy_error_bound", "sigma"),
     ])
-    def test_exact_verdicts_hold_at_large_scale(self, tmp_path, exp_id, params):
-        """Closed-form checks compare relative to the expected value, so a
-        correct run at a large scale passes."""
-        cfg = write_config(tmp_path / "big.cfg", exp_id, seed=0, params=params)
+    def test_exact_verdicts_hold_at_every_scale(self, tmp_path, exp_id, name, scale):
+        """Closed-form equality claims compare relative to the expected value
+        at every magnitude, so a correct run passes at any scale that validate
+        accepts (at rate 1e-10, J_m reads 4.999999999999999e21 against 5e21:
+        one ulp, which an absolute tolerance of 1e-12 failed), and a value off
+        by a factor of two fails however small the scale."""
+        cfg = write_config(tmp_path / "scale.cfg", exp_id, seed=0, params={name: scale})
+        assert main(["validate", cfg]) == 0
         assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 0
+        x = float(scale) ** 2
+        assert _close(x * (1 + 2**-52), x, 1e-15) and not _close(2 * x, x, 1e-12)
 
     @pytest.mark.parametrize("params,code", [
         ({"rate": 100, "m": 4, "replicates": 10}, 1),
@@ -698,6 +708,31 @@ class TestNoUnreachedFunctions:
             visit(tree, None)
         unreferenced = {name for node, name in public.items() if node.name not in referenced}
         assert unreferenced == set(self.KEPT)
+
+    def test_every_constant_is_read(self):
+        """Every upper-case name that a chainlab module binds in its own scope
+        (not in a function or class) is read by name in the package or in the
+        acceptance tests: a constant that nothing reads fixes nothing.
+        ``__version__`` is not upper-case, so it is exempt."""
+        package = Path(chainlab.__file__).parent
+        trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+        acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+        constants = set()
+
+        def bind(node, module):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id.isupper():
+                constants.add((module, node.id))
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                for child in ast.iter_child_nodes(node):
+                    bind(child, module)
+
+        for module, tree in trees.items():
+            bind(tree, module)
+        read = {node.id if isinstance(node, ast.Name) else node.attr
+                for tree in [*trees.values(), acceptance] for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+        assert len(constants) > 50
+        assert {f"{module}.{name}" for module, name in constants if name not in read} == set()
 
 
 class TestStartup:

@@ -171,7 +171,6 @@ class McVarianceReport:
     mse: float
     mse_stderr: float
     crb: Optional[float]
-    flagged: bool
     estimates: np.ndarray
 
 
@@ -184,17 +183,15 @@ def estimator_variance_mc(
     seed: int,
     crb: Optional[float] = None,
 ) -> McVarianceReport:
-    """Monte Carlo E(theta - theta_hat)^2 with a bound comparison.
+    """Monte Carlo E(theta - theta_hat)^2, reported next to a bound crb.
 
     ``sampler(rng, theta, m, replicates)`` returns per-stage sample arrays
     keyed "x", "y", "xhat", one row per replicate. Every replicate of a call
     comes from the one generator ``stream_rng(seed)``, drawn _MC_BLOCK
     replicates per sampler call. The generator's stream continues across
     calls, so the blocks give the numbers one big draw would, and replicate
-    r is the same at any ``replicates > r`` (prefix-stable).
-
-    The report is flagged when the measured error undercuts the bound by
-    more than _FLAG_SIGMAS standard errors (a modeling bug, not luck).
+    r is the same at any ``replicates > r`` (prefix-stable). The report
+    holds the numbers only: the experiment runner judges them against crb.
     """
     if replicates < 2:
         raise ContractViolation("need at least 2 replicates")
@@ -204,7 +201,6 @@ def estimator_variance_mc(
         stop = min(start + _MC_BLOCK, replicates)
         ests[start:stop] = sampler(rng, theta_true, m, stop - start)[estimator.stage].mean(axis=1)
     [(mse, stderr)] = _mse_stderr(ests - theta_true)
-    flagged = crb is not None and mse < crb - _FLAG_SIGMAS * stderr
     return McVarianceReport(
         theta_true=theta_true,
         m=m,
@@ -212,7 +208,6 @@ def estimator_variance_mc(
         mse=mse,
         mse_stderr=stderr,
         crb=crb,
-        flagged=flagged,
         estimates=ests,
     )
 

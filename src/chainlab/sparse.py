@@ -6,16 +6,18 @@ modes. The penalized mode is l1-penalized least squares (the lasso), solved
 column by column to a certified exact minimizer: batched over-relaxed ADMM
 in float32 proposes the sign pattern, an exact float64 solve on that pattern
 polishes it, and the lasso KKT conditions accept or reject each column. The
-polish reads only the signs, so a column is polished again only when its
-signs have changed since its last failed polish. A column that ADMM has not
-certified after max_iter iterations goes to feature-sign search, a finite
-float64 active-set method, and the same polish and certificate judge its
-answer. The columns stream through this solve: it fetches the right-hand
-sides each refill of its block needs and hands every finished column to
-its caller, so the rate pipeline draws its measurements a chunk of
+polish reads only the signs, an int8 pattern, so a column is polished again
+only when its signs have changed since its last failed polish. A column that
+ADMM has not certified after max_iter iterations goes to feature-sign
+search, a finite float64 active-set method, and the same polish and
+certificate judge its answer. The columns stream through this solve: it
+fetches the right-hand sides each refill of its block needs, into buffers
+of the block's width allocated once, and hands every finished column, with
+its ADMM count and certificate, to its caller, so the solve holds nothing of
+one entry per column. The rate pipeline draws its measurements a chunk of
 replicates at a time and keeps only each reconstruction's l1 mass. A
-penalty path (one penalty per column) is feature-sign search
-alone, each column started from the last one's answer. The constrained mode,
+penalty path (one penalty per column) is feature-sign search alone, each
+column started from the last one's answer. The constrained mode,
 min ||x||_1 s.t. ||y - Gx||_1 <= delta, is a linear program and is solved
 exactly for each column of y, so its answer is the constrained minimizer
 that the recovery certificates bound. The LP is taken in equality form,
@@ -189,9 +191,10 @@ def _polish(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray], z: np.n
     size. The column is certified when x keeps the signs s, stationarity
     (Ax - b)_S + lam s_S = 0 holds to round-off, and |(Ax - b)_j| <= lam off
     S: these are the KKT conditions of min 0.5 x'Ax - b'x + lam ||x||_1, so a
-    certified x is its exact minimizer. Only the signs of z are read, so two
-    z of one sign pattern give the same result. lam is a float or one value
-    per column of b. Returns (x, certified).
+    certified x is its exact minimizer. Only the signs of z are read, and z
+    may be of any numeric dtype, such as an int8 sign pattern: two z of one
+    sign pattern give the same result. lam is a float or one value per
+    column of b. Returns (x, certified), x in float64.
     """
     n = a.shape[0]
     s = np.sign(z)
@@ -200,7 +203,7 @@ def _polish(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray], z: np.n
     # Column j's support, in increasing order, is support[first[j]:][:sizes[j]].
     support = np.nonzero(on.T)[1]
     first = np.cumsum(sizes) - sizes
-    x = np.zeros_like(z)
+    x = np.zeros(z.shape)
     solved = np.ones(z.shape[1], dtype=bool)
     # The support sizes in use, by np.bincount: np.unique would import numpy.ma.
     for k in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
@@ -247,32 +250,35 @@ def _column_source(blocks) -> Callable:
 
 
 def _certified_lasso(a: np.ndarray, fetch: Callable, c: int, lam: float, max_iter: int,
-                     collect: Callable) -> tuple:
+                     collect: Callable) -> int:
     """min 0.5 x'Ax - b'x + lam ||x||_1 for each of c columns b, certified per column.
 
     The columns stream through the solve: fetch(k) returns the next k columns
-    of b, (n, k), and collect(cols, x) receives the answers x, (n, len(cols)),
-    of the columns numbered cols as they finish, so that b is held only for
-    the live block and no answer is held at all. Over-relaxed ADMM for the
-    lasso (Boyd et al. 2011, secs. 3.4.3 and 6.4; Eckstein & Bertsekas 1992)
-    proposes sign patterns in float32; only the float64 _polish and its
-    certificate accept one. alpha = _ADMM_RELAX is folded into one step
-    matrix formed once from (A + rho I)^{-1}, and a block of at most
-    _ADMM_BLOCK live columns iterates together. Every _POLISH_EVERY
+    of b, (n, k), and collect(cols, x, iterations, certified) receives, for
+    the columns numbered cols as they finish, their answers x, (n, len(cols)),
+    their ADMM counts and whether each is certified. b is held only for the
+    live block, and no answer and nothing of one entry per column is held at
+    all. Over-relaxed ADMM for the lasso (Boyd et al. 2011, secs. 3.4.3 and
+    6.4; Eckstein & Bertsekas 1992) proposes sign patterns in float32; only
+    the float64 _polish and its certificate accept one. alpha = _ADMM_RELAX
+    is folded into one step matrix formed once from (A + rho I)^{-1}, and a
+    block of at most _ADMM_BLOCK live columns iterates together, in buffers
+    allocated once at that width (c, if fewer): the live columns fill their
+    leading slots, in the order they were fetched. Every _POLISH_EVERY
     iterations each live column whose sign pattern differs from the one it
-    was last polished on is polished on its ADMM support; the others are
+    was last polished on is polished on that int8 pattern; the others are
     skipped, since _polish reads only the signs and that pattern already
     failed. Certified columns, and columns that reached max_iter, leave the
-    block, and the next columns are fetched in their places (a refill).
-    max_iter is the hand-off: a column still uncertified then goes to the
-    feature-sign finisher (_feature_sign_polish) from its last ADMM iterate,
-    in the round it reaches max_iter. With max_iter = 0 no ADMM step is
-    taken: one polish of x = 0 certifies the columns whose minimizer is 0,
-    and every other column goes to the finisher from zero. Columns do not
-    interact, so each runs as it would alone, in any order. Returns
-    (certified, iterations, finished): per column, whether it is certified
-    and its ADMM count, and the number of columns the finisher certified; an
-    uncertified column's answer is the finisher's last iterate.
+    block, the columns that stay are compacted in place, and the next
+    columns are fetched into the free slots (a refill). max_iter is the
+    hand-off: a column still uncertified then goes to the feature-sign
+    finisher (_feature_sign_polish) from its last ADMM iterate, in the round
+    it reaches max_iter. With max_iter = 0 no ADMM step is taken: one polish
+    of x = 0 certifies the columns whose minimizer is 0, and every other
+    column goes to the finisher from zero. Columns do not interact, so each
+    runs as it would alone, in any order. Returns the number of columns the
+    finisher certified; an uncertified column's answer is the finisher's
+    last iterate.
     """
     n = a.shape[0]
     rho = _ADMM_RHO * float(np.trace(a)) / n
@@ -288,74 +294,81 @@ def _certified_lasso(a: np.ndarray, fetch: Callable, c: int, lam: float, max_ite
     # infinity, and is clamped there.
     gain = _ADMM_RELAX * np.abs(inv).sum(axis=1).max()
     bound, scale = 0.0, 1.0
-    certified, iterations = np.zeros(c, dtype=bool), np.zeros(c, dtype=np.intp)
-    finished = 0
 
-    # Live columns: index, iterations run, b, alpha x0, the ADMM state u, w,
-    # and the sign pattern last polished (2, no sign, before the first
-    # polish). With x = x0 + rho (A + rho I)^{-1} w and z = w + u, the relaxed
-    # point plus u is v = alpha x + (1 - alpha) z + u = step w + alpha x0 +
-    # (2 - alpha) u; the z-update soft-thresholds v at tau, the scaled dual
-    # update leaves u = v - z = clip(v, -tau, tau), and w = z - u.
-    live = np.zeros(0, dtype=np.intp)
-    runs = np.zeros(0, dtype=np.intp)
-    b = np.zeros((n, 0))
-    x0, u, w = (np.zeros((n, 0), dtype=np.float32) for _ in range(3))
-    polished = np.zeros((n, 0), dtype=np.int8)
+    # Live columns, in the first `size` slots: index, iterations run, b,
+    # alpha x0, the ADMM state u, w, and the sign pattern last polished (2,
+    # no sign, before the first polish); v and t are scratch. With
+    # x = x0 + rho (A + rho I)^{-1} w and z = w + u, the relaxed point plus u
+    # is v = alpha x + (1 - alpha) z + u = step w + alpha x0 + (2 - alpha) u;
+    # the z-update soft-thresholds v at tau, the scaled dual update leaves
+    # u = v - z = clip(v, -tau, tau), and w = z - u.
+    width = min(_ADMM_BLOCK, c)
+    live, runs = np.zeros(width, dtype=np.intp), np.zeros(width, dtype=np.intp)
+    b = np.zeros((n, width))
+    x0, u, w, v, t = (np.zeros((n, width), dtype=np.float32) for _ in range(5))
+    polished = np.zeros((n, width), dtype=np.int8)
     tau = np.float32(np.clip(scale * lam / rho, 2.0**-60, 2.0**60))
-    started = 0
-    while started < c or live.size:
-        k = min(_ADMM_BLOCK - live.size, c - started)
+    started = size = finished = 0
+    while started < c or size:
+        k = min(width - size, c - started)
         if k:
             new = fetch(k)
             bound = max(bound, gain * max(new.max(), -new.min()))
             unit = 2.0 ** -np.frexp(bound)[1]
             if unit != scale:  # in float64, so that a zero state stays zero
                 for state in (x0, u, w):
-                    state *= np.float64(unit / scale)
+                    state[:, :size] *= np.float64(unit / scale)
                 scale = unit
                 tau = np.float32(np.clip(scale * lam / rho, 2.0**-60, 2.0**60))
-            zeros = np.zeros((n, k), dtype=np.float32)
-            live = np.concatenate([live, np.arange(started, started + k)])
+            free = slice(size, size + k)
+            live[free] = np.arange(started, started + k)
+            runs[free] = 0
+            b[:, free] = new
+            x0[:, free] = scale * _ADMM_RELAX * (inv @ new)
+            u[:, free] = w[:, free] = 0.0
+            polished[:, free] = 2
             started += k
-            runs = np.concatenate([runs, np.zeros(k, dtype=np.intp)])
-            b = np.hstack([b, new])
-            x0 = np.hstack([x0, (scale * _ADMM_RELAX * (inv @ new)).astype(np.float32)])
-            u, w = np.hstack([u, zeros]), np.hstack([w, zeros])
-            polished = np.hstack([polished, np.full((n, k), 2, dtype=np.int8)])
-        v, t = np.empty_like(u), np.empty_like(u)
-        steps = min(_POLISH_EVERY, max_iter - int(runs.max()))
+            size += k
+            del new  # its columns are in b: not held twice through the round
+        steps = min(_POLISH_EVERY, max_iter - int(runs[:size].max()))
+        x0_on, u_on, w_on, v_on, t_on = (state[:, :size] for state in (x0, u, w, v, t))
         for _ in range(steps):
-            np.matmul(step, w, out=v)
-            v += x0
-            np.multiply(u, 2.0 - _ADMM_RELAX, out=t)
-            v += t
-            np.clip(v, -tau, tau, out=u)
-            np.subtract(v, u, out=w)
-            w -= u
-        runs += steps
-        iterations[live] = runs
-        z = (w + u).astype(np.float64) / scale
-        signs = np.sign(z).astype(np.int8)
-        fresh = np.flatnonzero((signs != polished).any(axis=0))
+            np.matmul(step, w_on, out=v_on)
+            v_on += x0_on
+            np.multiply(u_on, 2.0 - _ADMM_RELAX, out=t_on)
+            v_on += t_on
+            np.clip(v_on, -tau, tau, out=u_on)
+            np.subtract(v_on, u_on, out=w_on)
+            w_on -= u_on
+        runs[:size] += steps
+        # z = w + u in units of scale, in t; its signs, in v, are those of
+        # z / scale, a power-of-two rescaling into float64's far wider range.
+        z = np.add(w_on, u_on, out=t_on)
+        signs = np.sign(z, out=v_on)
+        fresh = np.flatnonzero((signs != polished[:, :size]).any(axis=0))
         polished[:, fresh] = signs[:, fresh]
-        x, ok = _polish(a, b[:, fresh], lam, z[:, fresh])
+        x, ok = _polish(a, b[:, fresh], lam, polished[:, fresh])
         done = fresh[ok]
-        collect(live[done], x[:, ok])
-        certified[live[done]] = True
-        keep = runs < max_iter
-        keep[done] = False
+        if done.size:
+            collect(live[done], x[:, ok], runs[done], np.ones(done.size, dtype=bool))
+        del x  # no answer outlives its collect
+        keep = runs[:size] < max_iter
         handed = ~keep
-        handed[done] = False
-        if handed.any():
-            cols = live[handed]
-            x, ok, _ = _feature_sign_polish(a, b[:, handed], np.full(cols.size, lam), z[:, handed])
-            collect(cols, x)
-            certified[cols] = ok
+        keep[done] = handed[done] = False
+        handed = np.flatnonzero(handed)
+        if handed.size:
+            start = z[:, handed].astype(np.float64)
+            start /= scale
+            x, ok, _ = _feature_sign_polish(a, b[:, handed], np.full(handed.size, lam), start)
+            collect(live[handed], x, runs[handed], ok)
             finished += int(np.count_nonzero(ok))
-        live, runs, b, polished = live[keep], runs[keep], b[:, keep], polished[:, keep]
-        x0, u, w = x0[:, keep], u[:, keep], w[:, keep]
-    return certified, iterations, finished
+            del x, start
+        kept = np.flatnonzero(keep)
+        for state in (b, x0, u, w, polished):
+            state[:, :kept.size] = state[:, kept]
+        live[:kept.size], runs[:kept.size] = live[kept], runs[kept]
+        size = kept.size
+    return finished
 
 
 def _feature_sign_polish(a: np.ndarray, b: np.ndarray, lam: np.ndarray,
@@ -620,12 +633,12 @@ def l1_map_solve(
             finished = int(np.count_nonzero(certified))
         else:
             x = np.zeros_like(b)
+            certified, its = np.zeros(b.shape[1], dtype=bool), np.zeros(b.shape[1], dtype=np.intp)
 
-            def collect(cols, x_cols):
-                x[:, cols] = x_cols
+            def collect(cols, x_cols, iterations, ok):
+                x[:, cols], its[cols], certified[cols] = x_cols, iterations, ok
 
-            certified, its, finished = _certified_lasso(a, _column_source([b]), b.shape[1], lam,
-                                                        max_iter, collect)
+            finished = _certified_lasso(a, _column_source([b]), b.shape[1], lam, max_iter, collect)
         return SolveResult(x.reshape(y.shape), bool(certified.all()), int(its.max(initial=0)),
                            int(np.count_nonzero(~certified)), tuple(its.tolist()), finished)
     if mode != "constrained":
@@ -855,9 +868,11 @@ def _l1_masses(x: np.ndarray) -> np.ndarray:
 def _map_l1_masses(measurements, operator, lambda_true: float, sigma_n: float,
                    total: int) -> tuple:
     """The l1 mass of each of the total columns' map_l1 reconstructions, and
-    the solver's (iterations, unconverged, finished), from the measurements'
-    chunks as the solver takes them. Each reconstruction is reduced to its
-    mass as it is finished, so none is held."""
+    the solver's (iterations, unconverged, finished): the largest ADMM count,
+    and the counts of uncertified columns and of columns the finisher
+    certified, from the measurements' chunks as the solver takes them. Each
+    reconstruction is reduced to its mass, and its count and certificate to
+    those totals, as it is finished, so none is held."""
     masses = np.empty(total)
     if sigma_n == 0:
         # noiseless: the exact-interpolation solve recovers each signal
@@ -871,13 +886,18 @@ def _map_l1_masses(measurements, operator, lambda_true: float, sigma_n: float,
     g = operator.matrix
     inv_var = 1.0 / sigma_n**2
 
-    def collect(cols, x):
-        masses[cols] = _l1_masses(x)
+    most = uncertified = 0
 
-    certified, its, finished = _certified_lasso(
+    def collect(cols, x, iterations, certified):
+        nonlocal most, uncertified
+        masses[cols] = _l1_masses(x)
+        most = max(most, int(iterations.max()))
+        uncertified += int(np.count_nonzero(~certified))
+
+    finished = _certified_lasso(
         inv_var * (g.T @ g), _column_source(inv_var * (g.T @ y) for y in measurements), total,
         lambda_true, _ADMM_HANDOFF, collect)
-    return masses, int(its.max(initial=0)), int(np.count_nonzero(~certified)), finished
+    return masses, most, uncertified, finished
 
 
 def _pipeline_report(amps, restored, lambda_true: float, m: int,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import chainlab.experiments as experiments
 from chainlab.errors import (
     ContractViolation,
     NonNumericSupport,
@@ -318,7 +319,7 @@ class TestEstimatorVarianceMc:
             seed=6, crb=sigma_x**2)
         assert abs(rep_y.mse - sigma_x**2) <= 4 * rep_y.mse_stderr
         np.testing.assert_array_equal(rep_y.estimates, rep_xhat.estimates)
-        assert not rep_y.flagged
+        assert rep_y.mse >= rep_y.crb - restorers._FLAG_SIGMAS * rep_y.mse_stderr
 
     @pytest.mark.parametrize("c", [2.0**-300, 2.0**300])
     def test_mse_commutes_with_power_of_two_scaling(self, c):
@@ -384,12 +385,24 @@ class TestEstimatorVarianceMc:
 
     def test_error_far_below_a_claimed_bound_is_flagged(self):
         """The sample mean of 10 unit normals has error variance 0.1; a
-        claimed bound of 1 is undercut by many standard errors."""
+        claimed bound of 1 is undercut by many standard errors, which the
+        report's numbers show and crb_attainment's rule flags."""
         rep = estimator_variance_mc(awgn_mean_sampler(1.0, 0.0),
                                     ParamEstimator(kind="sample_mean"), 0.0, 10, 500,
                                     seed=10, crb=1.0)
-        assert rep.mse < 0.2
-        assert rep.flagged
+        assert rep.mse < 0.2 and rep.crb == 1.0
+        assert rep.mse < rep.crb - restorers._FLAG_SIGMAS * rep.mse_stderr
+
+    def test_crb_attainment_flags_an_error_below_its_bound(self, monkeypatch):
+        """crb_attainment judges the reports itself: with the chain's noise
+        halved, both estimators' errors fall to a quarter of the bound, and
+        its no_bound_violation_flag verdict fails."""
+        report, _, _ = experiments.run_experiment("crb_attainment", seed=0)
+        assert report["verdicts"]["no_bound_violation_flag"]
+        monkeypatch.setattr(experiments, "awgn_mean_sampler",
+                            lambda sigma_x, sigma_n: awgn_mean_sampler(sigma_x / 2, sigma_n / 2))
+        report, _, _ = experiments.run_experiment("crb_attainment", seed=0)
+        assert not report["verdicts"]["no_bound_violation_flag"]
 
     def test_report_fields(self):
         rep = estimator_variance_mc(awgn_mean_sampler(1.0, 0.0),
@@ -397,7 +410,7 @@ class TestEstimatorVarianceMc:
         assert (rep.theta_true, rep.m, rep.replicates, rep.crb) == (1.5, 4, 30, None)
         assert rep.estimates.shape == (30,)
         assert rep.mse == pytest.approx(float(np.mean((rep.estimates - 1.5) ** 2)))
-        assert not rep.flagged
+        assert not hasattr(rep, "flagged")  # the runner judges the numbers
 
 
 class TestAwgnMeanSampler:

@@ -56,16 +56,25 @@ def _assert_runs_fresh(code):
     assert proc.returncode == 0, proc.stderr
 
 
+def _collector(c, n):
+    """A collect for _certified_lasso that gathers, for c columns of n
+    unknowns, (x, certified, iterations): (collect, x, certified, iterations)."""
+    x = np.full((n, c), np.nan)
+    certified, iterations = np.zeros(c, dtype=bool), np.full(c, -1, dtype=np.intp)
+
+    def collect(cols, x_cols, its, ok):
+        x[:, cols], iterations[cols], certified[cols] = x_cols, its, ok
+
+    return collect, x, certified, iterations
+
+
 def _lasso(a, b, lam, max_iter):
     """_certified_lasso over the columns of a dense b, as l1_map_solve runs
     it: (x, certified, iterations, finished), finished a count."""
-    x = np.zeros_like(b)
-
-    def collect(cols, x_cols):
-        x[:, cols] = x_cols
-
-    return (x, *sparse._certified_lasso(a, sparse._column_source([b]), b.shape[1], lam,
-                                        max_iter, collect))
+    collect, x, certified, iterations = _collector(b.shape[1], b.shape[0])
+    finished = sparse._certified_lasso(a, sparse._column_source([b]), b.shape[1], lam, max_iter,
+                                       collect)
+    return x, certified, iterations, finished
 
 
 class TestSpikeSignal:
@@ -464,8 +473,9 @@ class TestSolver:
         """A column is polished only on a sign pattern it was not polished on
         before: column 33 of this pipeline draw fails its polish at iteration
         50, keeps those signs at 100, where it is skipped, and certifies at
-        150. The skip is exact: a fresh polish of its iterate at 100 repeats
-        the failed result of 50 bit for bit."""
+        150. The polish is handed the int8 sign pattern alone, and the skip
+        is exact: a fresh polish of its iterate at 100 repeats the failed
+        result of 50 bit for bit."""
         op = build_kernel_operator(1.0, 24, 2.0)
         _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
         g = op.matrix
@@ -481,13 +491,17 @@ class TestSolver:
         monkeypatch.setattr(sparse, "_polish", spy)
         _, ok, its, finished = _lasso(a, b, 1.0, 2_000)
         assert ok[0] and its[0] == 150 and finished == 0
-        assert sum(z.shape[1] for z, _ in polished) == 2
-        z50, (x50, ok50) = polished[0]
+        assert sum(s.shape[1] for s, _ in polished) == 2
+        s50, (x50, ok50) = polished[0]
+        assert s50.dtype == np.int8
         monkeypatch.setattr(sparse, "_FEATURE_SIGN_STEPS", 0)
-        z100, ok100, its100, _ = _lasso(a, b, 1.0, 100)  # its last ADMM iterate
+        # A finisher of no steps returns the last ADMM iterate as it is.
+        z50, _, _, _ = _lasso(a, b, 1.0, 50)
+        z100, ok100, its100, _ = _lasso(a, b, 1.0, 100)
         assert not ok50[0] and not ok100[0] and its100[0] == 100
         assert not np.array_equal(z100, z50)
-        np.testing.assert_array_equal(np.sign(z100), np.sign(z50))
+        np.testing.assert_array_equal(np.sign(z50), s50)
+        np.testing.assert_array_equal(np.sign(z100), s50)
         x_fresh, ok_fresh = real(a, b, 1.0, z100)
         assert not ok_fresh[0] and np.array_equal(x_fresh, x50)
 
@@ -528,14 +542,9 @@ class TestSolver:
             fetched.append(k)
             return source(k)
 
-        x = np.zeros_like(b)
-
-        def collect(cols, x_cols):
-            x[:, cols] = x_cols
-
+        collect, x, ok, _ = _collector(b.shape[1], b.shape[0])
         with np.errstate(over="raise", invalid="raise"):
-            ok, _, _ = sparse._certified_lasso(a, fetch, b.shape[1], 1.0, sparse._ADMM_HANDOFF,
-                                               collect)
+            sparse._certified_lasso(a, fetch, b.shape[1], 1.0, sparse._ADMM_HANDOFF, collect)
             alone = _lasso(a, ordinary, 1.0, sparse._ADMM_HANDOFF)
             big_alone = _lasso(a, big, 1.0, sparse._ADMM_HANDOFF)
         first_big = np.searchsorted(np.cumsum(fetched), 200, side="right")
@@ -949,16 +958,12 @@ class TestLambdaPipeline:
         _, y = _draw(op, 1.0, 25, 200, 7, 0.1)
         dense = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1,
                              max_iter=sparse._ADMM_HANDOFF)
-        x = np.full(y.shape, np.nan)
-
-        def collect(cols, x_cols):
-            x[:, cols] = x_cols
-
+        collect, x, certified, its = _collector(y.shape[1], y.shape[0])
         amps = np.empty(y.shape[1])
         chunks = _pipeline_draw(op, 1.0, 25, 200, 7, 0.1, amps)
         assert {chunk.shape[1] for chunk in chunks} == {50}
         chunks = _pipeline_draw(op, 1.0, 25, 200, 7, 0.1, amps)
-        certified, its, finished = sparse._certified_lasso(
+        finished = sparse._certified_lasso(
             inv_var * (g.T @ g), sparse._column_source(inv_var * (g.T @ c) for c in chunks),
             y.shape[1], 1.0, sparse._ADMM_HANDOFF, collect)
         assert certified.all() and finished == 0
@@ -1008,14 +1013,14 @@ class TestLambdaPipeline:
         replicates at a time and keeps only each column's l1 mass: at the
         defaults, with both restorers, its traced peak stays under one
         n x (replicates * m) float array, the noiseless branch's too. At 4x
-        the replicates the peak grows by no more than 26 bytes per added
+        the replicates the peak grows by no more than 17 bytes per added
         column, the bound that lambda_pipeline's parameter check rests on.
-        The arrays of one entry per column take 25 (amplitudes and masses,
-        float64; the solver's iteration counts, intp; its certified flags,
-        bool); the last byte, 75 kB here, covers the few kB by which the
-        interpreter's free lists move a traced peak from run to run."""
+        The arrays of one entry per column take 16 (amplitudes and masses,
+        float64; the solver keeps none); the last byte, 75 kB here, covers
+        the few kB by which the interpreter's free lists move a traced peak
+        from run to run."""
         both = ("map_l1", "norm_oracle")
-        per_column = 2 * 8 + np.dtype(np.intp).itemsize + 2
+        per_column = 2 * 8 + 1
         for sigma_n in (0.1, 0.0):  # first-call allocations
             lambda_pipeline_experiment(1.0, 3, 4, seed=0, sigma_n=sigma_n, restorer=both)
         for sigma_n in (0.1, 0.0):
@@ -1030,6 +1035,38 @@ class TestLambdaPipeline:
                     tracemalloc.stop()
             assert peaks[0] < 24 * 25_000 * np.dtype(np.float64).itemsize, sigma_n
             assert peaks[1] - peaks[0] <= 3 * 25_000 * per_column, sigma_n
+
+    def test_solver_holds_nothing_per_column(self):
+        """The certified lasso's buffers have the width of its live block, and
+        it hands every finished column's answer, ADMM count and certificate
+        to collect: streaming 8 000 columns through it, from a generator of
+        blocks, peaks where streaming 2 000 does, within a few KiB."""
+        op = build_kernel_operator(1.0, 24, 2.0)
+        _, y = _draw(op, 1.0, 25, 10, 0, 0.1)
+        g = op.matrix
+        a, block = 100.0 * (g.T @ g), 100.0 * (g.T @ y)
+        seen = []
+
+        def collect(cols, x, iterations, certified):
+            seen.append(int(np.count_nonzero(certified)))
+
+        def solve(c):
+            blocks = (block for _ in range(c // block.shape[1]))
+            sparse._certified_lasso(a, sparse._column_source(blocks), c, 1.0,
+                                    sparse._ADMM_HANDOFF, collect)
+
+        solve(2000)  # first-call allocations
+        peaks = []
+        for c in (2000, 8000):
+            seen.clear()
+            tracemalloc.start()
+            try:
+                solve(c)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sum(seen) == c
+        assert peaks[1] - peaks[0] <= 4096
 
     def test_replicate_restored_to_zero_mass_has_infinite_error(self):
         """At rate 100 the penalty zeroes every column of some replicate, whose

@@ -1,6 +1,6 @@
 """tools/compare_reports.py, the two-tree report differ: exit 0 for equal
 reports, 1 for reports that differ, and 2, with a message, when it cannot
-compare."""
+compare; its --set overrides reach every run."""
 
 import os
 import subprocess
@@ -46,3 +46,39 @@ def test_crashed_child_interpreter_is_not_a_difference(tmp_path):
     assert "the change interpreter exited with 1" in proc.stderr
     assert "this tree does not import" in proc.stderr
     assert "differences" not in proc.stdout
+
+
+def _probe_tree(root, written):
+    """A chainlab tree of one experiment, "probe", whose runs each write the
+    --set items of their command line into their report.json; with written,
+    they write that list instead."""
+    package = root / "chainlab"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "experiments.py").write_text("CATALOG = {'probe': None}\n")
+    (package / "cli.py").write_text(
+        "import json, pathlib\n"
+        "def main(argv):\n"
+        "    out = pathlib.Path(argv[argv.index('--out') + 1]) / 'probe'\n"
+        "    out.mkdir(parents=True, exist_ok=True)\n"
+        "    sets = [argv[i + 1] for i, arg in enumerate(argv) if arg == '--set']\n"
+        f"    (out / 'report.json').write_text(json.dumps({written!r} or sets))\n"
+        "    return 0\n")
+    return root
+
+
+def test_overrides_reach_every_run_in_order(tmp_path):
+    echo = _probe_tree(tmp_path / "echo", None)
+    fixed = _probe_tree(tmp_path / "fixed", ["rate=2", "m=3"])
+    proc = _compare(echo, fixed, "--seeds", "0-2", "--set", "rate=2", "--set", "m=3")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "seeds 0-2: 3 runs per side, 3 output files, 0 differences"
+    proc = _compare(echo, fixed, "--seeds", "0-2", "--set", "m=3", "--set", "rate=2")
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[-1].endswith(" 3 differences")
+
+
+def test_override_without_a_value_is_a_usage_error():
+    proc = _compare(SRC, SRC, "--set", "rate")
+    assert proc.returncode == 2
+    assert "expected KEY=VALUE, got 'rate'" in proc.stderr

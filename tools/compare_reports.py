@@ -1,21 +1,28 @@
-"""Run every catalog experiment at its default parameters under two chainlab
-source trees and list the output files that differ.
+"""Run every catalog experiment, at its default parameters or with the given
+overrides, under two chainlab source trees and list the output files that
+differ.
 
     python tools/compare_reports.py PARENT_SRC CHANGE_SRC --seeds 0-99
     python tools/compare_reports.py PARENT_SRC CHANGE_SRC --seeds 0-99 \
         --ids lambda_pipeline,sparse_certificate_sweep,sparse_noiseless_recovery
+    python tools/compare_reports.py PARENT_SRC CHANGE_SRC --seeds 0-9 \
+        --ids lambda_pipeline --set sigma_n=0.01 --set m=3
 
 PARENT_SRC and CHANGE_SRC are directories that hold the ``chainlab``
 package, such as the ``src`` folders of two checkouts. Each tree runs in one
 interpreter of its own, which imports chainlab first (so BLAS is pinned to
 one thread, as under ``chainlab run``) and calls ``chainlab.cli.main`` once
 per experiment and seed: every catalog experiment, or only those that
-``--ids`` names, comma-separated. The script lists every ``report.json`` and CSV
-that is missing on one side or differs in its bytes, and every run whose
-exit code differs. It exits 0 when there is none and 1 when there is any.
-It exits 2, with a message, when it cannot compare: a reversed seed range
-such as ``--seeds 3-1``, a source tree that holds no ``chainlab`` package, or
-a child interpreter that crashes (an unknown ``--ids`` entry among others).
+``--ids`` names, comma-separated. Each ``--set KEY=VALUE`` (repeatable) is
+passed to every run as ``chainlab run --set KEY=VALUE``, so that the trees
+can be compared away from the defaults; a run that rejects the override
+exits 2 on both sides, which is no difference. The script lists every
+``report.json`` and CSV that is missing on one side or differs in its
+bytes, and every run whose exit code differs. It exits 0 when there is none
+and 1 when there is any. It exits 2, with a message, when it cannot compare:
+a reversed seed range such as ``--seeds 3-1``, an override without ``=``, a
+source tree that holds no ``chainlab`` package, or a child interpreter that
+crashes (an unknown ``--ids`` entry among others).
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ import tempfile
 from pathlib import Path
 
 # Runs in each source tree's interpreter: argv is (out_dir, first_seed,
-# last_seed, ids), ids comma-separated, or empty for the whole catalog.
+# last_seed, ids, *sets), ids comma-separated, or empty for the whole
+# catalog, and sets the KEY=VALUE overrides of every run.
 CHILD = """
 import sys
 import chainlab
@@ -38,6 +46,7 @@ from chainlab.cli import main
 from chainlab.experiments import CATALOG
 import contextlib, io, json, pathlib
 out, first, last = pathlib.Path(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+sets = [arg for item in sys.argv[5:] for arg in ("--set", item)]
 ids = sorted(sys.argv[4].split(",")) if sys.argv[4] else sorted(CATALOG)
 unknown = [exp_id for exp_id in ids if exp_id not in CATALOG]
 if unknown:
@@ -50,7 +59,7 @@ for seed in range(first, last + 1):
         cfg.write_text(f"[experiment]\\nid = {exp_id}\\nseed = {seed}\\n")
         with contextlib.redirect_stdout(io.StringIO()):
             codes[f"{exp_id} seed {seed}"] = main(["run", str(cfg), "--out",
-                                                    str(out / "runs" / f"seed-{seed}")])
+                                                    str(out / "runs" / f"seed-{seed}"), *sets])
 (out / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True))
 """
 
@@ -66,19 +75,28 @@ def _seeds(text: str) -> tuple:
     return first, last
 
 
+def _override(text: str) -> str:
+    if "=" not in text:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    return text
+
+
 def _outputs(root: Path) -> set:
     return {p.relative_to(root) for p in root.rglob("*")
             if p.is_file() and (p.name == "report.json" or p.suffix == ".csv")}
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument("--seeds", default="0", type=_seeds,
                         help="one seed, or an inclusive range A-B")
     parser.add_argument("--ids", default="",
                         help="comma-separated experiment ids to compare (default: all)")
+    parser.add_argument("--set", action="append", default=[], type=_override,
+                        metavar="KEY=VALUE",
+                        help="a parameter override passed to every run (repeatable)")
     args = parser.parse_args(argv)
     first, last = args.seeds
     sides = {"parent": args.parent_src, "change": args.change_src}
@@ -91,7 +109,7 @@ def main(argv=None) -> int:
             env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
             procs[side] = subprocess.Popen(
                 [sys.executable, "-c", CHILD, os.path.join(tmp, side), str(first), str(last),
-                 args.ids],
+                 args.ids, *args.set],
                 env=env, stderr=subprocess.PIPE, text=True)
         errs = {side: proc.communicate()[1] for side, proc in procs.items()}
         for side, proc in procs.items():

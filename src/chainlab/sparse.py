@@ -9,15 +9,18 @@ polishes it, and the lasso KKT conditions accept or reject each column. The
 polish reads only the signs, an int8 pattern, so a column is polished again
 only when its signs have changed since its last failed polish. A column that
 ADMM has not certified after max_iter iterations goes to feature-sign
-search, a finite float64 active-set method, and the same polish and
-certificate judge its answer. The columns stream through this solve: it
+search, a finite float64 active-set method run in lock-step over the handed
+off columns, a block's worth at a time. Each of its steps is one polish of a
+column's current signs, so the one solve and certificate judge the column
+at every step; a column the search leaves uncertified from ADMM's iterate is
+searched once more from zero. The columns stream through this solve: it
 fetches the right-hand sides each refill of its block needs, into buffers
 of the block's width allocated once, and hands every finished column, with
 its ADMM count and certificate, to its caller, so the solve holds nothing of
 one entry per column. The rate pipeline draws its measurements a chunk of
 replicates at a time and keeps only each reconstruction's l1 mass. A
-penalty path (one penalty per column) is feature-sign search alone, each
-column started from the last one's answer. The constrained mode,
+penalty path (one penalty per column) is the same search alone, one column
+at a time, each started from the last one's answer. The constrained mode,
 min ||x||_1 s.t. ||y - Gx||_1 <= delta, is a linear program and is solved
 exactly for each column of y, so its answer is the constrained minimizer
 that the recovery certificates bound. The LP is taken in equality form,
@@ -170,20 +173,35 @@ _POLISH_EVERY = 50
 # certifies every other one by 1 900 iterations (99.99% by 1 000).
 _ADMM_HANDOFF = 2_000
 # Columns iterated together; bounds the working set of a batched solve: the
-# b it holds, and the up to _ADMM_BLOCK n x n matrices a polish stacks.
+# b it holds, and the up to _ADMM_BLOCK n x n matrices a polish stacks (under
+# twice as many in the feature-sign finisher, whose pool of handed-off
+# columns is searched once it holds _ADMM_BLOCK).
 _ADMM_BLOCK = 1024
 # Stationarity on the support holds to this fraction of |A||x| + |b| + lam,
 # the magnitudes summed in Ax - b + lam s (round-off measured up to 1e-14).
 _KKT_ROUNDOFF = 1e-12
 # Off the support: |(Ax - b)_j| <= lam (1 + _KKT_DUAL_RTOL).
 _KKT_DUAL_RTOL = 1e-9
-# Feature-sign steps a column may take, per unknown: the worst case is
+# Feature-sign steps a search may take, per unknown: the worst case is
 # exponential (Mairal & Yu 2012), and a column past the cap stays uncertified.
-# The experiments' columns take at most 1.5 n from zero, 30 along the sweep's path.
+# The pipeline's columns (seed 0) take at most 1.5 n from zero at the default
+# noise and 2.7 n at sigma_n = 1e-3, and 1.9 n from ADMM's hand-off there;
+# the sweep's path columns take at most 30 steps (0.5 n) at seeds 0-99.
 _FEATURE_SIGN_STEPS = 4
 
 
-def _polish(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray], z: np.ndarray) -> tuple:
+def _supports(a: np.ndarray, on: np.ndarray):
+    """The columns of a boolean (n, c) mask grouped by support size: yields,
+    for each size k >= 1 in use, (cols, rows, a_ss), rows[i] holding column
+    cols[i]'s support in increasing order and a_ss[i] its k x k block of a."""
+    sizes = on.sum(axis=0)
+    for k in sorted(set(sizes.tolist()) - {0}):
+        cols = (sizes == k).nonzero()[0]
+        rows = on.T[cols].nonzero()[1].reshape(-1, k)
+        yield cols, rows, a[rows[:, :, None], rows[:, None, :]]
+
+
+def _polish(a: np.ndarray, b: np.ndarray, lam: float, z: np.ndarray) -> tuple:
     """Exact solve on the support and signs of z, and its KKT certificate.
 
     For each column, with S the support of z and s its signs there, solves
@@ -193,38 +211,29 @@ def _polish(a: np.ndarray, b: np.ndarray, lam: Union[float, np.ndarray], z: np.n
     S: these are the KKT conditions of min 0.5 x'Ax - b'x + lam ||x||_1, so a
     certified x is its exact minimizer. Only the signs of z are read, and z
     may be of any numeric dtype, such as an int8 sign pattern: two z of one
-    sign pattern give the same result. lam is a float or one value per
-    column of b. Returns (x, certified), x in float64.
+    sign pattern give the same result. Returns (x, certified), x in float64;
+    the columns of a stacked solve that meets an exactly singular A_SS hold
+    NaN on S and are not certified.
     """
-    n = a.shape[0]
     s = np.sign(z)
     on = s != 0
-    sizes = on.sum(axis=0)
-    # Column j's support, in increasing order, is support[first[j]:][:sizes[j]].
-    support = np.nonzero(on.T)[1]
-    first = np.cumsum(sizes) - sizes
-    x = np.zeros(z.shape)
-    solved = np.ones(z.shape[1], dtype=bool)
-    # The support sizes in use, by np.bincount: np.unique would import numpy.ma.
-    for k in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
-        cols = np.flatnonzero(sizes == k)
-        rows = support[first[cols, None] + np.arange(k)]
+    x, rhs = np.zeros(z.shape), b - lam * s
+    for cols, rows, a_ss in _supports(a, on):
         at = (rows, cols[:, None])
-        lam_at = lam[cols, None] if np.ndim(lam) else lam
         try:
-            x[at] = np.linalg.solve(a.reshape(-1)[rows[:, :, None] * n + rows[:, None, :]],
-                                    (b[at] - lam_at * s[at])[..., None])[..., 0]
+            x[at] = np.linalg.solve(a_ss, rhs[at][..., None])[..., 0]
         except np.linalg.LinAlgError:  # an exactly singular A_SS in the group
-            solved[cols] = False
+            x[at] = np.nan
     grad = a @ x
     grad -= b
     roundoff = np.abs(a) @ np.abs(x)
     roundoff += np.abs(b)
     roundoff += lam
     roundoff *= _KKT_ROUNDOFF
-    kkt = np.where(on, (x * s > 0) & (np.abs(grad + lam * s) <= roundoff),
-                   np.abs(grad) <= lam * (1.0 + _KKT_DUAL_RTOL))
-    return x, solved & kkt.all(axis=0)
+    # x keeps the signs s on S, and x = s = 0 off S, where grad + lam s = grad.
+    kkt = np.sign(x) == s
+    kkt &= np.abs(grad + lam * s) <= np.where(on, roundoff, lam * (1.0 + _KKT_DUAL_RTOL))
+    return x, kkt.all(axis=0)
 
 
 def _column_source(blocks) -> Callable:
@@ -271,14 +280,19 @@ def _certified_lasso(a: np.ndarray, fetch: Callable, c: int, lam: float, max_ite
     failed. Certified columns, and columns that reached max_iter, leave the
     block, the columns that stay are compacted in place, and the next
     columns are fetched into the free slots (a refill). max_iter is the
-    hand-off: a column still uncertified then goes to the feature-sign
-    finisher (_feature_sign_polish) from its last ADMM iterate, in the round
-    it reaches max_iter. With max_iter = 0 no ADMM step is taken: one polish
-    of x = 0 certifies the columns whose minimizer is 0, and every other
-    column goes to the finisher from zero. Columns do not interact, so each
-    runs as it would alone, in any order. Returns the number of columns the
-    finisher certified; an uncertified column's answer is the finisher's
-    last iterate.
+    hand-off: a column still uncertified then joins the finisher's pool with
+    its b and its last ADMM iterate, and leaves the block. Once the pool
+    holds _ADMM_BLOCK columns (c, if fewer), or at the end of the stream, the
+    feature-sign finisher (_feature_sign_polish) searches all of it in
+    lock-step, each column from its iterate, and retries from zero a column
+    it leaves uncertified: a block's worth of columns amortizes the search's
+    per-step cost, which a round's few hand-offs do not. The pool holds
+    fewer than twice that many columns. With max_iter = 0 no ADMM step is
+    taken: one polish of x = 0 certifies the columns whose minimizer is 0,
+    and every other column goes to the finisher from zero. Columns do not
+    interact, so each runs as it would alone, in any order. Returns the
+    number of columns the finisher certified; an uncertified column's answer
+    is the last iterate of the finisher's first search.
     """
     n = a.shape[0]
     rho = _ADMM_RHO * float(np.trace(a)) / n
@@ -308,7 +322,7 @@ def _certified_lasso(a: np.ndarray, fetch: Callable, c: int, lam: float, max_ite
     x0, u, w, v, t = (np.zeros((n, width), dtype=np.float32) for _ in range(5))
     polished = np.zeros((n, width), dtype=np.int8)
     tau = np.float32(np.clip(scale * lam / rho, 2.0**-60, 2.0**60))
-    started = size = finished = 0
+    pool, started, size, finished = [], 0, 0, 0
     while started < c or size:
         k = min(width - size, c - started)
         if k:
@@ -357,12 +371,17 @@ def _certified_lasso(a: np.ndarray, fetch: Callable, c: int, lam: float, max_ite
         keep[done] = handed[done] = False
         handed = np.flatnonzero(handed)
         if handed.size:
-            start = z[:, handed].astype(np.float64)
-            start /= scale
-            x, ok, _ = _feature_sign_polish(a, b[:, handed], np.full(handed.size, lam), start)
-            collect(live[handed], x, runs[handed], ok)
+            pool.append((live[handed], runs[handed], b[:, handed],
+                         z[:, handed].astype(np.float64) / scale))
+        # The finisher searches its pool once the pool holds a block's worth
+        # of columns, or once no column is left to fetch or to iterate.
+        if sum(part[0].size for part in pool) >= width or pool and started == c and not keep.any():
+            ids, its, rhs, starts = (np.concatenate(part, axis=-1) for part in zip(*pool))
+            x, _, ok = _feature_sign_polish(a, rhs, lam, starts)
+            collect(ids, x, its, ok)
             finished += int(np.count_nonzero(ok))
-            del x, start
+            pool = []
+            del x, rhs, starts
         kept = np.flatnonzero(keep)
         for state in (b, x0, u, w, polished):
             state[:, :kept.size] = state[:, kept]
@@ -371,74 +390,84 @@ def _certified_lasso(a: np.ndarray, fetch: Callable, c: int, lam: float, max_ite
     return finished
 
 
-def _feature_sign_polish(a: np.ndarray, b: np.ndarray, lam: np.ndarray,
-                         starts: Optional[np.ndarray]) -> tuple:
-    """_feature_sign on column j of b at lam[j], within _FEATURE_SIGN_STEPS * n
-    steps, from starts[:, j], or for starts None (a penalty path) from column
-    j - 1's answer, zero for j = 0; then one _polish of the settled columns.
-    Returns (x, certified, steps); an uncertified column holds the search's
-    last iterate."""
-    n, c = b.shape
-    x, certified, steps = np.zeros((n, c)), np.zeros(c, dtype=bool), np.zeros(c, dtype=np.intp)
-    for j in range(c):
-        start = x[:, max(j - 1, 0)] if starts is None else starts[:, j]
-        x[:, j], certified[j], steps[j] = _feature_sign(a, b[:, j], lam[j], start,
-                                                        _FEATURE_SIGN_STEPS * n)
-    polished, ok = _polish(a, b[:, certified], lam[certified], x[:, certified])
-    certified[certified] = ok  # of the settled columns, those the polish certifies
-    x[:, certified] = polished[:, ok]
-    return x, certified, steps
+def _feature_sign_polish(a: np.ndarray, b: np.ndarray, lam: float, x: np.ndarray) -> tuple:
+    """Feature-sign search (Lee, Battle, Raina & Ng 2007) for each column of
+    min f(x) = 0.5 x'Ax - b'x + lam ||x||_1, in float64, from the columns of
+    x, run in lock-step over the columns of b, which leave as they finish.
 
-
-def _feature_sign(a: np.ndarray, b: np.ndarray, lam: float, x: np.ndarray,
-                  max_steps: int) -> tuple:
-    """Feature-sign search (Lee, Battle, Raina & Ng 2007) for one column of
-    min f(x) = 0.5 x'Ax - b'x + lam ||x||_1, in float64, started from x.
-
-    The active set S is the support of x, with signs theta. A step solves
-    A_SS x_S = b_S - lam theta_S and searches the segment from x to that
-    solution: of the solution and of each point where a coefficient crosses
-    zero (set to exactly zero there), it moves to the one of lowest f, and
-    the zeros leave S. Once a step reaches the solution with its signs kept,
-    S is optimal, and the index off S with the largest |(Ax - b)_j| above
-    lam (1 + _KKT_DUAL_RTOL) joins it, with the sign that lowers f. f falls
-    at every step, so no active set repeats and the search is finite.
-    Returns (x, settled, steps): settled when S is optimal and no index
-    violates that bound within max_steps steps. Settling certifies nothing;
-    the caller's _polish decides.
+    A column's active set S is the support of x, with signs theta. A step is
+    one _polish of theta, whose stacked solves the columns share: it solves
+    A_SS x_S = b_S - lam theta_S, and a column whose solution it certifies
+    has its exact minimizer and leaves. Otherwise the step searches the
+    segment from x to that solution: of each point where a coefficient
+    crosses zero (set to exactly zero there), by index, and then of the
+    solution, it moves to the first of lowest f, and the zeros leave S. Once
+    a step reaches the solution with its signs kept, S is optimal, and the
+    index off S with the largest |(Ax - b)_j| above lam (1 + _KKT_DUAL_RTOL)
+    joins it, with the sign that lowers f. With none the column has settled,
+    and a _polish of its signs, not counted as a step, decides it. f falls
+    at every step, so no active set repeats and the search is finite. A
+    column also leaves uncertified at an exactly singular A_SS, or when it
+    has taken _FEATURE_SIGN_STEPS * n steps. A column that leaves
+    uncertified from a nonzero start is searched once more from zero, with
+    as many steps; should that fail too, its answer stays the last iterate
+    of its first search. Columns do not interact, so each runs as it would
+    alone. Returns (x, steps, certified), steps summing both searches of a
+    retried column.
     """
-    x = x.copy()
-    theta = np.sign(x)
-    optimal = not theta.any()
-    steps = 0
-    while True:
-        if optimal:
-            grad = a @ x - b
-            off = np.where(theta == 0, np.abs(grad), 0.0)
-            j = int(off.argmax())
-            if off[j] <= lam * (1.0 + _KKT_DUAL_RTOL):
-                return x, True, steps
-            theta[j] = -np.sign(grad[j])
-        if steps == max_steps:
-            return x, False, steps
-        steps += 1
-        on = np.flatnonzero(theta)
-        a_on, b_on = a[np.ix_(on, on)], b[on]
-        try:
-            x_new = np.linalg.solve(a_on, b_on - lam * theta[on])
-        except np.linalg.LinAlgError:  # an exactly singular A_SS
-            return x, False, steps
-        x_on = x[on]
-        cross = np.flatnonzero(x_on * x_new < 0)
-        points = x_on[:, None] + np.outer(x_new - x_on, x_on[cross] / (x_on[cross] - x_new[cross]))
-        points[cross, np.arange(cross.size)] = 0.0
-        points = np.hstack([points, x_new[:, None]])
-        f = (np.einsum("ij,ij->j", points, 0.5 * (a_on @ points) - b_on[:, None])
-             + lam * np.abs(points).sum(axis=0))
-        best = int(f.argmin())
-        x[on] = points[:, best]
-        optimal = best == cross.size and bool(np.all(x_new * theta[on] >= 0))
-        theta = np.sign(x)
+    n, c = b.shape
+    answer, certified, taken = x.copy(), np.zeros(c, dtype=bool), np.zeros(c, dtype=np.intp)
+    # The live columns: their index, iterate, signs and b, whether S is
+    # optimal, whether this is their first search, and the steps this search
+    # has taken. Until its first search ends, a column's answer is its start.
+    live, x, theta = np.arange(c), x.copy(), np.sign(x)
+    optimal, first, steps = ~theta.any(axis=0), np.ones(c, dtype=bool), np.zeros(c, dtype=np.intp)
+    while live.size:
+        grad = a @ x - b
+        off = np.where(theta == 0, np.abs(grad), 0.0)
+        j = off.argmax(axis=0)
+        settled = optimal & (off.max(axis=0) <= lam * (1.0 + _KKT_DUAL_RTOL))
+        join = (optimal & ~settled).nonzero()[0]
+        theta[j[join], join] = -np.sign(grad[j[join], join])
+        # Every live column is polished, a column out of steps to no effect.
+        fail = ~settled & (steps == _FEATURE_SIGN_STEPS * n)
+        steps += ~(settled | fail)
+        sol, ok = _polish(a, b, lam, theta)
+        ok &= ~fail
+        fail |= ~ok & (settled | np.isnan(sol).any(axis=0))
+        step = ~(ok | fail)
+        # A step whose segment crosses no zero moves to the solution. The
+        # others search their segments, grouped by the size of S; they do not
+        # keep the solution's signs, so S is not optimal for them.
+        new = np.where(step, sol, x)
+        optimal = (new * theta >= 0).all(axis=0)
+        cross = x * new < 0
+        crossing = cross.any(axis=0).nonzero()[0]
+        for cols, rows, a_ss in _supports(a, theta[:, crossing] != 0) if crossing.size else ():
+            cols, k = crossing[cols, None], rows.shape[1]
+            x_on, new_on, cut = x[rows, cols], new[rows, cols], cross[rows, cols]
+            ratio = np.divide(x_on, x_on - new_on, out=np.zeros(x_on.shape), where=cut)
+            points = np.concatenate([x_on[:, :, None] + (new_on - x_on)[:, :, None]
+                                     * ratio[:, None, :], new_on[:, :, None]], axis=2)
+            points[:, np.arange(k), np.arange(k)] = 0.0
+            f = np.einsum("lic,lic->lc", points, 0.5 * (a_ss @ points) - b[rows, cols][:, :, None])
+            f += lam * np.abs(points).sum(axis=1)
+            f[:, :k][~cut] = np.inf
+            new[rows, cols] = points[np.arange(len(cols)), :, f.argmin(axis=1)]
+        x, theta = new, np.sign(new)
+        if (ok | fail).any():
+            # A failed first search from a nonzero start is retried from zero,
+            # and a failed first search answers with its last iterate.
+            redo = (fail & first & answer[:, live].any(axis=0)).nonzero()[0]
+            answer[:, live[fail & first]] = x[:, fail & first]
+            answer[:, live[ok]], certified[live[ok]] = sol[:, ok], True
+            fail |= ok
+            taken[live[fail]] += steps[fail]
+            x[:, redo] = theta[:, redo] = 0.0
+            optimal[redo], first[redo], steps[redo], fail[redo] = True, False, 0, False
+            live, optimal, first, steps, x, theta, b = (
+                v[..., ~fail] for v in (live, optimal, first, steps, x, theta, b))
+    return answer, taken, certified
 
 
 # Relative tolerance of the simplex: pivots, primal and dual feasibility.
@@ -586,15 +615,19 @@ def l1_map_solve(
     column of y; a column is accepted only on the KKT certificate of an
     exact float64 polish on its sign pattern. For one float lam, float32
     ADMM proposes the patterns (_certified_lasso), and max_iter is its
-    hand-off to feature-sign search: at max_iter = 0, after one polish of
-    x = 0, every column that polish leaves uncertified goes to feature-sign
-    search. max_iter serves a scalar lam only. One lam per column of y is a
-    penalty path, solved by feature-sign search alone, column j started
-    from column j - 1's answer.
+    hand-off to feature-sign search, run in lock-step over the columns
+    handed off together, whose every step is a polish and its certificate:
+    at max_iter = 0, after one polish of x = 0, every column that polish
+    leaves uncertified goes to feature-sign search. max_iter serves a scalar
+    lam only. One lam per column of y is a penalty path, solved by the same
+    search alone, one column at a time, column j started from column
+    j - 1's answer. A column that the search leaves uncertified from a
+    nonzero start is searched once more from zero.
     ``converged`` means every column is certified, ``unconverged`` counts the
     columns that are not, ``finished`` those feature-sign certified,
     ``column_iterations`` holds each column's ADMM iterations (feature-sign
-    steps on a path) and ``iterations`` their maximum.
+    steps on a path, both searches' if a column was retried) and
+    ``iterations`` their maximum.
 
     constrained: minimize ||x||_1 s.t. ||y - Gx||_1 <= delta for each
     column of y, solved exactly as the equality-form linear program
@@ -628,16 +661,17 @@ def l1_map_solve(
             raise ContractViolation("penalized mode needs lam > 0 and sigma_z > 0")
         inv_var = 1.0 / sigma_z**2
         a, b = inv_var * (g.T @ g), inv_var * (g.T @ cols)
+        x = np.zeros_like(b)
+        certified, its = np.zeros(b.shape[1], dtype=bool), np.zeros(b.shape[1], dtype=np.intp)
+
+        def collect(cols, x_cols, iterations, ok):
+            x[:, cols], its[cols], certified[cols] = x_cols, iterations, ok
+
         if np.ndim(lam):
-            x, certified, its = _feature_sign_polish(a, b, lam, None)
+            for j in range(b.shape[1]):  # column j from column j - 1's answer
+                collect([j], *_feature_sign_polish(a, b[:, [j]], lam[j], x[:, [max(j - 1, 0)]]))
             finished = int(np.count_nonzero(certified))
         else:
-            x = np.zeros_like(b)
-            certified, its = np.zeros(b.shape[1], dtype=bool), np.zeros(b.shape[1], dtype=np.intp)
-
-            def collect(cols, x_cols, iterations, ok):
-                x[:, cols], its[cols], certified[cols] = x_cols, iterations, ok
-
             finished = _certified_lasso(a, _column_source([b]), b.shape[1], lam, max_iter, collect)
         return SolveResult(x.reshape(y.shape), bool(certified.all()), int(its.max(initial=0)),
                            int(np.count_nonzero(~certified)), tuple(its.tolist()), finished)

@@ -457,10 +457,10 @@ class TestSolver:
         lams = [0.5, 1e-3, 0.05, 1.0, 1e-2]
         path = l1_map_solve(ys, op, mode="penalized", lam=lams, sigma_z=1.0)
         assert path.converged and path.finished == 5
-        a = op.matrix.T @ op.matrix
-        polished, ok = sparse._polish(a, op.matrix.T @ ys, np.array(lams), path.x_hat)
-        assert ok.all() and np.array_equal(polished, path.x_hat)
+        a, b = op.matrix.T @ op.matrix, op.matrix.T @ ys
         for k, lam in enumerate(lams):
+            polished, ok = sparse._polish(a, b[:, [k]], lam, path.x_hat[:, [k]])
+            assert ok[0] and np.array_equal(polished[:, 0], path.x_hat[:, k])
             single = l1_map_solve(ys[:, k], op, mode="penalized", lam=lam, sigma_z=1.0,
                                   max_iter=20_000)
             assert single.converged
@@ -671,9 +671,20 @@ class TestSolver:
         assert capped.unconverged == 3 and not capped.converged
 
 
+def _oracle(a, b, lam):
+    """The one sign pattern of min 0.5 x'Ax - b'x + lam ||x||_1 whose polish
+    is certified, found among all 3^n, and its polish."""
+    n = len(b)
+    patterns = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n))).T
+    xs, ok = sparse._polish(a, np.repeat(b[:, None], patterns.shape[1], axis=1), lam, patterns)
+    assert np.count_nonzero(ok) == 1
+    return xs[:, ok][:, 0]
+
+
 class TestFeatureSignFinisher:
-    """Float64 feature-sign search, which takes every column that float32 ADMM
-    has not certified at the hand-off, and every column of a penalty path."""
+    """Float64 feature-sign search, run in lock-step over the columns that
+    float32 ADMM has not certified at the hand-off, and over each column of a
+    penalty path in turn."""
 
     @pytest.mark.parametrize("seed,col,rho", [(73, 7103, 0.004), (18, 20_596, 0.008)])
     def test_float32_stragglers_are_finished_exactly(self, monkeypatch, seed, col, rho):
@@ -703,27 +714,95 @@ class TestFeatureSignFinisher:
 
     def test_matches_exhaustive_sign_pattern_oracle(self):
         """On small random lassos (n = 6), exactly one of the 3^6 sign
-        patterns has a certified polish, and feature-sign, from zero or from
-        a random point, settles on it."""
+        patterns has a certified polish, and the search, from zero and from
+        a random point side by side in one block, certifies it in both
+        columns."""
         n = 6
-        patterns = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n))).T
         rng = stream_rng(72, 20)
         sizes = set()
         for _ in range(12):
             m = rng.standard_normal((n + 2, n))
             a, b, lam = m.T @ m, 3.0 * rng.standard_normal(n), rng.uniform(0.2, 2.0)
-            xs, ok = sparse._polish(a, np.repeat(b[:, None], patterns.shape[1], axis=1), lam,
-                                    patterns)
-            assert np.count_nonzero(ok) == 1
-            oracle = xs[:, ok][:, 0]
+            oracle = _oracle(a, b, lam)
             sizes.add(np.count_nonzero(oracle))
-            for start in (np.zeros(n), rng.standard_normal(n)):
-                x, settled, _ = sparse._feature_sign(a, b, lam, start,
-                                                     sparse._FEATURE_SIGN_STEPS * n)
-                assert settled
-                x, ok = sparse._polish(a, b[:, None], lam, x[:, None])
-                assert ok[0] and np.array_equal(x[:, 0], oracle)
+            starts = np.column_stack([np.zeros(n), rng.standard_normal(n)])
+            x, _, ok = sparse._feature_sign_polish(a, np.column_stack([b, b]), lam, starts)
+            assert ok.all() and np.array_equal(x, np.column_stack([oracle, oracle]))
         assert len(sizes) > 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_exact_reference_at_any_scale(self, n):
+        """A random positive definite lasso of n <= 5 unknowns, scaled by
+        2^-40, 1 and 2^40 (A, b and lam alike, so the minimizer is the same):
+        exactly one of the 3^n sign patterns passes the polish, with the same
+        x bit for bit at every scale, and the search from zero and from a
+        random start returns that x bit for bit."""
+        rng = stream_rng(72, 40 + n)
+        for _ in range(8):
+            m = rng.standard_normal((n + 1, n))
+            a = m.T @ m + 0.1 * np.eye(n)
+            b, lam = 2.0 * rng.standard_normal(n), rng.uniform(0.2, 1.0)
+            start = rng.standard_normal(n)
+            for scale in (2.0**-40, 1.0, 2.0**40):
+                oracle = _oracle(scale * a, scale * b, scale * lam)
+                assert np.array_equal(oracle, _oracle(a, b, lam))
+                for x0 in (np.zeros(n), start):
+                    x, _, ok = sparse._feature_sign_polish(scale * a, scale * b[:, None],
+                                                           scale * lam, x0[:, None])
+                    assert ok[0] and np.array_equal(x[:, 0], oracle)
+
+    def test_column_in_a_block_runs_as_it_would_alone(self, monkeypatch):
+        """64 columns of a pipeline draw at sigma_n = 0.01, searched in one
+        block from zero and from their ADMM iterates at 50 iterations, get the
+        x, step count and certificate that each gets searched alone."""
+        op = build_kernel_operator(1.0, 24, 2.0)
+        _, y = _draw(op, 1.0, 16, 4, 0, 0.01)
+        g = op.matrix
+        a, b = 1e4 * (g.T @ g), 1e4 * (g.T @ y)
+        with monkeypatch.context() as m:
+            m.setattr(sparse, "_FEATURE_SIGN_STEPS", 0)
+            z = _lasso(a, b, 1.0, 50)[0]  # the ADMM iterates, as they are
+        for starts in (np.zeros_like(b), z):
+            x, steps, ok = sparse._feature_sign_polish(a, b, 1.0, starts)
+            assert ok.all() and steps.max() > 10
+            for k in range(b.shape[1]):
+                alone = sparse._feature_sign_polish(a, b[:, [k]], 1.0, starts[:, [k]])
+                assert np.array_equal(alone[0][:, 0], x[:, k])
+                assert alone[1][0] == steps[k] and alone[2][0] == ok[k]
+
+    def test_exactly_singular_active_set_ends_the_search_from_its_start(self):
+        """With A = [[1, 1], [1, 1]], the pattern (+, +) has an exactly
+        singular A_SS: its polish leaves NaN on S and no certificate, so a
+        search started there stops after that one step and is retried from
+        zero, which certifies x = (1.5, 0)."""
+        a, b = np.ones((2, 2)), np.array([[2.0], [2.0]])
+        x, ok = sparse._polish(a, b, 0.5, np.ones((2, 1)))
+        assert np.isnan(x).all() and not ok[0]
+        x, steps, ok = sparse._feature_sign_polish(a, b, 0.5, np.ones((2, 1)))
+        assert ok[0] and steps[0] == 2 and np.array_equal(x[:, 0], [1.5, 0.0])
+
+    def test_retry_from_zero_certifies_a_column_its_admm_iterate_does_not(self, monkeypatch):
+        """Column 478 of the pipeline draw at sigma_n = 1e-6 (40 replicates,
+        seed 0), solved alone: from its ADMM iterate at the hand-off the
+        search uses up its 4n = 96 steps uncertified, and the retry from zero
+        certifies it in 48 more. The answer is, bit for bit, the search's
+        from zero and the polish of its own sign pattern."""
+        op = build_kernel_operator(1.0, 24, 2.0)
+        _, y = _draw(op, 1.0, 25, 40, 0, 1e-6)
+        g = op.matrix
+        a, b = 1e12 * (g.T @ g), 1e12 * (g.T @ y[:, 478:479])
+        x, ok, its, finished = _lasso(a, b, 1.0, sparse._ADMM_HANDOFF)
+        assert ok[0] and finished == 1 and its[0] == sparse._ADMM_HANDOFF
+        polished, certified = sparse._polish(a, b, 1.0, x)
+        assert certified[0] and np.array_equal(polished, x)
+        with monkeypatch.context() as m:
+            m.setattr(sparse, "_FEATURE_SIGN_STEPS", 0)
+            z = _lasso(a, b, 1.0, sparse._ADMM_HANDOFF)[0]  # the ADMM iterate, as it is
+        retried, steps, ok = sparse._feature_sign_polish(a, b, 1.0, z)
+        from_zero, zero_steps, zero_ok = sparse._feature_sign_polish(a, b, 1.0, np.zeros_like(z))
+        assert ok[0] and zero_ok[0] and np.array_equal(retried, x)
+        assert np.array_equal(from_zero, x)
+        assert steps[0] == sparse._FEATURE_SIGN_STEPS * 24 + zero_steps[0] == 96 + 48
 
     def test_finisher_alone_matches_admm(self):
         """With no ADMM iteration (max_iter = 0) every column whose minimizer
@@ -791,16 +870,22 @@ class TestFeatureSignFinisher:
         assert not report["all_passed"]
 
     def test_exhausted_step_cap_leaves_the_column_uncertified(self, monkeypatch):
-        """A column that runs out of steps is not settled, and so not
-        polished: the solve returns it uncertified and counts it."""
+        """A column that runs out of steps is not certified, whatever the
+        polish of its signs says: the solve returns it uncertified and
+        counts it. From zero the column needs more than one step and fewer
+        than n; with n steps allowed it is certified in as many."""
         op = build_kernel_operator(1.0, 24, 2.0)
         _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
         g = op.matrix
-        a, b = 100.0 * (g.T @ g), 100.0 * (g.T @ y[:, 0])
-        settles = [sparse._feature_sign(a, b, 1.0, np.zeros(24), k)[1] for k in range(24)]
-        needed = settles.index(True)
-        assert needed > 1 and all(settles[needed:])
+        a, b = 100.0 * (g.T @ g), 100.0 * (g.T @ y[:, [0]])
+        _, needed, ok = sparse._feature_sign_polish(a, b, 1.0, np.zeros_like(b))
+        assert ok[0] and 1 < needed[0] < 24
+        monkeypatch.setattr(sparse, "_FEATURE_SIGN_STEPS", 1)
+        _, steps, ok = sparse._feature_sign_polish(a, b, 1.0, np.zeros_like(b))
+        assert ok[0] and steps[0] == needed[0]
         monkeypatch.setattr(sparse, "_FEATURE_SIGN_STEPS", 0)
+        x, steps, ok = sparse._feature_sign_polish(a, b, 1.0, np.zeros_like(b))
+        assert not ok[0] and steps[0] == 0 and not x.any()
         sol = l1_map_solve(y[:, :3], op, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=0)
         assert not sol.converged and sol.unconverged == 3 and sol.finished == 0
         assert not sol.x_hat.any()

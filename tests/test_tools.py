@@ -1,8 +1,10 @@
 """tools/compare_reports.py, the two-tree report differ: exit 0 for equal
 reports, 1 for reports that differ, and 2, with a message, when it cannot
-compare; its --set overrides reach every run."""
+compare; its --set overrides reach every run, and each tree's run time goes
+to stderr."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,19 @@ def test_equal_trees_compare_clean():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].endswith(" 0 differences")
     assert "seeds 0-1: 2 runs per side" in proc.stdout
+
+
+def test_run_seconds_go_to_stderr_only():
+    """Each tree's total in-process run time is printed on stderr, one line
+    per tree, and never among the compared outputs on stdout."""
+    proc = _compare(SRC, SRC, "--seeds", "0-2", "--ids", "naive_tree")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["parent", "change"]
+    for line in lines:
+        assert re.fullmatch(r"(parent|change): \d+\.\d{3} s in 3 runs", line), line
+        assert 0.0 < float(line.split()[1]) < 60.0
+    assert " s in " not in proc.stdout
 
 
 def test_reversed_seed_range_is_a_usage_error():

@@ -8,16 +8,48 @@ runner.
 
 Importing chainlab pins BLAS to one thread, so that report bytes do not
 depend on the host's core count: OpenBLAS's multithreaded solves round
-differently. The pin only takes before numpy is loaded; ``BLAS_PINNED``
-says whether it did (or the environment had already set one thread).
+differently. Before numpy loads, the pin sets the thread variables; in a
+process that loaded numpy first, it calls the thread setter of each OpenBLAS
+library already loaded. ``BLAS_PINNED`` says whether the pin took (or the
+environment had already set one thread); it stays False only where no
+OpenBLAS setter was found.
 """
 
 import os
 import sys
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _pin_loaded_openblas() -> bool:
+    """Set each OpenBLAS already loaded to one thread; True if each then has one."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line}
+    except OSError:  # no /proc: not Linux
+        return False
+    threads = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:  # not a library that this process has loaded
+            continue
+        for name in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+                     "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+            if hasattr(lib, name % "set") and hasattr(lib, name % "get"):
+                getattr(lib, name % "set")(1)
+                threads.append(getattr(lib, name % "get")())
+                break
+        else:
+            threads.append(None)
+    return set(threads) == {1}
+
+
 if "numpy" in sys.modules:
-    BLAS_PINNED = all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
+    BLAS_PINNED = (all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
+                   or _pin_loaded_openblas())
 else:
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     BLAS_PINNED = True

@@ -174,9 +174,9 @@ def cmd_run(path: str, seed: int | None, out: str | None, sets: list) -> int:
             print(f"error: {e}", file=sys.stderr)
         return 2
     if not BLAS_PINNED:
-        print("warning: numpy was imported before chainlab, so BLAS is not pinned to one "
-              "thread; report numbers that rest on a BLAS solve may differ with the thread "
-              "count", file=sys.stderr)
+        print("warning: numpy was imported before chainlab and no OpenBLAS thread setter was "
+              "found, so BLAS is not pinned to one thread; report numbers that rest on a BLAS "
+              "solve may differ with the thread count", file=sys.stderr)
     out_root = Path(out or os.environ.get("CHAINLAB_OUT") or DEFAULT_OUT)
     target = out_root / rep.exp_id
     try:

@@ -136,7 +136,8 @@ def binned_pmf(cdf: Callable[[np.ndarray], np.ndarray], grid: Sequence[float]) -
 def normal_cdf(x) -> np.ndarray:
     """Standard normal CDF 0.5 erfc(-x / sqrt(2)), elementwise with ``math.erfc``."""
     z = -np.asarray(x, dtype=np.float64) / math.sqrt(2.0)
-    return 0.5 * np.asarray(np.frompyfunc(math.erfc, 1, 1)(z), dtype=np.float64)
+    erfc = np.fromiter(map(math.erfc, z.ravel().tolist()), np.float64, count=z.size)
+    return 0.5 * erfc.reshape(z.shape)
 
 
 def quantized_gaussian_mean_family(sigma_x: float, grid: Sequence[float],

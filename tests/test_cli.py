@@ -787,9 +787,32 @@ class TestBlasPin:
         reports = [self._run(tmp_path, f"threads-{t}", t, self.RUN)[1] for t in ("1", "2", None)]
         assert reports[0] == reports[1] == reports[2]
 
-    def test_numpy_loaded_first_is_reported_and_leaves_the_report(self, tmp_path):
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="the loaded OpenBLAS is found through /proc/self/maps")
+    def test_numpy_loaded_first_is_pinned_and_leaves_the_report(self, tmp_path):
+        """With numpy loaded first and no thread variable set, chainlab pins
+        the OpenBLAS that numpy loaded through its own thread setter."""
         err, pinned = self._run(tmp_path, "pinned", None, self.RUN)
         assert err == ""
-        err, late = self._run(tmp_path, "late", "1", "import numpy\n" + self.RUN)
-        assert "numpy was imported before chainlab" in err
+        err, late = self._run(tmp_path, "late", None,
+                              "import numpy\nimport chainlab\nassert chainlab.BLAS_PINNED\n"
+                              + self.RUN)
+        assert err == ""
         assert late == pinned
+
+    def test_no_openblas_setter_found_warns_and_writes_the_report(self, tmp_path):
+        """Where the lookup of loaded libraries finds nothing, BLAS_PINNED
+        stays False and `chainlab run` warns, then writes the report."""
+        hide_maps = ("import builtins, numpy\n"
+                     "real_open = builtins.open\n"
+                     "def open_but_maps(file, *args, **kwargs):\n"
+                     "    if file == '/proc/self/maps':\n"
+                     "        raise FileNotFoundError(file)\n"
+                     "    return real_open(file, *args, **kwargs)\n"
+                     "builtins.open = open_but_maps\n"
+                     "import chainlab\n"
+                     "builtins.open = real_open\n"
+                     "assert not chainlab.BLAS_PINNED\n")
+        err, report = self._run(tmp_path, "unfound", None, hide_maps + self.RUN)
+        assert "no OpenBLAS thread setter was found" in err
+        assert json.loads(report)["experiment"] == "sparse_noiseless_recovery"

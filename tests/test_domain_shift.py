@@ -7,6 +7,7 @@ absolute error, and finite-difference gradients at the returned minimizer.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from chainlab.domain_shift import (
 )
 from chainlab.domain_shift import _L1_GAP_RTOL, _training_blocks
 from chainlab.errors import ContractViolation, DimensionMismatch, DomainsCoincide
+from chainlab.experiments import run_experiment
 from chainlab.rng import stream_rng
 
 
@@ -519,6 +521,35 @@ class TestMixedVsTargeted:
             pred = y @ sol[:-1] + sol[-1]
             errors.append(float(np.mean((pred - dom.inverses[i](u)) ** 2)))
         return errors
+
+    def test_held_out_errors_are_the_predict_errors_bit_for_bit(self):
+        """The report's one-buffer errors are
+        np.mean((restorer.predict(y) - x) ** 2) to the last bit, on the
+        experiment's default blur domains."""
+        dom = two_blur_domains(48, 1.0, 2.0)
+        for seed in range(5):
+            mixed, targeted = domain_shift._exact_fits(dom, seed, 256)
+            expected = ([], [])
+            for i, solo in enumerate(targeted):
+                u = dom.latent_samplers[i](stream_rng(seed, 1000 + i), 1024)
+                y, x = dom.observation(u), dom.inverses[i](u)
+                for errors, restorer in zip(expected, (mixed, solo)):
+                    errors.append(float(np.mean((restorer.predict(y) - x) ** 2)))
+            rep = mixed_vs_targeted_report(dom, seed=seed, batch=256)
+            assert rep.mixed_errors == tuple(expected[0])
+            assert rep.targeted_errors == tuple(expected[1])
+
+    def test_default_run_peaks_under_1_8_mib(self):
+        """One evaluation draw is alive at a time, and each restorer's error
+        takes one buffer: an array of 1 024 draws of 48 samples is 0.375 MiB."""
+        run_experiment("mixed_vs_targeted", 0, {})  # first-call allocations
+        tracemalloc.start()
+        try:
+            run_experiment("mixed_vs_targeted", 0, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * 2**20
 
     @pytest.mark.parametrize("make", [
         lambda: two_blur_domains(48, 1.0, 2.0),

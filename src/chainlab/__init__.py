@@ -8,11 +8,12 @@ runner.
 
 Importing chainlab pins BLAS to one thread, so that report bytes do not
 depend on the host's core count: OpenBLAS's multithreaded solves round
-differently. Before numpy loads, the pin sets the thread variables; in a
-process that loaded numpy first, it calls the thread setter of each OpenBLAS
-library already loaded. ``BLAS_PINNED`` says whether the pin took (or the
-environment had already set one thread); it stays False only where no
-OpenBLAS setter was found.
+differently. The pin sets the thread variables, so that every OpenBLAS
+loaded after chainlab starts with one thread; in a process that loaded numpy
+first, it also calls the thread setter of each OpenBLAS library already
+loaded. ``BLAS_PINNED`` says whether the pin took (or the environment had
+already set one thread); it stays False only where no OpenBLAS setter was
+found.
 """
 
 import os
@@ -47,12 +48,10 @@ def _pin_loaded_openblas() -> bool:
     return set(threads) == {1}
 
 
-if "numpy" in sys.modules:
-    BLAS_PINNED = (all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
-                   or _pin_loaded_openblas())
-else:
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    BLAS_PINNED = True
+BLAS_PINNED = ("numpy" not in sys.modules
+               or all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
+               or _pin_loaded_openblas())
+os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 # numpy loads from here on, after the pin.
 from .probability import (

@@ -165,7 +165,9 @@ class LinearRestorer:
         self.bias.setflags(write=False)
 
     def predict(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(y, dtype=np.float64) @ self.weights.T + self.bias
+        out = np.asarray(y, dtype=np.float64) @ self.weights.T
+        out += self.bias
+        return out
 
     def check_training(self) -> bool:
         """Loss log non-increasing up to _TRAINING_SLACK relative to its starting value."""
@@ -440,8 +442,7 @@ def _held_out_errors(domains: DomainSpec, i: int, seed: int, restorers) -> list:
     del u
     errors = []
     for restorer in restorers:
-        r = y @ restorer.weights.T
-        r += restorer.bias
+        r = restorer.predict(y)
         r -= x
         np.multiply(r, r, out=r)
         errors.append(float(np.mean(r)))

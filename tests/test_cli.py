@@ -791,12 +791,13 @@ class TestBlasPin:
                         reason="the loaded OpenBLAS is found through /proc/self/maps")
     def test_numpy_loaded_first_is_pinned_and_leaves_the_report(self, tmp_path):
         """With numpy loaded first and no thread variable set, chainlab pins
-        the OpenBLAS that numpy loaded through its own thread setter."""
+        the OpenBLAS that numpy loaded through its own thread setter, and sets
+        the thread variables for any OpenBLAS loaded after it."""
         err, pinned = self._run(tmp_path, "pinned", None, self.RUN)
         assert err == ""
         err, late = self._run(tmp_path, "late", None,
-                              "import numpy\nimport chainlab\nassert chainlab.BLAS_PINNED\n"
-                              + self.RUN)
+                              "import os, numpy\nimport chainlab\nassert chainlab.BLAS_PINNED\n"
+                              "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n" + self.RUN)
         assert err == ""
         assert late == pinned
 

@@ -63,13 +63,13 @@ def test_crashed_child_interpreter_is_not_a_difference(tmp_path):
     assert "differences" not in proc.stdout
 
 
-def _probe_tree(root, written, pinned=True):
+def _probe_tree(root, written):
     """A chainlab tree of one experiment, "probe", whose runs each write the
     --set items of their command line into their report.json; with written,
-    they write that list instead. Its chainlab.BLAS_PINNED is pinned."""
+    they write that list instead."""
     package = root / "chainlab"
     package.mkdir(parents=True)
-    (package / "__init__.py").write_text(f"BLAS_PINNED = {pinned}\n")
+    (package / "__init__.py").write_text("")
     (package / "experiments.py").write_text("CATALOG = {'probe': None}\n")
     (package / "cli.py").write_text(
         "import json, pathlib\n"
@@ -97,15 +97,3 @@ def test_override_without_a_value_is_a_usage_error():
     proc = _compare(SRC, SRC, "--set", "rate")
     assert proc.returncode == 2
     assert "expected KEY=VALUE, got 'rate'" in proc.stderr
-
-
-def test_unpinned_tree_is_not_compared(tmp_path):
-    """A tree whose chainlab leaves BLAS unpinned could round its solves
-    with another thread count: its interpreter exits 2 before any run."""
-    pinned = _probe_tree(tmp_path / "pinned", None)
-    unpinned = _probe_tree(tmp_path / "unpinned", None, pinned=False)
-    proc = _compare(pinned, unpinned)
-    assert proc.returncode == 2
-    assert "the change interpreter exited with 2" in proc.stderr
-    assert "chainlab.BLAS_PINNED is False" in proc.stderr
-    assert "differences" not in proc.stdout

@@ -10,11 +10,10 @@ differ.
 
 PARENT_SRC and CHANGE_SRC are directories that hold the ``chainlab``
 package, such as the ``src`` folders of two checkouts. Each tree runs in one
-interpreter of its own, which imports chainlab first and exits 2 unless
-``chainlab.BLAS_PINNED`` (so BLAS runs one thread on both sides, as under
-``chainlab run``), then calls ``chainlab.cli.main`` once per experiment and
-seed: every catalog experiment, or only those that ``--ids`` names,
-comma-separated. Each ``--set KEY=VALUE`` (repeatable) is
+interpreter of its own, which imports chainlab first (so BLAS is pinned to
+one thread, as under ``chainlab run``) and calls ``chainlab.cli.main`` once
+per experiment and seed: every catalog experiment, or only those that
+``--ids`` names, comma-separated. Each ``--set KEY=VALUE`` (repeatable) is
 passed to every run as ``chainlab run --set KEY=VALUE``, so that the trees
 can be compared away from the defaults; a run that rejects the override
 exits 2 on both sides, which is no difference. The script lists every
@@ -25,9 +24,8 @@ its runs timed in process, so that one paired run also shows how fast a
 change runs, at any ``--set`` values. It exits 0 when there is none
 and 1 when there is any. It exits 2, with a message, when it cannot compare:
 a reversed seed range such as ``--seeds 3-1``, an override without ``=``, a
-source tree that holds no ``chainlab`` package, a tree whose BLAS is not
-pinned, or a child interpreter that crashes (an unknown ``--ids`` entry among
-others).
+source tree that holds no ``chainlab`` package, or a child interpreter that
+crashes (an unknown ``--ids`` entry among others).
 """
 
 from __future__ import annotations
@@ -48,9 +46,6 @@ from pathlib import Path
 CHILD = """
 import sys
 import chainlab
-if not getattr(chainlab, "BLAS_PINNED", False):
-    print("chainlab.BLAS_PINNED is False: BLAS is not pinned to one thread", file=sys.stderr)
-    sys.exit(2)
 from chainlab.cli import main
 from chainlab.experiments import CATALOG
 import contextlib, io, json, pathlib, time

@@ -4,7 +4,8 @@ degradation/restoration chains.
 Exact finite-alphabet probability, Fisher-information and error-probability
 bound audits, restorers and parameter estimators, mixed-domain training
 collapse, sparse recovery certificates, and a deterministic experiment
-runner.
+runner. Callers import from the modules (``chainlab.probability``,
+``chainlab.restorers``, ...); the package itself re-exports nothing.
 
 Importing chainlab pins BLAS to one thread, so that report bytes do not
 depend on the host's core count: OpenBLAS's multithreaded solves round
@@ -13,7 +14,8 @@ loaded after chainlab starts with one thread; in a process that loaded numpy
 first, it also calls the thread setter of each OpenBLAS library already
 loaded. ``BLAS_PINNED`` says whether the pin took (or the environment had
 already set one thread); it stays False only where no OpenBLAS setter was
-found.
+found. The package loads no numpy: numpy first loads with a module, after
+the pin.
 """
 
 import os
@@ -52,64 +54,5 @@ BLAS_PINNED = ("numpy" not in sys.modules
                or all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
                or _pin_loaded_openblas())
 os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-
-# numpy loads from here on, after the pin.
-from .probability import (
-    FiniteDistribution,
-    ConditionalTable,
-    JointDistribution,
-    PipelineChain,
-    assemble_joint,
-    condition,
-    marginal,
-    mutual_information,
-    normalize,
-)
-from .information import (
-    GaussianMeanFamily,
-    InfoReport,
-    LaplaceRateFamily,
-    TableFamily,
-    dpi_audit,
-    entropy_error_bound_gaussian,
-    entropy_error_bound_grid,
-    fisher_information,
-    rao_blackwellize,
-    sufficiency_check,
-)
-from .channels import BlurOperator, blur_matrix, gaussian_kernel
-from .restorers import (
-    ParamEstimator,
-    Restorer,
-    estimator_variance_mc,
-    mmse_restorer,
-    posterior_sampler,
-    with_restorer,
-)
-from .classification import (
-    bayes_risk,
-    pr_gap,
-    separability,
-    theorem_ordering_audit,
-)
-from .domain_shift import (
-    DomainSpec,
-    LinearRestorer,
-    double_meaning_minimizer,
-    fit_linear_restorer,
-    mixed_vs_targeted_report,
-    resolution_shift_prediction,
-    train_mixed_restorer,
-)
-from .sparse import (
-    KernelOperator,
-    RecoveryCertificate,
-    SpikeSignal,
-    build_kernel_operator,
-    l1_map_solve,
-    lambda_pipeline_experiment,
-    recovery_certificate,
-)
-from .rng import stream_rng
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from .probability import (
     marginal,
     stage_pair,
 )
-from .restorers import Restorer, with_class_restorer, with_restorer
+from .restorers import with_class_restorer, with_restorer
 
 ORDERING_TOL = 1e-9
 
@@ -174,23 +174,14 @@ class PrGapReport:
         return max(self.gaps.values()) if self.gaps else 0.0
 
 
-def pr_gap(
-    chain: PipelineChain,
-    restorer: Optional[Restorer] = None,
-    partition: Optional[dict] = None,
-) -> PrGapReport:
+def pr_gap(chain: PipelineChain, restorer: ConditionalTable, partition: dict) -> PrGapReport:
     """Compare class-region mass before and after restoration.
 
     ``partition`` maps class labels to sets of source outcomes and must cover
     the source support. Restored mass falling outside every region is
     reported separately (conditional means can leave the source alphabet).
     """
-    if partition is None:
-        raise ContractViolation("a class partition of the source support is required")
-    work = with_restorer(chain, restorer) if restorer is not None else chain
-    if work.restorer is None:
-        raise ContractViolation("chain needs a restorer to measure its drift")
-    joint = assemble_joint(work)
+    joint = assemble_joint(with_restorer(chain, restorer))
     covered = set()
     for labels in partition.values():
         covered.update(labels)

@@ -116,15 +116,6 @@ def load_config(path: str) -> ConfigReport:
     return rep
 
 
-def _validate_overrides(rep: ConfigReport) -> None:
-    # resolve_params is what run_experiment calls: validate checks exactly that.
-    if rep.exp_id in CATALOG:
-        try:
-            resolve_params(rep.exp_id, rep.overrides)
-        except InvalidOverride as exc:
-            rep.errors.append(f"[params] {exc}")
-
-
 def _crashed(exp_id: str, exc: Exception) -> int:
     print(f"error: {exp_id} crashed: {type(exc).__name__}: {exc}", file=sys.stderr)
     return 3
@@ -136,43 +127,45 @@ def cmd_list() -> int:
     return 0
 
 
-def cmd_validate(path: str) -> int:
+def _check_config(path: str, seed: int | None = None, sets: list = ()) -> tuple:
+    """(report, exit code or None): the config at path with the command-line
+    seed and --set items applied, its parameters checked by resolve_params
+    (what run_experiment calls), warnings and errors printed. The code is 2
+    on any error and 3 if the parameter check crashed."""
     rep = load_config(path)
-    try:
-        _validate_overrides(rep)
-    except Exception as exc:  # a defect in a parameter check, not a config error
-        return _crashed(rep.exp_id, exc)
+    if seed is not None:
+        _set_seed(rep, seed, "--seed")
+    for item in sets:
+        if "=" not in item:
+            rep.errors.append(f"--set {item!r}: expected key=value")
+            continue
+        key, _, value = item.partition("=")
+        rep.overrides[key.strip()] = value.strip()
+    if rep.exp_id in CATALOG:
+        try:
+            resolve_params(rep.exp_id, rep.overrides)
+        except InvalidOverride as exc:
+            rep.errors.append(f"[params] {exc}")
+        except Exception as exc:  # a defect in a parameter check, not a config error
+            return rep, _crashed(rep.exp_id, exc)
     for w in rep.warnings:
         print(f"warning: {w}")
     for e in rep.errors:
         print(f"error: {e}", file=sys.stderr)
-    if rep.ok:
+    return rep, None if rep.ok else 2
+
+
+def cmd_validate(path: str) -> int:
+    rep, code = _check_config(path)
+    if code is None:
         print(f"{path}: valid (experiment {rep.exp_id}, seed {rep.seed})")
-        return 0
-    return 2
+    return code or 0
 
 
 def cmd_run(path: str, seed: int | None, out: str | None, sets: list) -> int:
-    rep = load_config(path)
-    if rep.ok:
-        if seed is not None:
-            _set_seed(rep, seed, "--seed")
-        for item in sets:
-            if "=" not in item:
-                rep.errors.append(f"--set {item!r}: expected key=value")
-                continue
-            key, _, value = item.partition("=")
-            rep.overrides[key.strip()] = value.strip()
-        try:
-            _validate_overrides(rep)
-        except Exception as exc:  # a defect in a parameter check, not a config error
-            return _crashed(rep.exp_id, exc)
-    for w in rep.warnings:
-        print(f"warning: {w}")
-    if not rep.ok:
-        for e in rep.errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 2
+    rep, code = _check_config(path, seed, sets)
+    if code is not None:
+        return code
     if not BLAS_PINNED:
         print("warning: numpy was imported before chainlab and no OpenBLAS thread setter was "
               "found, so BLAS is not pinned to one thread; report numbers that rest on a BLAS "

@@ -303,7 +303,7 @@ def train_mixed_restorer(
             lower_bound=lb,
             certified=certified,
             gap_bound=_relative_gap(best, lb),
-            median_fit=LinearRestorer(weights=fit[:-1].T.copy(), bias=fit[-1].copy(), loss_log=()),
+            median_fit=_exact_restorer(fit),
             median_fit_gap=_relative_gap(_l1_loss(y1 @ fit, x), lb),
         )
     return LinearRestorer(
@@ -367,10 +367,10 @@ def _exact_restorer(sol: np.ndarray) -> LinearRestorer:
 
 
 def _check_domains_distinct(domains: DomainSpec, blocks) -> None:
-    if domains.n_domains < 2:
+    if domains.n_domains < 2 or domains.mode != OVERLAPPING:
         return
     base, *rest = [x for _, x in blocks]
-    if all(np.allclose(base, t, rtol=1e-5, atol=1e-12) for t in rest) and domains.mode == OVERLAPPING:
+    if all(np.allclose(base, t, rtol=1e-5, atol=1e-12) for t in rest):
         raise DomainsCoincide("all domain inverses agree on every probed input")
 
 

@@ -18,7 +18,7 @@ call, so replicate r is the same number at any replicate count above r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,31 +34,20 @@ from .probability import (
 )
 from .rng import stream_rng
 
-MMSE_MAP = "mmse_map"
-POSTERIOR_SAMPLER = "posterior_sampler"
-CONSTANT = "constant"
 
-
-@dataclass(frozen=True)
-class Restorer:
-    """A conditional law p(xhat | y) with provenance."""
-
-    kind: str
-    table: ConditionalTable
-    meta: dict = field(default_factory=dict)
+def _conditional_rows(tens: np.ndarray) -> np.ndarray:
+    """tens normalized along its last axis; rows with no mass are uniform (they
+    carry no joint mass, so any valid row works)."""
+    mass = tens.sum(axis=-1, keepdims=True)
+    return np.where(mass > 0, tens / np.where(mass > 0, mass, 1.0), 1.0 / tens.shape[-1])
 
 
 def _posterior_rows(joint: JointDistribution) -> np.ndarray:
-    """p(x | y) rows; rows for zero-probability measurements are uniform (they
-    carry no joint mass, so any valid row works)."""
-    pair = marginal(joint, ["y", "x"]).tensor
-    mass = pair.sum(axis=1, keepdims=True)
-    n_t = pair.shape[1]
-    rows = np.where(mass > 0, pair / np.where(mass > 0, mass, 1.0), 1.0 / n_t)
-    return rows
+    """p(x | y) rows."""
+    return _conditional_rows(marginal(joint, ["y", "x"]).tensor)
 
 
-def mmse_restorer(joint: JointDistribution) -> Restorer:
+def mmse_restorer(joint: JointDistribution) -> ConditionalTable:
     """Deterministic map sending each measurement to its conditional source mean.
 
     Ambiguous measurements come back as prior-and-likelihood weighted blends
@@ -69,31 +58,24 @@ def mmse_restorer(joint: JointDistribution) -> Restorer:
         x_vals = np.array([float(v) for v in x_support], dtype=np.float64)
     except (TypeError, ValueError):
         raise NonNumericSupport("conditional means need numeric source labels") from None
-    rows = _posterior_rows(joint)
-    means = rows @ x_vals
-    out_support = tuple(sorted(set(float(v) for v in means)))
-    table_rows = np.zeros((len(means), len(out_support)))
-    for i, v in enumerate(means):
-        table_rows[i, out_support.index(float(v))] = 1.0
-    table = ConditionalTable(joint.support_of("y"), out_support, table_rows)
-    return Restorer(kind=MMSE_MAP, table=table)
+    y_support = joint.support_of("y")
+    means = [float(v) for v in _posterior_rows(joint) @ x_vals]
+    return ConditionalTable.deterministic(y_support, sorted(set(means)), dict(zip(y_support, means)))
 
 
-def posterior_sampler(joint: JointDistribution, seed: int = 0) -> Restorer:
+def posterior_sampler(joint: JointDistribution, seed: int = 0) -> ConditionalTable:
     """Stochastic restorer that redraws the source from its posterior.
 
     Its rows copy p(x | y), so the restored marginal equals the source
-    marginal exactly.
+    marginal exactly. The table is exact: it depends on no seed, and
+    ``seed`` is accepted only for callers that pass one.
     """
-    table = ConditionalTable(joint.support_of("y"), joint.support_of("x"), _posterior_rows(joint))
-    return Restorer(kind=POSTERIOR_SAMPLER, table=table, meta={"seed": seed})
+    return ConditionalTable(joint.support_of("y"), joint.support_of("x"), _posterior_rows(joint))
 
 
-def constant_restorer(y_support, x_support, value) -> Restorer:
+def constant_restorer(y_support, x_support, value) -> ConditionalTable:
     """Restorer that ignores the measurement entirely."""
-    rows = np.zeros((len(y_support), len(x_support)))
-    rows[:, tuple(x_support).index(value)] = 1.0
-    return Restorer(kind=CONSTANT, table=ConditionalTable(tuple(y_support), tuple(x_support), rows))
+    return ConditionalTable.deterministic(y_support, x_support, dict.fromkeys(y_support, value))
 
 
 def with_class_restorer(chains: ChainStack) -> ChainStack:
@@ -106,14 +88,12 @@ def with_class_restorer(chains: ChainStack) -> ChainStack:
     """
     if chains.restorer is not None:
         raise ContractViolation("chain already carries a restorer")
-    tens = assemble_joint(chains).transpose(0, 1, 3, 2)  # (k, theta, y, x)
-    mass = tens.sum(axis=3, keepdims=True)
-    rows = np.where(mass > 0, tens / np.where(mass > 0, mass, 1.0), 1.0 / tens.shape[3])
+    rows = _conditional_rows(assemble_joint(chains).transpose(0, 1, 3, 2))  # (k, theta, y, x)
     return ChainStack(chains.prior, chains.family, chains.channel, rows, chains.index)
 
 
-def with_restorer(chain: PipelineChain, restorer: Restorer) -> PipelineChain:
-    return PipelineChain(chain.prior, chain.family, chain.channel, restorer.table)
+def with_restorer(chain: PipelineChain, restorer: ConditionalTable) -> PipelineChain:
+    return PipelineChain(chain.prior, chain.family, chain.channel, restorer)
 
 
 # ---------------------------------------------------------------------------

@@ -270,22 +270,14 @@ class TestPrGap:
         with pytest.raises(PartitionIncomplete):
             pr_gap(chain, rest, {"class1": {0, 1, 2}})
 
-    def test_partition_is_required(self):
+    def test_given_restorer_replaces_the_chains_own(self):
+        """A chain that already carries a restorer is measured with the one
+        passed: here the constant map to source 4 instead of the sampler."""
         chain = naive_tree_chain()
-        rest = posterior_sampler(assemble_joint(chain), seed=0)
-        with pytest.raises(ContractViolation, match="partition"):
-            pr_gap(chain, rest)
-
-    def test_restorer_is_required(self):
-        with pytest.raises(ContractViolation, match="restorer"):
-            pr_gap(naive_tree_chain(), None, naive_tree_partition())
-
-    def test_chain_restorer_used_when_none_given(self):
-        """A chain that already carries its restorer is measured as is."""
-        chain = naive_tree_chain()
+        own = with_restorer(chain, posterior_sampler(assemble_joint(chain)))
         rest = constant_restorer(chain.channel.output_support,
                                  chain.family.output_support, 4)
-        rep = pr_gap(with_restorer(chain, rest), partition=naive_tree_partition())
+        rep = pr_gap(own, rest, naive_tree_partition())
         assert rep.source_mass == pytest.approx({"class1": 0.8, "class2": 0.2})
         assert rep.restored_mass == {"class1": 0.0, "class2": 1.0}
         assert rep.max_gap == pytest.approx(0.8)

@@ -135,6 +135,21 @@ class TestCliCommands:
         cfg = write_config(tmp_path / "who.cfg", "who_knows")
         assert main(["validate", cfg]) == 2
 
+    def test_run_lists_config_errors_as_validate_does(self, tmp_path, capsys):
+        """A config with an unknown [experiment] key and an out-of-range
+        parameter: run reports both errors and exits as validate does."""
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("[experiment]\nid = crb_gaussian_mean\nseed = 0\nflavour = 1\n"
+                       "\n[params]\nm = 0\n")
+        seen = []
+        for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(tmp_path / "out")]):
+            code = main(argv)
+            seen.append((code, capsys.readouterr().err))
+        assert seen[0] == seen[1]
+        code, err = seen[0]
+        assert code == 2 and "flavour" in err and "parameter 'm'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_run_writes_outputs_and_exits_zero(self, tmp_path):
         cfg = write_config(tmp_path / "tree.cfg", "naive_tree", seed=1)
         out = tmp_path / "runs"
@@ -782,6 +797,23 @@ class TestBlasPin:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return proc.stderr, (out / "sparse_noiseless_recovery" / "report.json").read_bytes()
+
+    def test_import_binds_only_the_pin_and_loads_no_numpy(self):
+        """The package is the pin alone: callers import from the modules, so
+        `import chainlab` binds no public name but BLAS_PINNED (the modules it
+        imports aside) and leaves numpy to the first module imported."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(chainlab.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, types\n"
+                "import chainlab\n"
+                "print(sorted(k for k, v in vars(chainlab).items()\n"
+                "             if not k.startswith('_') and not isinstance(v, types.ModuleType)))\n"
+                "print('numpy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["['BLAS_PINNED']", "False"]
 
     def test_report_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
         reports = [self._run(tmp_path, f"threads-{t}", t, self.RUN)[1] for t in ("1", "2", None)]

@@ -189,6 +189,17 @@ class TestTrainedRestorer:
         with pytest.raises(DomainsCoincide):
             fit_linear_restorer(dom)
 
+    def test_coinciding_disjoint_domains_accepted(self):
+        """Only overlapping domains are checked for coinciding inverses: two
+        disjoint domains drawing the same inputs with the same inverse fit
+        the identity."""
+        u = stream_rng(3, 1).standard_normal((64, 3))
+        dom = DomainSpec.disjoint([lambda v: v, lambda v: v.copy()],
+                                  [lambda rng, n: u[:n]] * 2)
+        fit = fit_linear_restorer(dom, batch=64)
+        np.testing.assert_allclose(fit.weights, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(fit.bias, np.zeros(3), atol=1e-12)
+
     @staticmethod
     def _per_domain_descent(dom, loss, epochs, seed, batch):
         """The trainer's epoch written out domain by domain: each block's

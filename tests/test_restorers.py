@@ -84,14 +84,14 @@ class TestMmseRestorer:
     def test_invertible_channel_returns_preimage(self):
         chain = numeric_chain(0, ambiguous=False)
         rest = mmse_restorer(assemble_joint(chain))
-        assert _prob(rest.table, "u", 0.0) == 1.0
-        assert _prob(rest.table, "v", 1.0) == 1.0
+        assert _prob(rest, "u", 0.0) == 1.0
+        assert _prob(rest, "v", 1.0) == 1.0
 
     def test_two_equiprobable_preimages_average(self):
         """Sources 0 and 1 both explain the measurement; the output is 0.5."""
         chain = numeric_chain(0, ambiguous=True)
         rest = mmse_restorer(assemble_joint(chain))
-        assert _prob(rest.table, "u", 0.5) == 1.0
+        assert _prob(rest, "u", 0.5) == 1.0
 
     def test_prior_weighted_blend_weights(self):
         """Deterministic two-branch construction: class priors 0.8/0.2 with
@@ -107,8 +107,8 @@ class TestMmseRestorer:
         )
         joint = assemble_joint(PipelineChain(prior, family, channel))
         rest = mmse_restorer(joint)
-        row = _row(rest.table, "shared")
-        got = [v for v, p in zip(rest.table.output_support, row) if p == 1.0][0]
+        row = _row(rest, "shared")
+        got = [v for v, p in zip(rest.output_support, row) if p == 1.0][0]
         p_shared = 0.8 * 0.5 + 0.2 * 0.5
         c_a = 0.8 * 0.5 / p_shared
         c_b = 0.2 * 0.5 / p_shared
@@ -120,8 +120,8 @@ class TestMmseRestorer:
         source 1 with probability 0.4, so the blend follows the posterior."""
         joint = assemble_joint(naive_tree_chain())
         rest = mmse_restorer(joint)
-        row = _row(rest.table, 1.5)
-        got = [v for v, p in zip(rest.table.output_support, row) if p == 1.0][0]
+        row = _row(rest, 1.5)
+        got = [v for v, p in zip(rest.output_support, row) if p == 1.0][0]
         c_a = (0.8 / 3 * 0.4) / (0.8 / 3 * 0.4 + 0.2 / 3)
         assert got == pytest.approx(c_a * 1 + (1 - c_a) * 4)
 
@@ -142,11 +142,11 @@ class TestMmseRestorer:
         y_support = chain.channel.output_support
         for k, y in enumerate(y_support):
             for delta in (-0.25, 0.25):
-                value = [v for v, p in zip(rest.table.output_support, rest.table.rows[k]) if p == 1.0][0]
-                out_support = tuple(sorted(set(rest.table.output_support) | {value + delta}))
+                value = [v for v, p in zip(rest.output_support, rest.rows[k]) if p == 1.0][0]
+                out_support = tuple(sorted(set(rest.output_support) | {value + delta}))
                 rows = np.zeros((len(y_support), len(out_support)))
                 for kk in range(len(y_support)):
-                    v = [vv for vv, p in zip(rest.table.output_support, rest.table.rows[kk]) if p == 1.0][0]
+                    v = [vv for vv, p in zip(rest.output_support, rest.rows[kk]) if p == 1.0][0]
                     rows[kk, out_support.index(v + delta if kk == k else v)] = 1.0
                 perturbed = ConditionalTable(y_support, out_support, rows)
                 worse = expected_squared_error(
@@ -164,11 +164,12 @@ class TestPosteriorSampler:
                                   np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]))
         channel = ConditionalTable.deterministic((0, 1, 2), ("u", "v", "never"),
                                                  {0: "u", 1: "u", 2: "v"})
-        rest = posterior_sampler(assemble_joint(PipelineChain(prior, family, channel)), seed=5)
-        np.testing.assert_allclose(_row(rest.table, "never"), np.full(3, 1.0 / 3.0))
-        np.testing.assert_allclose(_row(rest.table, "u"), [1 / 3, 2 / 3, 0.0], atol=1e-15)
-        np.testing.assert_allclose(_row(rest.table, "v"), [0.0, 0.0, 1.0])
-        assert rest.kind == "posterior_sampler" and rest.meta == {"seed": 5}
+        joint = assemble_joint(PipelineChain(prior, family, channel))
+        rest = posterior_sampler(joint, seed=5)
+        np.testing.assert_allclose(_row(rest, "never"), np.full(3, 1.0 / 3.0))
+        np.testing.assert_allclose(_row(rest, "u"), [1 / 3, 2 / 3, 0.0], atol=1e-15)
+        np.testing.assert_allclose(_row(rest, "v"), [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(posterior_sampler(joint, seed=0).rows, rest.rows)
 
     def test_class_tables_mix_to_the_unconditional_posterior(self):
         """sum_theta p(theta | y) p(x | y, theta) = p(x | y) on reachable rows."""
@@ -176,7 +177,7 @@ class TestPosteriorSampler:
             chain = random_chain(stream_rng(48, i), 3, 4, 4, None)
             joint = assemble_joint(chain)
             _, tables = class_restored(chain)
-            post = posterior_sampler(joint).table
+            post = posterior_sampler(joint)
             for j, y in enumerate(joint.support_of("y")):
                 p_theta = marginal(condition(joint, "y", y), ["theta"]).tensor
                 mixed = sum(p_theta[k] * tables[k, j] for k in range(len(p_theta)))
@@ -186,8 +187,8 @@ class TestPosteriorSampler:
 class TestConstantRestorer:
     def test_every_row_is_the_constant(self):
         rest = constant_restorer((0.5, 1.5, 2.5), (0, 1, 2), 2)
-        assert rest.kind == "constant"
-        np.testing.assert_array_equal(rest.table.rows, np.tile([0.0, 0.0, 1.0], (3, 1)))
+        assert rest.input_support == (0.5, 1.5, 2.5) and rest.output_support == (0, 1, 2)
+        np.testing.assert_array_equal(rest.rows, np.tile([0.0, 0.0, 1.0], (3, 1)))
 
     def test_erases_all_class_information(self):
         chain = naive_tree_chain()
@@ -237,10 +238,10 @@ class TestPerfectPerception:
     def test_rows_copy_posterior_exactly(self):
         joint = assemble_joint(naive_tree_chain())
         rest = posterior_sampler(joint)
-        for y in rest.table.input_support:
+        for y in rest.input_support:
             post = condition(joint, "y", y)
             np.testing.assert_allclose(
-                _row(rest.table, y),
+                _row(rest, y),
                 marginal(post, ["x"]).tensor,
                 atol=1e-12,
             )
@@ -255,7 +256,7 @@ class TestPerfectPerception:
     def test_invertible_channel_collapses_to_inverse(self):
         chain = numeric_chain(0, ambiguous=False)
         joint = assemble_joint(chain)
-        assert _prob(posterior_sampler(joint).table, "u", 0) == 1.0
+        assert _prob(posterior_sampler(joint), "u", 0) == 1.0
         assert class_restored(chain)[1][0, 0, 0] == 1.0  # class "a", measurement "u", source 0
 
     def test_conditional_preserves_fisher_information_on_gridded_chains(self):

@@ -3,30 +3,20 @@
 When several domains explain the same observed input, the loss-minimizing
 output is the per-loss centroid of the domains' valid reconstructions: the
 weighted mean under squared error, the coordinatewise weighted median under
-absolute error. This module provides the closed-form minimizer, affine
-restorers fitted across domains, the resolution-shift closed form built from
-blur operators, and a mixed-versus-targeted error report.
-
-An affine map already exhibits the loss-minimizing output on linear-domain
-instances. ``fit_linear_restorer`` solves for the squared-error minimizer
-exactly (weighted least squares). The mixed-versus-targeted report fits it
-and every domain's targeted restorer from one training draw; on overlapping
-domains with one solve, since the mixed minimizer is then the mean of the
-targeted ones.
-``train_mixed_restorer`` runs full-batch gradient descent for the claims
-about training itself, with no configured step size: squared error steps by
-the inverse Lipschitz constant of its gradient on the training draw, absolute
-error by Polyak's step to the per-row median bound on its optimal value. It
-takes overlapping domains only: their one shared input lets each epoch form
-the prediction once, subtract the stacked targets of all domains as one
-residual array, and take one gradient product with the input.
+absolute error. Every domain here is a Gaussian latent through affine maps
+(``DomainSpec``), so every number about an affine restorer is exact: the
+least-squares fits, their population risks in the mixed-versus-targeted
+report, and the absolute-error minimizer (``fit_median_restorer``), fitted
+without iterating. ``train_mixed_restorer`` runs gradient descent for the
+claim about training itself. The resolution-shift closed form is built from
+blur operators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -81,39 +71,31 @@ def _resolve_weights(weights, m: int) -> np.ndarray:
     return w
 
 
-def gaussian_latents(dim: int) -> Callable:
-    """Standard-normal latent batches of the given dimension."""
-
-    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.standard_normal((n, dim))
-
-    return sample
-
-
-def linear_map(matrix: np.ndarray) -> Callable:
-    a = np.asarray(matrix, dtype=np.float64)
-
-    def apply(u: np.ndarray) -> np.ndarray:
-        return np.asarray(u, dtype=np.float64) @ a.T
-
-    return apply
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53 the unit round-off of
+    float64: the relative error bound of k successive roundings (Higham 2002,
+    sec. 3.1)."""
+    u = 2.0**-53
+    return k * u / (1.0 - k * u)
 
 
 @dataclass(frozen=True)
 class DomainSpec:
     """Several domains whose valid reconstructions compete for one model.
 
-    ``inverses[i]`` maps a latent batch to domain i's valid reconstruction;
-    ``observation`` maps the latent batch to what the model actually sees
-    (identity when the observed input is the latent itself). In overlapping
-    mode every drawn input is valid in all domains at once; in disjoint mode
-    each domain draws its own inputs and only contributes its own target.
-    Every domain weighs 1 / n_domains in a fit.
+    Domain i draws latent rows u = z F_i' + mu_i from standard-normal rows z;
+    the model sees y = u O', and domain i's valid reconstruction is
+    x = u T_i' + c_i. In overlapping mode the domains share F, mu and one
+    latent draw, so every drawn input is valid in all domains at once; in
+    disjoint mode each domain draws its own inputs and only contributes its
+    own target. Every domain weighs 1 / n_domains in a fit.
     """
 
-    inverses: tuple
-    latent_samplers: tuple
-    observation: Callable
+    inverses: tuple  # T_i
+    offsets: tuple  # c_i
+    factors: tuple  # F_i
+    means: tuple  # mu_i
+    observation: np.ndarray  # O
     mode: str
 
     @property
@@ -121,32 +103,15 @@ class DomainSpec:
         return len(self.inverses)
 
     @classmethod
-    def overlapping(
-        cls,
-        inverses: Sequence[Callable],
-        latent_sampler: Callable,
-        observation: Optional[Callable] = None,
-    ) -> "DomainSpec":
-        return cls(
-            inverses=tuple(inverses),
-            latent_samplers=(latent_sampler,) * len(inverses),
-            observation=observation or (lambda u: u),
-            mode=OVERLAPPING,
-        )
-
-    @classmethod
-    def disjoint(
-        cls, inverses: Sequence[Callable], latent_samplers: Sequence[Callable]
-    ) -> "DomainSpec":
-        """Each domain observes its own latent draws as they are."""
-        if len(latent_samplers) != len(inverses):
-            raise DimensionMismatch("one latent sampler per domain required")
-        return cls(
-            inverses=tuple(inverses),
-            latent_samplers=tuple(latent_samplers),
-            observation=lambda u: u,
-            mode=DISJOINT,
-        )
+    def overlapping(cls, inverses: Sequence[np.ndarray], factor: np.ndarray,
+                    observation: Optional[np.ndarray] = None,
+                    offsets: Optional[Sequence[np.ndarray]] = None) -> "DomainSpec":
+        """One latent draw for all domains, with mu = 0; O = I and c_i = 0 unless given."""
+        m, n_lat = len(inverses), len(factor)
+        if offsets is None:
+            offsets = [np.zeros(len(t)) for t in inverses]
+        return cls(tuple(inverses), tuple(offsets), (factor,) * m, (np.zeros(n_lat),) * m,
+                   np.eye(n_lat) if observation is None else observation, OVERLAPPING)
 
 
 @dataclass(frozen=True)
@@ -179,78 +144,56 @@ class LinearRestorer:
 
 
 def _training_blocks(domains: DomainSpec, rng: np.random.Generator, batch: int):
-    """Per-domain (inputs, target) blocks; overlapping mode shares draws."""
-    if domains.mode == OVERLAPPING:
-        u = domains.latent_samplers[0](rng, batch)
-        y = domains.observation(u)
-        return [(y, g(u)) for g in domains.inverses]
+    """Per-domain (inputs, target) blocks; overlapping mode shares one draw."""
     blocks = []
-    for g, sampler in zip(domains.inverses, domains.latent_samplers):
-        u = sampler(rng, batch)
-        blocks.append((domains.observation(u), g(u)))
+    for f, mu, t, c in zip(domains.factors, domains.means, domains.inverses, domains.offsets):
+        if not blocks or domains.mode == DISJOINT:
+            u = rng.standard_normal((batch, f.shape[1])) @ f.T + mu
+            y = u @ domains.observation.T
+        blocks.append((y, u @ t.T + c))
     return blocks
+
+
+def _stacked_draw(domains: DomainSpec, seed: int, batch: int):
+    """The design [y 1] of one overlapping training draw, and the M domains'
+    targets stacked into X of shape (M, b, n_out)."""
+    if domains.mode != OVERLAPPING:
+        raise ContractViolation("need overlapping domains (one shared input)")
+    blocks = _training_blocks(domains, stream_rng(seed, 0), batch)
+    _check_domains_distinct(domains, blocks)
+    y = blocks[0][0]
+    return np.hstack([y, np.ones((y.shape[0], 1))]), np.stack([t for _, t in blocks])
 
 
 # Loss increase, relative to the first logged loss, that check_training forgives.
 _TRAINING_SLACK = 1e-9
 # Squared-error training stops once no parameter step exceeds this.
 _PARAM_TOL = 1e-14
-# Absolute-error training stops once its loss is within this relative gap of
-# the per-row median lower bound, which certifies it that close to optimal.
-_L1_GAP_RTOL = 1e-6
 
 
-def train_mixed_restorer(
-    domains: DomainSpec,
-    loss: str = "mse",
-    epochs: int = 10_000,
-    seed: int = 0,
-    batch: int = 512,
-) -> LinearRestorer:
+def train_mixed_restorer(domains: DomainSpec, epochs: int = 10_000, seed: int = 0,
+                         batch: int = 512) -> LinearRestorer:
     """Fit one affine restorer against every domain's targets at once.
 
-    Full-batch (sub)gradient descent on the weighted multi-domain loss; no
-    step size is configured. Squared error steps by 1/L, with
+    Full-batch gradient descent on the weighted multi-domain squared error,
+    with no configured step size: it steps by 1/L, with
     L = 2 lambda_max([y 1]' [y 1]) / b the Lipschitz constant of its gradient
     on the training draw of b rows ([y 1] holds a column of ones, so
     lambda_max >= b > 0): by the descent lemma no step raises the loss. It
     stops once no parameter moves by more than _PARAM_TOL. ``meta`` records
     the derived ``initial_lr`` and ``epochs_run``.
 
-    Absolute error knows its optimal value, or a bound on it: no model beats
-    the per-row minimizer, the lower median of a row's M targets
-    (``double_meaning_minimizer``), so lb = (1/(M b)) sum |X - median| bounds
-    the loss f from below. It takes Polyak's step (f - lb) / ||G||^2 along
-    the subgradient G, and stops once f <= lb (1 + _L1_GAP_RTOL): the iterate
-    is then within that relative gap of the optimum. The subgradient method
-    guarantees only its best loss, so the lowest-loss iterate is returned.
-    ``meta`` records ``epochs_run``, ``lower_bound``, ``certified`` (stopped on
-    the bound), ``gap_bound`` (the returned weights' loss over lb, minus 1)
-    and ``median_fit``: the least-squares affine fit to the per-row medians,
-    an exact minimizer when its ``median_fit_gap`` (likewise) is round-off.
-
-    The domains must overlap (a disjoint spec raises ContractViolation):
-    every domain sees one shared input y, so the M domains' targets stack
-    into X of shape (M, b, n_out), the prediction y W' + bias is formed once
-    per epoch and the residual R = pred - X is one array. Every domain
-    weighs 1/M, so the gradient sums R (mse) or sign(R) (l1) over the
-    domains first, into one (b, n_out) array, and then takes one product
-    with [y 1]: W's gradient, and the bias gradient as its last column.
+    The domains overlap (``_stacked_draw``), so the prediction y W' + bias
+    is formed once per epoch and the residual R = pred - X is one array.
+    Every domain weighs 1/M, so the gradient sums R over the domains first
+    and then takes one product with [y 1]: W's gradient, and the bias
+    gradient as its last column.
     """
-    if loss not in ("mse", "l1"):
-        raise ContractViolation(f"unknown loss {loss!r}")
-    if domains.mode != OVERLAPPING:
-        raise ContractViolation("train_mixed_restorer needs overlapping domains (one shared input)")
-    rng = stream_rng(seed, 0)
-    blocks = _training_blocks(domains, rng, batch)
-    _check_domains_distinct(domains, blocks)
-    y = blocks[0][0]
-    x = np.stack([t for _, t in blocks])
+    y1, x = _stacked_draw(domains, seed, batch)
     m, b, n_out = x.shape
-    n_in = y.shape[1]
+    n_in = y1.shape[1] - 1
     # theta = [W | bias] against [y 1]: one product is the prediction, one
     # the whole gradient, and one step moves both.
-    y1 = np.hstack([y, np.ones((b, 1))])
     theta = np.zeros((n_out, n_in + 1))
     # Every domain weighs 1/m and the loss is a mean over b rows.
     loss_scale = 1.0 / m / b
@@ -258,60 +201,58 @@ def train_mixed_restorer(
     r = np.empty_like(x)
     g = np.empty_like(pred)
     step = np.empty_like(theta)
-    if loss == "mse":
-        lr = b / (2.0 * float(np.linalg.eigvalsh(y1.T @ y1)[-1]))
-        meta = {"initial_lr": lr}
-    else:
-        median = double_meaning_minimizer(x, loss="l1")
-        lb = _l1_loss(median, x)
-        sign = np.empty_like(x)
-        best, best_theta = math.inf, theta.copy()
-        meta = {}
-    certified = False
+    lr = b / (2.0 * float(np.linalg.eigvalsh(y1.T @ y1)[-1]))
     log = []
     for _ in range(epochs):
         np.matmul(y1, theta.T, out=pred)
         np.subtract(pred, x, out=r)
-        # mse: sum R**2 and d/dR = 2R; l1: sum |R| = sum sign(R) R and d/dR = sign(R).
-        a = r if loss == "mse" else np.sign(r, out=sign)
-        total = loss_scale * float(np.vdot(a, r))
-        log.append(total)
-        if loss == "l1":
-            if total < best:
-                best, best_theta[...] = total, theta
-            if total <= lb * (1.0 + _L1_GAP_RTOL):
-                certified = True
-                break
-        a.sum(axis=0, out=g)
-        # The gradient is (2 for mse) loss_scale times this product.
+        log.append(loss_scale * float(np.vdot(r, r)))
+        r.sum(axis=0, out=g)
+        # The gradient is 2 loss_scale times this product.
         np.matmul(g.T, y1, out=step)
-        if loss == "mse":
-            step *= lr * (2.0 * loss_scale)
-        else:
-            norm_sq = float(np.vdot(step, step))
-            if norm_sq == 0.0:  # 0 is a subgradient: theta is a minimizer
-                break
-            step *= (total - lb) / (loss_scale * norm_sq)
+        step *= lr * (2.0 * loss_scale)
         theta -= step
-        if loss == "mse" and np.abs(step).max() <= _PARAM_TOL:
+        if np.abs(step).max() <= _PARAM_TOL:
             break
-    meta["epochs_run"] = len(log)
-    if loss == "l1":
-        theta = best_theta
-        fit = np.linalg.lstsq(y1, median, rcond=None)[0]
-        meta.update(
-            lower_bound=lb,
-            certified=certified,
-            gap_bound=_relative_gap(best, lb),
-            median_fit=_exact_restorer(fit),
-            median_fit_gap=_relative_gap(_l1_loss(y1 @ fit, x), lb),
-        )
     return LinearRestorer(
         weights=theta[:, :n_in].copy(),
         bias=theta[:, n_in].copy(),
         loss_log=tuple(log),
-        meta=meta,
+        meta={"initial_lr": lr, "epochs_run": len(log)},
     )
+
+
+def fit_median_restorer(domains: DomainSpec, seed: int, batch: int) -> LinearRestorer:
+    """The absolute-error minimizer, when an affine map attains the bound.
+
+    No model beats the per-row lower median of the M targets, so
+    lb = (1/(M b)) sum |X - median| bounds the loss from below. The restorer
+    is the least-squares fit to the medians against [y 1] (b x p): when they
+    are affine in y it attains lb. ``meta`` records lb (``lower_bound``),
+    the fit's loss over lb minus 1 (``optimality_gap``) and round-off floors:
+    - ``weight_floor`` on each parameter, to first order 2 kappa e ||theta_k||
+      with kappa = cond([y 1]) and e = sqrt(p) gamma_{bp} the solve's relative
+      backward error, which covers the medians' rounding (Higham 2002,
+      Thms 20.1, 20.3);
+    - ``gap_floor`` on the gap: a prediction P's loss is within
+      ||P - median||_1 / b of lb, P moves by the weight floor times |[y 1]|
+      plus gamma_{p+1} |[y 1]| |theta|, and each loss sums X.size terms.
+    """
+    y1, x = _stacked_draw(domains, seed, batch)
+    b, p = y1.shape
+    median = double_meaning_minimizer(x, loss="l1")
+    sol, _, _, sv = np.linalg.lstsq(y1, median, rcond=None)
+    lb, loss = _l1_loss(median, x), _l1_loss(y1 @ sol, x)
+    weight_floor = (2.0 * float(sv[0] / sv[-1]) * math.sqrt(p) * _gamma(b * p)
+                    * float(np.linalg.norm(sol, axis=0).max()))
+    abs_y1 = np.abs(y1)
+    moved = (sol.shape[1] * weight_floor * float(abs_y1.sum())
+             + _gamma(p + 1) * float((abs_y1 @ np.abs(sol)).sum()))
+    slack = moved / b + _gamma(x.size + 1) * (loss + lb)
+    fit = _exact_restorer(sol)
+    fit.meta.update(lower_bound=lb, optimality_gap=_relative_gap(loss, lb),
+                    weight_floor=weight_floor, gap_floor=slack / lb if lb > 0 else math.inf)
+    return fit
 
 
 def _l1_loss(pred: np.ndarray, x: np.ndarray) -> float:
@@ -326,7 +267,7 @@ def _relative_gap(value: float, lb: float) -> float:
 
 
 def fit_linear_restorer(domains: DomainSpec, seed: int = 0, batch: int = 512) -> LinearRestorer:
-    """Exact minimizer of the objective ``train_mixed_restorer`` descends under mse.
+    """Exact minimizer of the objective ``train_mixed_restorer`` descends.
 
     Same draw. Every domain draws ``batch`` rows, so the least-squares fit over
     all domains' stacked rows minimizes (1/M) sum_i mean_rows ||W y + b - x||^2;
@@ -398,56 +339,71 @@ def resolution_shift_prediction(x2: np.ndarray, sigma1: float, sigma2: float) ->
 
 @dataclass(frozen=True)
 class MixedVsTargetedReport:
-    """Held-out per-domain error of one shared restorer vs per-domain ones."""
+    """Per-domain population risk of one shared restorer vs per-domain ones,
+    each gap's round-off floor, and on overlapping domains (None on disjoint)
+    the price of averaging E||x_i - x_bar||^2 / n_out, x_bar the mean target."""
 
-    mixed_errors: tuple
-    targeted_errors: tuple
+    mixed_risks: tuple
+    targeted_risks: tuple
+    floors: tuple
+    averaging_costs: Optional[tuple]
 
     @property
     def gaps(self) -> tuple:
-        return tuple(m - t for m, t in zip(self.mixed_errors, self.targeted_errors))
+        return tuple(m - t for m, t in zip(self.mixed_risks, self.targeted_risks))
 
 
-# Fresh draws per domain on which mixed_vs_targeted_report measures error.
-_EVAL_BATCH = 1024
-
-
-def mixed_vs_targeted_report(
-    domains: DomainSpec, seed: int = 0, batch: int = 512
-) -> MixedVsTargetedReport:
+def mixed_vs_targeted_report(domains: DomainSpec, seed: int = 0,
+                             batch: int = 512) -> MixedVsTargetedReport:
     """Fit one restorer over all domains and one per domain, then compare.
 
     All M + 1 restorers are exact least-squares fits to one training draw
     (``_exact_fits``): on overlapping domains one solve, whose mean over the
-    domains is the mixed restorer. The per-domain metric is mean squared
-    error on _EVAL_BATCH fresh draws from that domain. A shared restorer can
-    only match the targeted ones when nothing forces averaging (single
-    domain, or domains distinguishable from the input); overlapping distinct
-    domains open a strict gap.
+    domains is the mixed restorer. Each domain's metric is a restorer's
+    population risk there (``_risk``). A shared restorer can only match the
+    targeted ones when nothing forces averaging (single domain, or domains
+    distinguishable from the input); overlapping distinct domains open a
+    strict gap, the averaging cost when the fits are exact.
     """
     mixed, targeted = _exact_fits(domains, seed, batch)
-    mixed_errors, targeted_errors = zip(*(_held_out_errors(domains, i, seed, (mixed, solo))
-                                          for i, solo in enumerate(targeted)))
-    return MixedVsTargetedReport(mixed_errors, targeted_errors)
+    (rm, fm), (rt, ft) = (zip(*(_risk(domains, i, r) for i, r in enumerate(rs)))
+                          for rs in ((mixed,) * len(targeted), targeted))
+    costs = None
+    if domains.mode == OVERLAPPING:
+        t_bar, c_bar = np.mean(domains.inverses, axis=0), np.mean(domains.offsets, axis=0)
+        costs = tuple(float(np.vdot(e, e)) / len(e) for e in (
+            _error_factor(domains, i, t_bar, c_bar) for i in range(len(targeted))))
+    return MixedVsTargetedReport(rm, rt, tuple(a + b for a, b in zip(fm, ft)), costs)
 
 
-def _held_out_errors(domains: DomainSpec, i: int, seed: int, restorers) -> list:
-    """Each restorer's mean squared error on _EVAL_BATCH fresh draws from
-    domain i: ``np.mean((restorer.predict(y) - x) ** 2)`` in one buffer, the
-    same ufuncs in the same order, so the same bits. Only y, x and that
-    buffer are alive at a time."""
-    u = domains.latent_samplers[i](stream_rng(seed, 1000 + i), _EVAL_BATCH)
-    y = domains.observation(u)
-    x = domains.inverses[i](u)
-    del u
-    errors = []
-    for restorer in restorers:
-        r = restorer.predict(y)
-        r -= x
-        np.multiply(r, r, out=r)
-        errors.append(float(np.mean(r)))
-        del r
-    return errors
+def _error_factor(domains: DomainSpec, i: int, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """E = [A F_i | A mu_i + v - c_i] with A = m - T_i: the prediction u m' + v
+    from domain i's latent u = z F_i' + mu_i errs by E [z; 1]."""
+    a = m - domains.inverses[i]
+    return np.hstack([a @ domains.factors[i],
+                      (a @ domains.means[i] + v - domains.offsets[i])[:, None]])
+
+
+def _risk(domains: DomainSpec, i: int, restorer: LinearRestorer):
+    """Population risk E||W y + b - x_i||^2 / n_out of ``restorer`` on domain
+    i, and a bound on its round-off.
+
+    The restorer predicts u (W O)' + b, which errs by E [z; 1]
+    (``_error_factor``), so the risk is ||E||_F^2 / n_out. Each entry of E
+    takes at most K = n_obs + n_lat + 3 roundings, so the computed E is off
+    by at most d = gamma_K s in Frobenius norm, where s = (||W|| ||O|| +
+    ||T_i||) (||F_i|| + ||mu_i||) + ||b|| + ||c_i|| bounds the terms summed;
+    ||E||^2 moves by at most d (2 ||E|| + d), and its own sum rounds by at
+    most gamma_{E.size} ||E||^2.
+    """
+    w, b, o = restorer.weights, restorer.bias, domains.observation
+    e = _error_factor(domains, i, w @ o, b)
+    sq, n_out = float(np.vdot(e, e)), len(e)
+    norm = np.linalg.norm
+    s = ((norm(w) * norm(o) + norm(domains.inverses[i]))
+         * (norm(domains.factors[i]) + norm(domains.means[i])) + norm(b) + norm(domains.offsets[i]))
+    d = _gamma(sum(o.shape) + 3) * float(s)
+    return sq / n_out, (_gamma(e.size) * sq + d * (2.0 * math.sqrt(sq) + d)) / n_out
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +414,7 @@ def _held_out_errors(domains: DomainSpec, i: int, seed: int, restorers) -> list:
 def scaling_domains(dim: int, scales: Sequence[float] = (1.0, 2.0)) -> DomainSpec:
     """Overlapping domains whose valid reconstructions are scaled copies of
     the input; the mixed optimum is the mean-scale map."""
-    inverses = [linear_map(float(s) * np.eye(dim)) for s in scales]
-    return DomainSpec.overlapping(inverses, latent_sampler=gaussian_latents(dim))
+    return DomainSpec.overlapping([float(s) * np.eye(dim) for s in scales], factor=np.eye(dim))
 
 
 def two_blur_domains(n: int, sigma1: float, sigma2: float) -> DomainSpec:
@@ -470,17 +425,9 @@ def two_blur_domains(n: int, sigma1: float, sigma2: float) -> DomainSpec:
     reconstruction is the latent re-blurred by the residual kernel, the
     coarse domain's is the latent itself.
     """
-    h_res = blur_matrix(n, residual_sigma(sigma1, sigma2))
-    h2 = blur_matrix(n, sigma2)
-
-    def latents(rng: np.random.Generator, b: int) -> np.ndarray:
-        return rng.standard_normal((b, n)) @ h2.matrix.T
-
-    return DomainSpec.overlapping(
-        inverses=[linear_map(h_res.matrix), lambda u: u],
-        latent_sampler=latents,
-        observation=linear_map(h2.matrix),
-    )
+    h2 = blur_matrix(n, sigma2).matrix
+    h_res = blur_matrix(n, residual_sigma(sigma1, sigma2)).matrix
+    return DomainSpec.overlapping([h_res, np.eye(n)], factor=h2, observation=h2)
 
 
 # Std of the blur that smooths the latent noise of decimation_domains.
@@ -497,17 +444,10 @@ def decimation_domains(n: int) -> DomainSpec:
     """
     if n % 2:
         raise ContractViolation("need an even signal length")
-    smooth = blur_matrix(n, _DECIMATION_SMOOTHING)
     hold = np.zeros((n, n))
     hold[np.arange(n), (np.arange(n) // 2) * 2] = 1.0
-
-    def latents(rng: np.random.Generator, b: int) -> np.ndarray:
-        return rng.standard_normal((b, n)) @ smooth.matrix.T
-
-    return DomainSpec.overlapping(
-        inverses=[lambda u: u, linear_map(hold)],
-        latent_sampler=latents,
-    )
+    return DomainSpec.overlapping([np.eye(n), hold],
+                                  factor=blur_matrix(n, _DECIMATION_SMOOTHING).matrix)
 
 
 def offset_indicator_domains(dim: int, d1: float, d2: float, disjoint: bool) -> DomainSpec:
@@ -518,18 +458,10 @@ def offset_indicator_domains(dim: int, d1: float, d2: float, disjoint: bool) -> 
     disjoint and one affine map serves both domains exactly; with flag 0 the
     supports coincide and averaging is forced.
     """
-
-    def inverse(offset: float) -> Callable:
-        return lambda y: y[:, :dim] + offset
-
-    def sampler(flag: float) -> Callable:
-        def draw(rng: np.random.Generator, b: int) -> np.ndarray:
-            t = rng.standard_normal((b, dim))
-            return np.hstack([t, np.full((b, 1), flag)])
-
-        return draw
-
-    inverses = [inverse(float(d1)), inverse(float(d2))]
+    factor = np.eye(dim + 1, dim)  # the signal; the flag is the mean's last entry, 0 if shared
+    signal = np.eye(dim, dim + 1)
+    offsets = [np.full(dim, float(d)) for d in (d1, d2)]
     if disjoint:
-        return DomainSpec.disjoint(inverses, latent_samplers=[sampler(1.0), sampler(-1.0)])
-    return DomainSpec.overlapping(inverses, latent_sampler=sampler(0.0))
+        means = [np.append(np.zeros(dim), flag) for flag in (1.0, -1.0)]
+        return DomainSpec([signal] * 2, offsets, [factor] * 2, means, np.eye(dim + 1), DISJOINT)
+    return DomainSpec.overlapping([signal] * 2, factor=factor, offsets=offsets)

@@ -209,17 +209,28 @@ class TestCliCommands:
         assert float(value) == float(format(float(value), ".17g"))
         assert len(value.replace("0.", "")) >= 15  # long decimal expansion kept
 
-    def test_failing_verdict_exits_one(self, tmp_path):
-        """Blur levels 1 and 1.05 barely differ, so one shared restorer costs
-        each blur domain far less than the 5e-4 margin and a verdict is
-        false; the run completes, writes its report, and signals failure
-        through the exit code."""
+    def test_failing_verdict_exits_one(self, tmp_path, monkeypatch):
+        """A run with a false verdict completes, writes its report, and
+        signals failure through the exit code. The verdict is made false by
+        a wrapped runner: blur levels 1 and 1.05 barely differ, yet as
+        distinct domains they pay a small positive gap, which passes."""
+        real = CATALOG["mixed_vs_targeted"].runner
+
+        def failing(params, seed):
+            results, verdicts, tables, plotdata = real(params, seed)
+            assert verdicts["mixed_blur_training_pays_per_domain"]
+            verdicts["mixed_blur_training_pays_per_domain"] = False
+            return results, verdicts, tables, plotdata
+
+        monkeypatch.setitem(CATALOG, "mixed_vs_targeted",
+                            dataclasses.replace(CATALOG["mixed_vs_targeted"], runner=failing))
         cfg = write_config(tmp_path / "close.cfg", "mixed_vs_targeted", seed=0,
                            params={"sigma2": 1.05})
         out = tmp_path / "runs"
         assert main(["run", cfg, "--out", str(out)]) == 1
         doc = json.loads((out / "mixed_vs_targeted" / "report.json").read_text())
-        assert max(doc["results"]["blur_gaps"]["value"]) < 5e-4
+        assert 0.0 < min(doc["results"]["blur_gaps"]["value"])
+        assert doc["results"]["blur_gap_margin"]["value"] > 0.0
         assert not doc["verdicts"]["mixed_blur_training_pays_per_domain"]
         assert not doc["all_passed"]
 
@@ -358,7 +369,7 @@ class TestParameterContract:
         ("crb_attainment", {"theta": "1e300"}),
         ("lambda_pipeline", {"m": 2}),
         ("double_meaning_mse", {"batch": 2**19, "dim": 8}),
-        ("double_meaning_l1", {"epochs": 2**22 + 1}),
+        ("double_meaning_mse", {"epochs": 2**22 + 1}),
         ("double_meaning_l1", {"dim": 2048}),
     ])
     def test_cross_parameter_and_non_finite_rejected(self, tmp_path, exp_id, params):
@@ -385,10 +396,20 @@ class TestParameterContract:
         cfg = write_config(tmp_path / "pipeline.cfg", "lambda_pipeline", seed=0, params=params)
         assert main(["validate", cfg]) == code
 
+    @pytest.mark.parametrize("exp_id", ["double_meaning_mse", "double_meaning_l1"])
+    @pytest.mark.parametrize("batch,code", [(8, 2), (9, 0)])
+    def test_fit_needs_more_rows_than_dim(self, tmp_path, capsys, exp_id, batch, code):
+        """[W | bias] has dim + 1 unknowns per output, so an affine fit to
+        batch <= dim rows is not unique."""
+        cfg = write_config(tmp_path / "rows.cfg", exp_id, seed=0, params={"dim": 8, "batch": batch})
+        assert main(["validate", cfg]) == code
+        assert ("batch > dim = 8" in capsys.readouterr().err) == (code == 2)
+
     @pytest.mark.parametrize("exp_id,name", [
         ("double_meaning_mse", "lr"),
         ("double_meaning_l1", "lr"),
         ("double_meaning_l1", "train_tol"),
+        ("double_meaning_l1", "epochs"),
         ("naive_tree", "value_tol"),
         ("mixed_vs_targeted", "gap_margin"),
     ])
@@ -564,9 +585,8 @@ class TestParameterContract:
                        "crb_attainment"):
             self._fuzz(exp_id, {})
         self._fuzz("double_meaning_mse", {})
-        # Around smaller sizes than the defaults, whose runs take about a second
-        # (double_meaning_l1: about 0.0025 s, certified within 18-40 Polyak steps).
-        self._fuzz("double_meaning_l1", {"epochs": 300})
+        self._fuzz("double_meaning_l1", {})
+        # Around smaller sizes than the defaults, whose runs take about a second.
         self._fuzz("lambda_pipeline", {"m": 4, "replicates": 10})
         self._fuzz("sparse_certificate_sweep", {"draws": 2, "n": 32})
         self._fuzz("bayes_ordering_audit", {"n_chains": 20, "n_conditional": 5})
@@ -596,16 +616,25 @@ class TestDomainExperiments:
             report, _, _ = run_experiment(exp_id, seed=seed)
             assert report["all_passed"], (seed, report["verdicts"])
 
-    def test_l1_training_certified_at_seeds_0_to_99(self):
-        """Every default run stops on the median-bound certificate, and the
-        affine fit to the per-row medians is the median map (1 + 1e-9) I."""
+    def test_median_fit_exact_at_seeds_0_to_99(self):
+        """At every default run the affine fit to the per-row medians is the
+        median map (1 + 1e-9) I and attains the median bound, both to
+        round-off."""
         for seed in range(100):
             report, _, _ = run_experiment("double_meaning_l1", seed=seed)
             res = {k: v["value"] for k, v in report["results"].items()}
-            assert report["all_passed"] and res["certified"], (seed, res)
-            assert res["optimality_gap_bound"] <= 1e-6, (seed, res)
-            assert abs(res["median_fit_weight_vs_median_map_sup"] - 1e-9) <= 1e-14, (seed, res)
+            assert report["all_passed"], (seed, res)
+            assert res["median_fit_vs_median_map_sup"] <= 1e-14, (seed, res)
             assert abs(res["median_fit_optimality_gap"]) <= 1e-14, (seed, res)
+
+    def test_median_fit_passes_at_batch_just_above_dim(self):
+        """Dim 7, batch 8: the design [y 1] is square and far worse
+        conditioned than at the defaults, yet the exact fit is within its
+        derived floors of the median map and of the median bound at every
+        seed."""
+        for seed in range(20):
+            report, _, _ = run_experiment("double_meaning_l1", seed, {"dim": 7, "batch": 8})
+            assert report["all_passed"], (seed, report["results"])
 
     def test_mixed_vs_targeted_report_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "mvt.cfg", "mixed_vs_targeted", seed=3)

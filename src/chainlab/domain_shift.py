@@ -98,6 +98,12 @@ class DomainSpec:
     observation: np.ndarray  # O
     mode: str
 
+    def __post_init__(self):
+        if self.mode == OVERLAPPING and not all(
+                np.array_equal(f, self.factors[0]) and np.array_equal(mu, self.means[0])
+                for f, mu in zip(self.factors, self.means)):
+            raise ContractViolation("overlapping domains share one latent draw: equal F_i and mu_i")
+
     @property
     def n_domains(self) -> int:
         return len(self.inverses)
@@ -230,10 +236,8 @@ def fit_median_restorer(domains: DomainSpec, seed: int, batch: int) -> LinearRes
     is the least-squares fit to the medians against [y 1] (b x p): when they
     are affine in y it attains lb. ``meta`` records lb (``lower_bound``),
     the fit's loss over lb minus 1 (``optimality_gap``) and round-off floors:
-    - ``weight_floor`` on each parameter, to first order 2 kappa e ||theta_k||
-      with kappa = cond([y 1]) and e = sqrt(p) gamma_{bp} the solve's relative
-      backward error, which covers the medians' rounding (Higham 2002,
-      Thms 20.1, 20.3);
+    - ``weight_floor`` on each parameter: the largest column bound of
+      ``_lstsq``, which covers the medians' rounding;
     - ``gap_floor`` on the gap: a prediction P's loss is within
       ||P - median||_1 / b of lb, P moves by the weight floor times |[y 1]|
       plus gamma_{p+1} |[y 1]| |theta|, and each loss sums X.size terms.
@@ -241,18 +245,40 @@ def fit_median_restorer(domains: DomainSpec, seed: int, batch: int) -> LinearRes
     y1, x = _stacked_draw(domains, seed, batch)
     b, p = y1.shape
     median = double_meaning_minimizer(x, loss="l1")
-    sol, _, _, sv = np.linalg.lstsq(y1, median, rcond=None)
+    sol, col_floors = _lstsq(y1, median)
     lb, loss = _l1_loss(median, x), _l1_loss(y1 @ sol, x)
-    weight_floor = (2.0 * float(sv[0] / sv[-1]) * math.sqrt(p) * _gamma(b * p)
-                    * float(np.linalg.norm(sol, axis=0).max()))
+    weight_floor = float(col_floors.max())
     abs_y1 = np.abs(y1)
     moved = (sol.shape[1] * weight_floor * float(abs_y1.sum())
              + _gamma(p + 1) * float((abs_y1 @ np.abs(sol)).sum()))
     slack = moved / b + _gamma(x.size + 1) * (loss + lb)
-    fit = _exact_restorer(sol)
+    fit = _exact_restorer(sol, col_floors)
     fit.meta.update(lower_bound=lb, optimality_gap=_relative_gap(loss, lb),
                     weight_floor=weight_floor, gap_floor=slack / lb if lb > 0 else math.inf)
     return fit
+
+
+def _lstsq(design: np.ndarray, rhs: np.ndarray):
+    """lstsq's solution of design @ sol = rhs (design b x p), and per column k
+    a bound on the distance of sol_k from the exact minimum-norm solution.
+
+    lstsq (LAPACK's SVD solver gelsd) has a relative backward error p(b, p) u
+    with p "modestly growing" and unstated (LAPACK Users' Guide, sec. 4.5);
+    e = sqrt(p) gamma_{bp}, Householder QR's (Higham 2002, Thm 20.3), stands
+    in for it, so the bound is a proxy. Wedin's bound (Higham 2002, Thm 20.1)
+    on the rank-r problem lstsq keeps, kappa = sigma_1 / sigma_r, is then
+    kappa e / (1 - kappa e) (2 ||sol_k|| + (kappa + 1) ||r_k|| / sigma_1) with
+    r = design @ sol - rhs, to first order in e; infinite once kappa e >= 1.
+    """
+    sol, _, rank, sv = np.linalg.lstsq(design, rhs, rcond=None)
+    kappa = float(sv[0] / sv[rank - 1])
+    ke = kappa * math.sqrt(design.shape[1]) * _gamma(design.size)
+    if ke >= 1.0:
+        return sol, np.full(sol.shape[1], math.inf)
+    # One residual column at a time: no b x n_rhs array beside lstsq's.
+    r = np.array([np.linalg.norm(design @ sol[:, k] - rhs[:, k]) for k in range(sol.shape[1])])
+    return sol, ke / (1.0 - ke) * (2.0 * np.linalg.norm(sol, axis=0)
+                                   + (kappa + 1.0) / float(sv[0]) * r)
 
 
 def _l1_loss(pred: np.ndarray, x: np.ndarray) -> float:
@@ -285,26 +311,33 @@ def _exact_fits(domains: DomainSpec, seed: int, batch: int):
     is linear in its targets, so the mixed minimizer, the fit to the mean
     target, is the mean of the M targeted fits (with M = 1, the fit itself).
     Disjoint domains fit the mixed restorer on all blocks stacked, and
-    targeted restorer i on block i.
+    targeted restorer i on block i. Each restorer's ``meta["param_floor"]``
+    bounds the Frobenius distance of [W | b] from the exact fit's (``_lstsq``,
+    plus the rounding of the mixed mean, at most gamma_M mean |theta_i|).
     """
     blocks = _training_blocks(domains, stream_rng(seed, 0), batch)
     _check_domains_distinct(domains, blocks)
-    designs = [np.hstack([y, np.ones((y.shape[0], 1))]) for y, _ in blocks]
+    ones = np.ones((batch, 1))
     if domains.mode == OVERLAPPING:
         m, n_out = domains.n_domains, blocks[0][1].shape[1]
-        sol = np.linalg.lstsq(designs[0], np.hstack([x for _, x in blocks]), rcond=None)[0]
+        sol, col_floors = _lstsq(np.hstack([blocks[0][0], ones]), np.hstack([x for _, x in blocks]))
         targeted = sol.reshape(sol.shape[0], m, n_out).transpose(1, 0, 2)
-        mixed = targeted.mean(axis=0)
+        per = col_floors.reshape(m, n_out)
+        rounding = _gamma(m) * np.linalg.norm(np.abs(targeted).mean(axis=0), axis=0)
+        fits = [(targeted.mean(axis=0), per.mean(axis=0) + rounding), *zip(targeted, per)]
     else:
-        mixed = np.linalg.lstsq(np.vstack(designs), np.vstack([x for _, x in blocks]),
-                                rcond=None)[0]
-        targeted = [np.linalg.lstsq(d, x, rcond=None)[0] for d, (_, x) in zip(designs, blocks)]
-    return _exact_restorer(mixed), tuple(_exact_restorer(t) for t in targeted)
+        designs = [np.hstack([y, ones]) for y, _ in blocks]
+        fits = [_lstsq(np.vstack(designs), np.vstack([x for _, x in blocks]))]
+        fits += [_lstsq(d, x) for d, (_, x) in zip(designs, blocks)]
+    mixed, *targeted = (_exact_restorer(*fit) for fit in fits)
+    return mixed, tuple(targeted)
 
 
-def _exact_restorer(sol: np.ndarray) -> LinearRestorer:
-    """The restorer of a least-squares solution against [y 1]: bias in the last row."""
-    return LinearRestorer(weights=sol[:-1].T.copy(), bias=sol[-1].copy(), loss_log=())
+def _exact_restorer(sol: np.ndarray, col_floors) -> LinearRestorer:
+    """The restorer of a least-squares solution against [y 1], bias in the
+    last row, given bounds on each column's round-off (``_lstsq``)."""
+    return LinearRestorer(weights=sol[:-1].T.copy(), bias=sol[-1].copy(), loss_log=(),
+                          meta={"param_floor": float(np.linalg.norm(col_floors))})
 
 
 def _check_domains_distinct(domains: DomainSpec, blocks) -> None:
@@ -339,13 +372,16 @@ def resolution_shift_prediction(x2: np.ndarray, sigma1: float, sigma2: float) ->
 
 @dataclass(frozen=True)
 class MixedVsTargetedReport:
-    """Per-domain population risk of one shared restorer vs per-domain ones,
-    each gap's round-off floor, and on overlapping domains (None on disjoint)
-    the price of averaging E||x_i - x_bar||^2 / n_out, x_bar the mean target."""
+    """Per-domain population risk of one shared restorer vs per-domain ones;
+    per gap, the round-off of evaluating it (``floors``) and how far the
+    fits' own round-off can move it from the exact fits' gap
+    (``fit_floors``); and on overlapping domains (None on disjoint) the price
+    of averaging E||x_i - x_bar||^2 / n_out, x_bar the mean target."""
 
     mixed_risks: tuple
     targeted_risks: tuple
     floors: tuple
+    fit_floors: tuple
     averaging_costs: Optional[tuple]
 
     @property
@@ -366,14 +402,15 @@ def mixed_vs_targeted_report(domains: DomainSpec, seed: int = 0,
     strict gap, the averaging cost when the fits are exact.
     """
     mixed, targeted = _exact_fits(domains, seed, batch)
-    (rm, fm), (rt, ft) = (zip(*(_risk(domains, i, r) for i, r in enumerate(rs)))
-                          for rs in ((mixed,) * len(targeted), targeted))
+    (rm, fm, gm), (rt, ft, gt) = (zip(*(_risk(domains, i, r) for i, r in enumerate(rs)))
+                                  for rs in ((mixed,) * len(targeted), targeted))
     costs = None
     if domains.mode == OVERLAPPING:
         t_bar, c_bar = np.mean(domains.inverses, axis=0), np.mean(domains.offsets, axis=0)
         costs = tuple(float(np.vdot(e, e)) / len(e) for e in (
             _error_factor(domains, i, t_bar, c_bar) for i in range(len(targeted))))
-    return MixedVsTargetedReport(rm, rt, tuple(a + b for a, b in zip(fm, ft)), costs)
+    return MixedVsTargetedReport(rm, rt, tuple(a + b for a, b in zip(fm, ft)),
+                                 tuple(a + b for a, b in zip(gm, gt)), costs)
 
 
 def _error_factor(domains: DomainSpec, i: int, m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -386,7 +423,8 @@ def _error_factor(domains: DomainSpec, i: int, m: np.ndarray, v: np.ndarray) -> 
 
 def _risk(domains: DomainSpec, i: int, restorer: LinearRestorer):
     """Population risk E||W y + b - x_i||^2 / n_out of ``restorer`` on domain
-    i, and a bound on its round-off.
+    i, a bound on its round-off, and a bound on how far the fit's round-off
+    moves it from the exact fit's risk.
 
     The restorer predicts u (W O)' + b, which errs by E [z; 1]
     (``_error_factor``), so the risk is ||E||_F^2 / n_out. Each entry of E
@@ -394,16 +432,22 @@ def _risk(domains: DomainSpec, i: int, restorer: LinearRestorer):
     by at most d = gamma_K s in Frobenius norm, where s = (||W|| ||O|| +
     ||T_i||) (||F_i|| + ||mu_i||) + ||b|| + ||c_i|| bounds the terms summed;
     ||E||^2 moves by at most d (2 ||E|| + d), and its own sum rounds by at
-    most gamma_{E.size} ||E||^2.
+    most gamma_{E.size} ||E||^2. The fit's parameters [W | b] sit within
+    ``meta["param_floor"]`` of the exact fit's in Frobenius norm, and
+    [y 1] = [z 1] H_i with ||H_i|| <= ||O|| (||F_i|| + ||mu_i||) + 1, so the
+    exact fit's E is within d_f = param_floor ||H_i|| of this one's.
     """
     w, b, o = restorer.weights, restorer.bias, domains.observation
     e = _error_factor(domains, i, w @ o, b)
     sq, n_out = float(np.vdot(e, e)), len(e)
     norm = np.linalg.norm
-    s = ((norm(w) * norm(o) + norm(domains.inverses[i]))
-         * (norm(domains.factors[i]) + norm(domains.means[i])) + norm(b) + norm(domains.offsets[i]))
+    latent = norm(domains.factors[i]) + norm(domains.means[i])
+    s = (norm(w) * norm(o) + norm(domains.inverses[i])) * latent + norm(b) + norm(domains.offsets[i])
     d = _gamma(sum(o.shape) + 3) * float(s)
-    return sq / n_out, (_gamma(e.size) * sq + d * (2.0 * math.sqrt(sq) + d)) / n_out
+    d_f = restorer.meta["param_floor"] * (float(norm(o)) * latent + 1.0)
+    root = math.sqrt(sq) + d
+    return (sq / n_out, (_gamma(e.size) * sq + d * (2.0 * math.sqrt(sq) + d)) / n_out,
+            d_f * (2.0 * root + d_f) / n_out)
 
 
 # ---------------------------------------------------------------------------

@@ -166,14 +166,29 @@ class TestTrainedRestorer:
 
     def test_coinciding_disjoint_domains_accepted(self):
         """Only overlapping domains are checked for coinciding inverses: two
-        disjoint domains drawing from the same law with the same inverse fit
-        the identity."""
+        disjoint blocks drawing the same inputs with the same targets pass the
+        check, and two disjoint domains with the same inverse fit the
+        identity."""
         twice = [np.eye(3)] * 2
         dom = DomainSpec(inverses=twice, offsets=[np.zeros(3)] * 2, factors=twice,
                          means=[np.zeros(3)] * 2, observation=np.eye(3), mode=domain_shift.DISJOINT)
+        y = stream_rng(5, 0).standard_normal((64, 3))
+        domain_shift._check_domains_distinct(dom, [(y, y), (y, y)])
         fit = fit_linear_restorer(dom, batch=64)
         np.testing.assert_allclose(fit.weights, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(fit.bias, np.zeros(3), atol=1e-12)
+
+    def test_overlapping_spec_shares_one_latent_law(self):
+        """Overlapping domains are drawn once, from the first factor and mean,
+        so a spec whose factors or means differ is rejected."""
+        pair = [np.eye(2), 2.0 * np.eye(2)]
+        zeros = [np.zeros(2)] * 2
+        with pytest.raises(ContractViolation):
+            DomainSpec(pair, zeros, pair, zeros, np.eye(2), domain_shift.OVERLAPPING)
+        with pytest.raises(ContractViolation):
+            DomainSpec(pair, zeros, [np.eye(2)] * 2, [np.zeros(2), np.ones(2)], np.eye(2),
+                       domain_shift.OVERLAPPING)
+        DomainSpec(pair, zeros, pair, zeros, np.eye(2), domain_shift.DISJOINT)
 
     @staticmethod
     def _per_domain_descent(dom, epochs, seed, batch):
@@ -408,6 +423,30 @@ class TestMixedVsTargeted:
         assert all(abs(g) <= f <= 1e-20 for g, f in zip(rep.gaps, rep.floors))
         assert rep.averaging_costs is None
 
+    @pytest.mark.parametrize("dim, batch", [(6, 256), (60, 62)])
+    def test_fit_floors_cover_the_fits_distance_from_exact(self, dim, batch):
+        """Disjoint offsets +-1 with flags +-1: the exact mixed fit maps
+        (s, f) to s + f, and exact targeted fit i, whose flag column equals
+        its ones column on its support, is the minimum-norm split
+        s + (f + d_i) / 2. Each
+        fit's parameters sit within its param_floor of these, and each gap
+        within its two floors of the exact fits' gap, 0, also where the
+        targeted design is nearly square (batch = dim + 2)."""
+        dom = offset_indicator_domains(dim, 1.0, -1.0, disjoint=True)
+        eye, flag = np.eye(dim, dim + 1), np.zeros((dim, dim + 1))
+        flag[:, dim] = 1.0
+        for seed in range(5):
+            mixed, targeted = domain_shift._exact_fits(dom, seed, batch)
+            for fit, w, b in ((mixed, eye + flag, 0.0), (targeted[0], eye + 0.5 * flag, 0.5),
+                              (targeted[1], eye + 0.5 * flag, -0.5)):
+                dist = math.hypot(np.linalg.norm(fit.weights - w), np.linalg.norm(fit.bias - b))
+                assert dist <= fit.meta["param_floor"], (seed, dist, fit.meta)
+            rep = mixed_vs_targeted_report(dom, seed=seed, batch=batch)
+            for g, f, ff in zip(rep.gaps, rep.floors, rep.fit_floors):
+                assert abs(g) <= f + ff
+        report = run_experiment("mixed_vs_targeted", 0, {"offset_dim": dim, "batch": batch})[0]
+        assert report["all_passed"]
+
     def test_overlapping_supports_force_averaging(self):
         dom = offset_indicator_domains(6, 1.0, -1.0, disjoint=False)
         rep = mixed_vs_targeted_report(dom, seed=0, batch=256)
@@ -479,9 +518,10 @@ class TestMixedVsTargeted:
     def test_default_run_peaks_under_1_mib(self):
         """No draw is evaluated, so the training draw and its least-squares
         solve set the peak: at n = 48 and batch 256, the blur or rate
-        domains' inputs and two targets, the 256 x 49 design, the 256 x 96
-        right-hand sides and lstsq's copies of both (0.81 MiB measured at
-        seed 0). Each closed-form risk takes only n x n products."""
+        domains' inputs and two targets, the one 256 x 49 design, the
+        256 x 96 right-hand sides and lstsq's copies of both (0.72 MiB
+        measured at seed 0). The fits' residuals are formed one column at a
+        time, and each closed-form risk takes only n x n products."""
         run_experiment("mixed_vs_targeted", 0, {})  # first-call allocations
         tracemalloc.start()
         try:
@@ -505,7 +545,7 @@ class TestMixedVsTargeted:
             blocks = _training_blocks(dom, stream_rng(seed, 0), 256)
             design = np.vstack([np.hstack([y, np.ones((len(y), 1))]) for y, _ in blocks])
             sol = np.linalg.lstsq(design, np.vstack([x for _, x in blocks]), rcond=None)[0]
-            stacked = domain_shift._exact_restorer(sol)
+            stacked = domain_shift._exact_restorer(sol, 0.0)
             rep = mixed_vs_targeted_report(dom, seed=seed, batch=256)
             np.testing.assert_allclose(
                 rep.mixed_risks, [domain_shift._risk(dom, i, stacked)[0] for i in range(2)],

@@ -5,17 +5,16 @@ output is the per-loss centroid of the domains' valid reconstructions: the
 weighted mean under squared error, the coordinatewise weighted median under
 absolute error. Every domain here is a Gaussian latent through affine maps
 (``DomainSpec``), so every number about an affine restorer is exact: the
-least-squares fits, their population risks in the mixed-versus-targeted
-report, and the absolute-error minimizer (``fit_median_restorer``), fitted
-without iterating. ``train_mixed_restorer`` runs gradient descent for the
-claim about training itself. The resolution-shift closed form is built from
-blur operators.
+least-squares fits (``fit_linear_restorer``), their population risks in the
+mixed-versus-targeted report, and the absolute-error minimizer
+(``fit_median_restorer``), all fitted without iterating. The
+resolution-shift closed form is built from blur operators.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -122,16 +121,15 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class LinearRestorer:
-    """Affine map fitted to invert observations; ``loss_log`` is empty for an exact fit."""
+    """Affine map fitted to invert observations."""
 
     weights: np.ndarray
     bias: np.ndarray
-    loss_log: tuple
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
-            raise Diverged("non-finite parameters after training")
+            raise Diverged("non-finite parameters after the fit")
         self.weights.setflags(write=False)
         self.bias.setflags(write=False)
 
@@ -139,14 +137,6 @@ class LinearRestorer:
         out = np.asarray(y, dtype=np.float64) @ self.weights.T
         out += self.bias
         return out
-
-    def check_training(self) -> bool:
-        """Loss log non-increasing up to _TRAINING_SLACK relative to its starting value."""
-        log = np.asarray(self.loss_log)
-        if len(log) < 2:
-            return True
-        tol = _TRAINING_SLACK * max(1.0, float(log[0]))
-        return bool(np.all(np.diff(log) <= tol))
 
 
 def _training_blocks(domains: DomainSpec, rng: np.random.Generator, batch: int):
@@ -169,63 +159,6 @@ def _stacked_draw(domains: DomainSpec, seed: int, batch: int):
     _check_domains_distinct(domains, blocks)
     y = blocks[0][0]
     return np.hstack([y, np.ones((y.shape[0], 1))]), np.stack([t for _, t in blocks])
-
-
-# Loss increase, relative to the first logged loss, that check_training forgives.
-_TRAINING_SLACK = 1e-9
-# Squared-error training stops once no parameter step exceeds this.
-_PARAM_TOL = 1e-14
-
-
-def train_mixed_restorer(domains: DomainSpec, epochs: int = 10_000, seed: int = 0,
-                         batch: int = 512) -> LinearRestorer:
-    """Fit one affine restorer against every domain's targets at once.
-
-    Full-batch gradient descent on the weighted multi-domain squared error,
-    with no configured step size: it steps by 1/L, with
-    L = 2 lambda_max([y 1]' [y 1]) / b the Lipschitz constant of its gradient
-    on the training draw of b rows ([y 1] holds a column of ones, so
-    lambda_max >= b > 0): by the descent lemma no step raises the loss. It
-    stops once no parameter moves by more than _PARAM_TOL. ``meta`` records
-    the derived ``initial_lr`` and ``epochs_run``.
-
-    The domains overlap (``_stacked_draw``), so the prediction y W' + bias
-    is formed once per epoch and the residual R = pred - X is one array.
-    Every domain weighs 1/M, so the gradient sums R over the domains first
-    and then takes one product with [y 1]: W's gradient, and the bias
-    gradient as its last column.
-    """
-    y1, x = _stacked_draw(domains, seed, batch)
-    m, b, n_out = x.shape
-    n_in = y1.shape[1] - 1
-    # theta = [W | bias] against [y 1]: one product is the prediction, one
-    # the whole gradient, and one step moves both.
-    theta = np.zeros((n_out, n_in + 1))
-    # Every domain weighs 1/m and the loss is a mean over b rows.
-    loss_scale = 1.0 / m / b
-    pred = np.empty((b, n_out))
-    r = np.empty_like(x)
-    g = np.empty_like(pred)
-    step = np.empty_like(theta)
-    lr = b / (2.0 * float(np.linalg.eigvalsh(y1.T @ y1)[-1]))
-    log = []
-    for _ in range(epochs):
-        np.matmul(y1, theta.T, out=pred)
-        np.subtract(pred, x, out=r)
-        log.append(loss_scale * float(np.vdot(r, r)))
-        r.sum(axis=0, out=g)
-        # The gradient is 2 loss_scale times this product.
-        np.matmul(g.T, y1, out=step)
-        step *= lr * (2.0 * loss_scale)
-        theta -= step
-        if np.abs(step).max() <= _PARAM_TOL:
-            break
-    return LinearRestorer(
-        weights=theta[:, :n_in].copy(),
-        bias=theta[:, n_in].copy(),
-        loss_log=tuple(log),
-        meta={"initial_lr": lr, "epochs_run": len(log)},
-    )
 
 
 def fit_median_restorer(domains: DomainSpec, seed: int, batch: int) -> LinearRestorer:
@@ -293,12 +226,12 @@ def _relative_gap(value: float, lb: float) -> float:
 
 
 def fit_linear_restorer(domains: DomainSpec, seed: int = 0, batch: int = 512) -> LinearRestorer:
-    """Exact minimizer of the objective ``train_mixed_restorer`` descends.
+    """The mixed restorer: the exact minimizer of the multi-domain squared error.
 
-    Same draw. Every domain draws ``batch`` rows, so the least-squares fit over
-    all domains' stacked rows minimizes (1/M) sum_i mean_rows ||W y + b - x||^2;
+    Every domain draws ``batch`` rows, so the least-squares fit over all
+    domains' stacked rows minimizes (1/M) sum_i mean_rows ||W y + b - x||^2;
     on overlapping domains that fit is the mean of the per-domain fits
-    (``_exact_fits``).
+    (``_exact_fits``). ``meta["param_floor"]`` bounds its round-off.
     """
     return _exact_fits(domains, seed, batch)[0]
 
@@ -315,17 +248,18 @@ def _exact_fits(domains: DomainSpec, seed: int, batch: int):
     bounds the Frobenius distance of [W | b] from the exact fit's (``_lstsq``,
     plus the rounding of the mixed mean, at most gamma_M mean |theta_i|).
     """
-    blocks = _training_blocks(domains, stream_rng(seed, 0), batch)
-    _check_domains_distinct(domains, blocks)
-    ones = np.ones((batch, 1))
     if domains.mode == OVERLAPPING:
-        m, n_out = domains.n_domains, blocks[0][1].shape[1]
-        sol, col_floors = _lstsq(np.hstack([blocks[0][0], ones]), np.hstack([x for _, x in blocks]))
+        y1, x = _stacked_draw(domains, seed, batch)
+        m, _, n_out = x.shape
+        # The M targets side by side: row r holds x_1[r], ..., x_M[r].
+        sol, col_floors = _lstsq(y1, x.transpose(1, 0, 2).reshape(batch, m * n_out))
         targeted = sol.reshape(sol.shape[0], m, n_out).transpose(1, 0, 2)
         per = col_floors.reshape(m, n_out)
         rounding = _gamma(m) * np.linalg.norm(np.abs(targeted).mean(axis=0), axis=0)
         fits = [(targeted.mean(axis=0), per.mean(axis=0) + rounding), *zip(targeted, per)]
     else:
+        blocks = _training_blocks(domains, stream_rng(seed, 0), batch)
+        ones = np.ones((batch, 1))
         designs = [np.hstack([y, ones]) for y, _ in blocks]
         fits = [_lstsq(np.vstack(designs), np.vstack([x for _, x in blocks]))]
         fits += [_lstsq(d, x) for d, (_, x) in zip(designs, blocks)]
@@ -336,7 +270,7 @@ def _exact_fits(domains: DomainSpec, seed: int, batch: int):
 def _exact_restorer(sol: np.ndarray, col_floors) -> LinearRestorer:
     """The restorer of a least-squares solution against [y 1], bias in the
     last row, given bounds on each column's round-off (``_lstsq``)."""
-    return LinearRestorer(weights=sol[:-1].T.copy(), bias=sol[-1].copy(), loss_log=(),
+    return LinearRestorer(weights=sol[:-1].T.copy(), bias=sol[-1].copy(),
                           meta={"param_floor": float(np.linalg.norm(col_floors))})
 
 

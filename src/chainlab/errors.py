@@ -88,7 +88,7 @@ class DomainsCoincide(ChainlabError):
 
 
 class Diverged(ChainlabError):
-    """Training left non-finite parameters."""
+    """A fit left non-finite parameters."""
 
 
 # --- sparse recovery --------------------------------------------------------

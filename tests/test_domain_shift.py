@@ -1,9 +1,9 @@
-"""Mixed-domain averaging: closed-form minimizers, trained linear restorers,
+"""Mixed-domain averaging: closed-form minimizers, fitted linear restorers,
 the resolution-shift closed form, and mixed-vs-targeted error gaps.
 
-Training checks compare against independent closed forms: the weighted
+Fits are checked against independent closed forms: the weighted
 least-squares optimum for squared error, coordinatewise medians for
-absolute error, and finite-difference gradients at the returned minimizer.
+absolute error, and the objective's gradient at the returned minimizer.
 Closed-form population risks are checked against Monte Carlo means.
 """
 
@@ -27,7 +27,6 @@ from chainlab.domain_shift import (
     offset_indicator_domains,
     resolution_shift_prediction,
     scaling_domains,
-    train_mixed_restorer,
     two_blur_domains,
 )
 from chainlab.domain_shift import _training_blocks
@@ -125,20 +124,20 @@ class TestMinimizer:
 
 class TestTrainedRestorer:
     def test_single_domain_recovers_inverse(self):
-        """Targeted training on one invertible linear domain drives the
-        held-out error to numerical zero."""
+        """The fit to one invertible linear domain drives the held-out error
+        to numerical zero."""
         dom = scaling_domains(6, (1.5,))
-        restorer = train_mixed_restorer(dom, epochs=3000, seed=0, batch=256)
+        restorer = fit_linear_restorer(dom, seed=0, batch=256)
         u = stream_rng(62, 0).standard_normal((128, 6))
         err = float(np.mean((restorer.predict(u) - 1.5 * u) ** 2))
         assert err < 1e-6
 
     def test_two_linear_domains_collapse_to_mean_map(self):
-        """Training against both targets lands on the mean-scale map, and
+        """The fit against both targets lands on the mean-scale map, and
         matches the closed-form least-squares oracle."""
         dim = 8
         dom = scaling_domains(dim, (1.0, 2.0))
-        restorer = train_mixed_restorer(dom, epochs=4000, seed=0, batch=512)
+        restorer = fit_linear_restorer(dom, seed=0, batch=512)
         # oracle: W* = E[t y'] E[y y']^{-1} with t the mean target 1.5 y
         u = stream_rng(0, 0).standard_normal((512, dim))  # the training draw
         t = 1.5 * u
@@ -148,17 +147,8 @@ class TestTrainedRestorer:
         closed = double_meaning_minimizer([fresh, 2.0 * fresh], loss="mse")
         assert np.max(np.abs(restorer.predict(fresh) - closed)) <= 1e-3
 
-    def test_loss_log_non_increasing_for_mse(self):
-        dom = scaling_domains(4, (1.0, 3.0))
-        restorer = train_mixed_restorer(dom, epochs=2000, seed=1, batch=128)
-        log = np.asarray(restorer.loss_log)
-        assert len(log) > 1 and np.all(np.diff(log) <= 1e-12 * max(1.0, log[0]))
-        assert restorer.check_training()
-
     def test_coinciding_domains_rejected(self):
         dom = DomainSpec.overlapping([np.eye(3), np.eye(3)], factor=np.eye(3))
-        with pytest.raises(DomainsCoincide):
-            train_mixed_restorer(dom, epochs=10)
         with pytest.raises(DomainsCoincide):
             fit_linear_restorer(dom)
         with pytest.raises(DomainsCoincide):
@@ -190,50 +180,10 @@ class TestTrainedRestorer:
                        domain_shift.OVERLAPPING)
         DomainSpec(pair, zeros, pair, zeros, np.eye(2), domain_shift.DISJOINT)
 
-    @staticmethod
-    def _per_domain_descent(dom, epochs, seed, batch):
-        """The trainer's epoch written out domain by domain: each block's
-        residual, loss and gradient, weighted and summed, stepping by
-        1/L = b / (2 lambda_max([y 1]'[y 1]))."""
-        blocks = _training_blocks(dom, stream_rng(seed, 0), batch)
-        y0 = blocks[0][0]
-        n_in, n_out = y0.shape[1], blocks[0][1].shape[1]
-        w_mat, bias = np.zeros((n_out, n_in)), np.zeros(n_out)
-        y1 = np.hstack([y0, np.ones((len(y0), 1))])
-        lr = len(y0) / (2.0 * np.linalg.eigvalsh(y1.T @ y1)[-1])
-        wgt = 1.0 / len(blocks)
-        log = []
-        for _ in range(epochs):
-            gw, gb, total = np.zeros_like(w_mat), np.zeros_like(bias), 0.0
-            for y, x in blocks:
-                r = y @ w_mat.T + bias - x
-                total += wgt * float(np.mean(np.sum(r**2, axis=1)))
-                gw += wgt / len(y) * 2.0 * r.T @ y
-                gb += wgt / len(y) * 2.0 * r.sum(axis=0)
-            log.append(total)
-            w_mat = w_mat - lr * gw
-            bias = bias - lr * gb
-        return np.array(log), w_mat, bias
-
-    def test_stacked_epoch_matches_per_domain_loop(self):
-        """One stacked residual per epoch computes the per-domain loop's loss
-        and step up to summation order, over 300 epochs (before the
-        stopping rule's round-off regime)."""
-        dom = two_blur_domains(32, 1.0, 2.0)
-        trained = train_mixed_restorer(dom, epochs=300, seed=5, batch=256)
-        assert trained.meta["epochs_run"] == 300
-        log, w_mat, bias = self._per_domain_descent(dom, 300, seed=5, batch=256)
-        np.testing.assert_allclose(trained.loss_log, log, rtol=1e-12, atol=0)
-        assert np.max(np.abs(trained.weights - w_mat)) <= 1e-10
-        assert np.max(np.abs(trained.bias - bias)) <= 1e-10
-
     def test_disjoint_domains_rejected(self):
-        """The trainer and the median fit stack targets against one shared
-        input; a disjoint spec, whose domains draw their own inputs, is for
-        fit_linear_restorer."""
+        """The median fit stacks targets against one shared input; a disjoint
+        spec, whose domains draw their own inputs, is for fit_linear_restorer."""
         dom = offset_indicator_domains(4, 1.0, -1.0, disjoint=True)
-        with pytest.raises(ContractViolation):
-            train_mixed_restorer(dom, epochs=10)
         with pytest.raises(ContractViolation):
             fit_median_restorer(dom, seed=0, batch=64)
 
@@ -268,7 +218,6 @@ class TestMedianFit:
         middle = sorted(scales)[1]
         assert np.max(np.abs(fit.weights - middle * np.eye(2))) <= meta["weight_floor"] <= 1e-10
         assert np.max(np.abs(fit.bias)) <= meta["weight_floor"]
-        assert fit.loss_log == ()
 
     def test_fit_is_the_trainers_median_fit_bit_for_bit(self):
         """The fit is np.linalg.lstsq of [y 1] against the per-row medians,
@@ -293,10 +242,6 @@ class TestMedianFit:
         assert meta["optimality_gap"] > 0.05
         assert meta["gap_floor"] < 1e-10
 
-    def test_squared_error_carries_no_certificate(self):
-        trained = train_mixed_restorer(scaling_domains(3, (1.0, 2.0)), epochs=100, seed=0, batch=64)
-        assert set(trained.meta) == {"initial_lr", "epochs_run"}
-
 
 class TestExactFit:
     @pytest.mark.parametrize("make", [
@@ -305,8 +250,8 @@ class TestExactFit:
         lambda: two_blur_domains(32, 1.0, 2.0),
     ])
     def test_weighted_mse_gradient_vanishes(self, make):
-        """The gradient of the objective gradient descent minimizes, written
-        out block by block, is zero at the fit up to round-off."""
+        """The gradient of the multi-domain squared error, written out block
+        by block, is zero at the fit up to round-off."""
         dom = make()
         fit = fit_linear_restorer(dom, seed=2, batch=96)
         blocks = _training_blocks(dom, stream_rng(2, 0), 96)
@@ -340,13 +285,6 @@ class TestExactFit:
         np.testing.assert_allclose(fit.weights, sol[:-1].T, atol=1e-12)
         np.testing.assert_allclose(fit.bias, sol[-1], atol=1e-12)
 
-    def test_gradient_descent_approaches_the_exact_fit(self):
-        dom = scaling_domains(4, (1.0, 3.0))
-        trained = train_mixed_restorer(dom, epochs=2000, seed=1, batch=128)
-        exact = fit_linear_restorer(dom, seed=1, batch=128)
-        assert np.max(np.abs(trained.weights - exact.weights)) <= 1e-6
-        assert exact.loss_log == () and exact.check_training()
-
 
 class TestResolutionShift:
     def test_equal_blur_limit_returns_input(self):
@@ -375,12 +313,12 @@ class TestResolutionShift:
         assert np.max(np.abs(np.convolve(h1, h12) - h2)) <= 1e-3
 
     def test_trained_blur_restorer_approximates_prediction(self):
-        """End-to-end: the mixed-trained linear restorer on the two-blur
-        instance tracks the closed-form averaged prediction on interior
-        samples (declared training tolerance 5e-2)."""
+        """End-to-end: the mixed linear fit on the two-blur instance tracks
+        the closed-form averaged prediction on interior samples (declared
+        tolerance 5e-2)."""
         n = 48
         dom = two_blur_domains(n, 1.0, 2.0)
-        restorer = train_mixed_restorer(dom, epochs=4000, seed=0, batch=256)
+        restorer = fit_linear_restorer(dom, seed=0, batch=256)
         rng = stream_rng(63, 1)
         u = rng.standard_normal((8, n)) @ blur_matrix(n, 2.0).matrix.T
         y = u @ blur_matrix(n, 2.0).matrix.T

@@ -627,6 +627,20 @@ class TestDomainExperiments:
             assert res["median_fit_vs_median_map_sup"] <= 1e-14, (seed, res)
             assert abs(res["median_fit_optimality_gap"]) <= 1e-14, (seed, res)
 
+    def test_mean_fit_exact_at_seeds_0_to_99(self):
+        """At every default run the exact mixed least-squares fit is the mean
+        map 1.5 I within its round-off floor, the margin is that floor minus
+        the distance, and the report holds no training record."""
+        for seed in range(100):
+            report, tables, plotdata = run_experiment("double_meaning_mse", seed=seed)
+            res = {k: v["value"] for k, v in report["results"].items()}
+            assert report["all_passed"], (seed, res)
+            assert set(res) == {"closed_form_pair_mean", "closed_form_weighted_mean",
+                                "mixed_fit_vs_mean_map_sup", "mean_map_margin"}
+            assert tables == {} and plotdata == {}
+            assert 0.0 < res["mean_map_margin"] < 1e-10, (seed, res)
+            assert res["mixed_fit_vs_mean_map_sup"] <= 1e-13, (seed, res)
+
     @pytest.mark.parametrize("exp_id", ["double_meaning_mse", "double_meaning_l1"])
     def test_median_fit_passes_at_batch_just_above_dim(self, exp_id):
         """Dim 7, batch 8, which validate accepts: the design [y 1] is square

@@ -19,6 +19,7 @@ from chainlab import domain_shift
 from chainlab.channels import blur_matrix, gaussian_kernel
 from chainlab.domain_shift import (
     DomainSpec,
+    LinearRestorer,
     decimation_domains,
     double_meaning_minimizer,
     fit_linear_restorer,
@@ -30,7 +31,7 @@ from chainlab.domain_shift import (
     two_blur_domains,
 )
 from chainlab.domain_shift import _training_blocks
-from chainlab.errors import ContractViolation, DimensionMismatch, DomainsCoincide
+from chainlab.errors import ContractViolation, DimensionMismatch, DomainsCoincide, Diverged
 from chainlab.experiments import run_experiment
 from chainlab.rng import stream_rng
 
@@ -187,6 +188,14 @@ class TestTrainedRestorer:
         with pytest.raises(ContractViolation):
             fit_median_restorer(dom, seed=0, batch=64)
 
+    @pytest.mark.parametrize("weights, bias", [
+        (np.array([[np.nan, 0.0]]), np.zeros(1)),
+        (np.eye(2), np.array([0.0, np.inf])),
+    ])
+    def test_non_finite_fit_raises_diverged(self, weights, bias):
+        with pytest.raises(Diverged, match="fit"):
+            LinearRestorer(weights=weights, bias=bias, meta={})
+
 
 class TestMedianFit:
     """The least-squares fit to the per-row medians, the per-row median lower
@@ -242,6 +251,12 @@ class TestMedianFit:
         assert meta["optimality_gap"] > 0.05
         assert meta["gap_floor"] < 1e-10
 
+    def test_squared_error_carries_no_certificate(self):
+        """The squared-error fit records only its round-off bound: no median
+        bound, optimality gap or gap floor."""
+        fit = fit_linear_restorer(scaling_domains(3, (1.0, 2.0)), seed=0, batch=64)
+        assert set(fit.meta) == {"param_floor"}
+
 
 class TestExactFit:
     @pytest.mark.parametrize("make", [
@@ -284,6 +299,27 @@ class TestExactFit:
         sol = np.linalg.lstsq(design, mean_target, rcond=None)[0]
         np.testing.assert_allclose(fit.weights, sol[:-1].T, atol=1e-12)
         np.testing.assert_allclose(fit.bias, sol[-1], atol=1e-12)
+
+    @pytest.mark.parametrize("make", [
+        lambda: scaling_domains(5, (1.0, 3.0)),
+        lambda: two_blur_domains(32, 1.0, 2.0),
+        lambda: offset_indicator_domains(6, 1.0, -1.0, disjoint=False),
+    ])
+    def test_overlapping_fits_are_the_per_domain_blocks_solve_bit_for_bit(self, make):
+        """Building [y 1] and the side-by-side targets from the stacked draw
+        changes no bit: each targeted fit is lstsq of [y 1] against the
+        per-domain blocks' targets laid side by side, and the mixed fit is
+        their mean."""
+        dom = make()
+        for seed in range(3):
+            mixed, targeted = domain_shift._exact_fits(dom, seed, 96)
+            blocks = _training_blocks(dom, stream_rng(seed, 0), 96)
+            design = np.hstack([blocks[0][0], np.ones((96, 1))])
+            sol = np.linalg.lstsq(design, np.hstack([x for _, x in blocks]), rcond=None)[0]
+            per = sol.reshape(sol.shape[0], len(blocks), -1).transpose(1, 0, 2)
+            for fit, theta in zip((mixed, *targeted), (per.mean(axis=0), *per)):
+                assert fit.weights.tobytes() == theta[:-1].T.tobytes(), seed
+                assert fit.bias.tobytes() == theta[-1].tobytes(), seed
 
 
 class TestResolutionShift:

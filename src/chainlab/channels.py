@@ -10,7 +10,6 @@ identity below 1e-3 sup-norm error at the scales used here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,23 +29,9 @@ def gaussian_kernel(sigma: float, halfwidth: int) -> np.ndarray:
     return taps / taps.sum()
 
 
-@dataclass(frozen=True)
-class BlurOperator:
-    """Dense n x n convolution matrix for a normalized Gaussian kernel."""
-
-    sigma: float
-    support_halfwidth: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=np.float64)
-
-
-def blur_matrix(n: int, sigma: float, halfwidth: int | None = None) -> BlurOperator:
-    """Convolution matrix of a Gaussian of std sigma on signals of length n."""
+def blur_matrix(n: int, sigma: float, halfwidth: int | None = None) -> np.ndarray:
+    """The read-only n x n convolution matrix of a Gaussian of std sigma on
+    signals of length n, cut at halfwidth (default max(ceil(3 sigma), 1))."""
     if halfwidth is None:
         halfwidth = max(int(math.ceil(3.0 * sigma)), 1)
     if n < 2 * halfwidth + 1:
@@ -61,4 +46,5 @@ def blur_matrix(n: int, sigma: float, halfwidth: int | None = None) -> BlurOpera
     # add.at sums unbuffered, row by row and tap by tap, so taps that fold
     # onto one entry add up in offset order.
     np.add.at(m, (rows, cols), np.broadcast_to(taps, cols.shape))
-    return BlurOperator(sigma=sigma, support_halfwidth=halfwidth, matrix=m)
+    m.setflags(write=False)
+    return m

@@ -300,8 +300,7 @@ def resolution_shift_prediction(x2: np.ndarray, sigma1: float, sigma2: float) ->
     0.5 * (I + H_residual) x2 with residual std sqrt(sigma2^2 - sigma1^2).
     """
     x2 = np.asarray(x2, dtype=np.float64)
-    h = blur_matrix(len(x2), residual_sigma(sigma1, sigma2))
-    return 0.5 * (x2 + h.apply(x2))
+    return 0.5 * (x2 + blur_matrix(len(x2), residual_sigma(sigma1, sigma2)) @ x2)
 
 
 @dataclass(frozen=True)
@@ -403,8 +402,8 @@ def two_blur_domains(n: int, sigma1: float, sigma2: float) -> DomainSpec:
     reconstruction is the latent re-blurred by the residual kernel, the
     coarse domain's is the latent itself.
     """
-    h2 = blur_matrix(n, sigma2).matrix
-    h_res = blur_matrix(n, residual_sigma(sigma1, sigma2)).matrix
+    h2 = blur_matrix(n, sigma2)
+    h_res = blur_matrix(n, residual_sigma(sigma1, sigma2))
     return DomainSpec.overlapping([h_res, np.eye(n)], factor=h2, observation=h2)
 
 
@@ -425,7 +424,7 @@ def decimation_domains(n: int) -> DomainSpec:
     hold = np.zeros((n, n))
     hold[np.arange(n), (np.arange(n) // 2) * 2] = 1.0
     return DomainSpec.overlapping([np.eye(n), hold],
-                                  factor=blur_matrix(n, _DECIMATION_SMOOTHING).matrix)
+                                  factor=blur_matrix(n, _DECIMATION_SMOOTHING))
 
 
 def offset_indicator_domains(dim: int, d1: float, d2: float, disjoint: bool) -> DomainSpec:

@@ -178,7 +178,6 @@ def fd_step(theta: float) -> float:
 class InfoReport:
     """Per-sample Fisher information and the m-sample variance bound."""
 
-    theta: float
     J: float
     m: int
 
@@ -207,7 +206,7 @@ def fisher_information(
     that is a flag, not an error.
     """
     if isinstance(family, (GaussianMeanFamily, LaplaceRateFamily)):
-        return InfoReport(theta=theta, J=family.fisher(theta), m=m)
+        return InfoReport(J=family.fisher(theta), m=m)
     h = fd_step(theta) if step is None else step
     p0 = family.pmf(theta)
     pp = family.pmf(theta + h)
@@ -216,7 +215,7 @@ def fisher_information(
     s = np.zeros_like(p0)
     s[ok] = (np.log(pp[ok]) - np.log(pm[ok])) / (2.0 * h)
     j = float(np.sum(p0[ok] * s[ok] ** 2))
-    return InfoReport(theta=theta, J=j, m=m)
+    return InfoReport(J=j, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +227,25 @@ def fisher_information(
 class DpiAudit:
     """Mutual information of the class label with each chain stage (nats).
 
-    Floats for one chain; (k,) arrays, and array verdicts, for a stack.
+    Floats for one chain; (k,) arrays, and array verdicts, for a stack. The
+    verdicts allow MI_EQUALITY_TOL of round-off in the logarithms.
     """
 
     i_theta_x: float
     i_theta_y: float
     i_theta_xhat: Optional[float]
-    tol: float
 
     @property
     def monotone(self):
-        ok = self.i_theta_x >= self.i_theta_y - self.tol
+        ok = self.i_theta_x >= self.i_theta_y - MI_EQUALITY_TOL
         if self.i_theta_xhat is not None:
-            ok = ok & (self.i_theta_y >= self.i_theta_xhat - self.tol)
+            ok = ok & (self.i_theta_y >= self.i_theta_xhat - MI_EQUALITY_TOL)
         return ok
 
     @property
     def first_equal(self):
         """Measurement keeps all class information (sufficient representation)."""
-        return abs(self.i_theta_x - self.i_theta_y) <= self.tol
+        return abs(self.i_theta_x - self.i_theta_y) <= MI_EQUALITY_TOL
 
 
 def dpi_audit(chains: PipelineChain | ChainStack) -> DpiAudit:
@@ -259,7 +258,7 @@ def dpi_audit(chains: PipelineChain | ChainStack) -> DpiAudit:
     if stack is not chains:
         info = [float(v[0]) for v in info]
     i_xhat = info[2] if len(info) == 3 else None
-    return DpiAudit(i_theta_x=info[0], i_theta_y=info[1], i_theta_xhat=i_xhat, tol=MI_EQUALITY_TOL)
+    return DpiAudit(i_theta_x=info[0], i_theta_y=info[1], i_theta_xhat=i_xhat)
 
 
 def _resolve_statistic(support: tuple, statistic) -> list:

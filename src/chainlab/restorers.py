@@ -10,9 +10,10 @@ reconstruction alphabet, derived from a reference joint:
 - constant map (ignores the measurement).
 
 A Monte Carlo harness measures the squared error of the sample-mean
-estimator on one chain stage against an information bound. It draws all
-replicates of a call from one generator, a block of replicates per sampler
-call, so replicate r is the same number at any replicate count above r.
+estimator on one chain stage, which its caller judges against an information
+bound. It draws all replicates of a call from one generator, a block of
+replicates per sampler call, so replicate r is the same number at any
+replicate count above r.
 """
 
 from __future__ import annotations
@@ -63,12 +64,11 @@ def mmse_restorer(joint: JointDistribution) -> ConditionalTable:
     return ConditionalTable.deterministic(y_support, sorted(set(means)), dict(zip(y_support, means)))
 
 
-def posterior_sampler(joint: JointDistribution, seed: int = 0) -> ConditionalTable:
+def posterior_sampler(joint: JointDistribution) -> ConditionalTable:
     """Stochastic restorer that redraws the source from its posterior.
 
     Its rows copy p(x | y), so the restored marginal equals the source
-    marginal exactly. The table is exact: it depends on no seed, and
-    ``seed`` is accepted only for callers that pass one.
+    marginal exactly.
     """
     return ConditionalTable(joint.support_of("y"), joint.support_of("x"), _posterior_rows(joint))
 
@@ -100,23 +100,6 @@ def with_restorer(chain: PipelineChain, restorer: ConditionalTable) -> PipelineC
 # parameter estimators
 # ---------------------------------------------------------------------------
 
-SAMPLE_MEAN = "sample_mean"
-
-
-@dataclass(frozen=True)
-class ParamEstimator:
-    """A named estimator applied to samples from one chain stage."""
-
-    kind: str
-    stage: str = "x"  # "x" | "y" | "xhat"
-
-    def __post_init__(self):
-        if self.kind != SAMPLE_MEAN:
-            raise ContractViolation(f"unknown estimator kind {self.kind!r}")
-        if self.stage not in ("x", "y", "xhat"):
-            raise ContractViolation(f"unknown stage {self.stage!r}")
-
-
 # Standard errors by which a Monte Carlo number may miss the value it is
 # checked against, in every verdict that allows a Monte Carlo error.
 _FLAG_SIGMAS = 4.0
@@ -143,27 +126,24 @@ def _mse_stderr(err: np.ndarray, paired: Optional[np.ndarray] = None) -> list:
 
 @dataclass(frozen=True)
 class McVarianceReport:
-    """Monte Carlo squared-error report for one estimator on one stage."""
+    """Monte Carlo squared error of the sample mean on one chain stage: its
+    mean, standard error, and the estimate of every replicate."""
 
-    theta_true: float
-    m: int
-    replicates: int
     mse: float
     mse_stderr: float
-    crb: Optional[float]
     estimates: np.ndarray
 
 
 def estimator_variance_mc(
     sampler: Callable,
-    estimator: ParamEstimator,
+    stage: str,
     theta_true: float,
     m: int,
     replicates: int,
     seed: int,
-    crb: Optional[float] = None,
 ) -> McVarianceReport:
-    """Monte Carlo E(theta - theta_hat)^2, reported next to a bound crb.
+    """Monte Carlo E(theta - theta_hat)^2 of the sample mean of stage "x",
+    "y" or "xhat".
 
     ``sampler(rng, theta, m, replicates)`` returns per-stage sample arrays
     keyed "x", "y", "xhat", one row per replicate. Every replicate of a call
@@ -171,25 +151,19 @@ def estimator_variance_mc(
     replicates per sampler call. The generator's stream continues across
     calls, so the blocks give the numbers one big draw would, and replicate
     r is the same at any ``replicates > r`` (prefix-stable). The report
-    holds the numbers only: the experiment runner judges them against crb.
+    holds the numbers only: the experiment runner judges them against a bound.
     """
+    if stage not in ("x", "y", "xhat"):
+        raise ContractViolation(f"unknown stage {stage!r}")
     if replicates < 2:
         raise ContractViolation("need at least 2 replicates")
     rng = stream_rng(seed)
     ests = np.empty(replicates)
     for start in range(0, replicates, _MC_BLOCK):
         stop = min(start + _MC_BLOCK, replicates)
-        ests[start:stop] = sampler(rng, theta_true, m, stop - start)[estimator.stage].mean(axis=1)
+        ests[start:stop] = sampler(rng, theta_true, m, stop - start)[stage].mean(axis=1)
     [(mse, stderr)] = _mse_stderr(ests - theta_true)
-    return McVarianceReport(
-        theta_true=theta_true,
-        m=m,
-        replicates=replicates,
-        mse=mse,
-        mse_stderr=stderr,
-        crb=crb,
-        estimates=ests,
-    )
+    return McVarianceReport(mse=mse, mse_stderr=stderr, estimates=ests)
 
 
 def awgn_mean_sampler(sigma_x: float, sigma_n: float) -> Callable:

@@ -56,7 +56,6 @@ from chainlab.probability import (
     mutual_information,
 )
 from chainlab.restorers import (
-    ParamEstimator,
     awgn_mean_sampler,
     estimator_variance_mc,
     posterior_sampler,
@@ -215,12 +214,8 @@ def test_criterion_06_bound_attainment_by_averaging():
     t0 = time.monotonic()
     m, sigma_x = 10, 1.0
     sampler = awgn_mean_sampler(sigma_x, math.sqrt(m - 1) * sigma_x)
-    rep_y = estimator_variance_mc(
-        sampler, ParamEstimator(kind="sample_mean", stage="y"), 0.0, m, 10_000,
-        seed=1007, crb=sigma_x**2)
-    rep_xhat = estimator_variance_mc(
-        sampler, ParamEstimator(kind="sample_mean", stage="xhat"), 0.0, m, 10_000,
-        seed=1007, crb=sigma_x**2)
+    rep_y = estimator_variance_mc(sampler, "y", 0.0, m, 10_000, seed=1007)
+    rep_xhat = estimator_variance_mc(sampler, "xhat", 0.0, m, 10_000, seed=1007)
     elapsed = time.monotonic() - t0
     identical = bool(np.array_equal(rep_y.estimates, rep_xhat.estimates))
     within = abs(rep_y.mse - sigma_x**2) <= 4 * rep_y.mse_stderr
@@ -264,10 +259,10 @@ def test_criterion_08_resolution_shift():
         np.convolve(gaussian_kernel(sigma1, hw), gaussian_kernel(math.sqrt(3.0), hw))
         - gaussian_kernel(sigma2, 2 * hw))))
     rng = stream_rng(1009, 0)
-    x2 = blur_matrix(n, sigma1).matrix @ rng.standard_normal(n)
+    x2 = blur_matrix(n, sigma1) @ rng.standard_normal(n)
     pred = resolution_shift_prediction(x2, sigma1, sigma2)
     h_res = blur_matrix(n, math.sqrt(sigma2**2 - sigma1**2))
-    closed = 0.5 * (np.eye(n) + h_res.matrix) @ x2
+    closed = 0.5 * (np.eye(n) + h_res) @ x2
     interior = slice(24, n - 24)
     pred_err = float(np.max(np.abs(pred[interior] - closed[interior])))
     ok = comp_err <= 1e-3 and pred_err <= 1e-3
@@ -347,7 +342,7 @@ def test_criterion_11_auxiliary_bounds():
     )
 
     chain = naive_tree_chain()
-    rest = posterior_sampler(assemble_joint(chain), seed=0)
+    rest = posterior_sampler(assemble_joint(chain))
     gap = classification.pr_gap(chain, rest, naive_tree_partition()).max_gap
     ok = rb_ok and gauss_ok and gap <= 1e-9
     record(11, "conditioning, entropy bound, class-mass preservation", ok,

@@ -51,7 +51,7 @@ class TestComposeBlurs:
 class TestBlurMatrix:
     def test_tiny_sigma_is_identity(self):
         h = blur_matrix(16, 1e-4)
-        np.testing.assert_allclose(h.matrix, np.eye(16), atol=1e-12)
+        np.testing.assert_allclose(h, np.eye(16), atol=1e-12)
 
     def test_signal_shorter_than_kernel_rejected(self):
         with pytest.raises(SupportTooSmall):
@@ -62,14 +62,14 @@ class TestBlurMatrix:
         n, sigma, hw = 12, 1.0, 3
         h = blur_matrix(n, sigma, halfwidth=hw)
         taps = gaussian_kernel(sigma, hw)  # taps[hw + off] weighs x[i + off]
-        assert h.support_halfwidth == hw and h.matrix.shape == (n, n)
+        assert h.shape == (n, n)
         first = np.zeros(n)
         for off in range(-hw, hw + 1):
             j = off if off >= 0 else -off - 1
             first[j] += taps[hw + off]
-        np.testing.assert_allclose(h.matrix[0], first, atol=1e-15)
-        np.testing.assert_allclose(h.matrix[n - 1], first[::-1], atol=1e-15)
-        np.testing.assert_allclose(h.matrix.sum(axis=1), np.ones(n), atol=1e-15)
+        np.testing.assert_allclose(h[0], first, atol=1e-15)
+        np.testing.assert_allclose(h[n - 1], first[::-1], atol=1e-15)
+        np.testing.assert_allclose(h.sum(axis=1), np.ones(n), atol=1e-15)
 
     @staticmethod
     def _reference_loop(n, sigma, hw):
@@ -96,24 +96,24 @@ class TestBlurMatrix:
     ])
     def test_scatter_equals_reference_loop(self, n, sigma, hw):
         h = blur_matrix(n, sigma, halfwidth=hw)
-        ref = self._reference_loop(n, sigma, h.support_halfwidth)
-        assert np.array_equal(h.matrix, ref)
+        ref = self._reference_loop(n, sigma, max(math.ceil(3.0 * sigma), 1) if hw is None else hw)
+        assert np.array_equal(h, ref)
 
     def test_matrix_is_read_only(self):
         h = blur_matrix(16, 1.0)
         with pytest.raises(ValueError):
-            h.matrix[0, 0] = 2.0
+            h[0, 0] = 2.0
 
     def test_reflect_preserves_constants(self):
         h = blur_matrix(24, 1.7)
-        np.testing.assert_allclose(h.apply(np.ones(24)), np.ones(24), atol=1e-12)
+        np.testing.assert_allclose(h @ np.ones(24), np.ones(24), atol=1e-12)
 
     def test_toeplitz_away_from_boundaries(self):
         h = blur_matrix(32, 1.2)
-        hw = h.support_halfwidth
+        hw = 4  # ceil(3 sigma)
         for i in range(hw, 32 - hw - 1):
-            np.testing.assert_allclose(h.matrix[i, i - hw : i + hw + 1],
-                                       h.matrix[i + 1, i + 1 - hw : i + hw + 2])
+            np.testing.assert_allclose(h[i, i - hw : i + hw + 1],
+                                       h[i + 1, i + 1 - hw : i + hw + 2])
 
     def test_semigroup_on_interior(self):
         """Applying two blurs matches the single combined blur inside."""
@@ -123,8 +123,8 @@ class TestBlurMatrix:
         h_ab = blur_matrix(n, math.hypot(a, b))
         x = np.zeros(n)
         x[n // 2] = 1.0
-        lhs = h_a.apply(h_b.apply(x))
-        rhs = h_ab.apply(x)
+        lhs = h_a @ (h_b @ x)
+        rhs = h_ab @ x
         interior = slice(16, n - 16)
         assert np.max(np.abs(lhs[interior] - rhs[interior])) <= 1e-3
 
@@ -133,16 +133,15 @@ class TestBlurMatrix:
         h1, h2 = blur_matrix(n, 1.0), blur_matrix(n, 2.0)
         x = np.zeros(n)
         x[n // 2] = 1.0
-        diff = h1.apply(h2.apply(x)) - h2.apply(h1.apply(x))
+        diff = h1 @ (h2 @ x) - h2 @ (h1 @ x)
         assert np.max(np.abs(diff[20:-20])) <= 1e-9
 
     def test_matrix_realizes_kernel_convolution(self):
         """Row application equals direct convolution with the taps inside."""
-        n = 48
-        h = blur_matrix(n, math.sqrt(3.0))
+        n, sigma, hw = 48, math.sqrt(3.0), 6  # hw = ceil(3 sigma)
+        h = blur_matrix(n, sigma)
         rng = stream_rng(21, 0)
         x = rng.standard_normal(n)
-        full = np.convolve(x, gaussian_kernel(h.sigma, h.support_halfwidth))
-        hw = h.support_halfwidth
-        np.testing.assert_allclose(h.apply(x)[2 * hw : n - 2 * hw],
+        full = np.convolve(x, gaussian_kernel(sigma, hw))
+        np.testing.assert_allclose((h @ x)[2 * hw : n - 2 * hw],
                                    full[3 * hw : n - hw], atol=1e-12)

@@ -243,7 +243,7 @@ class TestOrderingAudit:
 class TestPrGap:
     def test_posterior_sampler_preserves_class_mass(self):
         chain = naive_tree_chain()
-        rest = posterior_sampler(assemble_joint(chain), seed=0)
+        rest = posterior_sampler(assemble_joint(chain))
         rep = pr_gap(chain, rest, naive_tree_partition())
         assert rep.max_gap <= 1e-9
         assert rep.out_of_partition <= 1e-12
@@ -266,7 +266,7 @@ class TestPrGap:
 
     def test_incomplete_partition_rejected(self):
         chain = naive_tree_chain()
-        rest = posterior_sampler(assemble_joint(chain), seed=0)
+        rest = posterior_sampler(assemble_joint(chain))
         with pytest.raises(PartitionIncomplete):
             pr_gap(chain, rest, {"class1": {0, 1, 2}})
 

@@ -787,7 +787,9 @@ class TestNoUnreachedFunctions:
         read = {node.id if isinstance(node, ast.Name) else node.attr
                 for tree in [*trees.values(), acceptance] for node in ast.walk(tree)
                 if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
-        assert len(constants) > 50
+        # the scan sees the package: a known constant in each of three modules
+        assert {("classification", "ORDERING_TOL"), ("information", "MI_EQUALITY_TOL"),
+                ("sparse", "_LP_RTOL")} <= constants
         assert {f"{module}.{name}" for module, name in constants if name not in read} == set()
 
 

@@ -336,7 +336,7 @@ class TestResolutionShift:
         spike[n // 2] = 1.0
         out = resolution_shift_prediction(spike, 1.0, 2.0)
         h = blur_matrix(n, math.sqrt(3.0))
-        expected = 0.5 * spike + 0.5 * h.matrix[:, n // 2]
+        expected = 0.5 * spike + 0.5 * h[:, n // 2]
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_kernel_composition_identity(self):
@@ -356,8 +356,8 @@ class TestResolutionShift:
         dom = two_blur_domains(n, 1.0, 2.0)
         restorer = fit_linear_restorer(dom, seed=0, batch=256)
         rng = stream_rng(63, 1)
-        u = rng.standard_normal((8, n)) @ blur_matrix(n, 2.0).matrix.T
-        y = u @ blur_matrix(n, 2.0).matrix.T
+        u = rng.standard_normal((8, n)) @ blur_matrix(n, 2.0).T
+        y = u @ blur_matrix(n, 2.0).T
         predicted = restorer.predict(y)
         closed = np.stack([resolution_shift_prediction(row, 1.0, 2.0) for row in u])
         interior = slice(12, n - 12)

@@ -15,6 +15,7 @@ from chainlab.information import (
     GaussianMeanFamily,
     InfoReport,
     LaplaceRateFamily,
+    MI_EQUALITY_TOL,
     TableFamily,
     binned_pmf,
     dpi_audit,
@@ -115,14 +116,14 @@ class TestFamilies:
 class TestInfoReport:
     def test_negative_information_rejected(self):
         with pytest.raises(ContractViolation):
-            InfoReport(theta=0.0, J=-1e-3, m=1)
+            InfoReport(J=-1e-3, m=1)
 
     def test_sample_count_must_be_positive(self):
         with pytest.raises(ContractViolation):
-            InfoReport(theta=0.0, J=1.0, m=0)
+            InfoReport(J=1.0, m=0)
 
     def test_bound_is_inverse_total_information(self):
-        rep = InfoReport(theta=0.0, J=0.25, m=8)
+        rep = InfoReport(J=0.25, m=8)
         assert rep.J_m == 2.0 and rep.crb == 0.5
 
     def test_table_family_step_is_second_order(self):
@@ -200,7 +201,7 @@ class TestDpiAudit:
                                                   {"a": 2, "b": 0, "c": 1})
         audit = dpi_audit(PipelineChain(prior, family, channel, restorer))
         assert audit.first_equal and audit.monotone
-        assert abs(audit.i_theta_y - audit.i_theta_xhat) <= audit.tol
+        assert abs(audit.i_theta_y - audit.i_theta_xhat) <= MI_EQUALITY_TOL
 
     def test_naive_tree_strictly_loses_information(self):
         chain = naive_tree_chain()
@@ -214,7 +215,7 @@ class TestDpiAudit:
             base.channel.output_support, base.channel.output_support,
             {y: y for y in base.channel.output_support})
         audit = dpi_audit(PipelineChain(base.prior, base.family, base.channel, identity))
-        assert abs(audit.i_theta_y - audit.i_theta_xhat) <= audit.tol
+        assert abs(audit.i_theta_y - audit.i_theta_xhat) <= MI_EQUALITY_TOL
 
     def test_monotone_on_many_random_chains(self):
         for i in range(200):
@@ -225,7 +226,7 @@ class TestDpiAudit:
     def test_chain_without_restorer_audits_two_stages(self):
         audit = dpi_audit(random_chain(stream_rng(34, 500), 2, 4, 4, None))
         assert audit.i_theta_xhat is None
-        assert audit.monotone == (audit.i_theta_x >= audit.i_theta_y - audit.tol)
+        assert audit.monotone == (audit.i_theta_x >= audit.i_theta_y - MI_EQUALITY_TOL)
 
 
 class TestSufficiency:

@@ -515,6 +515,23 @@ def _dual_simplex(g: np.ndarray, y: np.ndarray, delta: float, max_pivots: int) -
     return x, pivots, optimal
 
 
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
+    """np.linalg.solve(a[i], b[i]) for each system i of the stack, and which
+    were solved: a system whose matrix is singular in floating point is not,
+    and holds NaN. The others are the numbers of one stacked solve."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    x, solved = np.full(b.shape, np.nan), np.ones(len(a), dtype=bool)
+    for i in range(len(a)):
+        try:
+            x[i] = np.linalg.solve(a[i], b[i])
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return x, solved
+
+
 def _simplex_block(g: np.ndarray, a_cols: np.ndarray, c: np.ndarray, y: np.ndarray,
                    delta: float, max_pivots: int) -> tuple:
     """_dual_simplex on one block of columns; a_cols holds the LP's columns
@@ -530,7 +547,10 @@ def _simplex_block(g: np.ndarray, a_cols: np.ndarray, c: np.ndarray, y: np.ndarr
     enter, or has made max_pivots pivots; its basis is then re-solved from
     (a, b, c), and it is ``optimal`` only if primal and dual feasible to
     tolerances scaled to |b| and |c|. Otherwise its state is rebuilt from
-    that basis and pivoting resumes, at most _LP_REBUILDS times.
+    that basis and pivoting resumes, at most _LP_REBUILDS times. A basis
+    that is singular in floating point can be neither re-solved nor
+    rebuilt: its column ends, not optimal, with x from its maintained basic
+    values, and the block's other columns go on as before.
     """
     m, n = g.shape
     rows, k = m + 1, y.shape[1]
@@ -566,19 +586,24 @@ def _simplex_block(g: np.ndarray, a_cols: np.ndarray, c: np.ndarray, y: np.ndarr
                 # re-solve the stopped columns' bases from the data
                 stop = np.flatnonzero(~go) if runs < max_pivots else at
                 bt = a_cols[basis[stop]]  # B'
-                z_b = np.linalg.solve(bt.transpose(0, 2, 1), b[:, stop].T[..., None])[..., 0]
-                dual = np.linalg.solve(bt, c[basis[stop]][..., None])[..., 0]
+                z_b, solved = _solve_stack(bt.transpose(0, 2, 1), b[:, stop].T)
+                dual, dual_solved = _solve_stack(bt, c[basis[stop]])
+                solved &= dual_solved
                 reduced = c - _lp_rows(gg, dual)
-                ok = (z_b.min(axis=1) >= floor[stop]) & (reduced.min(axis=1) >= -_LP_RTOL)
-                again = ~ok & (rebuilt[stop] < _LP_REBUILDS) & (runs < max_pivots)
+                ok = solved & (z_b.min(axis=1) >= floor[stop]) & (reduced.min(axis=1) >= -_LP_RTOL)
+                # A basis singular in floating point has no inverse to rebuild from.
+                again = ~ok & solved & (rebuilt[stop] < _LP_REBUILDS) & (runs < max_pivots)
                 if again.any():
                     redo = stop[again]
+                    # the re-solve factored these very matrices, so the inverses exist
                     state[redo, :, :rows] = np.linalg.inv(bt[again].transpose(0, 2, 1))
                     state[redo, :, rows] = z_b[again]
                     d[redo] = reduced[again]
                     rebuilt[redo] += 1
                 done = stop[~again]
                 if done.size:
+                    # a singular basis's x comes from its maintained values
+                    z_b = np.where(solved[:, None], z_b, state[stop, :, rows])
                     z = np.zeros((done.size, len(c)))
                     z[np.arange(done.size)[:, None], basis[done]] = z_b[~again]
                     x[:, live[done]] = (z[:, :n] - z[:, n:2 * n]).T

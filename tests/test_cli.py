@@ -568,6 +568,18 @@ class TestParameterContract:
         assert main(["validate", cfg]) == 0
         assert main(["run", cfg, "--out", str(tmp_path / "runs")]) == 0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_validate_agrees_with_run_at_every_delta_decade(self, tmp_path, seed):
+        """The sweep's simplex can pivot onto a basis that is singular in
+        floating point at tiny delta (seed 0 at 1e-12 to 1e-9 did, and the
+        run crashed, exit 3). For delta at every decade from 1e-15 to 1 the
+        config validates and the run ends on its verdicts."""
+        for exponent in range(-15, 1):
+            cfg = write_config(tmp_path / "delta.cfg", "sparse_certificate_sweep", seed=seed,
+                               params={"delta": f"1e{exponent}"})
+            assert main(["validate", cfg]) == 0
+            assert main(["run", cfg, "--out", str(tmp_path / "runs")]) in (0, 1), exponent
+
     @staticmethod
     def _values(spec, center):
         wild = st.sampled_from(["inf", "-inf", "nan", "1e400", "-1", "0", "x", "2.5",

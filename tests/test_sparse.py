@@ -584,6 +584,30 @@ class TestSolver:
         with pytest.raises(ContractViolation, match="max_iter"):
             l1_map_solve(y, op, mode=mode, max_iter=-1, **kwargs)
 
+    def test_singular_basis_ends_its_column_unconverged(self):
+        """At delta = 1e-12 one of the 100 default sweep draws at seed 0
+        pivots onto a basis that is singular in floating point (every basic
+        column is a u or v column, whose budget-row entry is 0). The basis
+        cannot be re-solved or rebuilt, so that column ends unconverged, with
+        its finite maintained values as x; the other 99 converge."""
+        op = build_kernel_operator(1.0, 64, 2.0)
+        sol = l1_map_solve(sweep_draws(op, 0, 100, 1e-12), op, mode="constrained", delta=1e-12)
+        assert sol.unconverged == 1
+        assert np.isfinite(sol.x_hat).all()
+
+    def test_stacked_solve_skips_only_the_singular_systems(self):
+        """A stack that holds one singular system solves the others to the
+        numbers of a stacked solve without it, and marks that one unsolved."""
+        a = stream_rng(72, 13).standard_normal((3, 5, 5))
+        b = stream_rng(72, 14).standard_normal((3, 5))
+        a[1, :, 4] = a[1, :, 0]
+        x, solved = sparse._solve_stack(a, b)
+        assert solved.tolist() == [True, False, True]
+        assert np.isnan(x[1]).all()
+        np.testing.assert_array_equal(x[[0, 2]], sparse._solve_stack(a[[0, 2]], b[[0, 2]])[0])
+        np.testing.assert_array_equal(x[[0, 2]],
+                                      np.linalg.solve(a[[0, 2]], b[[0, 2], :, None])[..., 0])
+
     def test_sweep_pivot_count(self):
         """The equality-form simplex from its dual-feasible starting basis:
         the 100 default sweep draws at seed 0 take 4 905 pivots (8 790 in the

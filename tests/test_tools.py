@@ -1,7 +1,7 @@
 """tools/compare_reports.py, the two-tree report differ: exit 0 for equal
 reports, 1 for reports that differ, and 2, with a message, when it cannot
-compare; its --set overrides reach every run, and each tree's run time goes
-to stderr."""
+compare; its --set overrides reach every run, and each tree's run time, in
+all and per experiment, goes to stderr."""
 
 import os
 import re
@@ -29,15 +29,26 @@ def test_equal_trees_compare_clean():
 
 def test_run_seconds_go_to_stderr_only():
     """Each tree's total in-process run time is printed on stderr, one line
-    per tree, and never among the compared outputs on stdout."""
-    proc = _compare(SRC, SRC, "--seeds", "0-2", "--ids", "naive_tree")
+    per tree, then each experiment's time in both trees, one line per
+    experiment; none of it is among the compared outputs on stdout."""
+    proc = _compare(SRC, SRC, "--seeds", "0-2", "--ids", "pr_gap,naive_tree")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stderr.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["parent", "change"]
-    for line in lines:
-        assert re.fullmatch(r"(parent|change): \d+\.\d{3} s in 3 runs", line), line
-        assert 0.0 < float(line.split()[1]) < 60.0
-    assert " s in " not in proc.stdout
+    assert [line.split(":")[0] for line in lines] == ["parent", "change", "naive_tree", "pr_gap"]
+    totals = []
+    for line in lines[:2]:
+        assert re.fullmatch(r"(parent|change): \d+\.\d{3} s in 6 runs", line), line
+        totals.append(float(line.split()[1]))
+        assert 0.0 < totals[-1] < 60.0
+    per_experiment = []
+    for line in lines[2:]:
+        match = re.fullmatch(r"\w+: parent (\d+\.\d{3}) s, change (\d+\.\d{3}) s", line)
+        assert match, line
+        per_experiment.append([float(v) for v in match.groups()])
+    # each tree's experiments add up to its total, to the printed rounding
+    for side, total in enumerate(totals):
+        assert abs(sum(row[side] for row in per_experiment) - total) <= 0.002
+    assert " s in " not in proc.stdout and " s, change " not in proc.stdout
 
 
 def test_reversed_seed_range_is_a_usage_error():

@@ -20,8 +20,9 @@ exits 2 on both sides, which is no difference. The script lists every
 ``report.json`` and CSV that is missing on one side or differs in its
 bytes, and every run whose exit code differs. On stderr, apart from what
 is compared, it prints each tree's total seconds in ``chainlab.cli.main``,
-its runs timed in process, so that one paired run also shows how fast a
-change runs, at any ``--set`` values. It exits 0 when there is none
+its runs timed in process, and then each experiment's seconds in both
+trees, so that one paired run also shows how fast a change runs, experiment
+by experiment, at any ``--set`` values. It exits 0 when there is none
 and 1 when there is any. It exits 2, with a message, when it cannot compare:
 a reversed seed range such as ``--seeds 3-1``, an override without ``=``, a
 source tree that holds no ``chainlab`` package, or a child interpreter that
@@ -42,7 +43,7 @@ from pathlib import Path
 # Runs in each source tree's interpreter: argv is (out_dir, first_seed,
 # last_seed, ids, *sets), ids comma-separated, or empty for the whole
 # catalog, and sets the KEY=VALUE overrides of every run. It writes each
-# run's exit code, and the seconds that the runs took in all.
+# run's exit code, and the seconds that each experiment's runs took.
 CHILD = """
 import sys
 import chainlab
@@ -55,7 +56,7 @@ ids = sorted(sys.argv[4].split(",")) if sys.argv[4] else sorted(CATALOG)
 unknown = [exp_id for exp_id in ids if exp_id not in CATALOG]
 if unknown:
     sys.exit(f"unknown experiment ids: {', '.join(unknown)}")
-codes, seconds = {}, 0.0
+codes, seconds = {}, dict.fromkeys(ids, 0.0)
 for seed in range(first, last + 1):
     for exp_id in ids:
         cfg = out / "configs" / f"{exp_id}-{seed}.cfg"
@@ -65,9 +66,9 @@ for seed in range(first, last + 1):
         with contextlib.redirect_stdout(io.StringIO()):
             codes[f"{exp_id} seed {seed}"] = main(["run", str(cfg), "--out",
                                                     str(out / "runs" / f"seed-{seed}"), *sets])
-        seconds += time.perf_counter() - start
+        seconds[exp_id] += time.perf_counter() - start
 (out / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True))
-(out / "seconds").write_text(repr(seconds))
+(out / "seconds.json").write_text(json.dumps(seconds))
 """
 
 
@@ -138,9 +139,13 @@ def main(argv=None) -> int:
             elif not filecmp.cmp(parent / "runs" / rel, change / "runs" / rel, shallow=False):
                 differ.append(f"differs: {rel}")
         runs, outputs = len(codes[0]), len(files[0] | files[1])
-        for side, side_codes in zip(sides, codes):
-            seconds = float(Path(tmp, side, "seconds").read_text())
-            print(f"{side}: {seconds:.3f} s in {len(side_codes)} runs", file=sys.stderr)
+        seconds = [json.loads(Path(tmp, side, "seconds.json").read_text()) for side in sides]
+        for side, side_codes, side_seconds in zip(sides, codes, seconds):
+            print(f"{side}: {sum(side_seconds.values()):.3f} s in {len(side_codes)} runs",
+                  file=sys.stderr)
+        for exp_id, parent_s in seconds[0].items():
+            print(f"{exp_id}: parent {parent_s:.3f} s, change {seconds[1][exp_id]:.3f} s",
+                  file=sys.stderr)
     for line in differ:
         print(line)
     print(f"seeds {first}-{last}: {runs} runs per side, {outputs} output files, "

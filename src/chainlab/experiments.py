@@ -48,8 +48,8 @@ from .domain_shift import (
 from .sparse import (
     _ADMM_BLOCK,
     _PIPELINE_COLUMNS,
-    build_kernel_operator,
     check_kernel_size,
+    kernel_matrix,
     l1_map_solve,
     lambda_pipeline_experiment,
     min_spike_separation,
@@ -502,24 +502,22 @@ def _run_mixed_vs_targeted(params: dict, seed: int):
 
 
 def _run_sparse_noiseless(params: dict, seed: int):
-    n = int(params["n"])
-    op = build_kernel_operator(float(params["sigma"]), n, float(params["fs"]))
+    n, sigma, fs = int(params["n"]), float(params["sigma"]), float(params["fs"])
+    g = kernel_matrix(sigma, n, fs)
     rng = stream_rng(seed, 0)
-    sep = min_spike_separation(op.sigma, op.fs)
-    signal = random_spike_signal(rng, n, int(params["n_spikes"]), sep)
-    x = signal.to_vector()
-    y = op.apply(x)
-    sol = l1_map_solve(y, op, mode="constrained", delta=0.0)
+    x = random_spike_signal(rng, n, int(params["n_spikes"]), min_spike_separation(sigma, fs))
+    y = g @ x
+    sol = l1_map_solve(y, g, mode="constrained", delta=0.0)
     err = float(np.max(np.abs(sol.x_hat - x)))
     # certify against the solution's own residual budget
-    delta_eff = float(np.sum(np.abs(y - op.apply(sol.x_hat))))
-    problem = problem_doc(signal, op, y, sol.x_hat,
-                          recovery_certificate(x, sol.x_hat, op, delta_eff))
+    delta_eff = float(np.sum(np.abs(y - g @ sol.x_hat)))
+    problem = problem_doc(x, sigma, fs, y, sol.x_hat,
+                          recovery_certificate(x, sol.x_hat, sigma, fs, delta_eff))
     results = {
         "sup_recovery_error": result(err),
         "solver_iterations": result(sol.iterations),
         "zero_input_returns_zero": result(
-            float(np.max(np.abs(l1_map_solve(np.zeros(n), op, mode="constrained", delta=0.0).x_hat)))
+            float(np.max(np.abs(l1_map_solve(np.zeros(n), g, mode="constrained", delta=0.0).x_hat)))
         ),
         "problem": result(problem),
     }
@@ -541,29 +539,29 @@ _PATH_STREAM = 10_000
 
 
 def _run_sparse_certificates(params: dict, seed: int):
-    n = int(params["n"])
+    n, sigma, fs = int(params["n"]), float(params["sigma"]), float(params["fs"])
     draws = int(params["draws"])
-    op = build_kernel_operator(float(params["sigma"]), n, float(params["fs"]))
-    sep = min_spike_separation(op.sigma, op.fs)
+    g = kernel_matrix(sigma, n, fs)
+    sep = min_spike_separation(sigma, fs)
     delta = float(params["delta"])
 
     xs, ys = np.zeros((n, draws)), np.zeros((n, draws))
     for i in range(draws):
         rng = stream_rng(seed, i)
-        xs[:, i] = random_spike_signal(rng, n, int(params["n_spikes"]), sep).to_vector()
+        xs[:, i] = random_spike_signal(rng, n, int(params["n_spikes"]), sep)
         w = rng.standard_normal(n)
         w *= delta * rng.uniform(0.5, 1.0) / np.sum(np.abs(w))
-        ys[:, i] = op.apply(xs[:, i]) + w
+        ys[:, i] = g @ xs[:, i] + w
     # All draws are one solve, one column of y per draw.
-    sol = l1_map_solve(ys, op, mode="constrained", delta=delta)
-    certs = [recovery_certificate(xs[:, i], sol.x_hat[:, i], op, delta, norm="l1")
+    sol = l1_map_solve(ys, g, mode="constrained", delta=delta)
+    certs = [recovery_certificate(xs[:, i], sol.x_hat[:, i], sigma, fs, delta)
              for i in range(draws)]
     lam_grid = np.geomspace(float(params["lam_max"]), 1e-4, 20)
     rng = stream_rng(seed, _PATH_STREAM)
-    signal = random_spike_signal(rng, n, int(params["n_spikes"]), sep)
-    y = op.apply(signal.to_vector()) + 0.01 * rng.standard_normal(n)
+    x = random_spike_signal(rng, n, int(params["n_spikes"]), sep)
+    y = g @ x + 0.01 * rng.standard_normal(n)
     # The whole path is one solve, one column of y per penalty.
-    path = l1_map_solve(np.repeat(y[:, None], len(lam_grid), axis=1), op, mode="penalized",
+    path = l1_map_solve(np.repeat(y[:, None], len(lam_grid), axis=1), g, mode="penalized",
                         lam=lam_grid, sigma_z=1.0)
     norms = [float(np.sum(np.abs(x))) for x in path.x_hat.T]
     path_monotone = all(norms[i] <= norms[i + 1] + 1e-9 for i in range(len(norms) - 1))
@@ -593,18 +591,17 @@ def _run_sparse_certificates(params: dict, seed: int):
 
 
 def _run_lambda_pipeline(params: dict, seed: int):
+    lam, m, r = float(params["rate"]), int(params["m"]), int(params["replicates"])
     # One draw of signals and noise serves both restorers.
     rep, oracle = lambda_pipeline_experiment(
-        lambda_true=float(params["rate"]),
-        m=int(params["m"]),
-        replicates=int(params["replicates"]),
+        lambda_true=lam,
+        m=m,
+        replicates=r,
         seed=seed,
         sigma_n=float(params["sigma_n"]),
         restorer=("map_l1", "norm_oracle"),
         n=int(params["n"]),
     )
-    r = rep.replicates
-    lam, m = rep.lambda_true, rep.m
     # The clean estimate m / S, S ~ Gamma(m, lam), has mean m lam / (m - 1) and MSE
     # lam^2 [m^2/((m-1)(m-2)) - 2m/(m-1) + 1] = lam^2 (m+2)/((m-1)(m-2)), finite for
     # m >= 3. Its bias b = lam/(m-1) gives the bound (1 + b')^2 / J + b^2 (Kay 1993, §3.5).

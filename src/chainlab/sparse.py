@@ -1,7 +1,7 @@
 """Sparse spike trains, l1-regularized inversion, and recovery certificates.
 
-The observation model is a Toeplitz operator whose columns are shifted
-Gaussian kernel evaluations plus additive noise. Inversion comes in two
+The observation model is a Toeplitz matrix whose columns are shifted
+Gaussian kernel evaluations, plus additive noise. Inversion comes in two
 modes. The penalized mode is l1-penalized least squares (the lasso), solved
 column by column to a certified exact minimizer: batched over-relaxed ADMM
 in float32 proposes the sign pattern, an exact float64 solve on that pattern
@@ -62,32 +62,6 @@ from .restorers import _mse_stderr
 from .rng import stream_rng
 
 
-@dataclass(frozen=True)
-class SpikeSignal:
-    """Finitely many weighted spikes on an integer grid."""
-
-    length: int
-    support: tuple
-    amplitudes: tuple
-
-    def __post_init__(self):
-        k = np.asarray(self.support, dtype=np.int64)
-        if len(k) != len(self.amplitudes):
-            raise ContractViolation("one amplitude per support index")
-        if len(k) and (np.any(np.diff(k) <= 0)):
-            raise ContractViolation("support indices must be strictly increasing")
-        if len(k) and (k[0] < 0 or k[-1] >= self.length):
-            raise ContractViolation("support indices out of range")
-        if any(a == 0 for a in self.amplitudes):
-            raise ContractViolation("amplitudes on the support must be nonzero")
-
-    def to_vector(self) -> np.ndarray:
-        x = np.zeros(self.length)
-        for k, c in zip(self.support, self.amplitudes):
-            x[k] = c
-        return x
-
-
 def gaussian_admissibility(sigma: float) -> tuple:
     """(beta, eps) of the Gaussian kernel, from peak concavity."""
     eps = sigma / math.sqrt(2.0)
@@ -100,32 +74,8 @@ def gaussian_admissibility(sigma: float) -> tuple:
 ALPHA0 = GAMMA0 = 1.0
 
 
-@dataclass(frozen=True)
-class KernelOperator:
-    """Toeplitz operator of a shifted kernel, with admissibility constants."""
-
-    matrix: np.ndarray
-    sigma: float
-    fs: float
-    beta: float
-    eps: float
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=np.float64)
-
-    def rho(self) -> float:
-        return max(GAMMA0 / self.eps**2, (self.fs * self.sigma) ** 2 * ALPHA0)
-
-
 def check_kernel_size(sigma: float, n: int, fs: float) -> None:
-    """The size contract of ``build_kernel_operator``, checked without building
+    """The size contract of ``kernel_matrix``, checked without building
     anything: sigma > 0 and n >= 8 sigma fs."""
     if not sigma > 0:
         raise ContractViolation(f"sigma must be > 0, got {sigma}")
@@ -133,15 +83,15 @@ def check_kernel_size(sigma: float, n: int, fs: float) -> None:
         raise ContractViolation(f"n={n} too short for sigma*fs={sigma * fs}")
 
 
-def build_kernel_operator(sigma: float, n: int, fs: float = 1.0) -> KernelOperator:
-    """Gaussian-kernel operator on length-n signals sampled at rate fs.
+def kernel_matrix(sigma: float, n: int, fs: float = 1.0) -> np.ndarray:
+    """The read-only n x n Gaussian-kernel matrix on length-n signals sampled
+    at rate fs.
 
     Column m holds g((k - m)/fs) with g(t) = exp(-t^2 / (2 sigma^2)); the
     kernel peak value is 1, so ALPHA0 = GAMMA0 = 1 for this shift-invariant
-    case. (beta, eps) are the Gaussian values of ``gaussian_admissibility``.
+    case.
     """
     check_kernel_size(sigma, n, fs)
-    beta, eps = gaussian_admissibility(sigma)
     # g((k - m)/fs) depends on k - m alone: evaluate it once on the 2n - 1
     # offsets and copy a reversed sliding window of that profile, so that the
     # build holds one n x n array. Each entry takes the same float operations
@@ -149,7 +99,8 @@ def build_kernel_operator(sigma: float, n: int, fs: float = 1.0) -> KernelOperat
     t = np.arange(1 - n, n, dtype=np.float64) / fs
     profile = np.exp(-(t**2) / (2.0 * sigma**2))
     g = np.lib.stride_tricks.sliding_window_view(profile, n)[:, ::-1].copy()
-    return KernelOperator(matrix=g, sigma=sigma, fs=fs, beta=beta, eps=eps)
+    g.setflags(write=False)
+    return g
 
 
 @dataclass(frozen=True)
@@ -627,14 +578,14 @@ def _simplex_block(g: np.ndarray, a_cols: np.ndarray, c: np.ndarray, y: np.ndarr
 
 def l1_map_solve(
     y: np.ndarray,
-    operator: KernelOperator,
+    g: np.ndarray,
     mode: str = "penalized",
     lam: Union[None, float, Sequence[float]] = None,
     sigma_z: Optional[float] = None,
     delta: Optional[float] = None,
     max_iter: int = 100_000,
 ) -> SolveResult:
-    """Sparse inversion of y through the kernel operator.
+    """Sparse inversion of y through the n x n kernel matrix g.
 
     penalized: minimize 0.5 ||y - Gx||^2 / sigma_z^2 + lam ||x||_1 for each
     column of y; a column is accepted only on the KKT certificate of an
@@ -675,7 +626,6 @@ def l1_map_solve(
     if max_iter < 0:
         raise ContractViolation("max_iter must be >= 0")
     y = np.asarray(y, dtype=np.float64)
-    g = operator.matrix
     if mode == "penalized":
         cols = y.reshape(len(y), -1)
         if np.ndim(lam):
@@ -737,25 +687,26 @@ class RecoveryCertificate:
 def recovery_certificate(
     x_true: np.ndarray,
     x_hat: np.ndarray,
-    operator: KernelOperator,
+    sigma: float,
+    fs: float,
     noise_budget: float,
-    norm: str = "l1",
 ) -> RecoveryCertificate:
-    """Evaluate the recovery-error bound for the constrained l1 solution.
+    """Evaluate the l1 recovery-error bound for the constrained l1 solution
+    through the Gaussian kernel of width sigma sampled at rate fs.
 
     ||xhat - x||_1 <= 4 rho delta / (beta gamma0) with l1 noise budget delta
-    and rho = max(gamma0 / eps^2, (fs sigma)^2 alpha0); "l1" is the only norm.
+    and rho = max(gamma0 / eps^2, (fs sigma)^2 alpha0), (beta, eps) from
+    ``gaussian_admissibility``.
     """
-    if norm != "l1":
-        raise ContractViolation(f"unknown norm {norm!r}")
     if noise_budget < 0:
         raise ContractViolation("noise budget must be >= 0")
     diff = np.asarray(x_hat, dtype=np.float64) - np.asarray(x_true, dtype=np.float64)
-    rho = operator.rho()
-    bound = 4.0 * rho * noise_budget / (operator.beta * GAMMA0)
+    beta, eps = gaussian_admissibility(sigma)
+    rho = max(GAMMA0 / eps**2, (fs * sigma) ** 2 * ALPHA0)
+    bound = 4.0 * rho * noise_budget / (beta * GAMMA0)
     achieved = float(np.sum(np.abs(diff)))
     return RecoveryCertificate(
-        norm=norm,
+        norm="l1",
         noise_budget=noise_budget,
         rho=rho,
         bound=bound,
@@ -775,34 +726,32 @@ _AMP_LOW, _AMP_HIGH = 0.5, 2.0
 
 def random_spike_signal(
     rng: np.random.Generator, n: int, n_spikes: int, separation: int
-) -> SpikeSignal:
-    """Spikes at least ``separation`` samples apart, and from both ends, with
-    uniform magnitudes and random signs."""
+) -> np.ndarray:
+    """A length-n vector of n_spikes spikes at least ``separation`` samples
+    apart, and from both ends, with uniform magnitudes and random signs."""
     placeable = n - (n_spikes + 1) * separation
     if placeable < n_spikes:
         raise ContractViolation("signal too short for requested spikes/separation")
     slots = np.sort(rng.choice(placeable, size=n_spikes, replace=False))
     support = separation + slots + separation * np.arange(n_spikes)
     amps = rng.uniform(_AMP_LOW, _AMP_HIGH, size=n_spikes) * rng.choice([-1.0, 1.0], size=n_spikes)
-    return SpikeSignal(n, tuple(int(k) for k in support), tuple(float(a) for a in amps))
+    x = np.zeros(n)
+    x[support] = amps
+    return x
 
 
-def problem_doc(
-    signal: SpikeSignal,
-    operator: KernelOperator,
-    y: np.ndarray,
-    x_hat: np.ndarray,
-    certificate: Optional[RecoveryCertificate] = None,
-) -> dict:
+def problem_doc(x_true: np.ndarray, sigma: float, fs: float, y: np.ndarray,
+                x_hat: np.ndarray, certificate: RecoveryCertificate) -> dict:
+    support = np.flatnonzero(x_true)
     return {
-        "n": signal.length,
-        "Fs": operator.fs,
-        "sigma": operator.sigma,
-        "support": list(signal.support),
-        "amplitudes": list(signal.amplitudes),
+        "n": len(x_true),
+        "Fs": fs,
+        "sigma": sigma,
+        "support": support.tolist(),
+        "amplitudes": x_true[support].tolist(),
         "y": [float(v) for v in y],
         "x_hat": [float(v) for v in x_hat],
-        "certificate": asdict(certificate) if certificate else None,
+        "certificate": asdict(certificate),
     }
 
 
@@ -814,9 +763,6 @@ def problem_doc(
 class LambdaPipelineReport:
     """Squared rate-estimation error from clean signals vs reconstructions."""
 
-    lambda_true: float
-    m: int
-    replicates: int
     mse_clean: float
     mse_restored: float
     stderr_clean: float
@@ -857,13 +803,14 @@ def lambda_pipeline_experiment(
     unknown = [name for name in names if name not in ("map_l1", "norm_oracle")]
     if unknown:
         raise ContractViolation(f"unknown restorer {unknown[0]!r}")
-    operator = build_kernel_operator(sigma=1.0, n=n, fs=2.0)
+    sigma, fs = 1.0, 2.0
+    g = kernel_matrix(sigma, n, fs)
     amps = np.empty(replicates * m)
-    measurements = _pipeline_draw(operator, lambda_true, m, replicates, seed, sigma_n, amps)
+    measurements = _pipeline_draw(g, min_spike_separation(sigma, fs), lambda_true, m, replicates,
+                                  seed, sigma_n, amps)
     restored = {"norm_oracle": (amps, 0, 0, 0)}
     if "map_l1" in names:
-        restored["map_l1"] = _map_l1_masses(measurements, operator, lambda_true, sigma_n,
-                                            amps.size)
+        restored["map_l1"] = _map_l1_masses(measurements, g, lambda_true, sigma_n, amps.size)
     else:
         for _ in measurements:  # the clean masses only
             pass
@@ -877,22 +824,22 @@ def lambda_pipeline_experiment(
 _PIPELINE_COLUMNS = 256
 
 
-def _pipeline_draw(operator, lambda_true: float, m: int, replicates: int, seed: int,
-                   sigma_n: float, amps: np.ndarray):
-    """The pipeline's draw, in chunks of whole replicates: yields, chunk by
-    chunk, the measurements, (n, columns), of max(1, _PIPELINE_COLUMNS // m)
-    replicates, once it has written their spike amplitudes, one per column,
-    into their entries of amps, a (replicates * m,) array.
+def _pipeline_draw(g: np.ndarray, sep: int, lambda_true: float, m: int, replicates: int,
+                   seed: int, sigma_n: float, amps: np.ndarray):
+    """The pipeline's draw through the n x n kernel matrix g, in chunks of
+    whole replicates: yields, chunk by chunk, the measurements, (n, columns),
+    of max(1, _PIPELINE_COLUMNS // m) replicates, once it has written their
+    spike amplitudes, one per column, into their entries of amps, a
+    (replicates * m,) array.
 
-    Replicate r draws from stream (seed, r): its m spike locations, their
-    amplitudes, then its (n, m) noise; its columns follow those of replicate
-    r - 1, column i being its signal i, one spike. Column j of Gx holds one
-    nonzero product, so G[:, loc_j] amp_j is that column to the bit, and
-    y = Gx + sigma_n noise is formed without x. Each replicate has its own
-    stream, so the chunking moves no number.
+    Replicate r draws from stream (seed, r): its m spike locations, at least
+    sep samples from both ends, their amplitudes, then its (n, m) noise; its
+    columns follow those of replicate r - 1, column i being its signal i, one
+    spike. Column j of Gx holds one nonzero product, so G[:, loc_j] amp_j is
+    that column to the bit, and y = Gx + sigma_n noise is formed without x.
+    Each replicate has its own stream, so the chunking moves no number.
     """
-    n = operator.n
-    sep = min_spike_separation(operator.sigma, operator.fs)
+    n = len(g)
     per_chunk = max(1, _PIPELINE_COLUMNS // m)
     for first in range(0, replicates, per_chunk):
         count = min(per_chunk, replicates - first)
@@ -907,7 +854,7 @@ def _pipeline_draw(operator, lambda_true: float, m: int, replicates: int, seed: 
             if sigma_n > 0:
                 y[:, cols] = rng.standard_normal((n, m))
         y *= sigma_n
-        spikes = operator.matrix[:, locs]
+        spikes = g[:, locs]
         spikes *= chunk_amps
         y += spikes
         yield y
@@ -924,7 +871,7 @@ def _l1_masses(x: np.ndarray) -> np.ndarray:
     return mass
 
 
-def _map_l1_masses(measurements, operator, lambda_true: float, sigma_n: float,
+def _map_l1_masses(measurements, g: np.ndarray, lambda_true: float, sigma_n: float,
                    total: int) -> tuple:
     """The l1 mass of each of the total columns' map_l1 reconstructions, and
     the solver's (iterations, unconverged, finished): the largest ADMM count,
@@ -937,12 +884,11 @@ def _map_l1_masses(measurements, operator, lambda_true: float, sigma_n: float,
         # noiseless: the exact-interpolation solve recovers each signal
         done = unconverged = 0
         for y in measurements:
-            sol = l1_map_solve(y, operator, mode="constrained", delta=0.0)
+            sol = l1_map_solve(y, g, mode="constrained", delta=0.0)
             masses[done:done + y.shape[1]] = _l1_masses(sol.x_hat)
             done += y.shape[1]
             unconverged += sol.unconverged
         return masses, 0, unconverged, 0
-    g = operator.matrix
     inv_var = 1.0 / sigma_n**2
 
     most = uncertified = 0
@@ -980,9 +926,6 @@ def _pipeline_report(amps, restored, lambda_true: float, m: int,
         [(mse_clean, se_clean)] = _mse_stderr(err_clean)
         mse_rest = se_rest = se_diff = math.inf
     return LambdaPipelineReport(
-        lambda_true=lambda_true,
-        m=m,
-        replicates=replicates,
         mse_clean=mse_clean,
         mse_restored=mse_rest,
         stderr_clean=se_clean,

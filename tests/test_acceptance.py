@@ -62,7 +62,7 @@ from chainlab.restorers import (
 )
 from chainlab.rng import stream_rng
 from chainlab.sparse import (
-    build_kernel_operator,
+    kernel_matrix,
     l1_map_solve,
     lambda_pipeline_experiment,
     min_spike_separation,
@@ -272,31 +272,28 @@ def test_criterion_08_resolution_shift():
 
 def test_criterion_09_sparse_recovery():
     t0 = time.monotonic()
-    op = build_kernel_operator(1.0, 256, 2.0)
+    g = kernel_matrix(1.0, 256, 2.0)
     sep = min_spike_separation(1.0, 2.0)
-    signal = random_spike_signal(stream_rng(1010, 0), 256, 5, sep)
-    x = signal.to_vector()
-    sol = l1_map_solve(op.apply(x), op, mode="constrained", delta=0.0)
+    x = random_spike_signal(stream_rng(1010, 0), 256, 5, sep)
+    sol = l1_map_solve(g @ x, g, mode="constrained", delta=0.0)
     noiseless_err = float(np.max(np.abs(sol.x_hat - x)))
 
-    op64 = build_kernel_operator(1.0, 64, 2.0)
+    g64 = kernel_matrix(1.0, 64, 2.0)
     delta = 0.1
     all_hold = True
     for i in range(100):
         rng = stream_rng(1011, i)
-        sig = random_spike_signal(rng, 64, 3, sep)
-        xv = sig.to_vector()
+        xv = random_spike_signal(rng, 64, 3, sep)
         w = rng.standard_normal(64)
         w *= delta * rng.uniform(0.5, 1.0) / np.sum(np.abs(w))
-        s = l1_map_solve(op64.apply(xv) + w, op64, mode="constrained", delta=delta)
-        all_hold &= recovery_certificate(xv, s.x_hat, op64, delta, norm="l1").holds
+        s = l1_map_solve(g64 @ xv + w, g64, mode="constrained", delta=delta)
+        all_hold &= recovery_certificate(xv, s.x_hat, 1.0, 2.0, delta).holds
 
     rng = stream_rng(1012, 0)
-    sig = random_spike_signal(rng, 64, 3, sep)
-    y = op64.apply(sig.to_vector()) + 0.02 * rng.standard_normal(64)
+    y = g64 @ random_spike_signal(rng, 64, 3, sep) + 0.02 * rng.standard_normal(64)
     norms = []
     for lam in np.geomspace(1.0, 1e-4, 15):
-        s = l1_map_solve(y, op64, mode="penalized", lam=float(lam), sigma_z=1.0,
+        s = l1_map_solve(y, g64, mode="penalized", lam=float(lam), sigma_z=1.0,
                          max_iter=20000)
         norms.append(float(np.sum(np.abs(s.x_hat))))
     monotone = all(norms[i] <= norms[i + 1] + 1e-9 for i in range(len(norms) - 1))

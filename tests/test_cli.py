@@ -427,8 +427,8 @@ class TestParameterContract:
     @staticmethod
     def _kernel_spy(monkeypatch):
         def spy(*args, **kwargs):
-            raise MemoryError("build_kernel_operator called")
-        monkeypatch.setattr("chainlab.experiments.build_kernel_operator", spy)
+            raise MemoryError("kernel_matrix called")
+        monkeypatch.setattr("chainlab.experiments.kernel_matrix", spy)
 
     @pytest.mark.parametrize("exp_id", ["sparse_noiseless_recovery", "sparse_certificate_sweep"])
     def test_size_checked_before_the_kernel_is_built(self, tmp_path, monkeypatch, exp_id):

@@ -1,4 +1,4 @@
-"""Sparse spike recovery: operator construction, the solver in both modes
+"""Sparse spike recovery: the kernel matrix and spike draw, the solver in both modes
 (certified ADMM, the dual simplex), certificates, and the rate-estimation
 pipeline.
 
@@ -26,10 +26,9 @@ from chainlab.experiments import run_experiment
 from chainlab.restorers import _FLAG_SIGMAS
 from chainlab.rng import stream_rng
 from chainlab.sparse import (
-    SpikeSignal,
     _pipeline_draw,
-    build_kernel_operator,
     gaussian_admissibility,
+    kernel_matrix,
     l1_map_solve,
     lambda_pipeline_experiment,
     min_spike_separation,
@@ -39,10 +38,15 @@ from chainlab.sparse import (
 )
 
 
-def _draw(op, rate, m, replicates, seed, sigma_n):
+# The separation of the pipeline's spikes, from its kernel's sigma = 1 and fs = 2.
+_PIPELINE_SEP = min_spike_separation(1.0, 2.0)
+
+
+def _draw(g, rate, m, replicates, seed, sigma_n):
     """The pipeline's chunked draw joined into one (amplitudes, y) pair."""
     amps = np.empty(replicates * m)
-    y = np.hstack(list(_pipeline_draw(op, rate, m, replicates, seed, sigma_n, amps)))
+    y = np.hstack(list(_pipeline_draw(g, _PIPELINE_SEP, rate, m, replicates, seed, sigma_n,
+                                      amps)))
     return amps, y
 
 
@@ -78,40 +82,55 @@ def _lasso(a, b, lam, max_iter):
 
 
 class TestSpikeSignal:
-    def test_to_vector_places_amplitudes(self):
-        v = SpikeSignal(16, (2, 9), (1.5, -0.5)).to_vector()
-        assert v[2] == 1.5 and v[9] == -0.5 and np.count_nonzero(v) == 2
+    def test_draw_is_a_vector_of_its_spikes(self):
+        """The draw at stream (74, 0) is, to the bit, the one pinned here:
+        three spikes on a length-64 vector, zero elsewhere."""
+        x = random_spike_signal(stream_rng(74, 0), 64, 3, min_spike_separation(1.0, 2.0))
+        assert x.shape == (64,) and x.dtype == np.float64
+        assert np.flatnonzero(x).tolist() == [13, 26, 53]
+        assert x[[13, 26, 53]].tolist() == [1.5037984071890715, -1.3472571346479605,
+                                            -1.2868020491071297]
 
-    def test_support_must_increase(self):
+    @pytest.mark.parametrize("n, n_spikes, separation", [(64, 3, 5), (32, 2, 5), (24, 1, 5),
+                                                         (48, 5, 7)])
+    def test_spikes_are_separated_and_bounded(self, n, n_spikes, separation):
+        """At seeds 0-99 the support has n_spikes indices, each at least
+        separation from the next and from both ends, and every amplitude's
+        magnitude is in [0.5, 2)."""
+        for seed in range(100):
+            x = random_spike_signal(stream_rng(seed, 0), n, n_spikes, separation)
+            support = np.flatnonzero(x)
+            assert support.size == n_spikes, seed
+            gaps = np.diff(np.concatenate([[0], support, [n - 1]]))
+            assert gaps.min() >= separation, seed
+            assert np.all((np.abs(x[support]) >= 0.5) & (np.abs(x[support]) < 2.0)), seed
+
+    def test_too_short_for_the_spikes_rejected(self):
         with pytest.raises(ContractViolation):
-            SpikeSignal(16, (9, 2), (1.0, 1.0))
-
-    def test_zero_amplitude_rejected(self):
-        with pytest.raises(ContractViolation):
-            SpikeSignal(16, (3,), (0.0,))
+            random_spike_signal(stream_rng(74, 1), 16, 3, 5)
 
 
-class TestKernelOperator:
+class TestKernelMatrix:
     def test_tiny_sigma_approaches_identity(self):
-        op = build_kernel_operator(0.05, 16, 1.0)
-        np.testing.assert_allclose(op.matrix, np.eye(16), atol=1e-12)
+        g = kernel_matrix(0.05, 16, 1.0)
+        np.testing.assert_allclose(g, np.eye(16), atol=1e-12)
 
     def test_unit_spike_reads_out_column(self):
-        op = build_kernel_operator(1.0, 32, 2.0)
+        g = kernel_matrix(1.0, 32, 2.0)
         x = np.zeros(32)
         x[11] = 1.0
-        np.testing.assert_array_equal(op.apply(x), op.matrix[:, 11])
+        np.testing.assert_array_equal(g @ x, g[:, 11])
 
     def test_linearity(self):
-        op = build_kernel_operator(1.0, 32, 2.0)
+        g = kernel_matrix(1.0, 32, 2.0)
         rng = stream_rng(71, 0)
         x1, x2 = rng.standard_normal(32), rng.standard_normal(32)
-        np.testing.assert_allclose(op.apply(x1 + x2), op.apply(x1) + op.apply(x2),
+        np.testing.assert_allclose(g @ (x1 + x2), g @ x1 + g @ x2,
                                    atol=1e-12)
 
     def test_signal_length_floor(self):
         with pytest.raises(ContractViolation):
-            build_kernel_operator(2.0, 16, 2.0)  # needs n >= 8 sigma fs = 32
+            kernel_matrix(2.0, 16, 2.0)  # needs n >= 8 sigma fs = 32
 
     @pytest.mark.parametrize("sigma", [0.3, 0.7, 1.0, 2.5])
     @pytest.mark.parametrize("fs", [1.0, 1.7, 2.0, 3.0])
@@ -121,16 +140,16 @@ class TestKernelOperator:
                 continue
             k = np.arange(n, dtype=np.float64)
             expected = np.exp(-((k[:, None] - k[None, :]) / fs) ** 2 / (2 * sigma**2))
-            matrix = build_kernel_operator(sigma, n, fs).matrix
+            matrix = kernel_matrix(sigma, n, fs)
             assert np.array_equal(matrix, expected), (sigma, fs, n)
             assert matrix.flags.c_contiguous and not matrix.flags.writeable
 
     def test_build_holds_one_n_by_n_array(self):
         n = 256
-        build_kernel_operator(1.0, n, 1.0)  # first-call allocations
+        kernel_matrix(1.0, n, 1.0)  # first-call allocations
         tracemalloc.start()
         try:
-            build_kernel_operator(1.0, n, 1.0)
+            kernel_matrix(1.0, n, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -140,16 +159,18 @@ class TestKernelOperator:
         beta, eps = gaussian_admissibility(1.0)
         assert eps == pytest.approx(1 / math.sqrt(2))
         assert beta == pytest.approx(math.exp(-0.25) / 2)
-        op = build_kernel_operator(1.0, 32, 2.0)
-        assert op.rho() == pytest.approx(max(2.0, 4.0))
+        x = np.zeros(32)
+        cert = recovery_certificate(x, x, 1.0, 2.0, 1.0)
+        assert cert.rho == pytest.approx(max(2.0, 4.0))
+        assert cert.bound == pytest.approx(4.0 * cert.rho / beta)
 
 
-def exhaustive_oracle(y, op, k, grid_vals=None):
+def exhaustive_oracle(y, g, k, grid_vals=None):
     """Best k-sparse fit by exhaustive support search + least squares."""
-    n = op.n
+    n = len(g)
     best_x, best_res = None, np.inf
     for support in itertools.combinations(range(n), k):
-        cols = op.matrix[:, list(support)]
+        cols = g[:, list(support)]
         amps, *_ = np.linalg.lstsq(cols, y, rcond=None)
         res = float(np.sum((y - cols @ amps) ** 2))
         if res < best_res:
@@ -159,36 +180,36 @@ def exhaustive_oracle(y, op, k, grid_vals=None):
     return best_x
 
 
-def sweep_draws(op, seed, draws, delta=0.1):
+def sweep_draws(g, seed, draws, delta=0.1):
     """The measurements of sparse_certificate_sweep's first draws at its
-    default spike count, one column per draw."""
-    ys = np.zeros((op.n, draws))
+    default spike count, sigma and fs, one column per draw."""
+    n = len(g)
+    ys = np.zeros((n, draws))
     for i in range(draws):
         rng = stream_rng(seed, i)
-        signal = random_spike_signal(rng, op.n, 3, min_spike_separation(op.sigma, op.fs))
-        w = rng.standard_normal(op.n)
+        signal = random_spike_signal(rng, n, 3, min_spike_separation(1.0, 2.0))
+        w = rng.standard_normal(n)
         w *= delta * rng.uniform(0.5, 1.0) / np.sum(np.abs(w))
-        ys[:, i] = op.apply(signal.to_vector()) + w
+        ys[:, i] = g @ signal + w
     return ys
 
 
 class TestSolver:
     def test_noiseless_well_separated_exact(self):
-        op = build_kernel_operator(1.0, 64, 2.0)
+        g = kernel_matrix(1.0, 64, 2.0)
         sep = min_spike_separation(1.0, 2.0)
-        signal = random_spike_signal(stream_rng(72, 0), 64, 3, sep)
-        x = signal.to_vector()
-        sol = l1_map_solve(op.apply(x), op, mode="constrained", delta=0.0)
+        x = random_spike_signal(stream_rng(72, 0), 64, 3, sep)
+        sol = l1_map_solve(g @ x, g, mode="constrained", delta=0.0)
         assert np.max(np.abs(sol.x_hat - x)) <= 1e-6
         assert sol.converged
 
     def test_zero_budget_is_the_linear_solve(self):
         """With delta = 0 the only feasible point of the nonsingular G is
         G^{-1} y, so that is the solution, with no simplex pivots."""
-        op = build_kernel_operator(1.0, 64, 2.0)
+        g = kernel_matrix(1.0, 64, 2.0)
         y = stream_rng(72, 7).standard_normal(64)
-        sol = l1_map_solve(y, op, mode="constrained", delta=0.0)
-        np.testing.assert_array_equal(sol.x_hat, np.linalg.solve(op.matrix, y))
+        sol = l1_map_solve(y, g, mode="constrained", delta=0.0)
+        np.testing.assert_array_equal(sol.x_hat, np.linalg.solve(g, y))
         assert sol.converged
         assert sol.iterations == 0
 
@@ -196,11 +217,11 @@ class TestSolver:
         """A batch with delta = 0 gives each column exactly its own linear
         solve: the n = 24 kernel is ill-conditioned, so one stacked
         right-hand side would round differently."""
-        op = build_kernel_operator(1.0, 24, 2.0)
+        g = kernel_matrix(1.0, 24, 2.0)
         y = stream_rng(72, 13).standard_normal((24, 6))
-        sol = l1_map_solve(y, op, mode="constrained", delta=0.0)
+        sol = l1_map_solve(y, g, mode="constrained", delta=0.0)
         for j in range(6):
-            np.testing.assert_array_equal(sol.x_hat[:, j], np.linalg.solve(op.matrix, y[:, j]))
+            np.testing.assert_array_equal(sol.x_hat[:, j], np.linalg.solve(g, y[:, j]))
         assert sol.converged and sol.column_iterations == (0,) * 6
 
     @pytest.mark.parametrize("n", [16, 32, 64])
@@ -208,14 +229,13 @@ class TestSolver:
     def test_constrained_matches_highs_linear_program(self, n, delta):
         from scipy.optimize import linprog
 
-        op = build_kernel_operator(1.0, n, 2.0)
-        g = op.matrix
+        g = kernel_matrix(1.0, n, 2.0)
         rng = stream_rng(72, 8 + n)
         signal = random_spike_signal(rng, n, max(1, n // 24), min_spike_separation(1.0, 2.0))
         w = rng.standard_normal(n)
         w *= delta * rng.uniform(0.5, 1.0) / np.sum(np.abs(w))
-        y = op.apply(signal.to_vector()) + w
-        sol = l1_map_solve(y, op, mode="constrained", delta=delta)
+        y = g @ signal + w
+        sol = l1_map_solve(y, g, mode="constrained", delta=delta)
         # min 1'(u + v) s.t. -t <= y - G(u - v) <= t, 1't <= delta, u, v, t >= 0
         eye = np.eye(n)
         a_ub = np.block([[-g, g, -eye], [g, -g, -eye],
@@ -238,9 +258,9 @@ class TestSolver:
             "import sys\n"
             "import numpy as np\n"
             "from chainlab.cli import main\n"
-            "from chainlab.sparse import build_kernel_operator, l1_map_solve\n"
-            "op = build_kernel_operator(1.0, 32, 2.0)\n"
-            "sol = l1_map_solve(op.apply(np.eye(32)[10]) + 1e-3, op, mode='constrained',"
+            "from chainlab.sparse import kernel_matrix, l1_map_solve\n"
+            "g = kernel_matrix(1.0, 32, 2.0)\n"
+            "sol = l1_map_solve(g @ np.eye(32)[10] + 1e-3, g, mode='constrained',"
             " delta=0.05)\n"
             "assert sol.converged and sol.iterations > 0\n"
             f"assert main(['run', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
@@ -261,25 +281,25 @@ class TestSolver:
         _assert_runs_fresh(code)
 
     def test_zero_measurement_zero_solution(self):
-        op = build_kernel_operator(1.0, 32, 2.0)
-        sol = l1_map_solve(np.zeros(32), op, mode="constrained", delta=0.0)
+        g = kernel_matrix(1.0, 32, 2.0)
+        sol = l1_map_solve(np.zeros(32), g, mode="constrained", delta=0.0)
         np.testing.assert_array_equal(sol.x_hat, np.zeros(32))
 
     def test_small_noise_support_recovery_vs_exhaustive_oracle(self):
         """n = 16 instance: the solver finds the oracle's support and stays
         within the certificate bound of its amplitudes."""
-        op = build_kernel_operator(0.6, 16, 1.5)
+        g = kernel_matrix(0.6, 16, 1.5)
         x = np.zeros(16)
         x[4], x[11] = 1.2, -0.9
         rng = stream_rng(72, 1)
         w = rng.standard_normal(16)
         delta = 0.05
         w *= delta * 0.9 / np.sum(np.abs(w))
-        y = op.apply(x) + w
-        sol = l1_map_solve(y, op, mode="constrained", delta=delta)
-        oracle = exhaustive_oracle(y, op, 2)
+        y = g @ x + w
+        sol = l1_map_solve(y, g, mode="constrained", delta=delta)
+        oracle = exhaustive_oracle(y, g, 2)
         assert set(np.flatnonzero(np.abs(sol.x_hat) > 0.1)) == set(np.flatnonzero(oracle))
-        cert = recovery_certificate(x, sol.x_hat, op, delta, norm="l1")
+        cert = recovery_certificate(x, sol.x_hat, 0.6, 1.5, delta)
         assert cert.holds
         assert np.max(np.abs(sol.x_hat - oracle)) <= cert.bound
 
@@ -288,15 +308,14 @@ class TestSolver:
         (A x - b)_j = -lam sign(x_j) on the support and |(A x - b)_j| <= lam
         off it, with A = G'G / sigma_z^2 and b = G'y / sigma_z^2, so each is an
         exact minimizer."""
-        op = build_kernel_operator(1.0, 24, 2.0)
+        g = kernel_matrix(1.0, 24, 2.0)
         rng = stream_rng(72, 2)
         x_true = np.where(rng.uniform(size=(24, 40)) < 0.1,
                           rng.exponential(1.0, size=(24, 40)), 0.0)
-        y = op.matrix @ x_true + 0.1 * rng.standard_normal((24, 40))
+        y = g @ x_true + 0.1 * rng.standard_normal((24, 40))
         lam, sigma_z = 1.0, 0.1
-        sol = l1_map_solve(y, op, mode="penalized", lam=lam, sigma_z=sigma_z, max_iter=20_000)
+        sol = l1_map_solve(y, g, mode="penalized", lam=lam, sigma_z=sigma_z, max_iter=20_000)
         assert sol.converged and sol.unconverged == 0
-        g = op.matrix
         a, b = g.T @ g / sigma_z**2, g.T @ y / sigma_z**2
         grad = a @ sol.x_hat - b
         on = sol.x_hat != 0
@@ -308,13 +327,12 @@ class TestSolver:
     def test_certified_objective_not_above_long_proximal_gradient(self):
         """A certified column is the minimizer: no point a long soft-threshold
         iteration reaches has a lower objective."""
-        op = build_kernel_operator(1.0, 24, 2.0)
-        g = op.matrix
+        g = kernel_matrix(1.0, 24, 2.0)
         rng = stream_rng(72, 9)
         y = g @ np.where(rng.uniform(size=(24, 6)) < 0.15, 1.0, 0.0) \
             + 0.1 * rng.standard_normal((24, 6))
         lam, inv_var = 1.0, 100.0
-        sol = l1_map_solve(y, op, mode="penalized", lam=lam, sigma_z=0.1, max_iter=20_000)
+        sol = l1_map_solve(y, g, mode="penalized", lam=lam, sigma_z=0.1, max_iter=20_000)
         assert sol.converged
 
         def objective(x):
@@ -333,21 +351,20 @@ class TestSolver:
         """Scaling the data and the budget by a power of two scales the
         solution exactly (every simplex pivot is scale equivariant), and the
         solution is the constrained minimizer, which spends the whole budget."""
-        op = build_kernel_operator(1.0, 32, 2.0)
+        g = kernel_matrix(1.0, 32, 2.0)
         rng = stream_rng(72, 3)
-        signal = random_spike_signal(rng, 32, 2, min_spike_separation(1.0, 2.0))
-        x = signal.to_vector()
+        x = random_spike_signal(rng, 32, 2, min_spike_separation(1.0, 2.0))
         w = rng.standard_normal(32)
         delta = 0.08
         w *= delta * 0.9 / np.sum(np.abs(w))
-        y = op.apply(x) + w
-        sol1 = l1_map_solve(y, op, mode="constrained", delta=delta)
+        y = g @ x + w
+        sol1 = l1_map_solve(y, g, mode="constrained", delta=delta)
         c = 4.0  # a power of two scales every float operation exactly
-        sol2 = l1_map_solve(c * y, op, mode="constrained", delta=c * delta)
+        sol2 = l1_map_solve(c * y, g, mode="constrained", delta=c * delta)
         np.testing.assert_array_equal(sol2.x_hat, c * sol1.x_hat)
         assert sol1.converged
         assert np.sum(np.abs(sol1.x_hat)) == pytest.approx(2.99277, abs=1e-5)
-        assert np.sum(np.abs(y - op.apply(sol1.x_hat))) == pytest.approx(delta, abs=1e-9)
+        assert np.sum(np.abs(y - g @ sol1.x_hat)) == pytest.approx(delta, abs=1e-9)
 
     @pytest.mark.parametrize("delta", [0.0, 0.1])
     @pytest.mark.parametrize("c", [2.0**-40, 2.0**40])
@@ -356,12 +373,12 @@ class TestSolver:
         2^40 the residual's round-off is far above one: the solve returns c x
         and is converged either way, with the zero budget and with a
         positive one, since its slack is relative to the data."""
-        op = build_kernel_operator(1.0, 32, 2.0)
+        g = kernel_matrix(1.0, 32, 2.0)
         rng = stream_rng(72, 3)
-        y = op.apply(random_spike_signal(rng, 32, 2, min_spike_separation(1.0, 2.0))
-                     .to_vector()) + 0.01 * rng.standard_normal(32)
-        sol = l1_map_solve(y, op, mode="constrained", delta=delta)
-        scaled = l1_map_solve(c * y, op, mode="constrained", delta=c * delta)
+        y = g @ random_spike_signal(rng, 32, 2, min_spike_separation(1.0, 2.0)) \
+            + 0.01 * rng.standard_normal(32)
+        sol = l1_map_solve(y, g, mode="constrained", delta=delta)
+        scaled = l1_map_solve(c * y, g, mode="constrained", delta=c * delta)
         assert sol.converged and scaled.converged and np.any(sol.x_hat)
         np.testing.assert_array_equal(scaled.x_hat, c * sol.x_hat)
         assert scaled.column_iterations == sol.column_iterations
@@ -369,20 +386,20 @@ class TestSolver:
     def test_measurement_within_the_budget_stops_at_zero(self):
         """||y||_1 <= delta makes the simplex's starting basis primal
         feasible, so x = 0 with no pivot, next to a column that pivots."""
-        op = build_kernel_operator(1.0, 32, 2.0)
-        y = np.stack([np.full(32, 0.1 / 32), op.matrix[:, 10]], axis=1)
-        sol = l1_map_solve(y, op, mode="constrained", delta=0.1)
+        g = kernel_matrix(1.0, 32, 2.0)
+        y = np.stack([np.full(32, 0.1 / 32), g[:, 10]], axis=1)
+        sol = l1_map_solve(y, g, mode="constrained", delta=0.1)
         assert sol.converged and sol.column_iterations[0] == 0 < sol.column_iterations[1]
         np.testing.assert_array_equal(sol.x_hat[:, 0], np.zeros(32))
 
     def test_penalty_path_norm_monotone(self):
-        op = build_kernel_operator(1.0, 48, 2.0)
+        g = kernel_matrix(1.0, 48, 2.0)
         rng = stream_rng(72, 4)
         signal = random_spike_signal(rng, 48, 3, min_spike_separation(1.0, 2.0))
-        y = op.apply(signal.to_vector()) + 0.02 * rng.standard_normal(48)
+        y = g @ signal + 0.02 * rng.standard_normal(48)
         norms = []
         for lam in np.geomspace(2.0, 1e-4, 15):
-            sol = l1_map_solve(y, op, mode="penalized", lam=float(lam), sigma_z=1.0,
+            sol = l1_map_solve(y, g, mode="penalized", lam=float(lam), sigma_z=1.0,
                                max_iter=20000)
             norms.append(float(np.sum(np.abs(sol.x_hat))))
         assert all(norms[i] <= norms[i + 1] + 1e-9 for i in range(len(norms) - 1))
@@ -390,25 +407,25 @@ class TestSolver:
     def test_unconverged_solve_returns_best_iterate_with_flag(self, monkeypatch):
         """Cut off by both max_iter and the finisher's step cap, a column is
         returned uncertified and counted, with its last iterate."""
-        op = build_kernel_operator(1.0, 32, 2.0)
+        g = kernel_matrix(1.0, 32, 2.0)
         rng = stream_rng(72, 6)
         signal = random_spike_signal(rng, 32, 2, min_spike_separation(1.0, 2.0))
-        y = op.apply(signal.to_vector())
+        y = g @ signal
         monkeypatch.setattr(sparse, "_FEATURE_SIGN_STEPS", 0)
-        sol = l1_map_solve(y, op, mode="penalized", lam=1e-6, sigma_z=1.0,
+        sol = l1_map_solve(y, g, mode="penalized", lam=1e-6, sigma_z=1.0,
                            max_iter=5)
         assert not sol.converged and sol.unconverged == 1 and sol.finished == 0
         assert sol.iterations == 5
         assert np.any(sol.x_hat != 0)
 
     def test_batched_columns_match_individual_solves(self):
-        op = build_kernel_operator(1.0, 24, 2.0)
+        g = kernel_matrix(1.0, 24, 2.0)
         rng = stream_rng(72, 5)
         ys = rng.standard_normal((24, 3))
-        batch = l1_map_solve(ys, op, mode="penalized", lam=0.3, sigma_z=0.5,
+        batch = l1_map_solve(ys, g, mode="penalized", lam=0.3, sigma_z=0.5,
                              max_iter=5000)
         for k in range(3):
-            single = l1_map_solve(ys[:, k], op, mode="penalized", lam=0.3, sigma_z=0.5,
+            single = l1_map_solve(ys[:, k], g, mode="penalized", lam=0.3, sigma_z=0.5,
                                   max_iter=5000)
             np.testing.assert_allclose(batch.x_hat[:, k], single.x_hat, atol=1e-9)
 
@@ -423,18 +440,18 @@ class TestSolver:
         3e5, the columns differ by 1.3e-11, and by at most 5e-17
         cond(A_SS) max|x| on every column, so 1e-15 cond(A_SS) max|x|
         bounds round-off and nothing else."""
-        op = build_kernel_operator(1.0, 64, 2.0)
+        g = kernel_matrix(1.0, 64, 2.0)
         rng = stream_rng(72, 10)
         signal = random_spike_signal(rng, 64, 3, min_spike_separation(1.0, 2.0))
-        y = op.apply(signal.to_vector()) + 0.01 * rng.standard_normal(64)
+        y = g @ signal + 0.01 * rng.standard_normal(64)
         lam_grid = np.geomspace(1.0, 1e-4, 20)
-        path = l1_map_solve(np.repeat(y[:, None], 20, axis=1), op, mode="penalized",
+        path = l1_map_solve(np.repeat(y[:, None], 20, axis=1), g, mode="penalized",
                             lam=lam_grid, sigma_z=1.0)
         assert path.iterations == max(path.column_iterations)
         assert path.iterations <= sparse._FEATURE_SIGN_STEPS * 64
-        a = op.matrix.T @ op.matrix
+        a = g.T @ g
         for k, lam in enumerate(lam_grid):
-            single = l1_map_solve(y, op, mode="penalized", lam=float(lam), sigma_z=1.0,
+            single = l1_map_solve(y, g, mode="penalized", lam=float(lam), sigma_z=1.0,
                                   max_iter=20_000)
             on = single.x_hat != 0
             bound = 1e-15 * np.linalg.cond(a[np.ix_(on, on)]) * np.max(np.abs(single.x_hat))
@@ -449,19 +466,19 @@ class TestSolver:
         every column is certified, is bit for bit the polish of its own sign
         pattern, and is on the sign pattern of its scalar solve and within
         the round-off bound of the test above."""
-        op = build_kernel_operator(1.0, 64, 2.0)
+        g = kernel_matrix(1.0, 64, 2.0)
         rng = stream_rng(72, 13)
         sep = min_spike_separation(1.0, 2.0)
-        ys = np.column_stack([op.apply(random_spike_signal(rng, 64, 3, sep).to_vector())
+        ys = np.column_stack([g @ random_spike_signal(rng, 64, 3, sep)
                               + 0.01 * rng.standard_normal(64) for _ in range(5)])
         lams = [0.5, 1e-3, 0.05, 1.0, 1e-2]
-        path = l1_map_solve(ys, op, mode="penalized", lam=lams, sigma_z=1.0)
+        path = l1_map_solve(ys, g, mode="penalized", lam=lams, sigma_z=1.0)
         assert path.converged and path.finished == 5
-        a, b = op.matrix.T @ op.matrix, op.matrix.T @ ys
+        a, b = g.T @ g, g.T @ ys
         for k, lam in enumerate(lams):
             polished, ok = sparse._polish(a, b[:, [k]], lam, path.x_hat[:, [k]])
             assert ok[0] and np.array_equal(polished[:, 0], path.x_hat[:, k])
-            single = l1_map_solve(ys[:, k], op, mode="penalized", lam=lam, sigma_z=1.0,
+            single = l1_map_solve(ys[:, k], g, mode="penalized", lam=lam, sigma_z=1.0,
                                   max_iter=20_000)
             assert single.converged
             on = single.x_hat != 0
@@ -476,9 +493,8 @@ class TestSolver:
         150. The polish is handed the int8 sign pattern alone, and the skip
         is exact: a fresh polish of its iterate at 100 repeats the failed
         result of 50 bit for bit."""
-        op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
-        g = op.matrix
+        g = kernel_matrix(1.0, 24, 2.0)
+        _, y = _draw(g, 1.0, 5, 40, 0, 0.1)
         a, b = 100.0 * (g.T @ g), 100.0 * (g.T @ y[:, 33:34])
         real = sparse._polish
         polished = []
@@ -509,13 +525,13 @@ class TestSolver:
         """y and sigma_z scaled by c = 2^200 and lam by 1/c scale the minimizer
         by c, far beyond float32's range: the ADMM state runs in units of a
         power of two, so the solve repeats bit for bit, iterations included."""
-        op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
+        g = kernel_matrix(1.0, 24, 2.0)
+        _, y = _draw(g, 1.0, 5, 40, 0, 0.1)
         c = 2.0**200
-        base = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1,
+        base = l1_map_solve(y, g, mode="penalized", lam=1.0, sigma_z=0.1,
                             max_iter=sparse._ADMM_HANDOFF)
         with np.errstate(all="raise"):
-            big = l1_map_solve(c * y, op, mode="penalized", lam=1.0 / c, sigma_z=0.1 * c,
+            big = l1_map_solve(c * y, g, mode="penalized", lam=1.0 / c, sigma_z=0.1 * c,
                                max_iter=sparse._ADMM_HANDOFF)
         assert base.converged and big.converged
         assert big.column_iterations == base.column_iterations
@@ -529,9 +545,8 @@ class TestSolver:
         (float32 holds no more than 2^128), and every column's answer is the
         one it has when its own columns are solved alone."""
         monkeypatch.setattr(sparse, "_ADMM_BLOCK", 64)
-        op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
-        g = op.matrix
+        g = kernel_matrix(1.0, 24, 2.0)
+        _, y = _draw(g, 1.0, 5, 40, 0, 0.1)
         a, ordinary = 100.0 * (g.T @ g), 100.0 * (g.T @ y)
         big = c * ordinary[:, :64]
         b = np.hstack([ordinary, big])
@@ -558,11 +573,11 @@ class TestSolver:
         """The answer depends only on the sign pattern ADMM ends on: every
         certified column of a pipeline solve is, bit for bit, the polish of
         its own signs, however many iterations found them."""
-        op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
-        sol = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=20_000)
+        g = kernel_matrix(1.0, 24, 2.0)
+        _, y = _draw(g, 1.0, 5, 40, 0, 0.1)
+        sol = l1_map_solve(y, g, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=20_000)
         assert sol.converged and len(set(sol.column_iterations)) > 1
-        g, inv_var = op.matrix, 1.0 / 0.1**2
+        inv_var = 1.0 / 0.1**2
         x, ok = sparse._polish(inv_var * (g.T @ g), inv_var * (g.T @ y), 1.0, sol.x_hat)
         assert ok.all() and np.array_equal(x, sol.x_hat)
 
@@ -570,19 +585,19 @@ class TestSolver:
                                      [1.0, 0.5], [1.0, 0.5, 0.2, 0.1], [[1.0, 0.5, 0.2]]])
     def test_per_column_lam_contract(self, lam):
         """A per-column lam needs one entry per column of y, each > 0."""
-        op = build_kernel_operator(1.0, 24, 2.0)
+        g = kernel_matrix(1.0, 24, 2.0)
         y = stream_rng(72, 11).standard_normal((24, 3))
         with pytest.raises(ContractViolation):
-            l1_map_solve(y, op, mode="penalized", lam=lam, sigma_z=1.0)
+            l1_map_solve(y, g, mode="penalized", lam=lam, sigma_z=1.0)
 
     @pytest.mark.parametrize("mode, kwargs", [("penalized", {"lam": 1.0, "sigma_z": 0.1}),
                                               ("constrained", {"delta": 0.1})])
     def test_negative_max_iter_rejected(self, mode, kwargs):
         """max_iter counts iterations or pivots, so it must be >= 0."""
-        op = build_kernel_operator(1.0, 24, 2.0)
+        g = kernel_matrix(1.0, 24, 2.0)
         y = stream_rng(72, 12).standard_normal((24, 3))
         with pytest.raises(ContractViolation, match="max_iter"):
-            l1_map_solve(y, op, mode=mode, max_iter=-1, **kwargs)
+            l1_map_solve(y, g, mode=mode, max_iter=-1, **kwargs)
 
     def test_singular_basis_ends_its_column_unconverged(self):
         """At delta = 1e-12 one of the 100 default sweep draws at seed 0
@@ -590,8 +605,8 @@ class TestSolver:
         column is a u or v column, whose budget-row entry is 0). The basis
         cannot be re-solved or rebuilt, so that column ends unconverged, with
         its finite maintained values as x; the other 99 converge."""
-        op = build_kernel_operator(1.0, 64, 2.0)
-        sol = l1_map_solve(sweep_draws(op, 0, 100, 1e-12), op, mode="constrained", delta=1e-12)
+        g = kernel_matrix(1.0, 64, 2.0)
+        sol = l1_map_solve(sweep_draws(g, 0, 100, 1e-12), g, mode="constrained", delta=1e-12)
         assert sol.unconverged == 1
         assert np.isfinite(sol.x_hat).all()
 
@@ -635,12 +650,12 @@ class TestSolver:
         from scipy.optimize import linprog
 
         n, delta = 64, 0.1
-        op = build_kernel_operator(1.0, n, 2.0)
-        g, eye = op.matrix, np.eye(n)
+        g = kernel_matrix(1.0, n, 2.0)
+        eye = np.eye(n)
         a_ub = np.block([[-g, g, -eye], [g, -g, -eye], [np.zeros((1, 2 * n)), np.ones((1, n))]])
         c = np.concatenate([np.ones(2 * n), np.zeros(n)])
-        ys = sweep_draws(op, 0, 20, delta)
-        sol = l1_map_solve(ys, op, mode="constrained", delta=delta)
+        ys = sweep_draws(g, 0, 20, delta)
+        sol = l1_map_solve(ys, g, mode="constrained", delta=delta)
         assert sol.converged and sol.unconverged == 0
         assert sol.x_hat.shape == (n, 20) and len(sol.column_iterations) == 20
         assert sol.iterations == max(sol.column_iterations)
@@ -649,7 +664,7 @@ class TestSolver:
                           bounds=(0, None), method="highs")
             assert ref.status == 0
             assert np.sum(np.abs(sol.x_hat[:, i])) == pytest.approx(ref.fun, rel=1e-7)
-            single = l1_map_solve(ys[:, i], op, mode="constrained", delta=delta)
+            single = l1_map_solve(ys[:, i], g, mode="constrained", delta=delta)
             assert single.converged and single.column_iterations == (single.iterations,)
             np.testing.assert_allclose(sol.x_hat[:, i], single.x_hat, rtol=0, atol=1e-12)
 
@@ -657,12 +672,12 @@ class TestSolver:
         """The 100 default sweep draws at seeds 0-4, passed to the simplex C-
         and F-ordered, give the same x and pivots: every pivot records its
         entering column in the basis whatever the layout of y."""
-        op = build_kernel_operator(1.0, 64, 2.0)
+        g = kernel_matrix(1.0, 64, 2.0)
         for seed in range(5):
-            ys = sweep_draws(op, seed, 100)
-            x_c, pivots_c, ok_c = sparse._dual_simplex(op.matrix, np.ascontiguousarray(ys), 0.1,
+            ys = sweep_draws(g, seed, 100)
+            x_c, pivots_c, ok_c = sparse._dual_simplex(g, np.ascontiguousarray(ys), 0.1,
                                                        100_000)
-            x_f, pivots_f, ok_f = sparse._dual_simplex(op.matrix, np.asfortranarray(ys), 0.1,
+            x_f, pivots_f, ok_f = sparse._dual_simplex(g, np.asfortranarray(ys), 0.1,
                                                        100_000)
             assert ok_c.all() and ok_f.all()
             assert np.array_equal(x_c, x_f) and np.array_equal(pivots_c, pivots_f)
@@ -672,14 +687,14 @@ class TestSolver:
         with no pivots, solves the other columns as it would alone to
         round-off, and reports pivots and convergence per column."""
         n, delta = 32, 0.05
-        op = build_kernel_operator(1.0, n, 2.0)
+        g = kernel_matrix(1.0, n, 2.0)
         rng = stream_rng(72, 12)
         small = rng.standard_normal(n)
         small *= 0.5 * delta / np.sum(np.abs(small))
         spikes = np.zeros((n, 3))
         spikes[[8, 16, 24], [0, 1, 2]] = [1.0, -0.7, 1.3]
-        y = np.column_stack([small, op.matrix @ spikes + 1e-3 * rng.standard_normal((n, 3))])
-        sol = l1_map_solve(y, op, mode="constrained", delta=delta)
+        y = np.column_stack([small, g @ spikes + 1e-3 * rng.standard_normal((n, 3))])
+        sol = l1_map_solve(y, g, mode="constrained", delta=delta)
         assert sol.x_hat.shape == (n, 4)
         np.testing.assert_array_equal(sol.x_hat[:, 0], np.zeros(n))
         assert len(sol.column_iterations) == 4 and sol.column_iterations[0] == 0
@@ -687,10 +702,10 @@ class TestSolver:
         assert sol.iterations == max(sol.column_iterations)
         assert sol.converged and sol.unconverged == 0
         for j in range(1, 4):
-            single = l1_map_solve(y[:, j], op, mode="constrained", delta=delta)
+            single = l1_map_solve(y[:, j], g, mode="constrained", delta=delta)
             np.testing.assert_allclose(sol.x_hat[:, j], single.x_hat, rtol=0, atol=1e-12)
         # One pivot is too few for the noisy columns: each counts as unconverged.
-        capped = l1_map_solve(y, op, mode="constrained", delta=delta, max_iter=1)
+        capped = l1_map_solve(y, g, mode="constrained", delta=delta, max_iter=1)
         assert capped.column_iterations == (0, 1, 1, 1)
         assert capped.unconverged == 3 and not capped.converged
 
@@ -717,9 +732,8 @@ class TestFeatureSignFinisher:
         1 150 and 300 iterations). The finisher certifies each from its
         iterate at the hand-off, bit for bit the float64 polish of its sign
         pattern and the answer at the other rho."""
-        op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _draw(op, 1.0, 25, 1000, seed, 0.1)
-        g = op.matrix
+        g = kernel_matrix(1.0, 24, 2.0)
+        _, y = _draw(g, 1.0, 25, 1000, seed, 0.1)
         a, b = 100.0 * (g.T @ g), 100.0 * (g.T @ y[:, col:col + 1])
         answers = {}
         for r in (0.004, 0.008):
@@ -779,9 +793,8 @@ class TestFeatureSignFinisher:
         """64 columns of a pipeline draw at sigma_n = 0.01, searched in one
         block from zero and from their ADMM iterates at 50 iterations, get the
         x, step count and certificate that each gets searched alone."""
-        op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _draw(op, 1.0, 16, 4, 0, 0.01)
-        g = op.matrix
+        g = kernel_matrix(1.0, 24, 2.0)
+        _, y = _draw(g, 1.0, 16, 4, 0, 0.01)
         a, b = 1e4 * (g.T @ g), 1e4 * (g.T @ y)
         with monkeypatch.context() as m:
             m.setattr(sparse, "_FEATURE_SIGN_STEPS", 0)
@@ -811,9 +824,8 @@ class TestFeatureSignFinisher:
         search uses up its 4n = 96 steps uncertified, and the retry from zero
         certifies it in 48 more. The answer is, bit for bit, the search's
         from zero and the polish of its own sign pattern."""
-        op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _draw(op, 1.0, 25, 40, 0, 1e-6)
-        g = op.matrix
+        g = kernel_matrix(1.0, 24, 2.0)
+        _, y = _draw(g, 1.0, 25, 40, 0, 1e-6)
         a, b = 1e12 * (g.T @ g), 1e12 * (g.T @ y[:, 478:479])
         x, ok, its, finished = _lasso(a, b, 1.0, sparse._ADMM_HANDOFF)
         assert ok[0] and finished == 1 and its[0] == sparse._ADMM_HANDOFF
@@ -832,11 +844,11 @@ class TestFeatureSignFinisher:
         """With no ADMM iteration (max_iter = 0) every column whose minimizer
         is not zero goes to the finisher from zero; it certifies all of them,
         bit for bit as ADMM's certified answers."""
-        op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
-        admm = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1,
+        g = kernel_matrix(1.0, 24, 2.0)
+        _, y = _draw(g, 1.0, 5, 40, 0, 0.1)
+        admm = l1_map_solve(y, g, mode="penalized", lam=1.0, sigma_z=0.1,
                             max_iter=sparse._ADMM_HANDOFF)
-        alone = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=0)
+        alone = l1_map_solve(y, g, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=0)
         assert admm.converged and admm.finished == 0
         assert alone.converged and alone.finished == 200 and alone.iterations == 0
         assert np.array_equal(alone.x_hat, admm.x_hat)
@@ -846,16 +858,16 @@ class TestFeatureSignFinisher:
         minimizer is x = 0 is certified by the polish of zero and is not
         counted as finished; the other goes to the finisher. The answers
         equal ADMM's. An empty y is a converged empty solve."""
-        op = build_kernel_operator(1.0, 24, 2.0)
-        y = op.matrix[:, [5, 8]] * [1.0, 1e-6]
-        admm = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1,
+        g = kernel_matrix(1.0, 24, 2.0)
+        y = g[:, [5, 8]] * [1.0, 1e-6]
+        admm = l1_map_solve(y, g, mode="penalized", lam=1.0, sigma_z=0.1,
                             max_iter=sparse._ADMM_HANDOFF)
-        alone = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=0)
+        alone = l1_map_solve(y, g, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=0)
         assert admm.converged and alone.converged
         assert alone.iterations == 0 and alone.column_iterations == (0, 0)
         assert alone.finished == 1
         assert np.array_equal(alone.x_hat, admm.x_hat) and not alone.x_hat[:, 1].any()
-        empty = l1_map_solve(np.zeros((24, 0)), op, mode="penalized", lam=1.0, sigma_z=0.1,
+        empty = l1_map_solve(np.zeros((24, 0)), g, mode="penalized", lam=1.0, sigma_z=0.1,
                              max_iter=0)
         assert empty.converged and empty.x_hat.shape == (24, 0)
         assert empty.iterations == empty.unconverged == empty.finished == 0
@@ -865,10 +877,10 @@ class TestFeatureSignFinisher:
         """With no round-off allowed in the polish's stationarity check, the
         finisher still settles every column, but the polish rejects those
         whose stationarity holds only to round-off: they stay uncertified."""
-        op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
+        g = kernel_matrix(1.0, 24, 2.0)
+        _, y = _draw(g, 1.0, 5, 40, 0, 0.1)
         monkeypatch.setattr(sparse, "_KKT_ROUNDOFF", 0.0)
-        sol = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=0)
+        sol = l1_map_solve(y, g, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=0)
         assert sol.unconverged > 0 and sol.finished == 200 - sol.unconverged
 
     def test_penalty_path_is_warm_started(self):
@@ -898,9 +910,8 @@ class TestFeatureSignFinisher:
         polish of its signs says: the solve returns it uncertified and
         counts it. From zero the column needs more than one step and fewer
         than n; with n steps allowed it is certified in as many."""
-        op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _draw(op, 1.0, 5, 40, 0, 0.1)
-        g = op.matrix
+        g = kernel_matrix(1.0, 24, 2.0)
+        _, y = _draw(g, 1.0, 5, 40, 0, 0.1)
         a, b = 100.0 * (g.T @ g), 100.0 * (g.T @ y[:, [0]])
         _, needed, ok = sparse._feature_sign_polish(a, b, 1.0, np.zeros_like(b))
         assert ok[0] and 1 < needed[0] < 24
@@ -910,53 +921,55 @@ class TestFeatureSignFinisher:
         monkeypatch.setattr(sparse, "_FEATURE_SIGN_STEPS", 0)
         x, steps, ok = sparse._feature_sign_polish(a, b, 1.0, np.zeros_like(b))
         assert not ok[0] and steps[0] == 0 and not x.any()
-        sol = l1_map_solve(y[:, :3], op, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=0)
+        sol = l1_map_solve(y[:, :3], g, mode="penalized", lam=1.0, sigma_z=0.1, max_iter=0)
         assert not sol.converged and sol.unconverged == 3 and sol.finished == 0
         assert not sol.x_hat.any()
 
 
 class TestCertificate:
     def test_zero_budget_exact_recovery(self):
-        op = build_kernel_operator(1.0, 32, 2.0)
         x = np.zeros(32)
         x[10] = 1.0
-        cert = recovery_certificate(x, x.copy(), op, 0.0, norm="l1")
+        cert = recovery_certificate(x, x.copy(), 1.0, 2.0, 0.0)
         assert cert.bound == 0.0 and cert.achieved == 0.0 and cert.holds
 
     def test_bound_linear_in_budget(self):
-        op = build_kernel_operator(1.0, 32, 2.0)
         x = np.zeros(32)
-        c1 = recovery_certificate(x, x, op, 0.1, norm="l1")
-        c2 = recovery_certificate(x, x, op, 0.2, norm="l1")
+        c1 = recovery_certificate(x, x, 1.0, 2.0, 0.1)
+        c2 = recovery_certificate(x, x, 1.0, 2.0, 0.2)
         assert c2.bound == pytest.approx(2.0 * c1.bound)
 
     def test_only_the_l1_bound(self):
-        op = build_kernel_operator(1.0, 32, 2.0)
-        with pytest.raises(ContractViolation):
-            recovery_certificate(np.zeros(32), np.zeros(32), op, 0.3, norm="l2")
+        """The bound is on the l1 error, the only norm: the certificate names
+        it, and takes no norm to choose."""
+        cert = recovery_certificate(np.zeros(32), np.zeros(32), 1.0, 2.0, 0.3)
+        assert cert.norm == "l1"
+        with pytest.raises(TypeError):
+            recovery_certificate(np.zeros(32), np.zeros(32), 1.0, 2.0, 0.3, norm="l1")
 
     def test_holds_on_seeded_noisy_draws(self):
-        op = build_kernel_operator(1.0, 48, 2.0)
+        g = kernel_matrix(1.0, 48, 2.0)
         sep = min_spike_separation(1.0, 2.0)
         delta = 0.1
         for i in range(25):
             rng = stream_rng(73, i)
-            signal = random_spike_signal(rng, 48, 3, sep)
-            x = signal.to_vector()
+            x = random_spike_signal(rng, 48, 3, sep)
             w = rng.standard_normal(48)
             w *= delta * rng.uniform(0.5, 1.0) / np.sum(np.abs(w))
-            sol = l1_map_solve(op.apply(x) + w, op, mode="constrained", delta=delta)
-            assert recovery_certificate(x, sol.x_hat, op, delta, norm="l1").holds
+            sol = l1_map_solve(g @ x + w, g, mode="constrained", delta=delta)
+            assert recovery_certificate(x, sol.x_hat, 1.0, 2.0, delta).holds
 
     def test_problem_serialization(self):
-        op = build_kernel_operator(1.0, 32, 2.0)
-        signal = random_spike_signal(stream_rng(73, 99), 32, 2,
-                                     min_spike_separation(1.0, 2.0))
-        x = signal.to_vector()
-        y = op.apply(x)
-        cert = recovery_certificate(x, x, op, 0.0)
-        doc = problem_doc(signal, op, y, x, cert)
-        assert doc["n"] == 32 and doc["Fs"] == 2.0
+        """The document reads the support and amplitudes off the spike vector."""
+        g = kernel_matrix(1.0, 32, 2.0)
+        x = random_spike_signal(stream_rng(73, 99), 32, 2, min_spike_separation(1.0, 2.0))
+        y = g @ x
+        cert = recovery_certificate(x, x, 1.0, 2.0, 0.0)
+        doc = problem_doc(x, 1.0, 2.0, y, x, cert)
+        assert doc["n"] == 32 and doc["Fs"] == 2.0 and doc["sigma"] == 1.0
+        support = np.flatnonzero(x)
+        assert doc["support"] == support.tolist() and len(support) == 2
+        assert doc["amplitudes"] == x[support].tolist()
         assert doc["certificate"]["holds"] is True
 
 
@@ -987,8 +1000,8 @@ class TestLambdaPipeline:
         """Replicate r's spikes, then its noise, from stream (seed, r), placed
         one spike at a time as a reference; the draw comes in chunks of whole
         replicates."""
-        operator = build_kernel_operator(sigma=1.0, n=24, fs=2.0)
-        sep = min_spike_separation(operator.sigma, operator.fs)
+        g = kernel_matrix(1.0, 24, 2.0)
+        sep = min_spike_separation(1.0, 2.0)
         m, replicates = 6, 7
         x = np.zeros((24, m * replicates))
         noise = np.zeros_like(x)
@@ -1004,13 +1017,13 @@ class TestLambdaPipeline:
         monkeypatch.setattr(sparse, "_PIPELINE_COLUMNS", 13)  # 2 replicates per chunk
         amps_drawn = np.full(m * replicates, np.nan)
         chunks, filled = [], []
-        for chunk in _pipeline_draw(operator, 2.0, m, replicates, 9, sigma_n, amps_drawn):
+        for chunk in _pipeline_draw(g, sep, 2.0, m, replicates, 9, sigma_n, amps_drawn):
             chunks.append(chunk)
             filled.append(int(np.count_nonzero(~np.isnan(amps_drawn))))
         assert [c.shape[1] for c in chunks] == [12, 12, 12, 6]
         assert filled == [12, 24, 36, 42]  # a chunk's amplitudes are in place when it comes
         assert np.array_equal(amps_drawn, amps)
-        assert np.array_equal(np.hstack(chunks), operator.matrix @ x + sigma_n * noise)
+        assert np.array_equal(np.hstack(chunks), g @ x + sigma_n * noise)
 
     def test_restorers_share_one_draw(self):
         """A tuple of restorers gives the reports that separate calls give."""
@@ -1034,9 +1047,9 @@ class TestLambdaPipeline:
         1 618 600 column-iterations, all certified without the finisher
         (2 229 600 in float64 at rho 0.004; 4 189 000 with plain ADMM
         polished every 100)."""
-        op = build_kernel_operator(sigma=1.0, n=24, fs=2.0)
-        _, y = _draw(op, 1.0, 25, 1000, 0, 0.1)
-        sol = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1,
+        g = kernel_matrix(1.0, 24, 2.0)
+        _, y = _draw(g, 1.0, 25, 1000, 0, 0.1)
+        sol = l1_map_solve(y, g, mode="penalized", lam=1.0, sigma_z=0.1,
                            max_iter=sparse._ADMM_HANDOFF)
         assert sol.converged and sol.finished == 0 and len(sol.column_iterations) == 25_000
         assert sum(sol.column_iterations) <= 1_700_000
@@ -1045,12 +1058,12 @@ class TestLambdaPipeline:
         """The pipeline streams its columns through the solver in any order
         of refills: on a permutation of a pipeline draw's columns the solve
         returns the permuted x_hat and iterations, bit for bit."""
-        op = build_kernel_operator(sigma=1.0, n=24, fs=2.0)
-        _, y = _draw(op, 1.0, 25, 200, 7, 0.1)
+        g = kernel_matrix(1.0, 24, 2.0)
+        _, y = _draw(g, 1.0, 25, 200, 7, 0.1)
         perm = stream_rng(7, 1).permutation(y.shape[1])
-        sol = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1,
+        sol = l1_map_solve(y, g, mode="penalized", lam=1.0, sigma_z=0.1,
                            max_iter=sparse._ADMM_HANDOFF)
-        shuffled = l1_map_solve(y[:, perm], op, mode="penalized", lam=1.0, sigma_z=0.1,
+        shuffled = l1_map_solve(y[:, perm], g, mode="penalized", lam=1.0, sigma_z=0.1,
                                 max_iter=sparse._ADMM_HANDOFF)
         assert sol.converged and shuffled.converged
         assert np.array_equal(shuffled.x_hat, sol.x_hat[:, perm])
@@ -1062,16 +1075,16 @@ class TestLambdaPipeline:
         iterations of one solve on the joined measurements, and the pipeline's
         masses are the column sums of that x_hat."""
         monkeypatch.setattr(sparse, "_PIPELINE_COLUMNS", 60)
-        op = build_kernel_operator(sigma=1.0, n=24, fs=2.0)
-        g, inv_var = op.matrix, 1.0 / 0.1**2
-        _, y = _draw(op, 1.0, 25, 200, 7, 0.1)
-        dense = l1_map_solve(y, op, mode="penalized", lam=1.0, sigma_z=0.1,
+        g = kernel_matrix(1.0, 24, 2.0)
+        inv_var = 1.0 / 0.1**2
+        _, y = _draw(g, 1.0, 25, 200, 7, 0.1)
+        dense = l1_map_solve(y, g, mode="penalized", lam=1.0, sigma_z=0.1,
                              max_iter=sparse._ADMM_HANDOFF)
         collect, x, certified, its = _collector(y.shape[1], y.shape[0])
         amps = np.empty(y.shape[1])
-        chunks = _pipeline_draw(op, 1.0, 25, 200, 7, 0.1, amps)
+        chunks = _pipeline_draw(g, _PIPELINE_SEP, 1.0, 25, 200, 7, 0.1, amps)
         assert {chunk.shape[1] for chunk in chunks} == {50}
-        chunks = _pipeline_draw(op, 1.0, 25, 200, 7, 0.1, amps)
+        chunks = _pipeline_draw(g, _PIPELINE_SEP, 1.0, 25, 200, 7, 0.1, amps)
         finished = sparse._certified_lasso(
             inv_var * (g.T @ g), sparse._column_source(inv_var * (g.T @ c) for c in chunks),
             y.shape[1], 1.0, sparse._ADMM_HANDOFF, collect)
@@ -1079,7 +1092,7 @@ class TestLambdaPipeline:
         assert np.array_equal(x, dense.x_hat)
         assert tuple(its.tolist()) == dense.column_iterations
         masses, iterations, unconverged, _ = sparse._map_l1_masses(
-            _pipeline_draw(op, 1.0, 25, 200, 7, 0.1, amps), op, 1.0, 0.1, y.shape[1])
+            _pipeline_draw(g, _PIPELINE_SEP, 1.0, 25, 200, 7, 0.1, amps), g, 1.0, 0.1, y.shape[1])
         assert np.array_equal(masses, np.abs(dense.x_hat).sum(axis=0))
         assert (iterations, unconverged) == (dense.iterations, 0)
 
@@ -1150,9 +1163,8 @@ class TestLambdaPipeline:
         it hands every finished column's answer, ADMM count and certificate
         to collect: streaming 8 000 columns through it, from a generator of
         blocks, peaks where streaming 2 000 does, within a few KiB."""
-        op = build_kernel_operator(1.0, 24, 2.0)
-        _, y = _draw(op, 1.0, 25, 10, 0, 0.1)
-        g = op.matrix
+        g = kernel_matrix(1.0, 24, 2.0)
+        _, y = _draw(g, 1.0, 25, 10, 0, 0.1)
         a, block = 100.0 * (g.T @ g), 100.0 * (g.T @ y)
         seen = []
 

@@ -423,6 +423,11 @@ def _feature_sign_polish(a: np.ndarray, b: np.ndarray, lam: float, x: np.ndarray
 
 # Relative tolerance of the simplex: pivots, primal and dual feasibility.
 _LP_RTOL = 1e-9
+# A pivot element that is 0 in exact arithmetic is computed as round-off: at
+# most 1.1e-7 of its row's largest |alpha| on the sweep's delta grid (every
+# decade 1e-15..1, seeds 0-2). Only a chosen element under this fraction of
+# it is checked for one (0.4% of the pivots at the sweep's defaults).
+_LP_ZERO_SCREEN = 1e-3
 # Times a column's basis inverse is rebuilt from the original data before giving up.
 _LP_REBUILDS = 3
 # Entries of the [B^-1 | z_B] states iterated together (0.5 MiB of floats): a
@@ -483,6 +488,32 @@ def _solve_stack(a: np.ndarray, b: np.ndarray) -> tuple:
     return x, solved
 
 
+def _zero_pivots(basis: np.ndarray, r: np.ndarray, j: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Whether the pivot element of column j entering in row r of each basis
+    is exactly 0: whether a_j lies in the span S of the other rows' basic
+    columns, so that the pivot would leave the basis singular. Only
+    round-off makes such an element negative. With e_m the budget row's
+    unit vector, the LP's structure gives three cases:
+
+    - u_i (v_i) while v_i (u_i) is basic in another row: a_u = -a_v;
+    - p_i (q_i) while q_i (p_i) is basic in another row and e_m is in S:
+      a_p + a_q = 2 e_m;
+    - s, a_s = e_m, while e_m is in S.
+
+    e_m is in S when another row holds s, or two hold p_k and q_k. A u or v
+    column entering in the row of the basis's only budget-row column is the
+    first case: the other rows then hold m u or v columns of distinct
+    indices, every index of the square G.
+    """
+    at, s = np.arange(len(basis)), 2 * n + 2 * m
+    other = np.zeros((len(basis), s + 1), dtype=bool)
+    other[at[:, None], basis] = True
+    other[at, basis[at, r]] = False
+    twin = np.where(j < n, j + n, np.where(j < 2 * n, j - n, np.where(j < 2 * n + m, j + m, j - m)))
+    e_m = other[:, s] | (other[:, 2 * n:2 * n + m] & other[:, 2 * n + m:s]).any(axis=1)
+    return np.where(j < 2 * n, other[at, twin], np.where(j < s, other[at, twin] & e_m, e_m))
+
+
 def _simplex_block(g: np.ndarray, a_cols: np.ndarray, c: np.ndarray, y: np.ndarray,
                    delta: float, max_pivots: int) -> tuple:
     """_dual_simplex on one block of columns; a_cols holds the LP's columns
@@ -494,7 +525,10 @@ def _simplex_block(g: np.ndarray, a_cols: np.ndarray, c: np.ndarray, y: np.ndarr
     [[D, 0], [-1'D, 1]]. A pivot leaves on the most negative basic value,
     forms that row of B^-1 a from a's structure (_lp_rows), enters by the
     min-ratio test and makes a rank-1 update with the entering column
-    B^-1 a_j. A column stops when it is primal feasible, has no column to
+    B^-1 a_j. A column whose entering pivot element is exactly 0
+    (_zero_pivots), and negative by round-off alone, would pivot onto a
+    singular basis: the next column of the ratio test enters instead. A
+    column stops when it is primal feasible, has no column to
     enter, or has made max_pivots pivots; its basis is then re-solved from
     (a, b, c), and it is ``optimal`` only if primal and dual feasible to
     tolerances scaled to |b| and |c|. Otherwise its state is rebuilt from
@@ -529,9 +563,19 @@ def _simplex_block(g: np.ndarray, a_cols: np.ndarray, c: np.ndarray, y: np.ndarr
             r = state[:, :, rows].argmin(axis=1)
             pivot_row = state[at, r]
             alpha = _lp_rows(gg, pivot_row[:, :rows])
-            enter = alpha < -_LP_RTOL * np.abs(alpha).max(axis=1, keepdims=True)
+            amax = np.abs(alpha).max(axis=1)
+            enter = alpha < -_LP_RTOL * amax[:, None]
             ratio = np.where(enter, np.maximum(d, 0.0) / -alpha, np.inf)
             j = ratio.argmin(axis=1)
+            # Columns whose chosen pivot element is 0 in exact arithmetic
+            # choose again; only a small element can be one.
+            check = at[alpha[at, j] > -_LP_ZERO_SCREEN * amax]
+            while check.size:
+                check = check[_zero_pivots(basis[check], r[check], j[check], n, m)
+                              & (ratio[check, j[check]] < np.inf)]
+                ratio[check, j[check]] = np.inf
+                j[check] = ratio[check].argmin(axis=1)
+                check = check[alpha[check, j[check]] > -_LP_ZERO_SCREEN * amax[check]]
             go = (pivot_row[:, rows] < floor) & (ratio[at, j] < np.inf)
             if runs >= max_pivots or not go.all():
                 # re-solve the stopped columns' bases from the data

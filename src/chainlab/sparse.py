@@ -525,17 +525,16 @@ def _simplex_block(g: np.ndarray, a_cols: np.ndarray, c: np.ndarray, y: np.ndarr
     [[D, 0], [-1'D, 1]]. A pivot leaves on the most negative basic value,
     forms that row of B^-1 a from a's structure (_lp_rows), enters by the
     min-ratio test and makes a rank-1 update with the entering column
-    B^-1 a_j. A column whose entering pivot element is exactly 0
-    (_zero_pivots), and negative by round-off alone, would pivot onto a
-    singular basis: the next column of the ratio test enters instead. A
-    column stops when it is primal feasible, has no column to
-    enter, or has made max_pivots pivots; its basis is then re-solved from
-    (a, b, c), and it is ``optimal`` only if primal and dual feasible to
-    tolerances scaled to |b| and |c|. Otherwise its state is rebuilt from
-    that basis and pivoting resumes, at most _LP_REBUILDS times. A basis
-    that is singular in floating point can be neither re-solved nor
-    rebuilt: its column ends, not optimal, with x from its maintained basic
-    values, and the block's other columns go on as before.
+    B^-1 a_j; a chosen column whose pivot element is exactly 0
+    (_zero_pivots) would leave a singular basis, and the ratio test's next
+    column enters instead. A column stops when it is primal feasible, has no
+    column to enter, or has made max_pivots pivots; its basis is then
+    re-solved from (a, b, c), and it is ``optimal`` only if primal and dual
+    feasible to tolerances scaled to |b| and |c|. Otherwise its state is
+    rebuilt from that basis and pivoting resumes, at most _LP_REBUILDS
+    times. A basis that is singular in floating point can be neither
+    re-solved nor rebuilt: its column ends, not optimal, with x from its
+    maintained basic values, and the block's other columns go on as before.
     """
     m, n = g.shape
     rows, k = m + 1, y.shape[1]
